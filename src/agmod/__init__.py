@@ -30,7 +30,14 @@ from .localization import (
     min_prime_complement,
     mult_closure,
 )
-from .theorems import CorpusSpec, PredicateResult, generate_corpus, run_predicate, run_suite
+from .theorems import (
+    CorpusSpec,
+    InstanceAnalysis,
+    PredicateResult,
+    generate_corpus,
+    run_predicate,
+    run_suite,
+)
 
 __all__ = [
     "AgmodError",
@@ -38,6 +45,7 @@ __all__ = [
     "CorpusSpec",
     "DomainError",
     "Ideal",
+    "InstanceAnalysis",
     "InternalCheckError",
     "InvariantReport",
     "Lattice",

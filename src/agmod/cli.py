@@ -36,6 +36,11 @@ from .localization import (
 _OPTION_KEYS = {"localize_at_min_primes", "localize_gens"}
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not integers in a spec."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_instance(obj) -> tuple[Module, dict]:
     """Validate a spec object into a module plus normalized options."""
     if not isinstance(obj, dict):
@@ -50,7 +55,7 @@ def parse_instance(obj) -> tuple[Module, dict]:
     if (
         not isinstance(ring_spec, list)
         or not ring_spec
-        or not all(isinstance(n, int) and n >= 2 for n in ring_spec)
+        or not all(_is_int(n) and n >= 2 for n in ring_spec)
     ):
         raise SpecError("'ring' must be a nonempty list of integers >= 2")
     ring = Ring(ring_spec)
@@ -64,8 +69,8 @@ def parse_instance(obj) -> tuple[Module, dict]:
         if (
             not isinstance(item, dict)
             or set(item) != {"d", "c"}
-            or not isinstance(item.get("d"), int)
-            or not isinstance(item.get("c"), int)
+            or not _is_int(item.get("d"))
+            or not _is_int(item.get("c"))
         ):
             bad.append({"index": i, "factor": item, "error": "needs integer fields d, c"})
             continue
@@ -83,13 +88,35 @@ def parse_instance(obj) -> tuple[Module, dict]:
     if not factors:
         raise SpecError("'module' needs at least one factor")
 
-    options = obj.get("options", {})
+    return Module(ring, factors), _parse_options(ring, obj.get("options", {}))
+
+
+def _parse_options(ring: Ring, options) -> dict:
+    """Validate spec options; localize_gens comes back as ring elements."""
     if not isinstance(options, dict):
         raise SpecError("'options' must be an object")
     unknown = sorted(set(options) - _OPTION_KEYS)
     if unknown:
         raise SpecError(f"unknown option fields: {unknown}", unknown)
-    return Module(ring, factors), options
+    out = dict(options)
+    if not isinstance(options.get("localize_at_min_primes", False), bool):
+        raise SpecError("'localize_at_min_primes' must be true or false")
+    if "localize_gens" not in options:
+        return out
+    gens = options["localize_gens"]
+    if isinstance(gens, str):
+        out["localize_gens"] = parse_gens(ring, gens)
+        return out
+    if not isinstance(gens, list) or not gens:
+        raise SpecError("'localize_gens' must be a string or a nonempty list")
+    elems = [g if isinstance(g, list) else [g] for g in gens]
+    if not all(len(g) == len(ring.moduli) and all(map(_is_int, g)) for g in elems):
+        raise SpecError(
+            f"'localize_gens' entries must be integers or lists of "
+            f"{len(ring.moduli)} integers, got {gens}"
+        )
+    out["localize_gens"] = [ring.element(g) for g in elems]
+    return out
 
 
 def instance_echo(module: Module, options: dict | None = None) -> dict:
@@ -163,7 +190,10 @@ def _graph_dict(graph: aggraph.AnnGraph) -> dict:
 def _localization_dict(module: Module, s, include_components: bool) -> dict:
     loc = localize(module, s)
     inv_before = aggraph.invariants(aggraph.build_AG(module))
-    inv_after = aggraph.invariants(aggraph.build_AG(loc.image))
+    if loc.image is module:
+        inv_after = inv_before
+    else:
+        inv_after = aggraph.invariants(aggraph.build_AG(loc.image))
     out = {
         "mult_set": {
             "generator_count": len(s.gens),
@@ -198,7 +228,7 @@ def cmd_analyze(args) -> int:
     if args.localize_at_min_primes:
         options = dict(options, localize_at_min_primes=True)
     if args.localize_gens:
-        options = dict(options, localize_gens=args.localize_gens)
+        options = dict(options, localize_gens=parse_gens(module.ring, args.localize_gens))
     lat = module.lattice()
     ag = aggraph.build_AG(module)
     ag_star = aggraph.build_AG_star(module)
@@ -240,13 +270,9 @@ def cmd_analyze(args) -> int:
             module, min_prime_complement(module), include_components=True
         )
     elif options.get("localize_gens"):
-        gens_opt = options["localize_gens"]
-        if isinstance(gens_opt, str):
-            gens = parse_gens(module.ring, gens_opt)
-        else:
-            gens = [module.ring.element(g if isinstance(g, list) else [g]) for g in gens_opt]
         report["localization"] = _localization_dict(
-            module, mult_closure(module.ring, gens), include_components=False
+            module, mult_closure(module.ring, options["localize_gens"]),
+            include_components=False,
         )
     if gen is not None:
         witnesses, wreport = module.min_prime_clique_witness()

@@ -15,6 +15,7 @@ scans double as the oracle for everything downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -23,6 +24,21 @@ from .finring import Ideal, Ring
 
 ELEMENT_CAP = 512
 LATTICE_CAP = 4096
+
+
+def _once(method):
+    """Compute a module fact on the first call and return it on every later one."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, *args, **kwargs):
+        try:
+            return self._facts[name]
+        except KeyError:
+            value = self._facts[name] = method(self, *args, **kwargs)
+            return value
+
+    return memoized
 
 
 class Module:
@@ -50,14 +66,10 @@ class Module:
         self.element_set = frozenset(elems)
         self.size = len(elems)
 
-        self._lattice = None
+        self._facts: dict = {}
         self._colon_cache: dict = {}
         self._act_cache: dict = {}
         self._span_cache: dict = {}
-        self._primes = None
-        self._cyclic = -1  # unset marker; None once known acyclic
-        self._zdiv = None
-        self._semiprime = None
 
         if _carrier is None and ring.cardinality * self.size <= 10**6:
             self._verify_action()
@@ -85,9 +97,6 @@ class Module:
         return tuple(
             (a + b) % d for a, b, (d, _) in zip(x, y, self.factors)
         )
-
-    def neg(self, x):
-        return tuple((-a) % d for a, (d, _) in zip(x, self.factors))
 
     def smul(self, r, x):
         return tuple(
@@ -174,15 +183,14 @@ class Module:
     def whole_submodule(self) -> "Submodule":
         return self.submodule_from_set(self.element_set)
 
+    @_once
     def lattice(self, element_cap: int | None = None, cap: int | None = None) -> "Lattice":
         """Enumerate every submodule by breadth-first closure from (0).
 
         Each known submodule is extended by one outside element (adding the
         whole coset family S + R*x, which is already closed) and deduplicated
-        until fixpoint.
+        until fixpoint.  The caps apply to the first, computing call.
         """
-        if self._lattice is not None:
-            return self._lattice
         element_cap = ELEMENT_CAP if element_cap is None else element_cap
         cap = LATTICE_CAP if cap is None else cap
         if self.size > element_cap:
@@ -211,8 +219,7 @@ class Module:
                         )
                     seen.add(bigger)
                     order.append(bigger)
-        self._lattice = Lattice(self, seen)
-        return self._lattice
+        return Lattice(self, seen)
 
     # -- colon ideals and products ----------------------------------------------
 
@@ -280,12 +287,9 @@ class Module:
                     return False
         return True
 
+    @_once
     def primes(self) -> list["Submodule"]:
-        if self._primes is None:
-            self._primes = [
-                s for s in self.lattice().all if self.is_prime_submodule(s)
-            ]
-        return self._primes
+        return [s for s in self.lattice().all if self.is_prime_submodule(s)]
 
     def min_primes(self) -> list["Submodule"]:
         """Inclusion-minimal prime submodules."""
@@ -304,13 +308,9 @@ class Module:
         inter = frozenset.intersection(*(p.elements for p in containing))
         return self.submodule_from_set(inter)
 
+    @_once
     def is_semiprime(self) -> bool:
         """Exhaustive: I^2 K = 0 implies I K = 0 for all ideals I, submodules K."""
-        if self._semiprime is None:
-            self._semiprime = self._semiprime_scan()
-        return self._semiprime
-
-    def _semiprime_scan(self) -> bool:
         lat = self.lattice()
         zero = self.zero_submodule()
         for ideal in self.ring.ideals():
@@ -320,18 +320,16 @@ class Module:
                     return False
         return True
 
+    @_once
     def zero_divisors(self) -> frozenset:
         """Z(M): scalars killing some nonzero element, by exhaustive scan."""
-        if self._zdiv is not None:
-            return self._zdiv
         out = set()
         for r in self.ring.elements():
             for m in self.elements:
                 if m != self.zero and self.smul(r, m) == self.zero:
                     out.add(r)
                     break
-        self._zdiv = frozenset(out)
-        return self._zdiv
+        return frozenset(out)
 
     # -- structure ------------------------------------------------------------------
 
@@ -345,17 +343,12 @@ class Module:
             if not any(t is not s and not t.is_zero and t.elements < s.elements for t in nz)
         ]
 
+    @_once
     def cyclic_generator(self):
         """A generator m with R*m = M, or None; first in element order."""
-        if self._cyclic != -1:
-            return self._cyclic
-        witness = None
-        for m in self.elements:
-            if len(self.cyclic_span(m)) == self.size:
-                witness = m
-                break
-        self._cyclic = witness
-        return witness
+        return next(
+            (m for m in self.elements if len(self.cyclic_span(m)) == self.size), None
+        )
 
     def is_cyclic(self) -> bool:
         return self.cyclic_generator() is not None
@@ -375,8 +368,14 @@ class Module:
     # -- idempotent decompositions ------------------------------------------------
 
     def scaled(self, e) -> "Module":
-        """The image e*M as a module with acting identity e (times our unit)."""
+        """The image e*M as a module with acting identity e (times our unit).
+
+        When e acts as the identity on the carrier the image is M itself, and
+        M is returned, so its lattice and every other computed fact carry over.
+        """
         eff = self.ring.mul(e, self.unit)
+        if all(self.smul(eff, m) == m for m in self.elements):
+            return self
         carrier = {self.smul(eff, m) for m in self.elements}
         img = Module(self.ring, self.factors, _carrier=carrier, _unit=eff)
         for m in img.elements:
@@ -411,18 +410,18 @@ class Module:
                 out.append((e, left, right))
         return out
 
-    def detect_fxs(self):
-        """An idempotent splitting M into a simple part and a part with a
-        unique nontrivial submodule, or None."""
-        for e, left, right in self.nontrivial_decompositions():
-            cl, cr = left.classify(), right.classify()
-            if "simple" in cl and "unique_nontrivial_submodule" in cr:
-                return e
-            if "simple" in cr and "unique_nontrivial_submodule" in cl:
-                return self.ring.sub(self.ring.one, e)
-        return None
+    # -- minimal-prime components ----------------------------------------------
 
-    # -- minimal-prime clique construction ---------------------------------------
+    def component_idempotents(self, e) -> list:
+        """One idempotent per minimal prime P: e times the idempotent-power
+        product over the ring elements outside (P:M)."""
+        ring = self.ring
+        parts = []
+        for p in self.min_primes():
+            colon = self.colon(p)
+            outside = [r for r in ring.elements() if not colon.contains(r)]
+            parts.append(ring.mul(e, ring.idempotent_product(outside)))
+        return parts
 
     def min_prime_clique_witness(self):
         """One nonzero submodule per minimal prime, pairwise products zero.
@@ -440,23 +439,12 @@ class Module:
         if not mins:
             return [], {"size": 0}
         ring = self.ring
-        colons = [self.colon(p) for p in mins]
         union = set()
-        for q in colons:
-            union |= q.element_set
+        for p in mins:
+            union |= self.colon(p).element_set
         s_set = [r for r in ring.elements() if r not in union]
-
-        def idem_of(elems):
-            e = ring.one
-            for s in elems:
-                e = ring.mul(e, ring.idempotent_power(s))
-            return e
-
-        e_total = idem_of(s_set)
-        e_parts = []
-        for q in colons:
-            comp = [r for r in ring.elements() if not q.contains(r)]
-            e_parts.append(ring.mul(e_total, idem_of(comp)))
+        e_total = ring.idempotent_product(s_set)
+        e_parts = self.component_idempotents(e_total)
 
         t = ring.one
         pair_multipliers = []
@@ -606,12 +594,3 @@ class Lattice:
         if sub is None:
             raise DomainError("element set is not a submodule of this lattice")
         return sub
-
-    def intersect(self, a: Submodule, b: Submodule) -> Submodule:
-        return self.find(a.elements & b.elements)
-
-    def sum(self, a: Submodule, b: Submodule) -> Submodule:
-        return self.find(self.module.span(list(a.gens) + list(b.gens)))
-
-    def atoms(self) -> list[Submodule]:
-        return self.module.minimal_submodules()

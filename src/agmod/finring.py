@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, InternalCheckError, StructuralError
+from .errors import InternalCheckError, StructuralError
 
 
 def divisors(n: int) -> list[int]:
@@ -111,32 +111,11 @@ class Ring:
         self._check(a), self._check(b)
         return tuple((x * y) % n for x, y, n in zip(a, b, self.moduli))
 
-    def neg(self, a):
-        self._check(a)
-        return tuple((-x) % n for x, n in zip(a, self.moduli))
-
     def unit_vector(self, comp: int, value: int = 1):
         """The element with ``value`` in one component and 0 elsewhere."""
         return tuple(value % n if c == comp else 0 for c, n in enumerate(self.moduli))
 
-    # -- nilpotents and idempotents -----------------------------------------
-
-    def is_nilpotent(self, r) -> bool:
-        """True iff some power of r is zero.
-
-        Repeated squaring: if r^m = 0 for any m <= |R| then r^(2^t) = 0 once
-        2^t >= m, and bit_length(|R|) squarings reach that.
-        """
-        self._check(r)
-        x = r
-        for _ in range(self.cardinality.bit_length() + 1):
-            if x == self.zero:
-                return True
-            x = self.mul(x, x)
-        return x == self.zero
-
-    def is_idempotent(self, r) -> bool:
-        return self.mul(r, r) == r
+    # -- idempotents ----------------------------------------------------------
 
     def idempotent_power(self, r):
         """The unique idempotent in {r, r^2, r^3, ...}.
@@ -155,6 +134,13 @@ class Ring:
             if self.mul(y, y) == y:
                 return y
         raise InternalCheckError(f"no idempotent power found for {r} in {self!r}")
+
+    def idempotent_product(self, elems):
+        """The product of the idempotent powers of elems (1 for none)."""
+        e = self.one
+        for r in elems:
+            e = self.mul(e, self.idempotent_power(r))
+        return e
 
     def idempotents(self) -> list[tuple[int, ...]]:
         """All e with e*e = e, sorted; always contains 0 and 1."""
@@ -180,52 +166,6 @@ class Ring:
             Ideal(self, divs)
             for divs in itertools.product(*(divisors(n) for n in self.moduli))
         ]
-
-    def nilradical(self) -> "Ideal":
-        return Ideal(self, tuple(squarefree_kernel(n) for n in self.moduli))
-
-    def is_prime_ideal(self, ideal: "Ideal") -> bool:
-        """Exhaustive primality test: I proper and rs in I => r in I or s in I."""
-        if ideal.is_whole():
-            return False
-        for r in self.elements():
-            if ideal.contains(r):
-                continue
-            for s in self.elements():
-                if ideal.contains(s):
-                    continue
-                if ideal.contains(self.mul(r, s)):
-                    return False
-        return True
-
-    def lift_idempotent(self, u, ideal: "Ideal"):
-        """Lift an idempotent of R/I to an idempotent of R, for nil I.
-
-        Requires u*u - u in I with I nil.  Iterates u <- 3u^2 - 2u^3, which
-        fixes idempotents, stays inside uR, and squares the defect u^2 - u at
-        every step; nil ideals here are nilpotent, so bit_length(|R|) + 4
-        steps suffice.
-        """
-        self._check(u)
-        if not ideal.is_nil():
-            raise DomainError(f"{ideal} is not a nil ideal")
-        if not ideal.contains(self.sub(self.mul(u, u), u)):
-            raise DomainError(f"{u} is not idempotent modulo {ideal}")
-        e = u
-        three = self.element([3] * len(self.moduli))
-        two = self.element([2] * len(self.moduli))
-        for _ in range(self.cardinality.bit_length() + 4):
-            e2 = self.mul(e, e)
-            nxt = self.sub(self.mul(three, e2), self.mul(two, self.mul(e2, e)))
-            if nxt == e:
-                break
-            e = nxt
-        if self.mul(e, e) != e:
-            raise InternalCheckError(f"idempotent lift did not converge for {u}")
-        if not ideal.contains(self.sub(e, u)):
-            raise InternalCheckError("lifted idempotent drifted outside u + I")
-        return e
-
 
 @dataclass(frozen=True)
 class Ideal:
@@ -263,9 +203,6 @@ class Ideal:
     def element_set(self) -> frozenset:
         return frozenset(self.elements())
 
-    def size(self) -> int:
-        return math.prod(n // d for d, n in zip(self.divisors, self.ring.moduli))
-
     def gens(self) -> list[tuple[int, ...]]:
         """One generator per component: d_i in position i."""
         return [
@@ -302,14 +239,4 @@ class Ideal:
         return all(
             d % squarefree_kernel(n) == 0
             for d, n in zip(self.divisors, self.ring.moduli)
-        )
-
-    def intersect(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
-            raise StructuralError("ideal intersection across different rings")
-        return Ideal(
-            self.ring,
-            tuple(
-                math.lcm(d, e) for d, e in zip(self.divisors, other.divisors)
-            ),
         )

@@ -57,9 +57,7 @@ def mult_closure(ring: Ring, gens) -> MultSet:
 def localization_idempotent(s: MultSet):
     """The product of the idempotent powers of the generators of S."""
     ring = s.ring
-    e = ring.one
-    for g in s.gens:
-        e = ring.mul(e, ring.idempotent_power(g))
+    e = ring.idempotent_product(s.gens)
     if ring.mul(e, e) != e:
         raise InternalCheckError("localization idempotent is not idempotent")
     return e
@@ -101,36 +99,30 @@ def localize(module: Module, s: MultSet) -> LocalizedModule:
     return LocalizedModule(s, e, image, kernel)
 
 
-def min_prime_complement(module: Module) -> MultSet:
-    """R minus the union of the minimal-prime colons, closure verified."""
-    ring = module.ring
-    union = set()
-    for p in module.min_primes():
-        union |= module.colon(p).element_set
-    elems = [r for r in ring.elements() if r not in union]
+def _complement(ring: Ring, excluded, name: str) -> MultSet:
+    """R minus the excluded elements, verified to contain 1 and be closed."""
+    elems = [r for r in ring.elements() if r not in excluded]
     s = MultSet(ring, tuple(elems), frozenset(elems))
     if ring.one not in s.closure:
-        raise InternalCheckError("minimal-prime complement does not contain 1")
+        raise InternalCheckError(f"{name} does not contain 1")
     for a in s.closure:
         for b in s.closure:
             if ring.mul(a, b) not in s.closure:
-                raise InternalCheckError(
-                    "minimal-prime complement is not multiplicatively closed"
-                )
+                raise InternalCheckError(f"{name} is not multiplicatively closed")
     return s
+
+
+def min_prime_complement(module: Module) -> MultSet:
+    """R minus the union of the minimal-prime colons, closure verified."""
+    union = set()
+    for p in module.min_primes():
+        union |= module.colon(p).element_set
+    return _complement(module.ring, union, "minimal-prime complement")
 
 
 def zero_divisor_complement(module: Module) -> MultSet:
     """R minus Z(M); closed because Z(M) is a union of primes here."""
-    ring = module.ring
-    zdiv = module.zero_divisors()
-    elems = [r for r in ring.elements() if r not in zdiv]
-    s = MultSet(ring, tuple(elems), frozenset(elems))
-    for a in s.closure:
-        for b in s.closure:
-            if ring.mul(a, b) not in s.closure:
-                raise InternalCheckError("R minus Z(M) is not multiplicatively closed")
-    return s
+    return _complement(module.ring, module.zero_divisors(), "R minus Z(M)")
 
 
 @dataclass(frozen=True)
@@ -158,18 +150,9 @@ def check_product_decomposition(module: Module) -> DecompositionReport:
     if module.cyclic_generator() is None:
         raise DomainError("product decomposition check needs a cyclic module")
     ring = module.ring
-    s = min_prime_complement(module)
-    loc = localize(module, s)
+    loc = localize(module, min_prime_complement(module))
     e = loc.idem
-
-    parts = []
-    for p in module.min_primes():
-        colon = module.colon(p)
-        comp = [r for r in ring.elements() if not colon.contains(r)]
-        e_i = ring.one
-        for r in comp:
-            e_i = ring.mul(e_i, ring.idempotent_power(r))
-        parts.append(ring.mul(e, e_i))
+    parts = module.component_idempotents(e)
 
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):

@@ -52,18 +52,20 @@ def instance_id(module: Module) -> str:
     return f"{ring}|{mod}"
 
 
-# -- per-instance analysis cache ---------------------------------------------------
+# -- per-instance analysis -------------------------------------------------------
 
 
 class InstanceAnalysis:
-    """Lazily computed, cached views of one module instance."""
+    """Lazily computed views of one module instance.
+
+    It caches only facts the module does not cache itself, such as graphs,
+    invariants, decompositions and localizations, and lives as long as its
+    caller keeps it: the suite builds one per instance and drops it when the
+    instance is done.
+    """
 
     def __init__(self, module: Module):
         self.module = module
-
-    @cached_property
-    def lattice(self):
-        return self.module.lattice()
 
     @cached_property
     def ag(self) -> aggraph.AnnGraph:
@@ -82,12 +84,8 @@ class InstanceAnalysis:
         return aggraph.invariants(self.ag_star)
 
     @cached_property
-    def ann(self):
-        return self.module.annihilator()
-
-    @cached_property
     def ann_nil(self) -> bool:
-        return self.ann.is_nil()
+        return self.module.annihilator().is_nil()
 
     @cached_property
     def mins(self):
@@ -96,14 +94,6 @@ class InstanceAnalysis:
     @cached_property
     def rad0(self):
         return self.module.radical(self.module.zero_submodule())
-
-    @cached_property
-    def semiprime(self) -> bool:
-        return self.module.is_semiprime()
-
-    @cached_property
-    def cyclic_gen(self):
-        return self.module.cyclic_generator()
 
     @cached_property
     def classification(self):
@@ -119,7 +109,15 @@ class InstanceAnalysis:
 
     @cached_property
     def fxs(self):
-        return self.module.detect_fxs()
+        """An idempotent splitting M into a simple part and a part with a
+        unique nontrivial submodule, or None."""
+        for e, left, right in self.decompositions:
+            cl, cr = left.classify(), right.classify()
+            if "simple" in cl and "unique_nontrivial_submodule" in cr:
+                return e
+            if "simple" in cr and "unique_nontrivial_submodule" in cl:
+                return self.module.ring.sub(self.module.ring.one, e)
+        return None
 
     @cached_property
     def vertex_encodings(self):
@@ -127,28 +125,20 @@ class InstanceAnalysis:
 
     @cached_property
     def loc_min(self):
-        """Localization at the minimal-prime complement, plus its image analysis."""
-        s = min_prime_complement(self.module)
-        avoids_zdiv = not (s.closure & self.module.zero_divisors())
-        loc = localize(self.module, s)
-        return s, avoids_zdiv, loc, InstanceAnalysis(loc.image)
+        """M localized at the minimal-prime complement."""
+        return localize(self.module, min_prime_complement(self.module))
 
     @cached_property
     def loc_zdiv(self):
-        """Localization at R minus Z(M)."""
-        s = zero_divisor_complement(self.module)
-        loc = localize(self.module, s)
-        return s, loc, InstanceAnalysis(loc.image)
+        """M localized at R minus Z(M)."""
+        return localize(self.module, zero_divisor_complement(self.module))
 
-
-_ANALYSES: dict[Module, InstanceAnalysis] = {}
-
-
-def get_analysis(module: Module) -> InstanceAnalysis:
-    found = _ANALYSES.get(module)
-    if found is None:
-        found = _ANALYSES[module] = InstanceAnalysis(module)
-    return found
+    def image_analysis(self, loc) -> "InstanceAnalysis":
+        """The analysis of a localized image: this one when the idempotent
+        acts as the identity, so the image is the module itself."""
+        if loc.image is self.module:
+            return self
+        return InstanceAnalysis(loc.image)
 
 
 def _sub_ref(sub) -> dict:
@@ -166,12 +156,12 @@ def _prop_2_5(a: InstanceAnalysis):
     always satisfy the finiteness/Artinian hypotheses by construction)."""
     missing = [
         _sub_ref(s)
-        for s in a.lattice.all
+        for s in a.module.lattice().all
         if not s.is_zero and not s.is_whole and s.encoding not in a.vertex_encodings
     ]
     if missing:
         return FAIL, {"non_vertices": missing}
-    return PASS, {"proper_nonzero": max(len(a.lattice.all) - 2, 0)}
+    return PASS, {"proper_nonzero": max(len(a.module.lattice()) - 2, 0)}
 
 
 def _lemma_2_4(a: InstanceAnalysis):
@@ -385,9 +375,9 @@ def _thm_2_10(a: InstanceAnalysis):
     """For cyclic M and saturated S-closed S*, submodules maximal in the
     complement of S* are prime.  Run over single-generator multiplicative
     sets with S* the least saturated S-closed superset of an orbit S*m."""
-    if a.cyclic_gen is None:
-        return NOT_MET, {"reason": "not cyclic"}
     m = a.module
+    if not m.is_cyclic():
+        return NOT_MET, {"reason": "not cyclic"}
     ring = m.ring
     if m.size > _THM_2_10_CAP or ring.cardinality > _THM_2_10_CAP:
         return SKIPPED, {
@@ -398,7 +388,7 @@ def _thm_2_10(a: InstanceAnalysis):
     for r in ring.elements():
         for x in m.elements:
             fact[m.smul(r, x)].append((r, x))
-    lattice = a.lattice
+    lattice = m.lattice()
     pairs = 0
     seen_s = set()
     for z in ring.elements():
@@ -439,7 +429,7 @@ def _thm_2_10(a: InstanceAnalysis):
 def _thm_2_11(a: InstanceAnalysis):
     """Cyclic, nil annihilator, at least three minimal primes: the graph has
     a cycle."""
-    if a.cyclic_gen is None or not a.ann_nil or len(a.mins) < 3:
+    if not a.module.is_cyclic() or not a.ann_nil or len(a.mins) < 3:
         return NOT_MET, {"reason": "needs cyclic, nil annihilator, |Min| >= 3"}
     if a.inv.girth is not None:
         return PASS, {"girth": a.inv.girth}
@@ -450,7 +440,7 @@ def _thm_2_12(a: InstanceAnalysis):
     """Cyclic, nonzero prime radical of 0, nil annihilator, exactly two
     minimal primes: a cycle or the four-vertex path."""
     if (
-        a.cyclic_gen is None
+        not a.module.is_cyclic()
         or a.rad0.is_zero
         or not a.ann_nil
         or len(a.mins) != 2
@@ -464,10 +454,10 @@ def _thm_2_12(a: InstanceAnalysis):
 
 
 def _localization_setup(a: InstanceAnalysis):
-    s, avoids, loc, image_analysis = a.loc_min
-    if not avoids:
+    loc = a.loc_min
+    if loc.mult_set.closure & a.module.zero_divisors():
         return None, (NOT_MET, {"reason": "S meets the zero divisors on M"})
-    return (s, loc, image_analysis), None
+    return (loc, a.image_analysis(loc)), None
 
 
 def _thm_2_13(a: InstanceAnalysis):
@@ -477,11 +467,12 @@ def _thm_2_13(a: InstanceAnalysis):
     setup, miss = _localization_setup(a)
     if miss:
         return miss
-    _, loc, img = setup
+    loc, img = setup
+    semiprime = a.module.is_semiprime()
     before, after = a.inv.clique_number, img.inv.clique_number
     if after > before:
         return FAIL, {"clique_before": before, "clique_after": after}
-    if a.semiprime and after != before:
+    if semiprime and after != before:
         return FAIL, {
             "semiprime": True,
             "clique_before": before,
@@ -489,13 +480,12 @@ def _thm_2_13(a: InstanceAnalysis):
         }
     zero = a.module.zero_submodule()
     img_zero = loc.image.zero_submodule()
-    for n, k in itertools.combinations_with_replacement(
-        [s for s in a.lattice.all if not s.is_zero], 2
-    ):
+    pairs = [
+        (n, image_submodule(loc, n)) for n in a.module.lattice().all if not n.is_zero
+    ]
+    for (n, n_img), (k, k_img) in itertools.combinations_with_replacement(pairs, 2):
         pre = a.module.product(n, k) == zero
-        post = loc.image.product(
-            image_submodule(loc, n), image_submodule(loc, k)
-        ) == img_zero
+        post = loc.image.product(n_img, k_img) == img_zero
         if pre != post:
             return FAIL, {
                 "pair": [_sub_ref(n), _sub_ref(k)],
@@ -505,7 +495,7 @@ def _thm_2_13(a: InstanceAnalysis):
     return PASS, {
         "clique_before": before,
         "clique_after": after,
-        "semiprime": a.semiprime,
+        "semiprime": semiprime,
     }
 
 
@@ -515,21 +505,22 @@ def _cor_2_15(a: InstanceAnalysis):
     setup, miss = _localization_setup(a)
     if miss:
         return miss
-    _, _, img = setup
+    _, img = setup
+    semiprime = a.module.is_semiprime()
     before, after = a.inv.chromatic_number, img.inv.chromatic_number
-    if after > before or (a.semiprime and after != before):
+    if after > before or (semiprime and after != before):
         return FAIL, {"chromatic_before": before, "chromatic_after": after,
-                      "semiprime": a.semiprime}
+                      "semiprime": semiprime}
     return PASS, {"chromatic_before": before, "chromatic_after": after,
-                  "semiprime": a.semiprime}
+                  "semiprime": semiprime}
 
 
 def _cor_2_14(a: InstanceAnalysis):
     """Semiprime modules: localizing at R minus Z(M) preserves the clique
     number."""
-    if not a.semiprime:
+    if not a.module.is_semiprime():
         return NOT_MET, {"reason": "module is not semiprime"}
-    _, _, img = a.loc_zdiv
+    img = a.image_analysis(a.loc_zdiv)
     before, after = a.inv.clique_number, img.inv.clique_number
     if before != after:
         return FAIL, {"clique_before": before, "clique_after": after}
@@ -539,9 +530,9 @@ def _cor_2_14(a: InstanceAnalysis):
 def _cor_2_16(a: InstanceAnalysis):
     """Semiprime modules: localizing at R minus Z(M) preserves the chromatic
     number."""
-    if not a.semiprime:
+    if not a.module.is_semiprime():
         return NOT_MET, {"reason": "module is not semiprime"}
-    _, _, img = a.loc_zdiv
+    img = a.image_analysis(a.loc_zdiv)
     before, after = a.inv.chromatic_number, img.inv.chromatic_number
     if before != after:
         return FAIL, {"chromatic_before": before, "chromatic_after": after}
@@ -552,7 +543,7 @@ def _thm_2_17(a: InstanceAnalysis):
     """Cyclic modules split under localization at the minimal-prime
     complement into one component per minimal prime, cut out by orthogonal
     idempotents summing to the localization idempotent."""
-    if a.cyclic_gen is None:
+    if not a.module.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
     try:
         rep = check_product_decomposition(a.module)
@@ -570,7 +561,7 @@ def _thm_2_18(a: InstanceAnalysis):
 
     Scoped to |Min| >= 2: with a single minimal prime the construction
     degenerates to the improper submodule, which is not a vertex."""
-    if a.cyclic_gen is None:
+    if not a.module.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
     if len(a.mins) < 2:
         return NOT_MET, {"reason": "needs |Min| >= 2"}
@@ -599,7 +590,7 @@ def _cor_2_19(a: InstanceAnalysis):
 
     Scoped to non-simple modules: a simple module has an empty graph but one
     minimal prime, so the inequality has no graph to live in."""
-    if a.cyclic_gen is None:
+    if not a.module.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
     if a.simple:
         return NOT_MET, {"reason": "simple module (empty graph)"}
@@ -619,7 +610,7 @@ def _thm_2_20(a: InstanceAnalysis):
     """Cyclic with zero prime radical: chromatic = clique = |Min|.
 
     Scoped to non-simple modules, as for the clique bound."""
-    if a.cyclic_gen is None or not a.rad0.is_zero:
+    if not a.module.is_cyclic() or not a.rad0.is_zero:
         return NOT_MET, {"reason": "needs cyclic with rad(0) = 0"}
     if a.simple:
         return NOT_MET, {"reason": "simple module (empty graph)"}
@@ -713,11 +704,11 @@ class PredicateResult:
         }
 
 
-def run_predicate(theorem_id: str, module: Module) -> PredicateResult:
+def run_predicate(theorem_id: str, a: InstanceAnalysis) -> PredicateResult:
+    """One predicate on one instance; caps and failed internal checks become results."""
     if theorem_id not in PREDICATES:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    a = get_analysis(module)
-    iid = instance_id(module)
+    iid = instance_id(a.module)
     try:
         status, witness = PREDICATES[theorem_id](a)
     except ResourceLimitError as exc:
@@ -845,15 +836,16 @@ class SuiteReport:
 
 
 def _evaluate_module(module: Module, theorem_ids) -> list[PredicateResult]:
-    iid = instance_id(module)
     try:
-        get_analysis(module).lattice
+        module.lattice()
     except ResourceLimitError as exc:
+        iid = instance_id(module)
         return [
             PredicateResult(tid, iid, SKIPPED, {"reason": str(exc), "cap": exc.limit})
             for tid in theorem_ids
         ]
-    return [run_predicate(tid, module) for tid in theorem_ids]
+    analysis = InstanceAnalysis(module)
+    return [run_predicate(tid, analysis) for tid in theorem_ids]
 
 
 def _evaluate_spec(args) -> list[tuple]:

@@ -20,4 +20,11 @@ def default_corpus():
 def corpus_analyses(default_corpus):
     """Shared lazy analyses for every default-corpus instance."""
     _, modules = default_corpus
-    return [theorems.get_analysis(m) for m in modules]
+    return [theorems.InstanceAnalysis(m) for m in modules]
+
+
+@pytest.fixture(scope="session")
+def corpus_report(default_corpus):
+    """The suite report over the default corpus with every predicate, run once."""
+    spec, modules = default_corpus
+    return theorems.run_suite(modules, corpus_spec=spec)

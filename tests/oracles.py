@@ -30,6 +30,35 @@ def brute_ideal_product(ring, i, j):
     return additive_closure(ring.add, ring.zero, prods)
 
 
+def is_nilpotent(ring, r):
+    """True iff some power of r is zero.
+
+    Repeated squaring: if r^m = 0 for any m <= |R| then r^(2^t) = 0 once
+    2^t >= m, and bit_length(|R|) squarings reach that.
+    """
+    x = r
+    for _ in range(ring.cardinality.bit_length() + 1):
+        if x == ring.zero:
+            return True
+        x = ring.mul(x, x)
+    return x == ring.zero
+
+
+def is_prime_ideal(ring, ideal):
+    """Exhaustive primality test: I proper and rs in I => r in I or s in I."""
+    if ideal.is_whole():
+        return False
+    for r in ring.elements():
+        if ideal.contains(r):
+            continue
+        for s in ring.elements():
+            if ideal.contains(s):
+                continue
+            if ideal.contains(ring.mul(r, s)):
+                return False
+    return True
+
+
 def brute_colon(module, sub):
     """{r : r*M <= N} by scanning every scalar against every element."""
     out = set()

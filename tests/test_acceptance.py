@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Everything here is exact (tolerance zero).  The default corpus fixture is
-shared with the rest of the suite, so analyses are computed once per session.
+Everything here is exact (tolerance zero).  The default corpus fixtures are
+shared with the rest of the suite, so the analyses and the one full suite
+report over the corpus are computed once per session.
 """
 
 import random
@@ -11,7 +12,7 @@ from agmod import aggraph, theorems
 from agmod.finmod import Module
 from agmod.finring import Ring
 from agmod.localization import check_product_decomposition
-from agmod.theorems import FAIL, PASS, get_analysis, instance_id, run_suite
+from agmod.theorems import FAIL, PASS, SKIPPED, InstanceAnalysis, instance_id
 
 from helpers import encset, zmod
 from oracles import (
@@ -40,7 +41,7 @@ def test_criterion_1_trees_are_stars_or_p4(corpus_analyses):
             if not a.inv.is_tree:
                 continue
             trees += 1
-            result = theorems.run_predicate("thm_2_7", a.module)
+            result = theorems.run_predicate("thm_2_7", a)
             assert result.status == PASS, (instance_id(a.module), result.witness)
         assert trees > 0
 
@@ -72,7 +73,7 @@ def test_criterion_2_clique_bound_and_witnesses(corpus_analyses):
     with criterion(2, "clique >= |Min| for cyclic instances; explicit witnesses verify"):
         applicable = 0
         for a in corpus_analyses:
-            if a.cyclic_gen is None:
+            if not a.module.is_cyclic():
                 continue
             witnesses, _ = a.module.min_prime_clique_witness()  # self-verifying
             assert len(witnesses) == len(a.mins)
@@ -109,52 +110,49 @@ def test_criterion_3_squarefree_sweep():
         for n in range(2, 211):
             if not is_squarefree(n) or omega(n) < 2:
                 continue
-            inv = get_analysis(zmod(n)).inv
+            inv = InstanceAnalysis(zmod(n)).inv
             assert inv.chromatic_number == inv.clique_number == omega(n), n
             checked[n] = inv.clique_number
         assert checked[6] == 2 and checked[30] == 3
         assert len(checked) > 60
         # prime n: the graph is empty, chi = clique = 0 by convention
         for n in (2, 3, 211 - 12):  # 199 is prime
-            inv = get_analysis(zmod(n)).inv
+            inv = InstanceAnalysis(zmod(n)).inv
             assert inv.clique_number == inv.chromatic_number == 0
 
 
-def test_criterion_4_clique_two_iff_chromatic_two(corpus_analyses):
+def test_criterion_4_clique_two_iff_chromatic_two(corpus_analyses, corpus_report):
     with criterion(4, "clique = 2 iff chromatic = 2 over the full default corpus"):
         for a in corpus_analyses:
             cl, ch = a.inv.clique_number, a.inv.chromatic_number
             assert (cl == 2) == (ch == 2), instance_id(a.module)
-        report = run_suite([a.module for a in corpus_analyses], ["thm_2_21"])
-        assert not report.violations
-        assert report.counts["thm_2_21"][PASS] == len(corpus_analyses)
+        assert corpus_report.counts["thm_2_21"][PASS] == len(corpus_analyses)
 
 
-def test_criterion_5_localization_monotone(corpus_analyses):
+def test_criterion_5_localization_monotone(corpus_analyses, corpus_report):
     with criterion(5, "localizing at the minimal-prime complement never raises cl/chi"):
         applicable = 0
         for a in corpus_analyses:
-            s, avoids_zdiv, loc, img = a.loc_min
-            if not avoids_zdiv:
+            loc = a.loc_min
+            if loc.mult_set.closure & a.module.zero_divisors():
                 continue
             applicable += 1
+            img = a.image_analysis(loc)
             assert img.inv.clique_number <= a.inv.clique_number
             assert img.inv.chromatic_number <= a.inv.chromatic_number
-            if a.semiprime:
+            if a.module.is_semiprime():
                 assert img.inv.clique_number == a.inv.clique_number
                 assert img.inv.chromatic_number == a.inv.chromatic_number
         assert applicable > 0
-        report = run_suite(
-            [a.module for a in corpus_analyses], ["thm_2_13", "cor_2_15"]
-        )
-        assert not report.violations
+        for tid in ("thm_2_13", "cor_2_15"):
+            assert corpus_report.counts[tid][FAIL] == 0, tid
 
 
 def test_criterion_6_product_decomposition(corpus_analyses):
     with criterion(6, "cyclic instances split into orthogonal idempotent components"):
         cyclic = 0
         for a in corpus_analyses:
-            if a.cyclic_gen is None:
+            if not a.module.is_cyclic():
                 continue
             cyclic += 1
             check_product_decomposition(a.module)  # raises on any failed check
@@ -221,11 +219,10 @@ _CRITERION_9_IDS = (
 )
 
 
-def test_criterion_9_predicate_battery(corpus_analyses):
+def test_criterion_9_predicate_battery(corpus_report):
     with criterion(9, "structural predicates: no failures, every hypothesis exercised"):
-        report = run_suite([a.module for a in corpus_analyses], _CRITERION_9_IDS)
-        counts = report.counts
+        counts = corpus_report.counts
         for tid in _CRITERION_9_IDS:
             assert counts[tid][FAIL] == 0, (tid, counts[tid])
             assert counts[tid][PASS] > 0, (tid, counts[tid])
-        assert not report.skips
+            assert counts[tid][SKIPPED] == 0, (tid, counts[tid])

@@ -175,6 +175,21 @@ def test_bad_specs_exit_64(capsys, spec_file, tmp_path):
     assert code == 64 and "factor" in err
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 64
+    for options, message in [
+        ({"localize_gens": ["x"]}, "localize_gens"),
+        ({"localize_gens": 5}, "localize_gens"),
+        ({"localize_gens": [True]}, "localize_gens"),
+        ({"localize_gens": "x"}, "not a tuple of integers"),
+        ({"localize_at_min_primes": "yes"}, "localize_at_min_primes"),
+        ({"localize_at_min_primes": 1}, "localize_at_min_primes"),
+    ]:
+        code, _, err = run_cli(capsys, "analyze", spec_file({**Z12, "options": options}))
+        assert code == 64 and message in err, options
+    for factor in ({"d": True, "c": 0}, {"d": 12, "c": False}):
+        code, _, err = run_cli(
+            capsys, "analyze", spec_file({"ring": [12], "module": [factor]})
+        )
+        assert code == 64 and "factor" in err, factor
 
 
 def test_usage_error_exit_64(capsys):

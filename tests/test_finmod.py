@@ -6,9 +6,15 @@ from hypothesis import given, strategies as st
 from agmod.errors import DomainError, ResourceLimitError, StructuralError
 from agmod.finmod import Module
 from agmod.finring import Ring, divisors
+from agmod.theorems import InstanceAnalysis
 
 from helpers import encset, product_module, sub_by_label, zmod
-from oracles import brute_colon, brute_subgroup_closure, brute_submodule_product
+from oracles import (
+    brute_colon,
+    brute_subgroup_closure,
+    brute_submodule_product,
+    is_prime_ideal,
+)
 
 
 def test_module_validation_lists_every_offender():
@@ -55,8 +61,8 @@ def test_lattice_closed_under_meet_and_join():
     for m in [zmod(12), zmod(30), product_module([2, 4]), product_module([4, 9])]:
         lat = m.lattice()
         for a, b in itertools.combinations(lat.all, 2):
-            assert lat.intersect(a, b) in lat.all
-            assert lat.sum(a, b) in lat.all
+            assert lat.find(a.elements & b.elements) in lat.all
+            assert lat.find(m.span(a.gens + b.gens)) in lat.all
 
 
 def test_lattice_matches_brute_closure():
@@ -160,7 +166,7 @@ def test_min_primes():
 def test_prime_colon_is_prime_ideal():
     for m in [zmod(12), zmod(30), product_module([2, 4]), zmod(18, 6)]:
         for p in m.primes():
-            assert m.ring.is_prime_ideal(m.colon(p))
+            assert is_prime_ideal(m.ring, m.colon(p))
 
 
 def test_radical_examples():
@@ -343,16 +349,16 @@ def test_product_ring_lattice_is_componentwise():
 
 
 def test_detect_fxs():
-    e = zmod(12).detect_fxs()
+    e = InstanceAnalysis(zmod(12)).fxs
     assert e is not None
     left, right = zmod(12).decompose(e)
     labels = {tuple(left.classify()), tuple(right.classify())}
     assert ("simple", "prime_module") in labels or ("simple",) in {
         t[:1] for t in labels
     }
-    assert product_module([2, 4]).detect_fxs() is not None
-    assert zmod(30).detect_fxs() is None
-    assert zmod(7).detect_fxs() is None
+    assert InstanceAnalysis(product_module([2, 4])).fxs is not None
+    assert InstanceAnalysis(zmod(30)).fxs is None
+    assert InstanceAnalysis(zmod(7)).fxs is None
 
 
 def test_clique_witness_examples():

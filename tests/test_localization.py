@@ -51,6 +51,9 @@ def test_localize_at_units_is_identity():
     m = zmod(12)
     loc = localize(m, mult_closure(m.ring, [(5,), (7,), (11,)]))
     assert loc.image.size == m.size and loc.kernel.is_zero
+    # an idempotent acting as the identity reuses the module and its facts
+    assert loc.image is m
+    assert localize(m, zero_divisor_complement(m)).image is m
 
 
 def test_localize_trivial_set():

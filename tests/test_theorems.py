@@ -1,7 +1,9 @@
 import json
+import weakref
 
 import pytest
 
+from agmod import theorems
 from agmod.finmod import Module
 from agmod.finring import Ring
 from agmod.theorems import (
@@ -10,14 +12,19 @@ from agmod.theorems import (
     PASS,
     SKIPPED,
     CorpusSpec,
+    InstanceAnalysis,
     generate_corpus,
-    get_analysis,
     instance_id,
     run_predicate,
     run_suite,
 )
 
 from helpers import product_module, zmod
+
+
+def run(theorem_id, module):
+    """One predicate on a fresh analysis of the module."""
+    return run_predicate(theorem_id, InstanceAnalysis(module))
 
 
 def test_instance_id_format():
@@ -29,133 +36,133 @@ def test_instance_id_format():
 
 
 def test_thm_2_7_requires_a_tree():
-    r = run_predicate("thm_2_7", zmod(30))  # has a triangle
+    r = run("thm_2_7", zmod(30))  # has a triangle
     assert r.status == NOT_MET
-    r = run_predicate("thm_2_7", zmod(12))
+    r = run("thm_2_7", zmod(12))
     assert r.status == PASS
     assert r.witness["shape"] == "path_4"
     assert len(r.witness["path"]) == 4
 
 
 def test_thm_2_7_star_case():
-    r = run_predicate("thm_2_7", zmod(8))
+    r = run("thm_2_7", zmod(8))
     assert r.status == PASS and r.witness["shape"] == "star"
 
 
 def test_thm_2_8_and_prop_2_9a_scope():
-    assert run_predicate("thm_2_8", zmod(5)).status == NOT_MET  # empty graph
-    assert run_predicate("thm_2_8", zmod(30)).status == NOT_MET  # odd cycle
-    assert run_predicate("thm_2_8", product_module([2, 4])).status == PASS
-    assert run_predicate("prop_2_9a", zmod(12)).status == PASS
+    assert run("thm_2_8", zmod(5)).status == NOT_MET  # empty graph
+    assert run("thm_2_8", zmod(30)).status == NOT_MET  # odd cycle
+    assert run("thm_2_8", product_module([2, 4])).status == PASS
+    assert run("prop_2_9a", zmod(12)).status == PASS
 
 
 def test_prop_2_9b_regular_graphs():
     vec = Module(Ring([2]), [(2, 0), (2, 0)])
-    r = run_predicate("prop_2_9b", vec)
+    r = run("prop_2_9b", vec)
     assert r.status == PASS and r.witness["order"] == 4
-    assert run_predicate("prop_2_9b", zmod(4)).status == PASS  # K_1
-    assert run_predicate("prop_2_9b", zmod(30)).status == NOT_MET  # not regular
+    assert run("prop_2_9b", zmod(4)).status == PASS  # K_1
+    assert run("prop_2_9b", zmod(30)).status == NOT_MET  # not regular
 
 
 def test_lemma_2_4_branches():
-    r = run_predicate("lemma_2_4", zmod(12))
+    r = run("lemma_2_4", zmod(12))
     assert r.status == PASS
     branches = {b["submodule"]["label"]: b["branch"] for b in r.witness["minimal_submodules"]}
     assert branches["⟨6⟩"] == "square_zero"
     assert branches["⟨4⟩"] == "idempotent"
-    assert run_predicate("lemma_2_4", zmod(12, 4)).status == NOT_MET  # Ann not nil
+    assert run("lemma_2_4", zmod(12, 4)).status == NOT_MET  # Ann not nil
 
 
 def test_lemma_2_6_decomposable_instances():
-    assert run_predicate("lemma_2_6", zmod(8)).status == NOT_MET  # local ring
-    r = run_predicate("lemma_2_6", product_module([2, 3]))
+    assert run("lemma_2_6", zmod(8)).status == NOT_MET  # local ring
+    r = run("lemma_2_6", product_module([2, 3]))
     assert r.status == PASS and r.witness["acyclic"]
-    assert run_predicate("lemma_2_6", zmod(12)).status == PASS
+    assert run("lemma_2_6", zmod(12)).status == PASS
 
 
 def test_thm_2_10_saturated_sets():
-    r = run_predicate("thm_2_10", zmod(4))
+    r = run("thm_2_10", zmod(4))
     assert r.status == PASS and r.witness["pairs_checked"] >= 1
     big = zmod(72)  # above the predicate's scale cap
-    r = run_predicate("thm_2_10", big)
+    r = run("thm_2_10", big)
     assert r.status == SKIPPED and r.witness["cap"] == 64
 
 
 def test_thm_2_11_and_2_12():
-    assert run_predicate("thm_2_11", zmod(30)).status == PASS
-    assert run_predicate("thm_2_11", zmod(12)).status == NOT_MET  # |Min| = 2
-    r = run_predicate("thm_2_12", zmod(12))
+    assert run("thm_2_11", zmod(30)).status == PASS
+    assert run("thm_2_11", zmod(12)).status == NOT_MET  # |Min| = 2
+    r = run("thm_2_12", zmod(12))
     assert r.status == PASS  # P4 case
-    assert run_predicate("thm_2_12", zmod(30)).status == NOT_MET
+    assert run("thm_2_12", zmod(30)).status == NOT_MET
 
 
 def test_localization_predicates():
     for tid in ("thm_2_13", "cor_2_15"):
-        r = run_predicate(tid, zmod(12))
+        r = run(tid, zmod(12))
         assert r.status == PASS and not r.witness["semiprime"]
-        r = run_predicate(tid, zmod(30))
+        r = run(tid, zmod(30))
         assert r.status == PASS and r.witness["semiprime"]
-    assert run_predicate("cor_2_14", zmod(12)).status == NOT_MET
-    assert run_predicate("cor_2_14", zmod(30)).status == PASS
-    assert run_predicate("cor_2_16", zmod(30)).status == PASS
+    assert run("cor_2_14", zmod(12)).status == NOT_MET
+    assert run("cor_2_14", zmod(30)).status == PASS
+    assert run("cor_2_16", zmod(30)).status == PASS
 
 
 def test_thm_2_17_decomposition_predicate():
-    r = run_predicate("thm_2_17", zmod(12))
+    r = run("thm_2_17", zmod(12))
     assert r.status == PASS
     assert sorted(r.witness["component_sizes"]) == [3, 4]
-    assert run_predicate("thm_2_17", Module(Ring([2]), [(2, 0), (2, 0)])).status == NOT_MET
+    assert run("thm_2_17", Module(Ring([2]), [(2, 0), (2, 0)])).status == NOT_MET
 
 
 def test_thm_2_18_witness_is_a_real_clique():
-    r = run_predicate("thm_2_18", zmod(30))
+    r = run("thm_2_18", zmod(30))
     assert r.status == PASS
     assert len(r.witness["witness"]) == 3
-    assert run_predicate("thm_2_18", zmod(4)).status == NOT_MET  # |Min| = 1
+    assert run("thm_2_18", zmod(4)).status == NOT_MET  # |Min| = 1
 
 
 def test_simple_module_degenerate_scope():
     # a simple module has an empty graph yet one minimal prime submodule, so
     # the clique-versus-minimal-prime statements are scoped off it
     m = zmod(5)
-    a = get_analysis(m)
+    a = InstanceAnalysis(m)
     assert a.ag.n == 0
     assert a.inv.clique_number == 0
     assert len(a.mins) == 1
-    assert run_predicate("cor_2_19", m).status == NOT_MET
-    assert run_predicate("thm_2_20", m).status == NOT_MET
-    assert run_predicate("thm_2_18", m).status == NOT_MET
+    assert run("cor_2_19", m).status == NOT_MET
+    assert run("thm_2_20", m).status == NOT_MET
+    assert run("thm_2_18", m).status == NOT_MET
     # the witness construction itself still returns a nonzero submodule
     witnesses, report = m.min_prime_clique_witness()
     assert len(witnesses) == 1 and report["size"] == 1
 
 
 def test_cor_2_19_and_thm_2_20():
-    r = run_predicate("cor_2_19", zmod(30))
+    r = run("cor_2_19", zmod(30))
     assert r.status == PASS and r.witness == {
         "clique_number": 3, "min_primes": 3, "girth": 3
     }
-    assert run_predicate("cor_2_19", zmod(4)).status == PASS  # cl 1 >= 1
-    r = run_predicate("thm_2_20", zmod(6))
+    assert run("cor_2_19", zmod(4)).status == PASS  # cl 1 >= 1
+    r = run("thm_2_20", zmod(6))
     assert r.status == PASS and r.witness["value"] == 2
-    assert run_predicate("thm_2_20", zmod(12)).status == NOT_MET  # rad(0) != 0
+    assert run("thm_2_20", zmod(12)).status == NOT_MET  # rad(0) != 0
 
 
 def test_thm_2_21_everywhere():
     for m in [zmod(5), zmod(12), zmod(30), product_module([2, 4])]:
-        assert run_predicate("thm_2_21", m).status == PASS
+        assert run("thm_2_21", m).status == PASS
 
 
 def test_thm_2_22_and_cor_2_23():
-    assert run_predicate("thm_2_22", zmod(8)).status == PASS
-    assert run_predicate("thm_2_22", zmod(5)).status == NOT_MET  # empty graph
-    assert run_predicate("thm_2_22", zmod(12)).status == NOT_MET  # |Min| = 2
-    assert run_predicate("cor_2_23", zmod(9)).status == PASS
+    assert run("thm_2_22", zmod(8)).status == PASS
+    assert run("thm_2_22", zmod(5)).status == NOT_MET  # empty graph
+    assert run("thm_2_22", zmod(12)).status == NOT_MET  # |Min| = 2
+    assert run("cor_2_23", zmod(9)).status == PASS
 
 
 def test_unknown_theorem_id():
     with pytest.raises(KeyError):
-        run_predicate("thm_9_9", zmod(6))
+        run_predicate("thm_9_9", InstanceAnalysis(zmod(6)))
     with pytest.raises(KeyError):
         run_suite([zmod(6)], theorem_ids=["nope"])
 
@@ -235,6 +242,26 @@ def test_run_suite_records_lattice_cap_skips():
     report = run_suite([big], theorem_ids=["thm_2_21", "prop_2_5"])
     assert len(report.skips) == 2
     assert all(r.status == SKIPPED and r.witness["cap"] == 512 for r in report.results)
+
+
+def test_run_suite_keeps_no_analysis_alive(monkeypatch):
+    # one analysis per instance, dropped when the instance is done: nothing
+    # computed for an instance (graphs, invariants, localizations) outlives
+    # the run, and no reference cycle defers that to the garbage collector
+    refs = {}
+
+    def spy(theorem_id, analysis):
+        ref = refs.setdefault(instance_id(analysis.module), weakref.ref(analysis))
+        assert ref() is analysis  # every predicate of an instance shares one
+        return run_predicate(theorem_id, analysis)
+
+    monkeypatch.setattr(theorems, "run_predicate", spy)
+    modules = [zmod(12), zmod(30), product_module([2, 4]),
+               Module(Ring([2]), [(2, 0), (2, 0)])]
+    report = run_suite(modules)
+    assert not report.violations
+    assert len(refs) == len(modules)
+    assert all(ref() is None for ref in refs.values())
 
 
 def test_run_suite_parallel_matches_sequential():
