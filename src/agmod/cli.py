@@ -227,8 +227,6 @@ def cmd_analyze(args) -> int:
     module, options = load_spec(args.spec)
     if args.localize_at_min_primes:
         options = dict(options, localize_at_min_primes=True)
-    if args.localize_gens:
-        options = dict(options, localize_gens=parse_gens(module.ring, args.localize_gens))
     lat = module.lattice()
     ag = aggraph.build_AG(module)
     ag_star = aggraph.build_AG_star(module)
@@ -269,10 +267,14 @@ def cmd_analyze(args) -> int:
         report["localization"] = _localization_dict(
             module, min_prime_complement(module), include_components=True
         )
-    elif options.get("localize_gens"):
+    elif args.localize_gens or options.get("localize_gens"):
+        gens = (
+            parse_gens(module.ring, args.localize_gens)
+            if args.localize_gens
+            else options["localize_gens"]
+        )
         report["localization"] = _localization_dict(
-            module, mult_closure(module.ring, options["localize_gens"]),
-            include_components=False,
+            module, mult_closure(module.ring, gens), include_components=False
         )
     if gen is not None:
         witnesses, wreport = module.min_prime_clique_witness()

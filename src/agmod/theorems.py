@@ -109,14 +109,14 @@ class InstanceAnalysis:
 
     @cached_property
     def fxs(self):
-        """An idempotent splitting M into a simple part and a part with a
-        unique nontrivial submodule, or None."""
+        """(e, F, S) with M = F (+) S, F = eM simple and S having a unique
+        nontrivial submodule, taken from the decompositions; or None."""
         for e, left, right in self.decompositions:
             cl, cr = left.classify(), right.classify()
             if "simple" in cl and "unique_nontrivial_submodule" in cr:
-                return e
+                return e, left, right
             if "simple" in cr and "unique_nontrivial_submodule" in cl:
-                return self.module.ring.sub(self.module.ring.one, e)
+                return self.module.ring.sub(self.module.ring.one, e), right, left
         return None
 
     @cached_property
@@ -132,13 +132,6 @@ class InstanceAnalysis:
     def loc_zdiv(self):
         """M localized at R minus Z(M)."""
         return localize(self.module, zero_divisor_complement(self.module))
-
-    def image_analysis(self, loc) -> "InstanceAnalysis":
-        """The analysis of a localized image: this one when the idempotent
-        acts as the identity, so the image is the module itself."""
-        if loc.image is self.module:
-            return self
-        return InstanceAnalysis(loc.image)
 
 
 def _sub_ref(sub) -> dict:
@@ -242,14 +235,10 @@ def _lemma_2_6(a: InstanceAnalysis):
     return PASS, {"splits": details, "acyclic": acyclic}
 
 
-def _p4_fxs_structure(a: InstanceAnalysis, e):
+def _p4_fxs_structure(a: InstanceAnalysis):
     """Check AG is the four-vertex path (0)xS - Fx(0) - (0)xN - FxN."""
     m = a.module
-    left, right = m.decompose(e)
-    if "simple" in left.classify():
-        f_part, s_part = left, right
-    else:
-        f_part, s_part = right, left
+    _, f_part, s_part = a.fxs
     s_lat = s_part.lattice()
     if len(s_lat.all) != 3:
         return False, {"reason": "second part lacks a unique nontrivial submodule"}
@@ -288,10 +277,10 @@ def _tree_shape_conclusion(a: InstanceAnalysis):
         if not p4:
             return FAIL, {"reason": "FxS decomposition without a P4 graph",
                           "shape": sorted(a.inv.shape)}
-        ok, detail = _p4_fxs_structure(a, a.fxs)
+        ok, detail = _p4_fxs_structure(a)
         if not ok:
             return FAIL, detail
-        return PASS, {"shape": "path_4", "fxs_idempotent": list(a.fxs), **detail}
+        return PASS, {"shape": "path_4", "fxs_idempotent": list(a.fxs[0]), **detail}
     return PASS, {"shape": "star"}
 
 
@@ -453,11 +442,22 @@ def _thm_2_12(a: InstanceAnalysis):
     return FAIL, {"shape": sorted(a.inv.shape)}
 
 
+def _require_identity(a: InstanceAnalysis, loc) -> InstanceAnalysis:
+    """The analysis of loc.image for an S that avoids Z(M): that is `a`.
+
+    S then acts bijectively on the finite carrier, so the localization
+    idempotent is the identity there and the image is M itself.
+    """
+    if loc.image is not a.module:
+        raise InternalCheckError("S avoids Z(M) but the localized image is not M")
+    return a
+
+
 def _localization_setup(a: InstanceAnalysis):
     loc = a.loc_min
     if loc.mult_set.closure & a.module.zero_divisors():
         return None, (NOT_MET, {"reason": "S meets the zero divisors on M"})
-    return (loc, a.image_analysis(loc)), None
+    return (loc, _require_identity(a, loc)), None
 
 
 def _thm_2_13(a: InstanceAnalysis):
@@ -520,7 +520,7 @@ def _cor_2_14(a: InstanceAnalysis):
     number."""
     if not a.module.is_semiprime():
         return NOT_MET, {"reason": "module is not semiprime"}
-    img = a.image_analysis(a.loc_zdiv)
+    img = _require_identity(a, a.loc_zdiv)
     before, after = a.inv.clique_number, img.inv.clique_number
     if before != after:
         return FAIL, {"clique_before": before, "clique_after": after}
@@ -532,7 +532,7 @@ def _cor_2_16(a: InstanceAnalysis):
     number."""
     if not a.module.is_semiprime():
         return NOT_MET, {"reason": "module is not semiprime"}
-    img = a.image_analysis(a.loc_zdiv)
+    img = _require_identity(a, a.loc_zdiv)
     before, after = a.inv.chromatic_number, img.inv.chromatic_number
     if before != after:
         return FAIL, {"chromatic_before": before, "chromatic_after": after}

@@ -100,6 +100,12 @@ def test_analyze_localization_sections(capsys, spec_file):
     assert code == 0
     loc = json.loads(out)["localization"]
     assert loc["idempotent"] == [9] and loc["image_size"] == 4
+    # the minimal-prime localization wins; the unused gens are never parsed
+    code, out, _ = run_cli(
+        capsys, "analyze", path, "--localize-at-min-primes", "--localize-gens", "x"
+    )
+    assert code == 0
+    assert json.loads(out)["localization"]["idempotent"] == [1]
 
 
 def test_graph_command(capsys, spec_file):

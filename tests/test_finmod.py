@@ -349,13 +349,12 @@ def test_product_ring_lattice_is_componentwise():
 
 
 def test_detect_fxs():
-    e = InstanceAnalysis(zmod(12)).fxs
-    assert e is not None
-    left, right = zmod(12).decompose(e)
-    labels = {tuple(left.classify()), tuple(right.classify())}
-    assert ("simple", "prime_module") in labels or ("simple",) in {
-        t[:1] for t in labels
-    }
+    m = zmod(12)
+    e, f_part, s_part = InstanceAnalysis(m).fxs
+    assert f_part.element_set == {m.smul(e, x) for x in m.elements}
+    assert "simple" in f_part.classify()
+    assert "unique_nontrivial_submodule" in s_part.classify()
+    assert f_part.size * s_part.size == m.size
     assert InstanceAnalysis(product_module([2, 4])).fxs is not None
     assert InstanceAnalysis(zmod(30)).fxs is None
     assert InstanceAnalysis(zmod(7)).fxs is None
