@@ -173,7 +173,7 @@ def _dump(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _graph_dict(graph: aggraph.AnnGraph) -> dict:
+def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
     return {
         "vertices": [
             {"id": v.id, "label": v.label, "size": v.size}
@@ -183,13 +183,15 @@ def _graph_dict(graph: aggraph.AnnGraph) -> dict:
             sorted((graph.vertices[i].id, graph.vertices[j].id))
             for i, j in graph.edges()
         ),
-        "invariants": aggraph.invariants(graph).to_dict(),
+        "invariants": inv.to_dict(),
     }
 
 
-def _localization_dict(module: Module, s, include_components: bool) -> dict:
+def _localization_dict(
+    module: Module, s, inv_before: aggraph.InvariantReport, include_components: bool
+) -> dict:
+    """Localize at S and compare against inv_before, the invariants of AG(M)."""
     loc = localize(module, s)
-    inv_before = aggraph.invariants(aggraph.build_AG(module))
     if loc.image is module:
         inv_after = inv_before
     else:
@@ -230,6 +232,7 @@ def cmd_analyze(args) -> int:
     lat = module.lattice()
     ag = aggraph.build_AG(module)
     ag_star = aggraph.build_AG_star(module)
+    inv = aggraph.invariants(ag)
     mins = module.min_primes()
     gen = module.cyclic_generator()
     report = {
@@ -261,11 +264,14 @@ def cmd_analyze(args) -> int:
             "cyclic_generator": None if gen is None else list(gen),
             "classification": list(module.classify()),
         },
-        "graphs": {"AG": _graph_dict(ag), "AG_star": _graph_dict(ag_star)},
+        "graphs": {
+            "AG": _graph_dict(ag, inv),
+            "AG_star": _graph_dict(ag_star, aggraph.invariants(ag_star)),
+        },
     }
     if options.get("localize_at_min_primes"):
         report["localization"] = _localization_dict(
-            module, min_prime_complement(module), include_components=True
+            module, min_prime_complement(module), inv, include_components=True
         )
     elif args.localize_gens or options.get("localize_gens"):
         gens = (
@@ -274,7 +280,7 @@ def cmd_analyze(args) -> int:
             else options["localize_gens"]
         )
         report["localization"] = _localization_dict(
-            module, mult_closure(module.ring, gens), include_components=False
+            module, mult_closure(module.ring, gens), inv, include_components=False
         )
     if gen is not None:
         witnesses, wreport = module.min_prime_clique_witness()
@@ -313,7 +319,9 @@ def cmd_localize(args) -> int:
         "schema": 1,
         "version": __version__,
         "instance": instance_echo(module),
-        "localization": _localization_dict(module, s, include_components),
+        "localization": _localization_dict(
+            module, s, aggraph.invariants(aggraph.build_AG(module)), include_components
+        ),
     }
     _dump(report, args.out)
     return 0

@@ -8,6 +8,11 @@ on e*M exactly as the ambient ring does (r and e*r agree on the carrier), all
 lattice, colon and product computations run unchanged on images; ideal-valued
 results are reported as their full preimages in the ambient ring.
 
+The submodule lattice comes from structure: M is the direct sum of its
+primary parts, one per ring component c and prime p dividing n_c, so Sub(M)
+is the product of the parts' subgroup lattices (Birkhoff 1935).  Only the
+parts are enumerated by closure; their subgroups are then added up.
+
 The workhorse predicates (colon, prime submodule, semiprime module, zero
 divisors) are deliberate exhaustive scans: instances are desk-scale and the
 scans double as the oracle for everything downstream.
@@ -20,7 +25,7 @@ import itertools
 import math
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from .finring import Ideal, Ring
+from .finring import Ideal, Ring, prime_factors
 
 ELEMENT_CAP = 512
 LATTICE_CAP = 4096
@@ -185,11 +190,16 @@ class Module:
 
     @_once
     def lattice(self, element_cap: int | None = None, cap: int | None = None) -> "Lattice":
-        """Enumerate every submodule by breadth-first closure from (0).
+        """Enumerate every submodule as a direct sum over the primary parts.
 
-        Each known submodule is extended by one outside element (adding the
-        whole coset family S + R*x, which is already closed) and deduplicated
-        until fixpoint.  The caps apply to the first, computing call.
+        M is the direct sum of its primary parts (see ``_primary_parts``), so
+        every submodule is the sum of one subgroup of each part, and each such
+        sum is a different submodule.  Each part's subgroups come from a
+        closure over that part alone; the sums are then built one part at a
+        time, each element set once.  The caps apply to the first, computing
+        call.  A part's closure may find at most ``cap`` divided by the counts
+        of the parts before it, which is exactly the condition that the whole
+        lattice has at most ``cap`` submodules.
         """
         element_cap = ELEMENT_CAP if element_cap is None else element_cap
         cap = LATTICE_CAP if cap is None else cap
@@ -198,14 +208,53 @@ class Module:
                 f"module has {self.size} elements, above the cap of {element_cap}",
                 element_cap,
             )
+        sums = [frozenset({self.zero})]
+        room = cap
+        for i, part in enumerate(self._primary_parts()):
+            subgroups = self._subgroups(part, room, cap)
+            room //= len(subgroups)
+            if i == 0:
+                sums = subgroups
+                continue
+            sums = [
+                frozenset(self.add(a, b) for a in s for b in t)
+                for s in sums
+                for t in subgroups
+            ]
+        return Lattice(self, sums)
+
+    def _primary_parts(self) -> list[list]:
+        """The nonzero parts e*M, one per ring component c and prime p | n_c.
+
+        e is the idempotent of the p-power part of Z_{n_c}, found as the
+        idempotent power of n_c / p^k placed in component c.
+        """
+        ring = self.ring
+        parts = []
+        for c, n in enumerate(ring.moduli):
+            for p in prime_factors(n):
+                q = p
+                while n % (q * p) == 0:
+                    q *= p
+                e = ring.idempotent_power(ring.unit_vector(c, n // q))
+                part = sorted({self.smul(e, m) for m in self.elements})
+                if len(part) > 1:
+                    parts.append(part)
+        return parts
+
+    def _subgroups(self, part, limit: int, cap: int) -> list[frozenset]:
+        """Every submodule inside one primary part, by breadth-first closure.
+
+        Each known submodule is extended by one outside element of the part
+        (adding the whole coset family S + R*x, which is already closed) and
+        deduplicated until fixpoint.  Finding more than ``limit`` means M has
+        more than ``cap`` submodules.
+        """
         zero_fs = frozenset({self.zero})
         seen = {zero_fs}
         order = [zero_fs]
-        i = 0
-        while i < len(order):
-            current = order[i]
-            i += 1
-            for x in self.elements:
+        for current in order:
+            for x in part:
                 if x in current:
                     continue
                 orbit = self.cyclic_span(x)
@@ -213,13 +262,13 @@ class Module:
                     self.add(s, m) for s in current for m in orbit
                 )
                 if bigger not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= limit:
                         raise ResourceLimitError(
                             f"more than {cap} submodules (lattice cap)", cap
                         )
                     seen.add(bigger)
                     order.append(bigger)
-        return Lattice(self, seen)
+        return order
 
     # -- colon ideals and products ----------------------------------------------
 
@@ -382,19 +431,6 @@ class Module:
             if img.smul(eff, m) != m:
                 raise InternalCheckError(f"{eff} is not an identity on its image")
         return img
-
-    def decompose(self, e) -> tuple["Module", "Module"]:
-        """Split M as e*M (+) (1-e)*M for a nontrivial idempotent e."""
-        if self.ring.mul(e, e) != e:
-            raise DomainError(f"{e} is not idempotent")
-        if e == self.ring.zero or e == self.unit:
-            raise DomainError(f"idempotent {e} gives a trivial decomposition")
-        eff = self.ring.mul(e, self.unit)
-        comp = self.ring.sub(self.unit, eff)
-        left, right = self.scaled(eff), self.scaled(comp)
-        if left.size * right.size != self.size:
-            raise InternalCheckError("decomposition sizes do not multiply out")
-        return left, right
 
     def nontrivial_decompositions(self):
         """(e, eM, (1-e)M) with both parts nonzero, one per unordered pair."""

@@ -4,7 +4,7 @@ Elements are residue tuples with componentwise arithmetic.  Ideals are stored
 as divisor tuples, one divisor d_i | n_i per component, where d_i = n_i
 encodes the zero component and d_i = 1 the full component; membership is a
 componentwise divisibility test.  In this shape ideal products reduce to
-gcd(d*d', n), radicals to squarefree kernels, and idempotents split
+gcd(d*d', n), nilpotence to squarefree kernels, and idempotents split
 componentwise, so everything stays exact integer arithmetic.
 """
 
@@ -154,12 +154,6 @@ class Ring:
     def ideal(self, divs) -> "Ideal":
         return Ideal(self, tuple(int(d) for d in divs))
 
-    def zero_ideal(self) -> "Ideal":
-        return Ideal(self, self.moduli)
-
-    def unit_ideal(self) -> "Ideal":
-        return Ideal(self, (1,) * len(self.moduli))
-
     def ideals(self) -> list["Ideal"]:
         """All ideals as divisor tuples; count = prod of divisor counts."""
         return [
@@ -226,12 +220,6 @@ class Ideal:
                 math.gcd(d * e, n)
                 for d, e, n in zip(self.divisors, other.divisors, self.ring.moduli)
             ),
-        )
-
-    def radical(self) -> "Ideal":
-        """{r : r^k in I for some k}: each divisor drops to its squarefree kernel."""
-        return Ideal(
-            self.ring, tuple(squarefree_kernel(d) for d in self.divisors)
         )
 
     def is_nil(self) -> bool:

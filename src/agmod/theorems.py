@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import aggraph
+from . import aggraph, finmod
 from .errors import InternalCheckError, ResourceLimitError
 from .finmod import Module
 from .finring import Ring, divisors
@@ -835,9 +835,9 @@ class SuiteReport:
         }
 
 
-def _evaluate_module(module: Module, theorem_ids) -> list[PredicateResult]:
+def _evaluate_module(module: Module, theorem_ids, cap=None) -> list[PredicateResult]:
     try:
-        module.lattice()
+        module.lattice(cap=cap)
     except ResourceLimitError as exc:
         iid = instance_id(module)
         return [
@@ -849,11 +849,11 @@ def _evaluate_module(module: Module, theorem_ids) -> list[PredicateResult]:
 
 
 def _evaluate_spec(args) -> list[tuple]:
-    moduli, factors, theorem_ids = args
+    moduli, factors, theorem_ids, cap = args
     module = Module(Ring(moduli), factors)
     return [
         (r.theorem_id, r.instance_id, r.status, r.witness)
-        for r in _evaluate_module(module, theorem_ids)
+        for r in _evaluate_module(module, theorem_ids, cap)
     ]
 
 
@@ -866,7 +866,9 @@ def run_suite(
     """Evaluate the predicates over the corpus, in deterministic corpus order.
 
     Instances are independent; with jobs > 1 they are evaluated in a process
-    pool, and the report is assembled in corpus order either way.
+    pool, and the report is assembled in corpus order either way.  Each worker
+    enumerates an instance's lattice under this process's lattice cap, which
+    a worker started by spawn would not otherwise see.
     """
     if theorem_ids is None:
         ids = THEOREM_IDS
@@ -880,7 +882,7 @@ def run_suite(
         for module in modules:
             report.results.extend(_evaluate_module(module, ids))
         return report
-    payload = [(m.ring.moduli, m.factors, ids) for m in modules]
+    payload = [(m.ring.moduli, m.factors, ids, finmod.LATTICE_CAP) for m in modules]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         for rows in pool.map(_evaluate_spec, payload):
             report.results.extend(

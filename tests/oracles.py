@@ -8,6 +8,7 @@ be checked against an unrelated code path.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def additive_closure(add, zero, seed):
@@ -22,6 +23,25 @@ def additive_closure(add, zero, seed):
                 closure.add(c)
                 frontier.append(c)
     return frozenset(closure)
+
+
+def ideal_radical(ideal):
+    """{r : r^k in I for some k}, found by powering every ring element.
+
+    As in ``is_nilpotent``, bit_length(|R|) squarings reach a power in I
+    whenever any power is.  The radical of a product ideal is the product of
+    the component radicals, so each component divisor is the gcd of the
+    residues found there.
+    """
+    ring = ideal.ring
+    divs = list(ring.moduli)
+    for r in ring.elements():
+        x = r
+        for _ in range(ring.cardinality.bit_length() + 1):
+            x = ring.mul(x, x)
+        if ideal.contains(x):
+            divs = [math.gcd(d, a) for d, a in zip(divs, r)]
+    return ring.ideal(divs)
 
 
 def brute_ideal_product(ring, i, j):
@@ -77,6 +97,30 @@ def brute_submodule_product(module, n, k):
     )
     acted = {module.smul(x, m) for x in ideal_set for m in module.elements}
     return additive_closure(module.add, module.zero, acted)
+
+
+def submodule_closure(module):
+    """Every submodule of the whole module, by breadth-first closure from (0).
+
+    Each known submodule is extended by one cyclic submodule R*x not inside
+    it and deduplicated until fixpoint.  Cyclic submodules are taken by
+    scanning every scalar, each once with its first generator x.
+    """
+    orbits = {}
+    for x in module.elements:
+        orbit = frozenset(module.smul(r, x) for r in module.ring.elements())
+        orbits.setdefault(orbit, x)
+    zero = frozenset({module.zero})
+    seen, order = {zero}, [zero]
+    for current in order:
+        for orbit, x in orbits.items():
+            if x in current:
+                continue
+            bigger = frozenset(module.add(s, m) for s in current for m in orbit)
+            if bigger not in seen:
+                seen.add(bigger)
+                order.append(bigger)
+    return seen
 
 
 def brute_subgroup_closure(module, gens):

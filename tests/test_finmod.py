@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,9 @@ from oracles import (
     brute_colon,
     brute_subgroup_closure,
     brute_submodule_product,
+    ideal_radical,
     is_prime_ideal,
+    submodule_closure,
 )
 
 
@@ -55,6 +58,50 @@ def test_lattice_caps():
     with pytest.raises(ResourceLimitError) as err:
         zmod(12).lattice(cap=3)
     assert err.value.limit == 3
+    # Z_30 has three primary parts of two subgroups each: 8 submodules
+    assert len(zmod(30).lattice(cap=8)) == 8
+    with pytest.raises(ResourceLimitError) as err:
+        zmod(30).lattice(cap=7)
+    assert str(err.value) == "more than 7 submodules (lattice cap)"
+    assert err.value.limit == 7
+
+
+def test_lattice_cap_fires_during_enumeration():
+    # F_2^8 has far more than 4096 subspaces; the cap must stop the closure
+    # long before it would finish
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        Module(Ring([2]), [(2, 0)] * 8).lattice()
+    assert time.perf_counter() - start < 2
+    assert str(err.value) == "more than 4096 submodules (lattice cap)"
+    assert err.value.limit == 4096
+
+
+def _assert_lattice_matches_closure(m):
+    assert {s.elements for s in m.lattice().all} == submodule_closure(m), m
+
+
+def test_lattice_matches_closure_oracle_on_corpus(default_corpus):
+    _, modules = default_corpus
+    for m in modules:
+        _assert_lattice_matches_closure(m)
+        for _, left, right in m.nontrivial_decompositions():
+            _assert_lattice_matches_closure(left)
+            _assert_lattice_matches_closure(right)
+
+
+@pytest.mark.parametrize(
+    "moduli, factors",
+    [
+        ([2], [(2, 0)] * 3),
+        ([3], [(3, 0)] * 2),
+        ([4], [(2, 0), (4, 0)]),
+        ([12], [(2, 0), (6, 0), (4, 0)]),
+        ([4, 6], [(4, 0), (2, 0), (6, 1), (3, 1)]),
+    ],
+)
+def test_lattice_matches_closure_oracle_non_cyclic(moduli, factors):
+    _assert_lattice_matches_closure(Module(Ring(moduli), factors))
 
 
 def test_lattice_closed_under_meet_and_join():
@@ -87,7 +134,7 @@ def test_generators_regenerate_and_are_minimal():
 def test_colon_examples():
     m = zmod(12)
     assert m.colon(sub_by_label(m, "⟨6⟩")) == m.ring.ideal([6])
-    assert m.colon(m.whole_submodule()) == m.ring.unit_ideal()
+    assert m.colon(m.whole_submodule()) == m.ring.ideal([1])
     p = product_module([2, 4])
     z2x0 = p.lattice().find({(0, 0), (1, 0)})
     assert p.colon(z2x0) == p.ring.ideal([1, 4])
@@ -191,7 +238,7 @@ def test_radical_colon_identity():
         for q in m.lattice().all:
             if q.is_whole:
                 continue
-            assert m.colon(q).radical() == m.colon(m.radical(q))
+            assert ideal_radical(m.colon(q)) == m.colon(m.radical(q))
 
 
 def _is_semiprime_submodule(m, sub):
@@ -264,21 +311,6 @@ def test_classify():
     assert zmod(12).classify() == ("other",)
     vec = Module(Ring([2]), [(2, 0), (2, 0)])
     assert vec.classify() == ("prime_module",)
-
-
-def test_decompose_examples():
-    m = zmod(12)
-    left, right = m.decompose((4,))
-    assert sorted([left.size, right.size]) == [3, 4]
-    assert left.element_set == {(0,), (4,), (8,)}
-    assert right.element_set == {(0,), (3,), (6,), (9,)}
-    p = product_module([2, 4])
-    l2, r2 = p.decompose((1, 0))
-    assert (l2.size, r2.size) == (2, 4)
-    with pytest.raises(DomainError):
-        m.decompose((1,))
-    with pytest.raises(DomainError):
-        m.decompose((2,))
 
 
 def test_decomposition_submodules_split_componentwise():

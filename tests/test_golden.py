@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from agmod import finmod, theorems
 from agmod.cli import main
 
 SPECS = {
@@ -85,6 +86,9 @@ DIGESTS = [
 # The default-corpus suite report with every predicate, as canonical JSON.
 CORPUS_DIGEST = "8adebf4d1f9695017e8eac989b92ef49337b84b0a486622bd36189ba724c11f6"
 
+# The max-ring-16 suite report under a lattice cap of 4 (210 skips).
+CAPPED_CORPUS_DIGEST = "7cc2fdf278b570e1de2c004281d88a0a78d92477b7d5f02c2c6952ec42423243"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -117,3 +121,12 @@ def test_cli_output_digest(tmp_path, name, argv, digest):
 def test_corpus_report_digest(corpus_report):
     data = json.dumps(corpus_report.to_dict(), sort_keys=True, ensure_ascii=False)
     assert sha256(data.encode()) == CORPUS_DIGEST
+
+
+def test_capped_corpus_report_digest(monkeypatch):
+    monkeypatch.setattr(finmod, "LATTICE_CAP", 4)
+    spec = theorems.CorpusSpec(max_ring_card=16)
+    report = theorems.run_suite(theorems.generate_corpus(spec), corpus_spec=spec)
+    assert len(report.skips) == 210
+    data = json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False)
+    assert sha256(data.encode()) == CAPPED_CORPUS_DIGEST

@@ -1,9 +1,10 @@
 import json
+import multiprocessing
 import weakref
 
 import pytest
 
-from agmod import theorems
+from agmod import finmod, theorems
 from agmod.finmod import Module
 from agmod.finring import Ring
 from agmod.theorems import (
@@ -269,3 +270,22 @@ def test_run_suite_parallel_matches_sequential():
     seq = run_suite(corpus, theorem_ids=["thm_2_21", "cor_2_19"]).to_dict()
     par = run_suite(corpus, theorem_ids=["thm_2_21", "cor_2_19"], jobs=2).to_dict()
     assert seq == par
+
+
+def test_lattice_cap_reaches_spawned_workers(monkeypatch):
+    # a spawned worker starts from a fresh import of agmod, so it sees the
+    # cap only if run_suite hands it over
+    monkeypatch.setattr(finmod, "LATTICE_CAP", 4)
+    saved = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        spec = CorpusSpec(max_ring_card=12)
+        corpus = generate_corpus(spec)
+        seq = run_suite(corpus, corpus_spec=spec)
+        par = run_suite(corpus, corpus_spec=spec, jobs=2)
+    finally:
+        multiprocessing.set_start_method(saved, force=True)
+    assert len(seq.skips) == 84
+    assert json.dumps(par.to_dict(), sort_keys=True) == json.dumps(
+        seq.to_dict(), sort_keys=True
+    )
