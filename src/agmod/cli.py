@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -88,7 +89,9 @@ def parse_instance(obj) -> tuple[Module, dict]:
     if not factors:
         raise SpecError("'module' needs at least one factor")
 
-    return Module(ring, factors), _parse_options(ring, obj.get("options", {}))
+    options = _parse_options(ring, obj.get("options", {}))
+    finmod.check_element_cap(math.prod(d for d, _ in factors))
+    return Module(ring, factors), options
 
 
 def _parse_options(ring: Ring, options) -> dict:
@@ -407,11 +410,14 @@ def main(argv=None) -> int:
     cap = os.environ.get("AGMOD_MAX_SUBMODULES")
     if cap:
         try:
-            finmod.LATTICE_CAP = int(cap)
+            value = int(cap)
         except ValueError:
-            print(f"agmod: AGMOD_MAX_SUBMODULES must be an integer, got {cap!r}",
+            value = 0
+        if value < 1:
+            print(f"agmod: AGMOD_MAX_SUBMODULES must be a positive integer, got {cap!r}",
                   file=sys.stderr)
             return 64
+        finmod.LATTICE_CAP = value
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,22 +13,34 @@ primary parts, one per ring component c and prime p dividing n_c, so Sub(M)
 is the product of the parts' subgroup lattices (Birkhoff 1935).  Only the
 parts are enumerated by closure; their subgroups are then added up.
 
-The workhorse predicates (colon, prime submodule, semiprime module, zero
-divisors) are deliberate exhaustive scans: instances are desk-scale and the
-scans double as the oracle for everything downstream.
+The colon ideal (N : M) is the one computed primitive; the other module facts
+are read off colon ideals.  Every prime ideal of a finite ring is maximal, so
+a proper N is prime iff (N : M) is maximal.  Z(M) is the union of the maximal
+ideals containing ann(M) (its associated primes), M is semiprime iff ann(M)
+is an intersection of maximal ideals, and since every ideal of the ring is
+principal, a product (N:M)(K:M)M is the image g*M of one generator g.  The
+exhaustive scans for these facts live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from .finring import Ideal, Ring, prime_factors
+from .finring import Ideal, Ring, divisors, prime_factors, squarefree_kernel
 
 ELEMENT_CAP = 512
 LATTICE_CAP = 4096
+
+
+def check_element_cap(size: int) -> None:
+    """Refuse a module with more than ELEMENT_CAP elements."""
+    if size > ELEMENT_CAP:
+        raise ResourceLimitError(
+            f"module has {size} elements, above the cap of {ELEMENT_CAP}",
+            ELEMENT_CAP,
+        )
 
 
 def _once(method):
@@ -73,11 +85,8 @@ class Module:
 
         self._facts: dict = {}
         self._colon_cache: dict = {}
-        self._act_cache: dict = {}
+        self._product_cache: dict = {}
         self._span_cache: dict = {}
-
-        if _carrier is None and ring.cardinality * self.size <= 10**6:
-            self._verify_action()
 
     # -- identity ------------------------------------------------------------
 
@@ -125,24 +134,6 @@ class Module:
                 out.append(g)
         return out
 
-    def _verify_action(self):
-        """Spot-check the scalar action laws over all (r, m) pairs."""
-        elems = self.elements
-        probe_m = elems[-1]
-        for m in elems:
-            if self.smul(self.ring.one, m) != m:
-                raise InternalCheckError(f"1*{m} != {m}")
-        for r in self.ring.elements():
-            s = self.ring.mul(r, r)
-            for m in elems:
-                if self.smul(r, self.add(m, probe_m)) != self.add(
-                    self.smul(r, m), self.smul(r, probe_m)
-                ):
-                    raise InternalCheckError("scalar action is not distributive")
-                if self.smul(s, m) != self.smul(r, self.smul(r, m)):
-                    raise InternalCheckError("scalar action is not associative")
-            probe_m = elems[hash(r) % len(elems)]
-
     # -- spans and submodules --------------------------------------------------
 
     def cyclic_span(self, x) -> frozenset:
@@ -169,8 +160,9 @@ class Module:
         """Least submodule carrier containing gens."""
         span = {self.zero}
         for g in gens:
-            orbit = self.cyclic_span(g)
-            span = {self.add(s, m) for s in span for m in orbit}
+            if g not in span:
+                orbit = self.cyclic_span(g)
+                span = {self.add(s, m) for s in span for m in orbit}
         return frozenset(span)
 
     def submodule(self, gens) -> "Submodule":
@@ -189,7 +181,7 @@ class Module:
         return self.submodule_from_set(self.element_set)
 
     @_once
-    def lattice(self, element_cap: int | None = None, cap: int | None = None) -> "Lattice":
+    def lattice(self, cap: int | None = None) -> "Lattice":
         """Enumerate every submodule as a direct sum over the primary parts.
 
         M is the direct sum of its primary parts (see ``_primary_parts``), so
@@ -201,13 +193,8 @@ class Module:
         of the parts before it, which is exactly the condition that the whole
         lattice has at most ``cap`` submodules.
         """
-        element_cap = ELEMENT_CAP if element_cap is None else element_cap
+        check_element_cap(self.size)
         cap = LATTICE_CAP if cap is None else cap
-        if self.size > element_cap:
-            raise ResourceLimitError(
-                f"module has {self.size} elements, above the cap of {element_cap}",
-                element_cap,
-            )
         sums = [frozenset({self.zero})]
         room = cap
         for i, part in enumerate(self._primary_parts()):
@@ -245,19 +232,22 @@ class Module:
     def _subgroups(self, part, limit: int, cap: int) -> list[frozenset]:
         """Every submodule inside one primary part, by breadth-first closure.
 
-        Each known submodule is extended by one outside element of the part
-        (adding the whole coset family S + R*x, which is already closed) and
-        deduplicated until fixpoint.  Finding more than ``limit`` means M has
-        more than ``cap`` submodules.
+        Each known submodule is extended by each cyclic submodule R*x of the
+        part not inside it (adding the whole coset family S + R*x, which is
+        already closed) and deduplicated until fixpoint.  Each distinct R*x is
+        tried once, with its first generator x.  Finding more than ``limit``
+        means M has more than ``cap`` submodules.
         """
+        orbits = {}
+        for x in part:
+            orbits.setdefault(self.cyclic_span(x), x)
         zero_fs = frozenset({self.zero})
         seen = {zero_fs}
         order = [zero_fs]
         for current in order:
-            for x in part:
+            for orbit, x in orbits.items():
                 if x in current:
                     continue
-                orbit = self.cyclic_span(x)
                 bigger = frozenset(
                     self.add(s, m) for s in current for m in orbit
                 )
@@ -275,9 +265,10 @@ class Module:
     def colon(self, sub: "Submodule") -> Ideal:
         """(N : M) = {r : r*M <= N} in divisor form, computed per ring component.
 
-        r carries M into N iff every component part of r does, so each
-        component divisor is the gcd of the residues that send all module
-        generators into N.
+        r carries M into N iff every component part of r does.  The residues
+        on component c that send all module generators into N form an ideal
+        a*Z_{n_c} with a | n_c, so its divisor is the least divisor a of n_c
+        that does.
         """
         cached = self._colon_cache.get(sub.encoding)
         if cached is not None:
@@ -285,14 +276,13 @@ class Module:
         gens = self.gens()
         divs = []
         for c, n_c in enumerate(self.ring.moduli):
-            g = n_c
-            for a in range(1, n_c):
-                r = self.ring.unit_vector(c, a)
-                if all(self.smul(r, gm) in sub.elements for gm in gens):
-                    g = math.gcd(g, a)
-                    if g == 1:
-                        break
-            divs.append(g)
+            divs.append(next(
+                a for a in divisors(n_c)
+                if all(
+                    self.smul(self.ring.unit_vector(c, a), gm) in sub.elements
+                    for gm in gens
+                )
+            ))
         out = Ideal(self.ring, tuple(divs))
         self._colon_cache[sub.encoding] = out
         return out
@@ -300,41 +290,30 @@ class Module:
     def annihilator(self) -> Ideal:
         return self.colon(self.zero_submodule())
 
-    def ideal_act(self, ideal: Ideal, sub: "Submodule" = None) -> "Submodule":
-        """I*N: the submodule generated by ideal generators times N's generators."""
-        target_gens = self.gens() if sub is None else list(sub.gens)
-        key = (ideal.divisors, None if sub is None else sub.encoding)
-        cached = self._act_cache.get(key)
-        if cached is not None:
-            return cached
-        prods = [
-            self.smul(ig, mg) for ig in ideal.gens() for mg in target_gens
-        ]
-        out = self.submodule_from_set(self.span(prods))
-        self._act_cache[key] = out
-        return out
-
     def product(self, n: "Submodule", k: "Submodule") -> "Submodule":
-        """The submodule product (N:M)(K:M)M."""
-        return self.ideal_act(self.colon(n).product(self.colon(k)))
+        """The submodule product (N:M)(K:M)M.
+
+        The ideal (N:M)(K:M) is generated by the element g whose residues are
+        its divisors, so the product is g*M = {g*m}, cached by the divisors.
+        """
+        g = self.colon(n).product(self.colon(k)).divisors
+        cached = self._product_cache.get(g)
+        if cached is None:
+            cached = self._product_cache[g] = self.submodule_from_set(
+                {self.smul(g, m) for m in self.elements}
+            )
+        return cached
 
     # -- prime submodules ---------------------------------------------------------
 
     def is_prime_submodule(self, p: "Submodule") -> bool:
-        """Exhaustive check of: r*m in P implies r in (P:M) or m in P."""
-        if p.is_whole:
-            return False
-        colon = self.colon(p)
-        pset = p.elements
-        for r in self.ring.elements():
-            if colon.contains(r):
-                continue
-            for m in self.elements:
-                if m in pset:
-                    continue
-                if self.smul(r, m) in pset:
-                    return False
-        return True
+        """r*m in P implies r in (P:M) or m in P: P proper, (P:M) maximal.
+
+        A prime P has a prime, hence maximal, colon; if (P:M) is maximal then
+        M/P is a vector space over the field R/(P:M), where every r outside
+        (P:M) acts injectively.
+        """
+        return not p.is_whole and self.colon(p).is_maximal()
 
     @_once
     def primes(self) -> list["Submodule"]:
@@ -359,26 +338,31 @@ class Module:
 
     @_once
     def is_semiprime(self) -> bool:
-        """Exhaustive: I^2 K = 0 implies I K = 0 for all ideals I, submodules K."""
-        lat = self.lattice()
-        zero = self.zero_submodule()
-        for ideal in self.ring.ideals():
-            sq = ideal.product(ideal)
-            for k in lat.all:
-                if self.ideal_act(sq, k) == zero and self.ideal_act(ideal, k) != zero:
-                    return False
-        return True
+        """I^2 K = 0 implies I K = 0 for all ideals I, submodules K.
+
+        This holds iff every annihilator divisor is squarefree, that is iff M
+        is a module over the product of fields R/ann(M) (semisimple).
+        """
+        return all(
+            squarefree_kernel(d) == d for d in self.annihilator().divisors
+        )
 
     @_once
     def zero_divisors(self) -> frozenset:
-        """Z(M): scalars killing some nonzero element, by exhaustive scan."""
-        out = set()
-        for r in self.ring.elements():
-            for m in self.elements:
-                if m != self.zero and self.smul(r, m) == self.zero:
-                    out.add(r)
-                    break
-        return frozenset(out)
+        """Z(M): scalars killing some nonzero element.
+
+        Z(M) is the union of the associated primes, which for a finite ring
+        are the maximal ideals containing ann(M): r is in Z(M) iff q | r_c for
+        a component c and a prime q dividing the annihilator divisor on c.
+        """
+        pairs = [
+            (c, q)
+            for c, d in enumerate(self.annihilator().divisors)
+            for q in prime_factors(d)
+        ]
+        return frozenset(
+            r for r in self.ring.elements() if any(r[c] % q == 0 for c, q in pairs)
+        )
 
     # -- structure ------------------------------------------------------------------
 

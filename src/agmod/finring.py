@@ -197,18 +197,16 @@ class Ideal:
     def element_set(self) -> frozenset:
         return frozenset(self.elements())
 
-    def gens(self) -> list[tuple[int, ...]]:
-        """One generator per component: d_i in position i."""
-        return [
-            self.ring.unit_vector(i, d)
-            for i, d in enumerate(self.divisors)
-        ]
-
     def is_zero(self) -> bool:
         return self.divisors == self.ring.moduli
 
     def is_whole(self) -> bool:
         return all(d == 1 for d in self.divisors)
+
+    def is_maximal(self) -> bool:
+        """One component divisor is a prime and every other divisor is 1."""
+        proper = [d for d in self.divisors if d != 1]
+        return len(proper) == 1 and prime_factors(proper[0]) == proper
 
     def product(self, other: "Ideal") -> "Ideal":
         """Componentwise d*d' reduced by gcd with n; equals the set product."""

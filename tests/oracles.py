@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from agmod.errors import InternalCheckError
+
 
 def additive_closure(add, zero, seed):
     """Subgroup closure of a finite seed set under a binary addition."""
@@ -97,6 +99,81 @@ def brute_submodule_product(module, n, k):
     )
     acted = {module.smul(x, m) for x in ideal_set for m in module.elements}
     return additive_closure(module.add, module.zero, acted)
+
+
+def ideal_act(module, ideal, elems=None):
+    """I*N (N = M by default): the span of every product r*n, r in I, n in N.
+
+    The span is ``Module.span``, which tests check against
+    ``brute_subgroup_closure``.
+    """
+    elems = module.elements if elems is None else elems
+    return module.span({module.smul(r, n) for r in ideal.elements() for n in elems})
+
+
+def brute_is_prime_submodule(module, p):
+    """P proper and r*m in P implies r*M <= P or m in P, over every (r, m)."""
+    if p.is_whole:
+        return False
+    colon = brute_colon(module, p)
+    return not any(
+        r not in colon and m not in p.elements and module.smul(r, m) in p.elements
+        for r in module.ring.elements()
+        for m in module.elements
+    )
+
+
+def brute_zero_divisors(module):
+    """Z(M): the scalars killing some nonzero element, over every (r, m)."""
+    return frozenset(
+        r
+        for r in module.ring.elements()
+        if any(
+            m != module.zero and module.smul(r, m) == module.zero
+            for m in module.elements
+        )
+    )
+
+
+def brute_is_semiprime(module):
+    """I^2 K = 0 implies I K = 0, over every ideal I and submodule K.
+
+    I^2 is ``Ideal.product``, which tests check against ``brute_ideal_product``.
+    """
+    zero = frozenset({module.zero})
+    for ideal in module.ring.ideals():
+        sq = ideal.product(ideal)
+        for k in module.lattice().all:
+            if (
+                ideal_act(module, sq, k.elements) == zero
+                and ideal_act(module, ideal, k.elements) != zero
+            ):
+                return False
+    return True
+
+
+def verify_action(module):
+    """Spot-check the scalar action laws over all (r, m) pairs.
+
+    Raises InternalCheckError on the first law that fails: 1*m = m, and for
+    each r, r*(m + p) = r*m + r*p and (r*r)*m = r*(r*m) against a probe p.
+    """
+    elems = module.elements
+    ring = module.ring
+    probe_m = elems[-1]
+    for m in elems:
+        if module.smul(ring.one, m) != m:
+            raise InternalCheckError(f"1*{m} != {m}")
+    for r in ring.elements():
+        s = ring.mul(r, r)
+        for m in elems:
+            if module.smul(r, module.add(m, probe_m)) != module.add(
+                module.smul(r, m), module.smul(r, probe_m)
+            ):
+                raise InternalCheckError("scalar action is not distributive")
+            if module.smul(s, m) != module.smul(r, module.smul(r, m)):
+                raise InternalCheckError("scalar action is not associative")
+        probe_m = elems[hash(r) % len(elems)]
 
 
 def submodule_closure(module):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -211,5 +212,17 @@ def test_lattice_cap_env_override(capsys, spec_file, monkeypatch):
         assert "cap" in err
     finally:
         finmod.LATTICE_CAP = saved
-    monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "junk")
-    assert main(["analyze", "x.json"]) == 64
+    for junk in ("junk", "0", "-3"):
+        monkeypatch.setenv("AGMOD_MAX_SUBMODULES", junk)
+        code, _, err = run_cli(capsys, "analyze", spec_file(Z12))
+        assert code == 64 and "must be a positive integer" in err, junk
+    assert finmod.LATTICE_CAP == saved
+
+
+def test_element_cap_fires_before_the_module_is_built(capsys, spec_file):
+    # 10^8 elements would exhaust memory if the carrier were materialized
+    huge = {"ring": [100000000], "module": [{"d": 100000000, "c": 0}]}
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "analyze", spec_file(huge))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and "above the cap of 512" in err

@@ -4,20 +4,62 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from agmod.errors import DomainError, ResourceLimitError, StructuralError
+from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
 from agmod.finmod import Module
 from agmod.finring import Ring, divisors
+from agmod.localization import localize, mult_closure
 from agmod.theorems import InstanceAnalysis
 
 from helpers import encset, product_module, sub_by_label, zmod
 from oracles import (
     brute_colon,
+    brute_is_prime_submodule,
+    brute_is_semiprime,
     brute_subgroup_closure,
     brute_submodule_product,
+    brute_zero_divisors,
+    ideal_act,
     ideal_radical,
     is_prime_ideal,
+    omega,
     submodule_closure,
+    verify_action,
 )
+
+# Non-cyclic shapes (ring moduli, factors): F_2^3, F_3^2, Z_2+Z_4 over Z_4,
+# Z_2+Z_6+Z_4 over Z_12, and Z_4+Z_2+Z_6+Z_3 over Z_4 x Z_6.
+NON_CYCLIC = [
+    ([2], [(2, 0)] * 3),
+    ([3], [(3, 0)] * 2),
+    ([4], [(2, 0), (4, 0)]),
+    ([12], [(2, 0), (6, 0), (4, 0)]),
+    ([4, 6], [(4, 0), (2, 0), (6, 1), (3, 1)]),
+]
+
+
+@pytest.fixture(scope="module")
+def structured_modules(default_corpus):
+    """Every default-corpus module and the non-cyclic shapes."""
+    _, modules = default_corpus
+    return list(modules) + [Module(Ring(r), f) for r, f in NON_CYCLIC]
+
+
+@pytest.fixture(scope="module")
+def oracle_modules(structured_modules):
+    """The structured modules, both parts of each of their nontrivial
+    decompositions and their proper images under localization at one
+    generator, each module once."""
+    found = {}
+    for m in structured_modules:
+        found.setdefault(m.key, m)
+        for _, left, right in m.nontrivial_decompositions():
+            found.setdefault(left.key, left)
+            found.setdefault(right.key, right)
+        for g in m.ring.elements():
+            image = localize(m, mult_closure(m.ring, [g])).image
+            if image is not m:
+                found.setdefault(image.key, image)
+    return list(found.values())
 
 
 def test_module_validation_lists_every_offender():
@@ -53,7 +95,7 @@ def test_lattice_counts():
 
 def test_lattice_caps():
     with pytest.raises(ResourceLimitError) as err:
-        zmod(1024).lattice(element_cap=512)
+        zmod(1024).lattice()
     assert err.value.limit == 512
     with pytest.raises(ResourceLimitError) as err:
         zmod(12).lattice(cap=3)
@@ -90,16 +132,7 @@ def test_lattice_matches_closure_oracle_on_corpus(default_corpus):
             _assert_lattice_matches_closure(right)
 
 
-@pytest.mark.parametrize(
-    "moduli, factors",
-    [
-        ([2], [(2, 0)] * 3),
-        ([3], [(3, 0)] * 2),
-        ([4], [(2, 0), (4, 0)]),
-        ([12], [(2, 0), (6, 0), (4, 0)]),
-        ([4, 6], [(4, 0), (2, 0), (6, 1), (3, 1)]),
-    ],
-)
+@pytest.mark.parametrize("moduli, factors", NON_CYCLIC)
 def test_lattice_matches_closure_oracle_non_cyclic(moduli, factors):
     _assert_lattice_matches_closure(Module(Ring(moduli), factors))
 
@@ -171,7 +204,7 @@ def test_product_examples():
     assert m.product(two, three) == six
     for n in m.lattice().all:
         prod = m.product(n, m.whole_submodule())
-        assert prod == m.ideal_act(m.colon(n))
+        assert prod.elements == ideal_act(m, m.colon(n))
         assert prod.elements <= n.elements
 
 
@@ -245,8 +278,8 @@ def _is_semiprime_submodule(m, sub):
     for ideal in m.ring.ideals():
         sq = ideal.product(ideal)
         for k in m.lattice().all:
-            if m.ideal_act(sq, k).elements <= sub.elements:
-                if not m.ideal_act(ideal, k).elements <= sub.elements:
+            if ideal_act(m, sq, k.elements) <= sub.elements:
+                if not ideal_act(m, ideal, k.elements) <= sub.elements:
                     return False
     return True
 
@@ -270,6 +303,48 @@ def test_zero_divisors_examples():
     assert zmod(12).zero_divisors() == encset(zmod(12), [0, 2, 3, 4, 6, 8, 9, 10])
     assert zmod(5).zero_divisors() == encset(zmod(5), [0])
     assert zmod(12, 4).zero_divisors() == encset(zmod(12), [0, 2, 4, 6, 8, 10])
+
+
+def test_closed_forms_match_scan_oracles(oracle_modules):
+    for m in oracle_modules:
+        assert m.zero_divisors() == brute_zero_divisors(m), m
+        assert m.is_semiprime() == brute_is_semiprime(m), m
+        subs = m.lattice().all
+        for s in subs:
+            assert m.is_prime_submodule(s) == brute_is_prime_submodule(m, s), (m, s)
+        acted = {}
+        for a, b in itertools.combinations_with_replacement(subs, 2):
+            ideal = m.colon(a).product(m.colon(b))
+            if ideal not in acted:
+                acted[ideal] = ideal_act(m, ideal)
+            assert m.product(a, b).elements == acted[ideal], (m, a, b)
+
+
+def test_min_primes_are_maximal_ideals_times_module(oracle_modules):
+    # Min(M) = {pM : p maximal, p contains ann(M)}, |Min(M)| = sum_c omega(a_c)
+    maximal = {}
+    for m in oracle_modules:
+        if m.ring not in maximal:
+            maximal[m.ring] = [p for p in m.ring.ideals() if is_prime_ideal(m.ring, p)]
+        ann = brute_colon(m, m.zero_submodule())
+        expected = {ideal_act(m, p) for p in maximal[m.ring] if ann <= p.element_set}
+        assert {p.elements for p in m.min_primes()} == expected, m
+        assert len(expected) == sum(omega(d) for d in m.annihilator().divisors), m
+
+
+def test_action_laws_hold(structured_modules):
+    for m in structured_modules:
+        verify_action(m)
+
+
+def test_action_check_catches_unreduced_scalars(monkeypatch):
+    def smul_without_reduction(self, r, x):
+        return tuple(r[c] * a for a, (_, c) in zip(x, self.factors))
+
+    monkeypatch.setattr(Module, "smul", smul_without_reduction)
+    for m in [zmod(12), Module(Ring([4, 6]), [(4, 0), (2, 0), (6, 1), (3, 1)])]:
+        with pytest.raises(InternalCheckError):
+            verify_action(m)
 
 
 def test_minimal_submodules():
