@@ -211,19 +211,13 @@ class Module:
         return Lattice(self, sums)
 
     def _primary_parts(self) -> list[list]:
-        """The nonzero parts e*M, one per ring component c and prime p | n_c.
-
-        e is the idempotent of the p-power part of Z_{n_c}, found as the
-        idempotent power of n_c / p^k placed in component c.
-        """
+        """The nonzero parts e*M, one per ring component c and prime p | n_c,
+        with e the idempotent of the (c, p)-primary part of the ring."""
         ring = self.ring
         parts = []
         for c, n in enumerate(ring.moduli):
             for p in prime_factors(n):
-                q = p
-                while n % (q * p) == 0:
-                    q *= p
-                e = ring.idempotent_power(ring.unit_vector(c, n // q))
+                e = ring.part_idempotent({(c, p)})
                 part = sorted({self.smul(e, m) for m in self.elements})
                 if len(part) > 1:
                     parts.append(part)
@@ -347,19 +341,23 @@ class Module:
             squarefree_kernel(d) == d for d in self.annihilator().divisors
         )
 
+    def associated_primes(self) -> list:
+        """Ass(M) as pairs (c, q): the maximal ideals m_{c,q} = {r : q | r_c}
+        containing ann(M), one per prime q dividing its divisor on c."""
+        return [
+            (c, q)
+            for c, d in enumerate(self.annihilator().divisors)
+            for q in prime_factors(d)
+        ]
+
     @_once
     def zero_divisors(self) -> frozenset:
         """Z(M): scalars killing some nonzero element.
 
         Z(M) is the union of the associated primes, which for a finite ring
-        are the maximal ideals containing ann(M): r is in Z(M) iff q | r_c for
-        a component c and a prime q dividing the annihilator divisor on c.
+        are the maximal ideals containing ann(M).
         """
-        pairs = [
-            (c, q)
-            for c, d in enumerate(self.annihilator().divisors)
-            for q in prime_factors(d)
-        ]
+        pairs = self.associated_primes()
         return frozenset(
             r for r in self.ring.elements() if any(r[c] % q == 0 for c, q in pairs)
         )
@@ -432,25 +430,31 @@ class Module:
 
     # -- minimal-prime components ----------------------------------------------
 
+    def _prime_pair(self, p: "Submodule"):
+        """The (c, q) with (P:M) = m_{c,q}, for a prime submodule P."""
+        divs = self.colon(p).divisors
+        c = next(c for c, d in enumerate(divs) if d != 1)
+        return c, divs[c]
+
     def component_idempotents(self, e) -> list:
-        """One idempotent per minimal prime P: e times the idempotent-power
-        product over the ring elements outside (P:M)."""
+        """One idempotent per minimal prime P: e times the projection onto
+        the primary part whose maximal ideal is (P:M)."""
         ring = self.ring
-        parts = []
-        for p in self.min_primes():
-            colon = self.colon(p)
-            outside = [r for r in ring.elements() if not colon.contains(r)]
-            parts.append(ring.mul(e, ring.idempotent_product(outside)))
-        return parts
+        return [
+            ring.mul(e, ring.part_idempotent({self._prime_pair(p)}))
+            for p in self.min_primes()
+        ]
 
     def min_prime_clique_witness(self):
         """One nonzero submodule per minimal prime, pairwise products zero.
 
-        Construction: localize away from each minimal-prime colon (the
-        idempotent-power product over the complement), pull the component
-        idempotents back onto the cyclic generator, and scale by a multiplier
-        that kills every cross product.  The result is verified before it is
-        returned.  Returns (witnesses, report).
+        Construction: localize away from the minimal-prime colons (the
+        projection onto their primary parts), pull the component idempotents
+        back onto the cyclic generator, and scale by a multiplier that kills
+        every cross product.  Each multiplier is the first ring element, in
+        lexicographic order, outside every minimal-prime colon that does.
+        The result is verified before it is returned.  Returns (witnesses,
+        report).
         """
         gen = self.cyclic_generator()
         if gen is None:
@@ -459,11 +463,8 @@ class Module:
         if not mins:
             return [], {"size": 0}
         ring = self.ring
-        union = set()
-        for p in mins:
-            union |= self.colon(p).element_set
-        s_set = [r for r in ring.elements() if r not in union]
-        e_total = ring.idempotent_product(s_set)
+        pairs = {self._prime_pair(p) for p in mins}
+        e_total = ring.part_idempotent(pairs)
         e_parts = self.component_idempotents(e_total)
 
         t = ring.one
@@ -472,7 +473,12 @@ class Module:
             for j in range(i + 1, len(mins)):
                 target = self.smul(ring.mul(e_parts[i], e_parts[j]), gen)
                 t_ij = next(
-                    (s for s in sorted(s_set) if self.smul(s, target) == self.zero),
+                    (
+                        s
+                        for s in ring.elements()
+                        if all(s[c] % q for c, q in pairs)
+                        and self.smul(s, target) == self.zero
+                    ),
                     None,
                 )
                 if t_ij is None:
@@ -512,14 +518,21 @@ class Module:
 class Submodule:
     """A submodule as a canonical closed element set with a minimal generator list."""
 
-    __slots__ = ("module", "elements", "encoding", "gens", "id")
+    __slots__ = ("module", "elements", "encoding", "_gens", "id")
 
     def __init__(self, module: Module, elems: frozenset):
         self.module = module
         self.elements = elems
         self.encoding = tuple(sorted(elems))
-        self.gens = _minimal_gens(module, elems)
+        self._gens = None
         self.id = None
+
+    @property
+    def gens(self) -> tuple:
+        """Minimal generators, found on first use (see ``_minimal_gens``)."""
+        if self._gens is None:
+            self._gens = _minimal_gens(self.module, self.elements)
+        return self._gens
 
     def __eq__(self, other):
         return (

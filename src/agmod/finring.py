@@ -4,8 +4,11 @@ Elements are residue tuples with componentwise arithmetic.  Ideals are stored
 as divisor tuples, one divisor d_i | n_i per component, where d_i = n_i
 encodes the zero component and d_i = 1 the full component; membership is a
 componentwise divisibility test.  In this shape ideal products reduce to
-gcd(d*d', n), nilpotence to squarefree kernels, and idempotents split
-componentwise, so everything stays exact integer arithmetic.
+gcd(d*d', n) and nilpotence to squarefree kernels, so everything stays exact
+integer arithmetic.  Every idempotent is the projection onto a set of
+(c, q)-primary parts, one per component c and prime q | n_c, and is built by
+CRT (``Ring.part_idempotent``); localizing at S is the projection onto the
+parts whose maximal ideal S avoids.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InternalCheckError, StructuralError
+from .errors import StructuralError
 
 
 def divisors(n: int) -> list[int]:
@@ -117,30 +120,24 @@ class Ring:
 
     # -- idempotents ----------------------------------------------------------
 
-    def idempotent_power(self, r):
-        """The unique idempotent in {r, r^2, r^3, ...}.
+    def part_idempotent(self, pairs):
+        """The idempotent that is 1 on the (c, q)-primary parts in pairs, 0 elsewhere.
 
-        Powers of r in a finite commutative ring eventually cycle, and the
-        cycle contains exactly one idempotent.
+        Z_{n_c} is the product of its prime-power parts Z_{q^k}.  By CRT the
+        residue on component c is x = 0 mod the part of n_c outside pairs and
+        x = 1 mod the part inside.
         """
-        self._check(r)
-        seen = {}
-        x, k = r, 1
-        while x not in seen:
-            seen[x] = k
-            x = self.mul(x, r)
-            k += 1
-        for y in seen:
-            if self.mul(y, y) == y:
-                return y
-        raise InternalCheckError(f"no idempotent power found for {r} in {self!r}")
-
-    def idempotent_product(self, elems):
-        """The product of the idempotent powers of elems (1 for none)."""
-        e = self.one
-        for r in elems:
-            e = self.mul(e, self.idempotent_power(r))
-        return e
+        pairs = set(pairs)
+        out = []
+        for c, n in enumerate(self.moduli):
+            kept = 1
+            for q in prime_factors(n):
+                if (c, q) in pairs:
+                    while n % (kept * q) == 0:
+                        kept *= q
+            dropped = n // kept
+            out.append(dropped * pow(dropped, -1, kept) % n)
+        return tuple(out)
 
     def idempotents(self) -> list[tuple[int, ...]]:
         """All e with e*e = e, sorted; always contains 0 and 1."""

@@ -1,12 +1,15 @@
 """Localization of finite modules, realized by idempotents.
 
-Inverting a multiplicative set S in a finite ring is multiplication by an
-idempotent: each s has a unique idempotent power, and the product e of these
-over S satisfies exactly the two defining properties of the fraction module,
-verified on every call: every s acts invertibly on e*M, and the kernel of
-m -> e*m is precisely the elements killed by some member of S.  This keeps
-the localized module a first-class finite module (an embedded image) instead
-of a quotient of formal fractions.
+Over R = Z_n1 x ... x Z_nk, M is the direct sum of its (c, q)-primary parts,
+one per component c and prime q | n_c.  An element s acts invertibly on a
+part iff q does not divide s_c, and nilpotently otherwise, so S^-1 M is the
+sum of the parts whose maximal ideal m_{c,q} = {r : q | r_c} S avoids.  That
+sum is e*M for the idempotent e projecting onto those parts
+(``Ring.part_idempotent``), which keeps the localized module a first-class
+finite module (an embedded image) instead of a quotient of formal fractions.
+The defining properties of the fraction module (every s acts invertibly on
+e*M, and the kernel of m -> e*m is the S-torsion) are checked by exhaustive
+scans in tests/oracles.py.
 
 A multiplicative set containing 0 localizes to the zero module; that case is
 a value, not an error, because several structural statements pivot on it.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError
 from .finmod import Module, Submodule
-from .finring import Ring
+from .finring import Ring, prime_factors
 
 
 @dataclass(frozen=True)
@@ -38,29 +41,34 @@ class MultSet:
 
 
 def mult_closure(ring: Ring, gens) -> MultSet:
-    """Least multiplicatively closed superset of gens plus 1, by fixpoint."""
+    """Least multiplicatively closed superset of gens plus 1: every product
+    of generators, found by multiplying each new member by each generator."""
     gens = tuple(ring.element(g) for g in gens)
     closure = {ring.one}
-    frontier = list(gens)
+    frontier = [ring.one]
     while frontier:
         x = frontier.pop()
-        if x in closure:
-            continue
-        closure.add(x)
-        for y in list(closure):
-            for p in (ring.mul(x, y),):
-                if p not in closure:
-                    frontier.append(p)
+        for g in gens:
+            p = ring.mul(x, g)
+            if p not in closure:
+                closure.add(p)
+                frontier.append(p)
     return MultSet(ring, gens, frozenset(closure))
 
 
 def localization_idempotent(s: MultSet):
-    """The product of the idempotent powers of the generators of S."""
+    """The projection onto the primary parts whose maximal ideal S avoids.
+
+    S avoids m_{c,q} iff every generator does, since a product lies in a
+    prime ideal iff one of its factors does.
+    """
     ring = s.ring
-    e = ring.idempotent_product(s.gens)
-    if ring.mul(e, e) != e:
-        raise InternalCheckError("localization idempotent is not idempotent")
-    return e
+    return ring.part_idempotent(
+        (c, q)
+        for c, n in enumerate(ring.moduli)
+        for q in prime_factors(n)
+        if all(g[c] % q for g in s.gens)
+    )
 
 
 @dataclass(frozen=True)
@@ -74,55 +82,27 @@ class LocalizedModule:
 
 
 def localize(module: Module, s: MultSet) -> LocalizedModule:
-    """e*M for the localization idempotent of S, with postconditions verified."""
+    """e*M for the localization idempotent of S, with its kernel."""
     e = localization_idempotent(s)
     image = module.scaled(e)
-    eff = image.unit
-    kernel_set = {
-        m for m in module.elements if module.smul(eff, m) == module.zero
-    }
-    kernel = module.submodule_from_set(kernel_set)
+    kernel = module.submodule_from_set(
+        {m for m in module.elements if module.smul(image.unit, m) == module.zero}
+    )
     if image.size * kernel.size != module.size:
         raise InternalCheckError("localization image and kernel sizes do not multiply out")
-
-    expected_kernel = set()
-    for m in module.elements:
-        if any(module.smul(x, m) == module.zero for x in s.closure):
-            expected_kernel.add(m)
-    if expected_kernel != kernel_set:
-        raise InternalCheckError(
-            "kernel of the idempotent differs from the S-torsion elements"
-        )
-    for x in s.closure:
-        if {image.smul(x, m) for m in image.elements} != image.element_set:
-            raise InternalCheckError(f"{x} does not act invertibly on the image")
     return LocalizedModule(s, e, image, kernel)
 
 
-def _complement(ring: Ring, excluded, name: str) -> MultSet:
-    """R minus the excluded elements, verified to contain 1 and be closed."""
-    elems = [r for r in ring.elements() if r not in excluded]
-    s = MultSet(ring, tuple(elems), frozenset(elems))
-    if ring.one not in s.closure:
-        raise InternalCheckError(f"{name} does not contain 1")
-    for a in s.closure:
-        for b in s.closure:
-            if ring.mul(a, b) not in s.closure:
-                raise InternalCheckError(f"{name} is not multiplicatively closed")
-    return s
-
-
 def min_prime_complement(module: Module) -> MultSet:
-    """R minus the union of the minimal-prime colons, closure verified."""
-    union = set()
-    for p in module.min_primes():
-        union |= module.colon(p).element_set
-    return _complement(module.ring, union, "minimal-prime complement")
+    """R minus the union of the minimal-prime colons.
 
-
-def zero_divisor_complement(module: Module) -> MultSet:
-    """R minus Z(M); closed because Z(M) is a union of primes here."""
-    return _complement(module.ring, module.zero_divisors(), "R minus Z(M)")
+    The minimal-prime colons are the maximal ideals m_{c,q} containing
+    ann(M), so the union is Z(M).  The complement of a union of prime ideals
+    is multiplicatively closed and contains 1.
+    """
+    pairs = module.associated_primes()
+    elems = [r for r in module.ring.elements() if all(r[c] % q for c, q in pairs)]
+    return MultSet(module.ring, tuple(elems), frozenset(elems))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from .localization import (
     localize,
     min_prime_complement,
     mult_closure,
-    zero_divisor_complement,
 )
 
 PASS = "applicable_pass"
@@ -127,11 +126,6 @@ class InstanceAnalysis:
     def loc_min(self):
         """M localized at the minimal-prime complement."""
         return localize(self.module, min_prime_complement(self.module))
-
-    @cached_property
-    def loc_zdiv(self):
-        """M localized at R minus Z(M)."""
-        return localize(self.module, zero_divisor_complement(self.module))
 
 
 def _sub_ref(sub) -> dict:
@@ -517,10 +511,11 @@ def _cor_2_15(a: InstanceAnalysis):
 
 def _cor_2_14(a: InstanceAnalysis):
     """Semiprime modules: localizing at R minus Z(M) preserves the clique
-    number."""
+    number.  R minus Z(M) is the minimal-prime complement, since Z(M) is the
+    union of the minimal-prime colons."""
     if not a.module.is_semiprime():
         return NOT_MET, {"reason": "module is not semiprime"}
-    img = _require_identity(a, a.loc_zdiv)
+    img = _require_identity(a, a.loc_min)
     before, after = a.inv.clique_number, img.inv.clique_number
     if before != after:
         return FAIL, {"clique_before": before, "clique_after": after}
@@ -529,10 +524,11 @@ def _cor_2_14(a: InstanceAnalysis):
 
 def _cor_2_16(a: InstanceAnalysis):
     """Semiprime modules: localizing at R minus Z(M) preserves the chromatic
-    number."""
+    number.  R minus Z(M) is the minimal-prime complement, since Z(M) is the
+    union of the minimal-prime colons."""
     if not a.module.is_semiprime():
         return NOT_MET, {"reason": "module is not semiprime"}
-    img = _require_identity(a, a.loc_zdiv)
+    img = _require_identity(a, a.loc_min)
     before, after = a.inv.chromatic_number, img.inv.chromatic_number
     if before != after:
         return FAIL, {"chromatic_before": before, "chromatic_after": after}

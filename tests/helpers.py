@@ -3,6 +3,16 @@
 from agmod.finmod import Module
 from agmod.finring import Ring
 
+# Non-cyclic shapes (ring moduli, factors): F_2^3, F_3^2, Z_2+Z_4 over Z_4,
+# Z_2+Z_6+Z_4 over Z_12, and Z_4+Z_2+Z_6+Z_3 over Z_4 x Z_6.
+NON_CYCLIC = [
+    ([2], [(2, 0)] * 3),
+    ([3], [(3, 0)] * 2),
+    ([4], [(2, 0), (4, 0)]),
+    ([12], [(2, 0), (6, 0), (4, 0)]),
+    ([4, 6], [(4, 0), (2, 0), (6, 1), (3, 1)]),
+]
+
 
 def zmod(n, m=None):
     """Z_m as a module over Z_n (defaults to the full ring)."""

@@ -221,6 +221,52 @@ def brute_subgroup_closure(module, gens):
     return frozenset(closure)
 
 
+def idempotent_power(ring, r):
+    """The unique idempotent in {r, r^2, r^3, ...}, by walking the powers.
+
+    Powers of r in a finite commutative ring eventually cycle, and the cycle
+    contains exactly one idempotent.
+    """
+    seen = []
+    x = r
+    while x not in seen:
+        seen.append(x)
+        x = ring.mul(x, r)
+    for y in seen:
+        if ring.mul(y, y) == y:
+            return y
+    raise InternalCheckError(f"no idempotent power found for {r} in {ring!r}")
+
+
+def verify_localization(module, s, loc):
+    """Check that loc is the localization of module at s, by full scans.
+
+    S contains 1 and is closed under products; the kernel of m -> e*m is the
+    S-torsion {m : s*m = 0 for some s in S}; and every s in S acts
+    invertibly on the image.  Raises InternalCheckError on the first failure.
+    """
+    ring = module.ring
+    if ring.one not in s.closure:
+        raise InternalCheckError("multiplicative set does not contain 1")
+    for a in s.closure:
+        for b in s.closure:
+            if ring.mul(a, b) not in s.closure:
+                raise InternalCheckError("multiplicative set is not closed")
+    torsion = {
+        m
+        for m in module.elements
+        if any(module.smul(x, m) == module.zero for x in s.closure)
+    }
+    if torsion != loc.kernel.elements:
+        raise InternalCheckError(
+            "kernel of the idempotent differs from the S-torsion elements"
+        )
+    image = loc.image
+    for x in s.closure:
+        if {image.smul(x, m) for m in image.elements} != image.element_set:
+            raise InternalCheckError(f"{x} does not act invertibly on the image")
+
+
 def brute_clique_number(adj, n):
     """Largest pairwise-adjacent subset, over all 2^n vertex subsets."""
     best = 0

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import agmod
 from agmod import cli, finmod
 from agmod.cli import main, parse_gens, parse_instance
 from agmod.finring import Ring
@@ -226,3 +231,20 @@ def test_element_cap_fires_before_the_module_is_built(capsys, spec_file):
     code, _, err = run_cli(capsys, "analyze", spec_file(huge))
     assert time.perf_counter() - start < 1
     assert code == 3 and "above the cap of 512" in err
+
+
+def test_analyze_cost_does_not_grow_with_the_ring(tmp_path):
+    # Z_6 over Z_9699690 (the product of the primes up to 19): the module is
+    # tiny, so no step of analyze may scale with the 9.7 million ring elements
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ring": [9699690], "module": [{"d": 6, "c": 0}]}))
+    env = dict(os.environ)
+    src = str(Path(agmod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    witness = json.loads(proc.stdout)["clique_witness"]
+    assert witness["size"] == 2 and len(witness["submodules"]) == 2

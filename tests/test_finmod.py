@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
 from agmod.finmod import Module
 from agmod.finring import Ring, divisors
-from agmod.localization import localize, mult_closure
+from agmod.localization import localize, min_prime_complement, mult_closure
 from agmod.theorems import InstanceAnalysis
 
-from helpers import encset, product_module, sub_by_label, zmod
+from helpers import NON_CYCLIC, encset, product_module, sub_by_label, zmod
 from oracles import (
     brute_colon,
     brute_is_prime_submodule,
@@ -25,17 +25,6 @@ from oracles import (
     submodule_closure,
     verify_action,
 )
-
-# Non-cyclic shapes (ring moduli, factors): F_2^3, F_3^2, Z_2+Z_4 over Z_4,
-# Z_2+Z_6+Z_4 over Z_12, and Z_4+Z_2+Z_6+Z_3 over Z_4 x Z_6.
-NON_CYCLIC = [
-    ([2], [(2, 0)] * 3),
-    ([3], [(3, 0)] * 2),
-    ([4], [(2, 0), (4, 0)]),
-    ([12], [(2, 0), (6, 0), (4, 0)]),
-    ([4, 6], [(4, 0), (2, 0), (6, 1), (3, 1)]),
-]
-
 
 @pytest.fixture(scope="module")
 def structured_modules(default_corpus):
@@ -307,7 +296,9 @@ def test_zero_divisors_examples():
 
 def test_closed_forms_match_scan_oracles(oracle_modules):
     for m in oracle_modules:
-        assert m.zero_divisors() == brute_zero_divisors(m), m
+        zdiv = brute_zero_divisors(m)
+        assert m.zero_divisors() == zdiv, m
+        assert min_prime_complement(m).closure == set(m.ring.elements()) - zdiv, m
         assert m.is_semiprime() == brute_is_semiprime(m), m
         subs = m.lattice().all
         for s in subs:

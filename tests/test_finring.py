@@ -2,9 +2,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agmod.errors import StructuralError
-from agmod.finring import Ideal, Ring, divisors, squarefree_kernel
+from agmod.finring import Ideal, Ring, divisors, prime_factors, squarefree_kernel
 
-from oracles import brute_ideal_product, ideal_radical, is_nilpotent, is_prime_ideal
+from oracles import (
+    brute_ideal_product,
+    idempotent_power,
+    ideal_radical,
+    is_nilpotent,
+    is_prime_ideal,
+)
 
 
 def test_ring_validation():
@@ -72,12 +78,23 @@ def test_idempotents_closed_under_complement_and_product():
                 assert ring.mul(e, f) in idems
 
 
-def test_idempotent_power():
+def test_idempotent_power(default_corpus):
     z12 = Ring([12])
-    assert z12.idempotent_power((3,)) == (9,)
-    assert z12.idempotent_power((2,)) == (4,)
-    assert z12.idempotent_power((5,)) == (1,)
-    assert z12.idempotent_power((0,)) == (0,)
+    assert idempotent_power(z12, (3,)) == (9,)
+    assert idempotent_power(z12, (2,)) == (4,)
+    assert idempotent_power(z12, (5,)) == (1,)
+    assert idempotent_power(z12, (0,)) == (0,)
+    # the idempotent power of r projects onto the parts where r is a unit
+    _, modules = default_corpus
+    rings = {m.ring for m in modules}
+    assert len(rings) == 72
+    for ring in rings:
+        pairs = [
+            (c, q) for c, n in enumerate(ring.moduli) for q in prime_factors(n)
+        ]
+        for r in ring.elements():
+            kept = [(c, q) for c, q in pairs if r[c] % q]
+            assert ring.part_idempotent(kept) == idempotent_power(ring, r), (ring, r)
 
 
 def test_ideal_enumeration_counts():

@@ -12,10 +12,10 @@ from agmod.localization import (
     localize,
     min_prime_complement,
     mult_closure,
-    zero_divisor_complement,
 )
 
-from helpers import product_module, zmod
+from helpers import NON_CYCLIC, product_module, zmod
+from oracles import idempotent_power, verify_localization
 
 
 def test_mult_closure_examples():
@@ -25,6 +25,10 @@ def test_mult_closure_examples():
     # powers of a single element stay inside their own orbit plus 1
     s = mult_closure(z12, [(2,)])
     assert s.closure == {(1,), (2,), (4,), (8,)}
+    assert mult_closure(z12, [(5,), (7,)]).closure == {(1,), (5,), (7,), (11,)}
+    assert mult_closure(z12, [(2,), (3,)]).closure == {
+        (1,), (2,), (3,), (4,), (6,), (8,), (9,), (0,)
+    }
     assert mult_closure(z12, [(0,)]).contains_zero
 
 
@@ -53,7 +57,7 @@ def test_localize_at_units_is_identity():
     assert loc.image.size == m.size and loc.kernel.is_zero
     # an idempotent acting as the identity reuses the module and its facts
     assert loc.image is m
-    assert localize(m, zero_divisor_complement(m)).image is m
+    assert localize(m, min_prime_complement(m)).image is m
 
 
 def test_localize_trivial_set():
@@ -78,6 +82,28 @@ def test_min_prime_complement_examples():
     assert min_prime_complement(simple).closure == {
         (r,) for r in range(1, 5)
     }
+
+
+def test_localization_matches_scan_oracles(default_corpus):
+    # at the minimal-prime complement and at every distinct one-generator
+    # set: the scans accept the image, and its idempotent is the product of
+    # the generators' idempotent powers
+    _, modules = default_corpus
+    count = 0
+    for m in list(modules) + [Module(Ring(r), f) for r, f in NON_CYCLIC]:
+        one_gen = {}
+        for g in m.ring.elements():
+            s = mult_closure(m.ring, [g])
+            one_gen.setdefault(s.closure, s)
+        for s in [min_prime_complement(m), *one_gen.values()]:
+            loc = localize(m, s)
+            verify_localization(m, s, loc)
+            expected = m.ring.one
+            for g in s.gens:
+                expected = m.ring.mul(expected, idempotent_power(m.ring, g))
+            assert loc.idem == expected, (m, s)
+            count += 1
+    assert count == 6596
 
 
 def test_each_member_acts_invertibly_on_image():
@@ -138,7 +164,7 @@ def test_zero_divisor_complement_preserves_invariants_when_semiprime():
     for m in [zmod(30), zmod(6), product_module([2, 3])]:
         assert m.is_semiprime()
         base = aggraph.invariants(aggraph.build_AG(m))
-        img = localize(m, zero_divisor_complement(m)).image
+        img = localize(m, min_prime_complement(m)).image
         inv = aggraph.invariants(aggraph.build_AG(img))
         assert inv.clique_number == base.clique_number
         assert inv.chromatic_number == base.chromatic_number
