@@ -8,18 +8,29 @@ iff their product vanishes.  AG(M)* keeps only proper submodules whose colon
 differs from the annihilator, with both ends of the defining partner
 condition filtered the same way.
 
-Adjacency is kept as per-vertex bitmasks.  The clique solver is a pivoting
-maximal-clique search; the chromatic solver deepens the colour count from the
-clique lower bound to a greedy upper bound, branching over vertices in
-descending-degree order.  Degenerate conventions, pinned once here: the empty
-graph has clique and chromatic number 0, no girth, no diameter, shape flag
-{"empty"} only; girth is None for acyclic graphs; diameter is None below two
-vertices or when disconnected; a star is K_{1,m} with m >= 0, so one- and
-two-vertex graphs count.
+NK = (N:M)(K:M)M, so whether N and K are adjacent depends only on their two
+colon ideals.  The graph is built per colon class: the zero test
+(``Module.annihilates``) runs once per pair of classes, and each vertex's
+adjacency is the union of the classes its class annihilates, kept as
+per-vertex bitmasks.  Every colon class is a class of twins (same open or
+same closed neighbourhood).  Connectivity, diameter and girth are
+breadth-first searches over bitmasks, a level at a time; the diameter needs
+one search per twin class, and girth first looks for a triangle along the
+edges.  The clique solver is a pivoting maximal-clique search; the chromatic
+solver deepens the colour count from the clique lower bound to a greedy upper
+bound, branching over vertices in descending-degree order.  Both searches
+keep explicit stacks, so their depth is not bounded by the recursion limit.
+
+Degenerate conventions, pinned once here: the empty graph has clique and
+chromatic number 0, no girth, no diameter, shape flag {"empty"} only; girth
+is None for acyclic graphs; diameter is None below two vertices or when
+disconnected; a star is K_{1,m} with m >= 0, so one- and two-vertex graphs
+count.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .finmod import Module, Submodule
@@ -62,46 +73,60 @@ class AnnGraph:
 
 def build_AG(module: Module) -> AnnGraph:
     """AG(M) from the full submodule lattice."""
-    lat = module.lattice()
-    zero = module.zero_submodule()
-    nonzero = [s for s in lat.all if not s.is_zero]
+    nonzero = [s for s in module.lattice().all if not s.is_zero]
     proper = [s for s in nonzero if not s.is_whole]
-    verts = [
-        n
-        for n in nonzero
-        if any(module.product(n, k) == zero for k in proper)
-    ]
-    return _with_edges(module, "AG", verts)
+    return _annihilating_graph(module, "AG", nonzero, proper)
 
 
 def build_AG_star(module: Module) -> AnnGraph:
     """AG(M)*: proper submodules with colon different from the annihilator."""
-    lat = module.lattice()
-    zero = module.zero_submodule()
-    ann = module.annihilator()
+    ann = module.annihilator().divisors
     cands = [
         s
-        for s in lat.all
-        if not s.is_whole and module.colon(s) != ann
+        for s in module.lattice().all
+        if not s.is_whole and module.colon(s).divisors != ann
     ]
-    verts = [
-        n
-        for n in cands
-        if any(module.product(n, k) == zero for k in cands)
-    ]
-    return _with_edges(module, "AG_star", verts)
+    return _annihilating_graph(module, "AG_star", cands, cands)
 
 
-def _with_edges(module: Module, kind: str, verts: list[Submodule]) -> AnnGraph:
-    zero = module.zero_submodule()
-    n = len(verts)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if module.product(verts[i], verts[j]) == zero:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return AnnGraph(module, kind, tuple(verts), tuple(adj))
+def _annihilating_graph(module: Module, kind: str, cands, partners) -> AnnGraph:
+    """The graph on the candidates that annihilate some partner (partners is
+    a subset of cands), distinct vertices adjacent iff their product vanishes.
+
+    Whether NK = (0) depends only on the colons (N:M) and (K:M), so the
+    candidates are grouped by colon divisor tuple and the zero test runs once
+    per unordered pair of classes.  A class is all vertices or none, and each
+    of its vertices is adjacent to every vertex of each class it annihilates,
+    itself excepted.
+    """
+    index: dict[tuple, int] = {}  # colon divisor tuple -> class number
+    reps, cls = [], []
+    for s in cands:
+        key = module.colon(s).divisors
+        if key not in index:
+            index[key] = len(reps)
+            reps.append(s)
+        cls.append(index[key])
+    partner_cls = {index[module.colon(s).divisors] for s in partners}
+    kills = [[] for _ in reps]
+    for a, b in itertools.combinations_with_replacement(range(len(reps)), 2):
+        if module.annihilates(reps[a], reps[b]):
+            kills[a].append(b)
+            if b != a:
+                kills[b].append(a)
+    is_vertex = [any(b in partner_cls for b in kills[a]) for a in range(len(reps))]
+
+    verts = [s for s, a in zip(cands, cls) if is_vertex[a]]
+    vert_cls = [a for a in cls if is_vertex[a]]
+    mask = [0] * len(reps)
+    for v, a in enumerate(vert_cls):
+        mask[a] |= 1 << v
+    nbrs = [0] * len(reps)
+    for a in range(len(reps)):
+        for b in kills[a]:
+            nbrs[a] |= mask[b]
+    adj = tuple(nbrs[a] & ~(1 << v) for v, a in enumerate(vert_cls))
+    return AnnGraph(module, kind, tuple(verts), adj)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -195,58 +220,95 @@ def invariants(g: AnnGraph) -> InvariantReport:
     )
 
 
-def _bfs_dist(g: AnnGraph, src: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _eccentricity(adj, src: int, full: int) -> int | None:
+    """Breadth-first search from src, one level at a time on bitmasks: the
+    depth of the last level, or None if some vertex of full is unreached."""
+    seen = frontier = 1 << src
+    depth = 0
+    while True:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            return depth if seen == full else None
+        seen |= frontier
+        depth += 1
 
 
 def _is_connected(g: AnnGraph) -> bool:
     if g.n <= 1:
         return True
-    return all(d >= 0 for d in _bfs_dist(g, 0))
+    return _eccentricity(g.adj, 0, (1 << g.n) - 1) is not None
 
 
 def _diameter(g: AnnGraph) -> int | None:
+    """Largest eccentricity, one search per twin class.
+
+    Vertices with the same open or the same closed neighbourhood are at the
+    same distance from every other vertex, so they share an eccentricity; a
+    vertex twinned with one already seen needs no search of its own.
+    """
+    adj, full = g.adj, (1 << g.n) - 1
+    seen_open, seen_closed = set(), set()
     best = 0
-    for s in range(g.n):
-        dist = _bfs_dist(g, s)
-        if any(d < 0 for d in dist):
-            return None
-        best = max(best, max(dist))
+    for v in range(g.n):
+        closed = adj[v] | 1 << v
+        if adj[v] not in seen_open and closed not in seen_closed:
+            ecc = _eccentricity(adj, v, full)
+            if ecc is None:
+                return None
+            best = max(best, ecc)
+        seen_open.add(adj[v])
+        seen_closed.add(closed)
     return best
 
 
 def _girth(g: AnnGraph) -> int | None:
-    """Shortest cycle by breadth-first search from every vertex."""
+    """Shortest cycle: a triangle test over the edges, then a bitset
+    breadth-first search from every vertex.
+
+    From a vertex s, an edge inside level d closes a cycle of length at most
+    2d + 1, and a vertex at level d + 1 with two neighbours at level d one of
+    length at most 2d + 2; from a vertex on a shortest cycle the search meets
+    exactly its length.  A search stops once its levels cannot beat the best.
+    """
+    adj = g.adj
+    for u in range(g.n):
+        higher = adj[u] >> (u + 1)
+        while higher:
+            low = higher & -higher
+            if adj[u] & adj[u + low.bit_length()]:
+                return 3
+            higher ^= low
     best = None
     for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif v != parent[u]:
-                        cycle = dist[u] + dist[v] + 1
-                        if best is None or cycle < best:
-                            best = cycle
-            frontier = nxt
+        seen = frontier = 1 << s
+        depth = 0
+        while frontier and (best is None or 2 * depth + 1 < best):
+            reach = twice = 0
+            cycle = None
+            level = frontier
+            while level:
+                low = level & -level
+                nbrs = adj[low.bit_length() - 1]
+                level ^= low
+                if nbrs & frontier:
+                    cycle = 2 * depth + 1
+                    break
+                fresh = nbrs & ~seen
+                twice |= reach & fresh
+                reach |= fresh
+            if cycle is None and twice:
+                cycle = 2 * depth + 2
+            if cycle is not None:
+                best = cycle
+                break
+            seen |= reach
+            frontier = reach
+            depth += 1
     return best
 
 
@@ -274,41 +336,47 @@ def _is_bipartite(g: AnnGraph) -> bool:
 
 
 def max_clique(adj, n: int) -> tuple[int, int]:
-    """Maximum clique size and one witness bitmask, by pivoted expansion."""
+    """Maximum clique size and one witness bitmask, by pivoted expansion.
+
+    The search keeps an explicit stack of [size, mask, cand, excl, branch]
+    frames, branch being None until the frame's node has been expanded, so
+    its depth is not bounded by the interpreter's recursion limit.
+    """
     if n == 0:
         return 0, 0
     best = 0
     best_mask = 0
-    full = (1 << n) - 1
-
-    def expand(size: int, mask: int, cand: int, excl: int):
-        nonlocal best, best_mask
-        if not cand and not excl:
-            if size > best:
-                best, best_mask = size, mask
-            return
-        if size + cand.bit_count() <= best:
-            return
-        pool = cand | excl
-        pivot, pivot_deg = -1, -1
-        m = pool
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            deg = (cand & adj[v]).bit_count()
-            if deg > pivot_deg:
-                pivot, pivot_deg = v, deg
-        branch = cand & ~adj[pivot]
-        while branch:
-            low = branch & -branch
-            v = low.bit_length() - 1
-            branch ^= low
-            expand(size + 1, mask | low, cand & adj[v], excl & adj[v])
-            cand &= ~low
-            excl |= low
-
-    expand(0, 0, full, 0)
+    stack = [[0, 0, (1 << n) - 1, 0, None]]
+    while stack:
+        frame = stack[-1]
+        size, mask, cand, excl, branch = frame
+        if branch is None:
+            if not cand and not excl:
+                if size > best:
+                    best, best_mask = size, mask
+                stack.pop()
+                continue
+            if size + cand.bit_count() <= best:
+                stack.pop()
+                continue
+            pool = cand | excl
+            pivot, pivot_deg = -1, -1
+            m = pool
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                deg = (cand & adj[v]).bit_count()
+                if deg > pivot_deg:
+                    pivot, pivot_deg = v, deg
+            branch = cand & ~adj[pivot]
+        if not branch:
+            stack.pop()
+            continue
+        low = branch & -branch
+        v = low.bit_length() - 1
+        frame[2], frame[3], frame[4] = cand & ~low, excl | low, branch ^ low
+        stack.append([size + 1, mask | low, cand & adj[v], excl & adj[v], None])
     return best, best_mask
 
 
@@ -330,28 +398,37 @@ def greedy_coloring(adj, n: int) -> int:
 
 
 def _colorable(adj, order, k: int) -> bool:
+    """Backtracking k-colouring in the given vertex order, with an explicit
+    stack: depth i holds the next colour to try for order[i]."""
     n = len(order)
     colors = [-1] * n
-
-    def bt(i: int, used: int) -> bool:
-        if i == n:
-            return True
+    used = [0] * (n + 1)  # colours in use among order[:i]
+    banned = [0] * n
+    next_color = [0] * n
+    i, entering = 0, True
+    while i < n:
         v = order[i]
-        banned = 0
-        for u in range(n):
-            if adj[v] >> u & 1 and colors[u] >= 0:
-                banned |= 1 << colors[u]
-        limit = min(used + 1, k)  # at most one brand-new colour, breaks symmetry
-        for c in range(limit):
-            if banned >> c & 1:
-                continue
+        if entering:
+            mask = 0
+            for u in range(n):
+                if adj[v] >> u & 1 and colors[u] >= 0:
+                    mask |= 1 << colors[u]
+            banned[i], next_color[i] = mask, 0
+        limit = min(used[i] + 1, k)  # at most one brand-new colour, breaks symmetry
+        c = next_color[i]
+        while c < limit and banned[i] >> c & 1:
+            c += 1
+        if c < limit:
             colors[v] = c
-            if bt(i + 1, max(used, c + 1)):
-                return True
-        colors[v] = -1
-        return False
-
-    return bt(0, 0)
+            next_color[i] = c + 1
+            used[i + 1] = max(used[i], c + 1)
+            i, entering = i + 1, True
+        else:
+            colors[v] = -1
+            if i == 0:
+                return False
+            i, entering = i - 1, False
+    return True
 
 
 def chromatic_number(adj, n: int, lower: int | None = None) -> int:

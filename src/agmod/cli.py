@@ -220,7 +220,7 @@ def _localization_dict(
         },
     }
     if include_components and module.is_cyclic():
-        rep = check_product_decomposition(module)
+        rep = check_product_decomposition(module, loc)
         out["components"] = {
             "idempotents": [list(e) for e in rep.component_idempotents],
             "sizes": rep.sizes(),

@@ -19,6 +19,8 @@ a proper N is prime iff (N : M) is maximal.  Z(M) is the union of the maximal
 ideals containing ann(M) (its associated primes), M is semiprime iff ann(M)
 is an intersection of maximal ideals, and since every ideal of the ring is
 principal, a product (N:M)(K:M)M is the image g*M of one generator g.  The
+product vanishes iff (N:M)(K:M) lies in ann(M), so the zero test
+(``annihilates``) is divisibility on divisor tuples and builds no set.  The
 exhaustive scans for these facts live in tests/oracles.py.
 """
 
@@ -281,8 +283,24 @@ class Module:
         self._colon_cache[sub.encoding] = out
         return out
 
+    @_once
     def annihilator(self) -> Ideal:
         return self.colon(self.zero_submodule())
+
+    def annihilates(self, n: "Submodule", k: "Submodule") -> bool:
+        """NK = (0), read off divisors: a_c | d_c * e_c on every component c.
+
+        IM = 0 iff I lies in ann(M), whose divisors are a; the product ideal
+        (N:M)(K:M) has divisors gcd(d_c * e_c, n_c), and a_c divides n_c.
+        """
+        return all(
+            d * e % a == 0
+            for a, d, e in zip(
+                self.annihilator().divisors,
+                self.colon(n).divisors,
+                self.colon(k).divisors,
+            )
+        )
 
     def product(self, n: "Submodule", k: "Submodule") -> "Submodule":
         """The submodule product (N:M)(K:M)M.
@@ -491,15 +509,14 @@ class Module:
         witnesses = [
             self.submodule([self.smul(ring.mul(t, e_i), gen)]) for e_i in e_parts
         ]
-        zero = self.zero_submodule()
         if len({w.encoding for w in witnesses}) != len(witnesses):
             raise InternalCheckError("clique witnesses are not distinct")
         for w in witnesses:
-            if w == zero:
+            if w.is_zero:
                 raise InternalCheckError("clique witness is the zero submodule")
         for i in range(len(witnesses)):
             for j in range(i + 1, len(witnesses)):
-                if self.product(witnesses[i], witnesses[j]) != zero:
+                if not self.annihilates(witnesses[i], witnesses[j]):
                     raise InternalCheckError(
                         f"witness product {i},{j} is nonzero"
                     )

@@ -118,19 +118,19 @@ class DecompositionReport:
         return [c.size for c in self.components]
 
 
-def check_product_decomposition(module: Module) -> DecompositionReport:
+def check_product_decomposition(module: Module, loc: LocalizedModule) -> DecompositionReport:
     """Split M_S into components cut out by per-minimal-prime idempotents.
 
-    Verifies, for S the minimal-prime complement: the component idempotents
-    are pairwise orthogonal, they sum to the localization idempotent, and the
-    image is their internal direct sum (pairwise trivial intersections, sizes
-    multiplying up).  Any failed check raises, because this split is a proven
-    fact about these modules: a failure means a bug.
+    loc is M localized at S, the minimal-prime complement.  Verifies: the
+    component idempotents are pairwise orthogonal, they sum to the
+    localization idempotent, and the image is their internal direct sum
+    (pairwise trivial intersections, sizes multiplying up).  Any failed check
+    raises, because this split is a proven fact about these modules: a
+    failure means a bug.
     """
     if module.cyclic_generator() is None:
         raise DomainError("product decomposition check needs a cyclic module")
     ring = module.ring
-    loc = localize(module, min_prime_complement(module))
     e = loc.idem
     parts = module.component_idempotents(e)
 

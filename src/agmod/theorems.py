@@ -157,10 +157,9 @@ def _lemma_2_4(a: InstanceAnalysis):
     if not a.ann_nil:
         return NOT_MET, {"reason": "annihilator is not nil"}
     m = a.module
-    zero = m.zero_submodule()
     branches = []
     for n in m.minimal_submodules():
-        if m.product(n, n) == zero:
+        if m.annihilates(n, n):
             branches.append({"submodule": _sub_ref(n), "branch": "square_zero"})
             continue
         e = next(
@@ -472,14 +471,12 @@ def _thm_2_13(a: InstanceAnalysis):
             "clique_before": before,
             "clique_after": after,
         }
-    zero = a.module.zero_submodule()
-    img_zero = loc.image.zero_submodule()
     pairs = [
         (n, image_submodule(loc, n)) for n in a.module.lattice().all if not n.is_zero
     ]
     for (n, n_img), (k, k_img) in itertools.combinations_with_replacement(pairs, 2):
-        pre = a.module.product(n, k) == zero
-        post = loc.image.product(n_img, k_img) == img_zero
+        pre = a.module.annihilates(n, k)
+        post = loc.image.annihilates(n_img, k_img)
         if pre != post:
             return FAIL, {
                 "pair": [_sub_ref(n), _sub_ref(k)],
@@ -542,7 +539,7 @@ def _thm_2_17(a: InstanceAnalysis):
     if not a.module.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
     try:
-        rep = check_product_decomposition(a.module)
+        rep = check_product_decomposition(a.module, a.loc_min)
     except InternalCheckError as exc:
         return FAIL, {"check": str(exc)}
     return PASS, {

@@ -2,6 +2,11 @@ import hypothesis
 import pytest
 
 from agmod import theorems
+from agmod.finmod import Module
+from agmod.finring import Ring
+from agmod.localization import localize, mult_closure
+
+from helpers import NON_CYCLIC
 
 hypothesis.settings.register_profile(
     "agmod", max_examples=40, deadline=None
@@ -28,3 +33,28 @@ def corpus_report(default_corpus):
     """The suite report over the default corpus with every predicate, run once."""
     spec, modules = default_corpus
     return theorems.run_suite(modules, corpus_spec=spec)
+
+
+@pytest.fixture(scope="session")
+def structured_modules(default_corpus):
+    """Every default-corpus module and the non-cyclic shapes."""
+    _, modules = default_corpus
+    return list(modules) + [Module(Ring(r), f) for r, f in NON_CYCLIC]
+
+
+@pytest.fixture(scope="session")
+def oracle_modules(structured_modules):
+    """The structured modules, both parts of each of their nontrivial
+    decompositions and their proper images under localization at one
+    generator, each module once."""
+    found = {}
+    for m in structured_modules:
+        found.setdefault(m.key, m)
+        for _, left, right in m.nontrivial_decompositions():
+            found.setdefault(left.key, left)
+            found.setdefault(right.key, right)
+        for g in m.ring.elements():
+            image = localize(m, mult_closure(m.ring, [g])).image
+            if image is not m:
+                found.setdefault(image.key, image)
+    return list(found.values())

@@ -267,6 +267,29 @@ def verify_localization(module, s, loc):
             raise InternalCheckError(f"{x} does not act invertibly on the image")
 
 
+def brute_AG(module, star=False):
+    """AG(M), or AG(M)* when star, built pair by pair: the vertex list and the
+    adjacency bitmasks, every zero test a full ``Module.product`` compared
+    with (0)."""
+    zero = module.zero_submodule()
+    subs = module.lattice().all
+    if star:
+        ann = module.annihilator()
+        cands = [s for s in subs if not s.is_whole and module.colon(s) != ann]
+        partners = cands
+    else:
+        cands = [s for s in subs if not s.is_zero]
+        partners = [s for s in cands if not s.is_whole]
+    verts = [n for n in cands if any(module.product(n, k) == zero for k in partners)]
+    adj = [0] * len(verts)
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if module.product(verts[i], verts[j]) == zero:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return verts, adj
+
+
 def brute_clique_number(adj, n):
     """Largest pairwise-adjacent subset, over all 2^n vertex subsets."""
     best = 0
@@ -332,6 +355,28 @@ def brute_girth(adj, n):
                 cycle = dist[v] + 1
                 if best is None or cycle < best:
                     best = cycle
+    return best
+
+
+def brute_diameter(adj, n):
+    """Largest distance over all pairs, from one breadth-first search per
+    vertex; None when some pair is not connected."""
+    best = 0
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in range(n):
+                    if adj[u] >> v & 1 and dist[v] < 0:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if min(dist) < 0:
+            return None
+        best = max(best, max(dist))
     return best
 
 

@@ -152,9 +152,10 @@ def test_criterion_6_product_decomposition(corpus_analyses):
             if not a.module.is_cyclic():
                 continue
             cyclic += 1
-            check_product_decomposition(a.module)  # raises on any failed check
+            check_product_decomposition(a.module, a.loc_min)  # raises on any failed check
         assert cyclic > 0
-        rep = check_product_decomposition(zmod(12))
+        z12 = InstanceAnalysis(zmod(12))
+        rep = check_product_decomposition(z12.module, z12.loc_min)
         assert set(rep.component_idempotents) == {(9,), (4,)}
         assert (9 + 4) % 12 == 1
         assert rep.idem == (1,)

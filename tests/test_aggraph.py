@@ -7,8 +7,10 @@ from agmod.finring import Ring
 
 from helpers import product_module, zmod
 from oracles import (
+    brute_AG,
     brute_chromatic_number,
     brute_clique_number,
+    brute_diameter,
     brute_girth,
 )
 
@@ -168,6 +170,80 @@ def test_girth_matches_edge_removal_oracle():
         verts = tuple(None for _ in range(n))
         g = aggraph.AnnGraph(None, "AG", verts, tuple(adj))
         assert aggraph._girth(g) == brute_girth(adj, n)
+
+
+def test_graphs_match_pairwise_oracle(oracle_modules):
+    # every corpus module, non-cyclic shape, decomposition part and
+    # localization image: same vertices in the same order, same adjacency
+    for m in oracle_modules:
+        for star, build in ((False, build_AG), (True, build_AG_star)):
+            verts, adj = brute_AG(m, star)
+            g = build(m)
+            assert [v.encoding for v in g.vertices] == [v.encoding for v in verts], (m, star)
+            assert list(g.adj) == adj, (m, star)
+
+
+def _graph(adj):
+    return aggraph.AnnGraph(None, "AG", tuple(None for _ in adj), tuple(adj))
+
+
+def _assert_traversals_match(adj):
+    n = len(adj)
+    g = _graph(adj)
+    diameter = brute_diameter(adj, n)
+    assert aggraph._girth(g) == brute_girth(adj, n), adj
+    assert aggraph._is_connected(g) == (diameter is not None), adj
+    assert aggraph._diameter(g) == diameter, adj
+
+
+def test_traversals_match_oracles_on_random_graphs():
+    rng = random.Random(4040)
+    for _ in range(150):
+        n = rng.randint(0, 40)
+        _assert_traversals_match(_random_graph(rng, n, rng.choice([0.04, 0.08, 0.15, 0.4])))
+
+
+def _blow_up(rng, k):
+    """A random graph on k classes, some of them cliques, each class blown up
+    to 1-5 twins of one another and the vertices shuffled."""
+    linked = {(a, b) for a in range(k) for b in range(a, k) if rng.random() < 0.4}
+    cls = [a for a in range(k) for _ in range(rng.randint(1, 5))]
+    rng.shuffle(cls)
+    adj = [0] * len(cls)
+    for u, a in enumerate(cls):
+        for v, b in enumerate(cls):
+            if u != v and (min(a, b), max(a, b)) in linked:
+                adj[u] |= 1 << v
+    return adj
+
+
+def test_traversals_match_oracles_on_twin_blow_ups():
+    rng = random.Random(515)
+    for _ in range(150):
+        _assert_traversals_match(_blow_up(rng, rng.randint(1, 6)))
+
+
+def test_traversals_on_cycles():
+    for n in range(3, 31):
+        adj = [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)]
+        _assert_traversals_match(adj)
+        g = _graph(adj)
+        assert aggraph._girth(g) == n and aggraph._diameter(g) == n // 2
+
+
+def test_solvers_have_no_recursion_limit():
+    n = 1200
+    full = (1 << n) - 1
+    complete = [full & ~(1 << v) for v in range(n)]
+    assert aggraph.max_clique(complete, n) == (n, full)
+    # crown graph listed a1, b1, a2, b2, ...: a_i ~ b_j iff i != j; greedy
+    # needs n/2 colours, the search finds 2 at depth n
+    evens = sum(1 << v for v in range(0, n, 2))
+    crown = [
+        (full ^ evens if v % 2 == 0 else evens) & ~(1 << (v ^ 1)) for v in range(n)
+    ]
+    assert aggraph.greedy_coloring(crown, n) == n // 2
+    assert aggraph.chromatic_number(crown, n) == 2
 
 
 def test_chromatic_at_least_clique_on_corpus(corpus_analyses):

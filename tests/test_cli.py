@@ -248,3 +248,20 @@ def test_analyze_cost_does_not_grow_with_the_ring(tmp_path):
     assert proc.returncode == 0, proc.stderr
     witness = json.loads(proc.stdout)["clique_witness"]
     assert witness["size"] == 2 and len(witness["submodules"]) == 2
+
+
+def test_analyze_dense_module_is_fast(tmp_path):
+    # F_2^5 over F_2: 374 submodules and a 373-vertex AG with two colon
+    # classes; the graph and its girth and diameter are built per class
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ring": [2], "module": [{"d": 2, "c": 0}] * 5}))
+    env = dict(os.environ)
+    src = str(Path(agmod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ag = json.loads(proc.stdout)["graphs"]["AG"]
+    assert ag["invariants"]["girth"] == 3 and ag["invariants"]["diameter"] == 1

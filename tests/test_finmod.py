@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
 from agmod.finmod import Module
 from agmod.finring import Ring, divisors
-from agmod.localization import localize, min_prime_complement, mult_closure
+from agmod.localization import min_prime_complement
 from agmod.theorems import InstanceAnalysis
 
 from helpers import NON_CYCLIC, encset, product_module, sub_by_label, zmod
@@ -25,30 +25,6 @@ from oracles import (
     submodule_closure,
     verify_action,
 )
-
-@pytest.fixture(scope="module")
-def structured_modules(default_corpus):
-    """Every default-corpus module and the non-cyclic shapes."""
-    _, modules = default_corpus
-    return list(modules) + [Module(Ring(r), f) for r, f in NON_CYCLIC]
-
-
-@pytest.fixture(scope="module")
-def oracle_modules(structured_modules):
-    """The structured modules, both parts of each of their nontrivial
-    decompositions and their proper images under localization at one
-    generator, each module once."""
-    found = {}
-    for m in structured_modules:
-        found.setdefault(m.key, m)
-        for _, left, right in m.nontrivial_decompositions():
-            found.setdefault(left.key, left)
-            found.setdefault(right.key, right)
-        for g in m.ring.elements():
-            image = localize(m, mult_closure(m.ring, [g])).image
-            if image is not m:
-                found.setdefault(image.key, image)
-    return list(found.values())
 
 
 def test_module_validation_lists_every_offender():
@@ -309,6 +285,7 @@ def test_closed_forms_match_scan_oracles(oracle_modules):
             if ideal not in acted:
                 acted[ideal] = ideal_act(m, ideal)
             assert m.product(a, b).elements == acted[ideal], (m, a, b)
+            assert m.annihilates(a, b) == m.product(a, b).is_zero, (m, a, b)
 
 
 def test_min_primes_are_maximal_ideals_times_module(oracle_modules):

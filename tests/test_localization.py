@@ -170,8 +170,12 @@ def test_zero_divisor_complement_preserves_invariants_when_semiprime():
         assert inv.chromatic_number == base.chromatic_number
 
 
+def _decompose(m):
+    return check_product_decomposition(m, localize(m, min_prime_complement(m)))
+
+
 def test_product_decomposition_z12():
-    rep = check_product_decomposition(zmod(12))
+    rep = _decompose(zmod(12))
     assert set(rep.component_idempotents) == {(4,), (9,)}
     assert rep.idem == (1,)
     assert sorted(rep.sizes()) == [3, 4]
@@ -180,15 +184,15 @@ def test_product_decomposition_z12():
 
 
 def test_product_decomposition_z30_and_single_prime():
-    assert sorted(check_product_decomposition(zmod(30)).sizes()) == [2, 3, 5]
-    rep = check_product_decomposition(zmod(8))
+    assert sorted(_decompose(zmod(30)).sizes()) == [2, 3, 5]
+    rep = _decompose(zmod(8))
     assert len(rep.components) == 1
     assert rep.component_idempotents[0] == rep.idem
 
 
 def test_product_decomposition_every_small_cyclic():
     for n in range(2, 40):
-        rep = check_product_decomposition(zmod(n))
+        rep = _decompose(zmod(n))
         sizes = rep.sizes()
         prod = 1
         for x in sizes:
@@ -198,7 +202,7 @@ def test_product_decomposition_every_small_cyclic():
 
 def test_product_decomposition_needs_cyclic():
     with pytest.raises(DomainError):
-        check_product_decomposition(Module(Ring([2]), [(2, 0), (2, 0)]))
+        _decompose(Module(Ring([2]), [(2, 0), (2, 0)]))
 
 
 def test_localized_image_is_first_class():
