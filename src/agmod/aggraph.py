@@ -187,12 +187,12 @@ def invariants(g: AnnGraph) -> InvariantReport:
         )
     degrees = sorted(g.degree(i) for i in range(n))
     edge_count = sum(degrees) // 2
-    connected = _is_connected(g)
     girth = _girth(g)
-    diameter = _diameter(g) if connected and n >= 2 else None
-    bipartite = _is_bipartite(g)
+    diameter = _diameter(g) if n >= 2 else None
+    connected = n == 1 or diameter is not None
     clique, _ = max_clique(g.adj, n)
     chromatic = chromatic_number(g.adj, n, lower=clique)
+    bipartite = chromatic <= 2
 
     shape = set()
     if connected and edge_count == n - 1:
@@ -238,14 +238,8 @@ def _eccentricity(adj, src: int, full: int) -> int | None:
         depth += 1
 
 
-def _is_connected(g: AnnGraph) -> bool:
-    if g.n <= 1:
-        return True
-    return _eccentricity(g.adj, 0, (1 << g.n) - 1) is not None
-
-
 def _diameter(g: AnnGraph) -> int | None:
-    """Largest eccentricity, one search per twin class.
+    """Largest eccentricity, one search per twin class; None if disconnected.
 
     Vertices with the same open or the same closed neighbourhood are at the
     same distance from every other vertex, so they share an eccentricity; a
@@ -310,26 +304,6 @@ def _girth(g: AnnGraph) -> int | None:
             frontier = reach
             depth += 1
     return best
-
-
-def _is_bipartite(g: AnnGraph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if color[v] < 0:
-                        color[v] = 1 - color[u]
-                        nxt.append(v)
-                    elif color[v] == color[u]:
-                        return False
-            frontier = nxt
-    return True
 
 
 # -- exact solvers ----------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Finite modules over product-of-Z_n rings: lattices, colons, products, primes.
 
 A module is an ordered list of cyclic factors Z_d, each tagged with a ring
-component; scalars act componentwise through their tags.  A localized image
-e*M is the same machinery restricted to a scaled-down carrier, with the
-idempotent e acting as the identity.  Because the idempotent subring e*R acts
-on e*M exactly as the ambient ring does (r and e*r agree on the carrier), all
-lattice, colon and product computations run unchanged on images; ideal-valued
-results are reported as their full preimages in the ambient ring.
+component; scalars act componentwise through their tags.  An idempotent image
+e*M is again such a module: e keeps a part k_c of each n_c, a factor Z_d on
+component c becomes Z_gcd(d, k_c), and e*x -> x mod gcd(d, k_c) is the
+isomorphism (``Module.scaled``).  Localized modules and the parts of a split
+are therefore ordinary modules over the same ring.
 
 The submodule lattice comes from structure: M is the direct sum of its
 primary parts, one per ring component c and prime p dividing n_c, so Sub(M)
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
 from .finring import Ideal, Ring, divisors, prime_factors, squarefree_kernel
@@ -61,9 +61,9 @@ def _once(method):
 
 
 class Module:
-    """A finite module over a Ring, either structured or an embedded image e*M."""
+    """A finite module over a Ring: a direct sum of cyclic factors Z_d."""
 
-    def __init__(self, ring: Ring, factors, _carrier=None, _unit=None):
+    def __init__(self, ring: Ring, factors):
         self.ring = ring
         self.factors = tuple((int(d), int(c)) for d, c in factors)
         bad = []
@@ -76,14 +76,9 @@ class Module:
             raise StructuralError(f"invalid module factors: {bad}", bad)
 
         self.zero = (0,) * len(self.factors)
-        self.unit = ring.one if _unit is None else _unit
-        if _carrier is None:
-            elems = list(itertools.product(*(range(d) for d, _ in self.factors)))
-        else:
-            elems = sorted(_carrier)
-        self.elements = tuple(sorted(elems))
-        self.element_set = frozenset(elems)
-        self.size = len(elems)
+        self.elements = tuple(itertools.product(*(range(d) for d, _ in self.factors)))
+        self.element_set = frozenset(self.elements)
+        self.size = len(self.elements)
 
         self._facts: dict = {}
         self._colon_cache: dict = {}
@@ -94,17 +89,11 @@ class Module:
 
     @property
     def key(self):
-        """Value identity: ring, shape and acting unit pin the carrier."""
-        return (self.ring.moduli, self.factors, self.unit)
-
-    @property
-    def is_embedded(self) -> bool:
-        return self.unit != self.ring.one
+        """Value identity: the ring and the factors pin the module."""
+        return (self.ring.moduli, self.factors)
 
     def __repr__(self):
         shape = "x".join(f"Z{d}@{c}" for d, c in self.factors)
-        if self.is_embedded:
-            return f"{self.unit}*[{shape} over {self.ring!r}]"
         return f"[{shape} over {self.ring!r}]"
 
     # -- carrier arithmetic ----------------------------------------------------
@@ -126,15 +115,12 @@ class Module:
         )
 
     def gens(self) -> list:
-        """A canonical generating set: unit-scaled coordinate vectors."""
-        out, seen = [], set()
-        for t, (d, _) in enumerate(self.factors):
-            v = tuple(1 if s == t and d > 1 else 0 for s, (d2, _) in enumerate(self.factors))
-            g = self.smul(self.unit, v)
-            if g != self.zero and g not in seen:
-                seen.add(g)
-                out.append(g)
-        return out
+        """A canonical generating set: the nonzero coordinate vectors."""
+        return [
+            tuple(int(s == t) for s in range(len(self.factors)))
+            for t, (d, _) in enumerate(self.factors)
+            if d > 1
+        ]
 
     # -- spans and submodules --------------------------------------------------
 
@@ -332,13 +318,16 @@ class Module:
         return [s for s in self.lattice().all if self.is_prime_submodule(s)]
 
     def min_primes(self) -> list["Submodule"]:
-        """Inclusion-minimal prime submodules."""
-        ps = self.primes()
-        return [
-            p
-            for p in ps
-            if not any(q is not p and q.elements < p.elements for q in ps)
-        ]
+        """Inclusion-minimal prime submodules: the first prime of each colon.
+
+        A prime inside another has the same maximal colon m, and the primes
+        with colon m are the proper submodules containing mM, so the least
+        of them, first in lattice order, is the one minimal prime below them.
+        """
+        first = {}
+        for p in self.primes():
+            first.setdefault(self.colon(p).divisors, p)
+        return list(first.values())
 
     def radical(self, sub: "Submodule") -> "Submodule":
         """Intersection of the primes containing N; M itself if there are none."""
@@ -383,14 +372,12 @@ class Module:
     # -- structure ------------------------------------------------------------------
 
     def minimal_submodules(self) -> list["Submodule"]:
-        """Atoms of the lattice."""
-        lat = self.lattice()
-        nz = [s for s in lat.all if not s.is_zero]
-        return [
-            s
-            for s in nz
-            if not any(t is not s and not t.is_zero and t.elements < s.elements for t in nz)
-        ]
+        """Atoms of the lattice: the submodules of prime order.
+
+        A simple module here is R/m for a maximal ideal m, a field of prime
+        order, and a group of prime order has no other nonzero subgroup.
+        """
+        return [s for s in self.lattice().all if prime_factors(s.size) == [s.size]]
 
     @_once
     def cyclic_generator(self):
@@ -417,20 +404,22 @@ class Module:
     # -- idempotent decompositions ------------------------------------------------
 
     def scaled(self, e) -> "Module":
-        """The image e*M as a module with acting identity e (times our unit).
+        """The image e*M of an idempotent e, as the module on the parts e keeps.
 
-        When e acts as the identity on the carrier the image is M itself, and
-        M is returned, so its lattice and every other computed fact carry over.
+        On component c, e_c is 1 modulo the part k_c = n_c / gcd(e_c, n_c)
+        of n_c and 0 modulo the rest, so a factor Z_d becomes Z_d' with
+        d' = gcd(d, k_c), and e*x -> x mod d' is an isomorphism onto it.
+        When no factor changes, e acts as the identity and M itself is
+        returned, so its lattice and every other computed fact carry over.
         """
-        eff = self.ring.mul(e, self.unit)
-        if all(self.smul(eff, m) == m for m in self.elements):
+        moduli = self.ring.moduli
+        factors = tuple(
+            (math.gcd(d, moduli[c] // math.gcd(e[c], moduli[c])), c)
+            for d, c in self.factors
+        )
+        if factors == self.factors:
             return self
-        carrier = {self.smul(eff, m) for m in self.elements}
-        img = Module(self.ring, self.factors, _carrier=carrier, _unit=eff)
-        for m in img.elements:
-            if img.smul(eff, m) != m:
-                raise InternalCheckError(f"{eff} is not an identity on its image")
-        return img
+        return Module(self.ring, factors)
 
     def nontrivial_decompositions(self):
         """(e, eM, (1-e)M) with both parts nonzero, one per unordered pair."""

@@ -5,8 +5,9 @@ one per component c and prime q | n_c.  An element s acts invertibly on a
 part iff q does not divide s_c, and nilpotently otherwise, so S^-1 M is the
 sum of the parts whose maximal ideal m_{c,q} = {r : q | r_c} S avoids.  That
 sum is e*M for the idempotent e projecting onto those parts
-(``Ring.part_idempotent``), which keeps the localized module a first-class
-finite module (an embedded image) instead of a quotient of formal fractions.
+(``Ring.part_idempotent``).  That image is again a sum of cyclic factors, one
+Z_d' per factor Z_d of M (``Module.scaled``), so the localized module is an
+ordinary finite module instead of a quotient of formal fractions.
 The defining properties of the fraction module (every s acts invertibly on
 e*M, and the kernel of m -> e*m is the S-torsion) are checked by exhaustive
 scans in tests/oracles.py.
@@ -86,7 +87,7 @@ def localize(module: Module, s: MultSet) -> LocalizedModule:
     e = localization_idempotent(s)
     image = module.scaled(e)
     kernel = module.submodule_from_set(
-        {m for m in module.elements if module.smul(image.unit, m) == module.zero}
+        {m for m in module.elements if module.smul(e, m) == module.zero}
     )
     if image.size * kernel.size != module.size:
         raise InternalCheckError("localization image and kernel sizes do not multiply out")
@@ -107,7 +108,7 @@ def min_prime_complement(module: Module) -> MultSet:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Outcome of the internal direct-sum split of a localized cyclic module."""
+    """The direct-sum split of a localized cyclic module into the sets e_i*M."""
 
     idem: tuple
     component_idempotents: tuple
@@ -115,7 +116,7 @@ class DecompositionReport:
     localized: LocalizedModule
 
     def sizes(self) -> list[int]:
-        return [c.size for c in self.components]
+        return [len(c) for c in self.components]
 
 
 def check_product_decomposition(module: Module, loc: LocalizedModule) -> DecompositionReport:
@@ -146,15 +147,17 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
     if total != e:
         raise InternalCheckError("component idempotents do not sum to the localization idempotent")
 
-    components = tuple(module.scaled(e_i) for e_i in parts)
+    components = tuple(
+        frozenset(module.smul(e_i, m) for m in module.elements) for e_i in parts
+    )
     size_prod = 1
     for c in components:
-        size_prod *= c.size
+        size_prod *= len(c)
     if size_prod != loc.image.size:
         raise InternalCheckError("component sizes do not multiply to the image size")
     for i in range(len(components)):
         for j in range(i + 1, len(components)):
-            if components[i].element_set & components[j].element_set != {module.zero}:
+            if components[i] & components[j] != {module.zero}:
                 raise InternalCheckError(
                     f"components {i} and {j} overlap beyond zero"
                 )
@@ -167,8 +170,9 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
 
 
 def image_submodule(loc: LocalizedModule, sub: Submodule) -> Submodule:
-    """The image N_S = e*N of a submodule of the original module."""
-    module = sub.module
+    """The image N_S = e*N of a submodule of the original module, with e*x
+    read as x reduced modulo each factor of the image (``Module.scaled``)."""
     image = loc.image
-    scaled = {module.smul(image.unit, x) for x in sub.elements}
-    return image.submodule_from_set(scaled)
+    return image.submodule_from_set(
+        {tuple(a % d for a, (d, _) in zip(x, image.factors)) for x in sub.elements}
+    )

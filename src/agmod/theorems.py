@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -229,17 +230,20 @@ def _lemma_2_6(a: InstanceAnalysis):
 
 
 def _p4_fxs_structure(a: InstanceAnalysis):
-    """Check AG is the four-vertex path (0)xS - Fx(0) - (0)xN - FxN."""
+    """Check AG is the four-vertex path (0)xS - Fx(0) - (0)xN - FxN, with
+    F = eM, S = (1-e)M and N the one nonzero submodule of M strictly in S."""
     m = a.module
-    _, f_part, s_part = a.fxs
-    s_lat = s_part.lattice()
-    if len(s_lat.all) != 3:
+    e = a.fxs[0]
+    comp = m.ring.sub(m.ring.one, e)
+    f_set = frozenset(m.smul(e, x) for x in m.elements)
+    s_set = frozenset(m.smul(comp, x) for x in m.elements)
+    inside = [
+        n.elements for n in m.lattice().all if not n.is_zero and n.elements < s_set
+    ]
+    if len(inside) != 1:
         return False, {"reason": "second part lacks a unique nontrivial submodule"}
-    n_mid = s_lat.all[1]
-    f_set = frozenset(f_part.element_set)
-    s_set = frozenset(s_part.element_set)
-    n_set = frozenset(n_mid.elements)
-    fn_set = m.span(list(f_part.gens()) + list(n_mid.gens))
+    n_set = inside[0]
+    fn_set = frozenset(m.add(f, n) for f in f_set for n in n_set)
     expected = [s_set, f_set, n_set, fn_set]
     if len(set(expected)) != 4:
         return False, {"reason": "expected vertices are not distinct"}
@@ -371,6 +375,11 @@ def _thm_2_10(a: InstanceAnalysis):
         for x in m.elements:
             fact[m.smul(r, x)].append((r, x))
     lattice = m.lattice()
+    # every x = u * (u^-1 x) for a unit u, so a saturated S contains all units
+    units = {
+        r for r in ring.elements()
+        if all(math.gcd(a, n) == 1 for a, n in zip(r, ring.moduli))
+    }
     pairs = 0
     seen_s = set()
     for z in ring.elements():
@@ -378,6 +387,8 @@ def _thm_2_10(a: InstanceAnalysis):
         if s_clo in seen_s:
             continue
         seen_s.add(s_clo)
+        if not units <= s_clo:
+            continue
         seen_orbits = set()
         for seed_elem in m.elements:
             orbit = frozenset(m.smul(s, seed_elem) for s in s_clo)

@@ -123,6 +123,22 @@ def brute_is_prime_submodule(module, p):
     )
 
 
+def brute_min_primes(module):
+    """Inclusion-minimal primes, by comparing every pair of primes."""
+    ps = module.primes()
+    return [
+        p for p in ps if not any(q is not p and q.elements < p.elements for q in ps)
+    ]
+
+
+def brute_minimal_submodules(module):
+    """Atoms of the lattice, by comparing every pair of nonzero submodules."""
+    nz = [s for s in module.lattice().all if not s.is_zero]
+    return [
+        s for s in nz if not any(t is not s and t.elements < s.elements for t in nz)
+    ]
+
+
 def brute_zero_divisors(module):
     """Z(M): the scalars killing some nonzero element, over every (r, m)."""
     return frozenset(

@@ -15,6 +15,8 @@ from oracles import (
     brute_colon,
     brute_is_prime_submodule,
     brute_is_semiprime,
+    brute_min_primes,
+    brute_minimal_submodules,
     brute_subgroup_closure,
     brute_submodule_product,
     brute_zero_divisors,
@@ -300,6 +302,36 @@ def test_min_primes_are_maximal_ideals_times_module(oracle_modules):
         assert len(expected) == sum(omega(d) for d in m.annihilator().divisors), m
 
 
+def test_min_primes_and_atoms_match_inclusion_scans(oracle_modules):
+    for m in oracle_modules:
+        assert m.min_primes() == brute_min_primes(m), m
+        assert m.minimal_submodules() == brute_minimal_submodules(m), m
+
+
+def test_scaled_is_isomorphic_to_the_image(oracle_modules):
+    # x -> x mod d' maps {e*x} bijectively onto scaled(e) and commutes with
+    # the module operations
+    pairs = 0
+    for m in oracle_modules:
+        for e in m.ring.idempotents():
+            img = m.scaled(e)
+
+            def reduce(x):
+                return tuple(a % d for a, (d, _) in zip(x, img.factors))
+
+            carrier = {m.smul(e, x) for x in m.elements}
+            assert {reduce(x) for x in carrier} == img.element_set, (m, e)
+            assert len(carrier) == img.size, (m, e)
+            for x in carrier:
+                assert m.smul(e, x) == x, (m, e)
+                for y in carrier:
+                    assert reduce(m.add(x, y)) == img.add(reduce(x), reduce(y))
+                for r in m.ring.elements():
+                    assert reduce(m.smul(r, x)) == img.smul(r, reduce(x))
+            pairs += 1
+    assert pairs == 2164
+
+
 def test_action_laws_hold(structured_modules):
     for m in structured_modules:
         verify_action(m)
@@ -426,7 +458,8 @@ def test_product_ring_lattice_is_componentwise():
 def test_detect_fxs():
     m = zmod(12)
     e, f_part, s_part = InstanceAnalysis(m).fxs
-    assert f_part.element_set == {m.smul(e, x) for x in m.elements}
+    assert e == (4,)
+    assert f_part.factors == ((3, 0),) and s_part.factors == ((4, 0),)
     assert "simple" in f_part.classify()
     assert "unique_nontrivial_submodule" in s_part.classify()
     assert f_part.size * s_part.size == m.size

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import weakref
 
@@ -7,6 +8,7 @@ import pytest
 from agmod import finmod, theorems
 from agmod.finmod import Module
 from agmod.finring import Ring
+from agmod.localization import mult_closure
 from agmod.theorems import (
     FAIL,
     NOT_MET,
@@ -87,6 +89,29 @@ def test_thm_2_10_saturated_sets():
     big = zmod(72)  # above the predicate's scale cap
     r = run("thm_2_10", big)
     assert r.status == SKIPPED and r.witness["cap"] == 64
+
+
+def test_saturation_fails_for_sets_missing_a_unit():
+    # x = u * (u^-1 x) for every unit u, so no orbit of an S that misses a
+    # unit saturates, and thm_2_10 may skip such S
+    checked = 0
+    for n in (4, 6, 8, 9, 12, 15):
+        m = zmod(n)
+        ring = m.ring
+        units = {r for r in ring.elements() if math.gcd(r[0], n) == 1}
+        fact = {x: [] for x in m.elements}
+        for r in ring.elements():
+            for x in m.elements:
+                fact[m.smul(r, x)].append((r, x))
+        for z in ring.elements():
+            s_clo = mult_closure(ring, [z]).closure
+            if units <= s_clo:
+                continue
+            for x in m.elements:
+                orbit = {m.smul(s, x) for s in s_clo}
+                assert theorems._saturate(m, s_clo, orbit, fact) is None, (n, z, x)
+                checked += 1
+    assert checked > 100
 
 
 def test_thm_2_11_and_2_12():
