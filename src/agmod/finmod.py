@@ -9,8 +9,11 @@ are therefore ordinary modules over the same ring.
 
 The submodule lattice comes from structure: M is the direct sum of its
 primary parts, one per ring component c and prime p dividing n_c, so Sub(M)
-is the product of the parts' subgroup lattices (Birkhoff 1935).  Only the
-parts are enumerated by closure; their subgroups are then added up.
+is the product of the parts' subgroup lattices (Birkhoff 1935).  A part is a
+finite abelian p-group Z_{p^a_1} + ... + Z_{p^a_r}, and each of its subgroups
+has one lower-triangular Hermite normal form (reduced row echelon form when
+every a_i = 1), so each is listed exactly once; the parts' subgroups are then
+added up.
 
 The colon ideal (N : M) is the one computed primitive; the other module facts
 are read off colon ideals.  Every prime ideal of a finite ring is maximal, so
@@ -174,12 +177,12 @@ class Module:
 
         M is the direct sum of its primary parts (see ``_primary_parts``), so
         every submodule is the sum of one subgroup of each part, and each such
-        sum is a different submodule.  Each part's subgroups come from a
-        closure over that part alone; the sums are then built one part at a
-        time, each element set once.  The caps apply to the first, computing
-        call.  A part's closure may find at most ``cap`` divided by the counts
-        of the parts before it, which is exactly the condition that the whole
-        lattice has at most ``cap`` submodules.
+        sum is a different submodule.  Each part's subgroups are listed once
+        each by Hermite normal form (``_subgroups``); the sums are then built
+        one part at a time, each element set once.  The caps apply to the
+        first, computing call.  A part may have at most ``cap`` divided by the
+        counts of the parts before it, which is exactly the condition that the
+        whole lattice has at most ``cap`` submodules.
         """
         check_element_cap(self.size)
         cap = LATTICE_CAP if cap is None else cap
@@ -198,49 +201,78 @@ class Module:
             ]
         return Lattice(self, sums)
 
-    def _primary_parts(self) -> list[list]:
-        """The nonzero parts e*M, one per ring component c and prime p | n_c,
-        with e the idempotent of the (c, p)-primary part of the ring."""
-        ring = self.ring
+    def _primary_parts(self) -> list[tuple]:
+        """The nonzero primary parts, one per ring component c and prime p | n_c.
+
+        The (c, p)-part is the sum of the p-parts of the factors Z_d on
+        component c with p | d.  Each such factor gives one part coordinate
+        (i, p^a, d / p^a): its index, the order p^a of its p-part, and the
+        step that carries Z_{p^a} onto that p-part of Z_d.  A part is the pair
+        (p, coordinates).
+        """
         parts = []
-        for c, n in enumerate(ring.moduli):
+        for c, n in enumerate(self.ring.moduli):
             for p in prime_factors(n):
-                e = ring.part_idempotent({(c, p)})
-                part = sorted({self.smul(e, m) for m in self.elements})
-                if len(part) > 1:
-                    parts.append(part)
+                coords = []
+                for i, (d, dc) in enumerate(self.factors):
+                    if dc == c and d % p == 0:
+                        q = p
+                        while d % (q * p) == 0:
+                            q *= p
+                        coords.append((i, q, d // q))
+                if coords:
+                    parts.append((p, coords))
         return parts
 
     def _subgroups(self, part, limit: int, cap: int) -> list[frozenset]:
-        """Every submodule inside one primary part, by breadth-first closure.
+        """Every subgroup of one primary part, each once, by Hermite normal form.
 
-        Each known submodule is extended by each cyclic submodule R*x of the
-        part not inside it (adding the whole coset family S + R*x, which is
-        already closed) and deduplicated until fixpoint.  Each distinct R*x is
-        tried once, with its first generator x.  Finding more than ``limit``
-        means M has more than ``cap`` submodules.
+        In part coordinates the part is Z^r / K with K the sum of the
+        p^{a_i} Z, so its subgroups are the lattices L with K <= L <= Z^r.
+        Each such L has one lower-triangular Hermite basis: row i is
+        (x_1..x_{i-1}, h_i, 0..0) with h_i = p^{b_i}, b_i <= a_i and
+        0 <= x_j < h_j.  The rows span a lattice containing K iff, for every
+        i, p^{a_i} / h_i * (x_1..x_{i-1}) lies in the span of the rows before
+        row i.  The forms are grown one row at a time; every form on the
+        first i coordinates extends to at least one full form (the next row
+        p^{a_i} e_i always qualifies), so a level holding more than ``limit``
+        forms means the part has more than ``limit`` subgroups and M more
+        than ``cap`` submodules.  This is found before any element set is
+        built.
         """
-        orbits = {}
-        for x in part:
-            orbits.setdefault(self.cyclic_span(x), x)
-        zero_fs = frozenset({self.zero})
-        seen = {zero_fs}
-        order = [zero_fs]
-        for current in order:
-            for orbit, x in orbits.items():
-                if x in current:
-                    continue
-                bigger = frozenset(
-                    self.add(s, m) for s in current for m in orbit
-                )
-                if bigger not in seen:
-                    if len(seen) >= limit:
-                        raise ResourceLimitError(
-                            f"more than {cap} submodules (lattice cap)", cap
-                        )
-                    seen.add(bigger)
-                    order.append(bigger)
-        return order
+        p, coords = part
+        orders = [q for _, q, _ in coords]
+        forms = [()]
+        for order in orders:
+            grown = []
+            for rows in forms:
+                heads = [row[-1] for row in rows]
+                for x in itertools.product(*(range(h) for h in heads)):
+                    h = 1
+                    while order % h == 0:
+                        if _in_span([order // h * v for v in x], rows, heads):
+                            if len(grown) >= limit:
+                                raise ResourceLimitError(
+                                    f"more than {cap} submodules (lattice cap)", cap
+                                )
+                            grown.append(rows + (x + (h,),))
+                        h *= p
+            forms = grown
+        # L / K holds each sum of c_i * row_i with 0 <= c_i < p^{a_i} / h_i once
+        subgroups = []
+        for rows in forms:
+            elems = [self.zero]
+            for row, order in zip(rows, orders):
+                vec = [0] * len(self.factors)
+                for (idx, q, step), v in zip(coords, row):
+                    vec[idx] = v % q * step  # a diagonal p^{a_i} is 0 here
+                vec = tuple(vec)
+                multiples = [self.zero]
+                for _ in range(order // row[-1] - 1):
+                    multiples.append(self.add(multiples[-1], vec))
+                elems = [self.add(s, m) for s in elems for m in multiples]
+            subgroups.append(frozenset(elems))
+        return subgroups
 
     # -- colon ideals and products ----------------------------------------------
 
@@ -519,6 +551,20 @@ class Module:
             ],
         }
         return witnesses, report
+
+
+def _in_span(y, rows, heads) -> bool:
+    """Whether the integer vector y lies in the span of lower-triangular rows
+    with diagonal entries heads, by triangular division from the last row."""
+    y = list(y)
+    for j in range(len(rows) - 1, -1, -1):
+        q, r = divmod(y[j], heads[j])
+        if r:
+            return False
+        if q:
+            for k in range(j):
+                y[k] -= q * rows[j][k]
+    return True
 
 
 class Submodule:

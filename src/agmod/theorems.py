@@ -370,25 +370,30 @@ def _thm_2_10(a: InstanceAnalysis):
             "reason": f"predicate scale cap: |M| <= {_THM_2_10_CAP} and |R| <= {_THM_2_10_CAP}",
             "cap": _THM_2_10_CAP,
         }
-    fact = {x: [] for x in m.elements}
-    for r in ring.elements():
-        for x in m.elements:
-            fact[m.smul(r, x)].append((r, x))
     lattice = m.lattice()
-    # every x = u * (u^-1 x) for a unit u, so a saturated S contains all units
+    # every x = u * (u^-1 x) for a unit u, so a saturated S contains all units;
+    # the powers of a non-unit hold no unit but 1
     units = {
         r for r in ring.elements()
         if all(math.gcd(a, n) == 1 for a, n in zip(r, ring.moduli))
     }
+    fact = None
     pairs = 0
     seen_s = set()
     for z in ring.elements():
+        if len(units) > 1 and z not in units:
+            continue
         s_clo = mult_closure(ring, [z]).closure
         if s_clo in seen_s:
             continue
         seen_s.add(s_clo)
         if not units <= s_clo:
             continue
+        if fact is None:
+            fact = {x: [] for x in m.elements}
+            for r in ring.elements():
+                for x in m.elements:
+                    fact[m.smul(r, x)].append((r, x))
         seen_orbits = set()
         for seed_elem in m.elements:
             orbit = frozenset(m.smul(s, seed_elem) for s in s_clo)

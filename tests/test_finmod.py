@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from oracles import (
     ideal_radical,
     is_prime_ideal,
     omega,
+    subgroup_count,
     submodule_closure,
     verify_action,
 )
@@ -102,6 +104,70 @@ def test_lattice_matches_closure_oracle_on_corpus(default_corpus):
 @pytest.mark.parametrize("moduli, factors", NON_CYCLIC)
 def test_lattice_matches_closure_oracle_non_cyclic(moduli, factors):
     _assert_lattice_matches_closure(Module(Ring(moduli), factors))
+
+
+# One-part modules with several factors and mixed exponents:
+# Z_8+Z_4+Z_2 over Z_8, Z_4^3 over Z_4, Z_9+Z_3 over Z_9, F_2^4 and F_3^3.
+MIXED_EXPONENT_PARTS = [
+    ([8], [(8, 0), (4, 0), (2, 0)]),
+    ([4], [(4, 0)] * 3),
+    ([9], [(9, 0), (3, 0)]),
+    ([2], [(2, 0)] * 4),
+    ([3], [(3, 0)] * 3),
+]
+
+
+@pytest.mark.parametrize("moduli, factors", MIXED_EXPONENT_PARTS)
+def test_lattice_matches_closure_oracle_mixed_exponents(moduli, factors):
+    _assert_lattice_matches_closure(Module(Ring(moduli), factors))
+
+
+def _p_group(p, lam):
+    """The abelian p-group of type lam, as a module over Z_{p^max(lam)}."""
+    return Module(Ring([p ** max(lam)]), [(p**a, 0) for a in lam])
+
+
+@pytest.mark.parametrize(
+    "p, lam, count",
+    [
+        (2, (1,) * 6, 2825),
+        (3, (1,) * 4, 212),
+        (3, (1,) * 5, 2664),
+        (2, (2, 2, 2), 129),
+        (2, (2,) * 4, 1983),
+        (2, (3, 2, 1), 81),
+        (2, (3, 3, 3), 802),
+        (3, (2, 1), 10),
+        (5, (1, 1, 1), 64),
+    ],
+)
+def test_lattice_size_matches_subgroup_count(p, lam, count):
+    assert subgroup_count(p, lam) == count
+    assert len(_p_group(p, lam).lattice()) == count
+
+
+def test_lattice_size_is_product_of_part_counts():
+    m = Module(Ring([4, 6]), [(4, 0), (2, 0), (6, 1), (3, 1)])
+    # primary parts: Z_4+Z_2 on Z_4, then Z_2 and Z_3+Z_3 on Z_6
+    parts = [(2, (2, 1)), (2, (1,)), (3, (1, 1))]
+    counts = [subgroup_count(p, lam) for p, lam in parts]
+    assert counts == [8, 2, 6]
+    assert len(m.lattice()) == math.prod(counts)
+
+
+def test_lattice_cap_on_one_part_module():
+    # F_2^4 has 67 subspaces
+    assert len(_p_group(2, (1,) * 4).lattice(cap=67)) == 67
+    with pytest.raises(ResourceLimitError) as err:
+        _p_group(2, (1,) * 4).lattice(cap=66)
+    assert str(err.value) == "more than 66 submodules (lattice cap)"
+    assert err.value.limit == 66
+
+
+def test_lattice_of_a_large_part_is_fast():
+    start = time.perf_counter()
+    assert len(_p_group(2, (1,) * 6).lattice()) == 2825
+    assert time.perf_counter() - start < 3
 
 
 def test_lattice_closed_under_meet_and_join():
