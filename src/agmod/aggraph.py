@@ -426,16 +426,11 @@ def chromatic_number(adj, n: int, lower: int | None = None) -> int:
 def to_dot(g: AnnGraph) -> str:
     """Deterministic DOT text: vertices in canonical submodule-encoding order."""
     order = sorted(range(g.n), key=lambda i: g.vertices[i].encoding)
-    names = {v: f"v{pos}" for pos, v in enumerate(order)}
+    pos = {v: k for k, v in enumerate(order)}
     lines = [f"graph {g.kind} {{"]
     for v in order:
-        lines.append(f'  {names[v]} [label="{g.vertices[v].label}"];')
-    edge_pairs = sorted(
-        (min(names[i], names[j], key=lambda s: int(s[1:])),
-         max(names[i], names[j], key=lambda s: int(s[1:])))
-        for i, j in g.edges()
-    )
-    for a, b in sorted(edge_pairs, key=lambda p: (int(p[0][1:]), int(p[1][1:]))):
-        lines.append(f"  {a} -- {b};")
+        lines.append(f'  v{pos[v]} [label="{g.vertices[v].label}"];')
+    for a, b in sorted(tuple(sorted((pos[i], pos[j]))) for i, j in g.edges()):
+        lines.append(f"  v{a} -- v{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

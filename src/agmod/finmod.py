@@ -15,15 +15,18 @@ has one lower-triangular Hermite normal form (reduced row echelon form when
 every a_i = 1), so each is listed exactly once; the parts' subgroups are then
 added up.
 
-The colon ideal (N : M) is the one computed primitive; the other module facts
-are read off colon ideals.  Every prime ideal of a finite ring is maximal, so
-a proper N is prime iff (N : M) is maximal.  Z(M) is the union of the maximal
-ideals containing ann(M) (its associated primes), M is semiprime iff ann(M)
-is an intersection of maximal ideals, and since every ideal of the ring is
-principal, a product (N:M)(K:M)M is the image g*M of one generator g.  The
-product vanishes iff (N:M)(K:M) lies in ann(M), so the zero test
-(``annihilates``) is divisibility on divisor tuples and builds no set.  The
-exhaustive scans for these facts live in tests/oracles.py.
+The lattice also records each submodule's colon ideal (N : M), read off the
+Hermite forms: the divisor on component c is the product over p of the
+exponents of the (c, p)-part modulo N's subgroup of it.  ann(M) is the lcm of
+the factor orders per component, and M is cyclic iff every primary part is.
+The other module facts are read off colon ideals.  Every prime ideal of a
+finite ring is maximal, so a proper N is prime iff (N : M) is maximal.  Z(M)
+is the union of the maximal ideals containing ann(M) (its associated primes),
+M is semiprime iff ann(M) is an intersection of maximal ideals, and since
+every ideal of the ring is principal, a product (N:M)(K:M)M is the image g*M
+of one generator g.  The product vanishes iff (N:M)(K:M) lies in ann(M), so
+the zero test (``annihilates``) is divisibility on divisor tuples and builds
+no set.  The exhaustive scans for these facts live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import itertools
 import math
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from .finring import Ideal, Ring, divisors, prime_factors, squarefree_kernel
+from .finring import Ideal, Ring, prime_factors, squarefree_kernel
 
 ELEMENT_CAP = 512
 LATTICE_CAP = 4096
@@ -84,7 +87,6 @@ class Module:
         self.size = len(self.elements)
 
         self._facts: dict = {}
-        self._colon_cache: dict = {}
         self._product_cache: dict = {}
         self._span_cache: dict = {}
 
@@ -116,14 +118,6 @@ class Module:
         return tuple(
             a if c == comp else 0 for a, (d, c) in zip(x, self.factors)
         )
-
-    def gens(self) -> list:
-        """A canonical generating set: the nonzero coordinate vectors."""
-        return [
-            tuple(int(s == t) for s in range(len(self.factors)))
-            for t, (d, _) in enumerate(self.factors)
-            if d > 1
-        ]
 
     # -- spans and submodules --------------------------------------------------
 
@@ -179,25 +173,32 @@ class Module:
         every submodule is the sum of one subgroup of each part, and each such
         sum is a different submodule.  Each part's subgroups are listed once
         each by Hermite normal form (``_subgroups``); the sums are then built
-        one part at a time, each element set once.  The caps apply to the
-        first, computing call.  A part may have at most ``cap`` divided by the
-        counts of the parts before it, which is exactly the condition that the
-        whole lattice has at most ``cap`` submodules.
+        one part at a time, each element set once.  Next to each sum goes its
+        colon divisor tuple: r*M <= N iff r carries every part into N's
+        subgroup of it, so on component c the divisor is the product of the
+        exponents of the (c, p)-part quotients, 1 where n_c has no part at p.
+        The caps apply to the first, computing call.  A part may have at most
+        ``cap`` divided by the counts of the parts before it, which is exactly
+        the condition that the whole lattice has at most ``cap`` submodules.
         """
         check_element_cap(self.size)
         cap = LATTICE_CAP if cap is None else cap
-        sums = [frozenset({self.zero})]
+        ones = (1,) * len(self.ring.moduli)
+        sums = [(frozenset({self.zero}), ones)]
         room = cap
-        for i, part in enumerate(self._primary_parts()):
-            subgroups = self._subgroups(part, room, cap)
+        for i, (c, p, coords) in enumerate(self._primary_parts()):
+            subgroups = self._subgroups(p, coords, room, cap)
             room //= len(subgroups)
             if i == 0:
-                sums = subgroups
+                sums = [(t, ones[:c] + (e,) + ones[c + 1:]) for t, e in subgroups]
                 continue
             sums = [
-                frozenset(self.add(a, b) for a in s for b in t)
-                for s in sums
-                for t in subgroups
+                (
+                    frozenset(self.add(a, b) for a in s for b in t),
+                    divs[:c] + (divs[c] * e,) + divs[c + 1:],
+                )
+                for s, divs in sums
+                for t, e in subgroups
             ]
         return Lattice(self, sums)
 
@@ -207,8 +208,8 @@ class Module:
         The (c, p)-part is the sum of the p-parts of the factors Z_d on
         component c with p | d.  Each such factor gives one part coordinate
         (i, p^a, d / p^a): its index, the order p^a of its p-part, and the
-        step that carries Z_{p^a} onto that p-part of Z_d.  A part is the pair
-        (p, coordinates).
+        step that carries Z_{p^a} onto that p-part of Z_d.  A part is the
+        triple (c, p, coordinates).
         """
         parts = []
         for c, n in enumerate(self.ring.moduli):
@@ -221,11 +222,12 @@ class Module:
                             q *= p
                         coords.append((i, q, d // q))
                 if coords:
-                    parts.append((p, coords))
+                    parts.append((c, p, coords))
         return parts
 
-    def _subgroups(self, part, limit: int, cap: int) -> list[frozenset]:
-        """Every subgroup of one primary part, each once, by Hermite normal form.
+    def _subgroups(self, p, coords, limit: int, cap: int) -> list[tuple]:
+        """Every subgroup of one primary part, each once, by Hermite normal form,
+        as (element set, exponent of the part over the subgroup) pairs.
 
         In part coordinates the part is Z^r / K with K the sum of the
         p^{a_i} Z, so its subgroups are the lattices L with K <= L <= Z^r.
@@ -239,8 +241,11 @@ class Module:
         forms means the part has more than ``limit`` subgroups and M more
         than ``cap`` submodules.  This is found before any element set is
         built.
+
+        The exponent of Z^r / L is the least p^j with p^j e_i in L for every
+        i.  It lies between the largest head and the largest order p^{a_i},
+        and can exceed the head: the rows (2), (1, 2) in Z_4^2 leave Z_4.
         """
-        p, coords = part
         orders = [q for _, q, _ in coords]
         forms = [()]
         for order in orders:
@@ -271,39 +276,29 @@ class Module:
                 for _ in range(order // row[-1] - 1):
                     multiples.append(self.add(multiples[-1], vec))
                 elems = [self.add(s, m) for s in elems for m in multiples]
-            subgroups.append(frozenset(elems))
+            heads = [row[-1] for row in rows]
+            exponent = max(heads)
+            while exponent < max(orders) and not all(
+                _in_span([exponent * (i == j) for j in range(len(rows))], rows, heads)
+                for i in range(len(rows))
+            ):
+                exponent *= p
+            subgroups.append((frozenset(elems), exponent))
         return subgroups
 
     # -- colon ideals and products ----------------------------------------------
 
     def colon(self, sub: "Submodule") -> Ideal:
-        """(N : M) = {r : r*M <= N} in divisor form, computed per ring component.
-
-        r carries M into N iff every component part of r does.  The residues
-        on component c that send all module generators into N form an ideal
-        a*Z_{n_c} with a | n_c, so its divisor is the least divisor a of n_c
-        that does.
-        """
-        cached = self._colon_cache.get(sub.encoding)
-        if cached is not None:
-            return cached
-        gens = self.gens()
-        divs = []
-        for c, n_c in enumerate(self.ring.moduli):
-            divs.append(next(
-                a for a in divisors(n_c)
-                if all(
-                    self.smul(self.ring.unit_vector(c, a), gm) in sub.elements
-                    for gm in gens
-                )
-            ))
-        out = Ideal(self.ring, tuple(divs))
-        self._colon_cache[sub.encoding] = out
-        return out
+        """(N : M) = {r : r*M <= N} in divisor form, recorded by the lattice."""
+        return self.lattice().colons[sub.encoding]
 
     @_once
     def annihilator(self) -> Ideal:
-        return self.colon(self.zero_submodule())
+        """ann(M): on component c, the lcm of the orders of its factors."""
+        divs = [1] * len(self.ring.moduli)
+        for d, c in self.factors:
+            divs[c] = math.lcm(divs[c], d)
+        return Ideal(self.ring, tuple(divs))
 
     def annihilates(self, n: "Submodule", k: "Submodule") -> bool:
         """NK = (0), read off divisors: a_c | d_c * e_c on every component c.
@@ -413,10 +408,15 @@ class Module:
 
     @_once
     def cyclic_generator(self):
-        """A generator m with R*m = M, or None; first in element order."""
-        return next(
-            (m for m in self.elements if len(self.cyclic_span(m)) == self.size), None
-        )
+        """A generator m with R*m = M, or None; first in element order.
+
+        R*m is the additive span of m's component projections, so M is cyclic
+        iff no primary part has two coordinates, and then m generates iff each
+        coordinate is a unit mod its order d: least 1, or 0 when d = 1.
+        """
+        if any(len(coords) > 1 for _, _, coords in self._primary_parts()):
+            return None
+        return tuple(int(d > 1) for d, _ in self.factors)
 
     def is_cyclic(self) -> bool:
         return self.cyclic_generator() is not None
@@ -651,11 +651,14 @@ def _minimal_gens(module: Module, elems: frozenset) -> tuple:
 
 
 class Lattice:
-    """All submodules, sorted by (size, canonical encoding), with inclusion order."""
+    """All submodules, sorted by (size, canonical encoding), with inclusion
+    order, and their colon ideals by encoding, one Ideal per colon class."""
 
-    def __init__(self, module: Module, subsets):
+    def __init__(self, module: Module, sums):
         self.module = module
-        subs = [Submodule(module, fs) for fs in subsets]
+        ideals = {divs: Ideal(module.ring, divs) for divs in {d for _, d in sums}}
+        subs = [Submodule(module, elems) for elems, _ in sums]
+        self.colons = {s.encoding: ideals[d] for s, (_, d) in zip(subs, sums)}
         subs.sort(key=lambda s: (s.size, s.encoding))
         for i, s in enumerate(subs):
             s.id = i

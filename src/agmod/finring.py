@@ -114,10 +114,6 @@ class Ring:
         self._check(a), self._check(b)
         return tuple((x * y) % n for x, y, n in zip(a, b, self.moduli))
 
-    def unit_vector(self, comp: int, value: int = 1):
-        """The element with ``value`` in one component and 0 elsewhere."""
-        return tuple(value % n if c == comp else 0 for c, n in enumerate(self.moduli))
-
     # -- idempotents ----------------------------------------------------------
 
     def part_idempotent(self, pairs):

@@ -90,6 +90,13 @@ def brute_colon(module, sub):
     return frozenset(out)
 
 
+def brute_cyclic_generator(module):
+    """The first element in element order whose orbit R*m is all of M, or None."""
+    return next(
+        (m for m in module.elements if len(module.cyclic_span(m)) == module.size), None
+    )
+
+
 def brute_submodule_product(module, n, k):
     """(N:M)(K:M)M with every stage recomputed by enumeration."""
     ring = module.ring

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from agmod.aggraph import build_AG, build_AG_star
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
 from agmod.finmod import Module
 from agmod.finring import Ring, divisors
@@ -14,6 +15,7 @@ from agmod.theorems import InstanceAnalysis
 from helpers import NON_CYCLIC, encset, product_module, sub_by_label, zmod
 from oracles import (
     brute_colon,
+    brute_cyclic_generator,
     brute_is_prime_submodule,
     brute_is_semiprime,
     brute_min_primes,
@@ -206,10 +208,50 @@ def test_colon_examples():
     assert p.colon(z2x0) == p.ring.ideal([1, 4])
 
 
-def test_colon_matches_brute_force():
-    for m in [zmod(12), zmod(18), product_module([2, 4]), zmod(12, 4)]:
+def test_colon_matches_brute_force(oracle_modules):
+    # the last five have parts with several coordinates, where the colon
+    # exponent can exceed every Hermite head: rows (2), (1, 2) in Z_4^2
+    # leave the quotient Z_4
+    extra = [
+        zmod(12),
+        zmod(18),
+        product_module([2, 4]),
+        zmod(12, 4),
+        Module(Ring([8]), [(8, 0), (4, 0), (2, 0)]),
+        Module(Ring([4]), [(4, 0)] * 3),
+        Module(Ring([9]), [(9, 0), (3, 0)]),
+        Module(Ring([2]), [(2, 0)] * 4),
+        Module(Ring([3]), [(3, 0)] * 3),
+    ]
+    for m in list(oracle_modules) + extra:
         for s in m.lattice().all:
-            assert m.colon(s).element_set == brute_colon(m, s)
+            assert m.colon(s).element_set == brute_colon(m, s), (m, s)
+
+
+def test_lattice_facts_need_no_element_scan(monkeypatch):
+    # once the lattice is built, the graphs and module facts read colon
+    # ideals, factor orders and primary parts, and never act on an element
+    anchors = [
+        Module(Ring([3]), [(3, 0)] * 4),
+        Module(Ring([4, 6]), [(4, 0), (2, 0), (6, 1), (3, 1)]),
+    ]
+    graphs = []
+    for m in anchors:
+        m.lattice()
+        twin = Module(m.ring, m.factors)
+        graphs.append((build_AG(twin).adj, build_AG_star(twin).adj))
+
+    def smul_forbidden(self, r, x):
+        raise AssertionError("element scan after the lattice was built")
+
+    monkeypatch.setattr(Module, "smul", smul_forbidden)
+    for m, (ag, ag_star), ann in zip(anchors, graphs, [(3,), (4, 6)]):
+        assert build_AG(m).adj == ag and build_AG_star(m).adj == ag_star
+        for s in m.lattice().all:
+            m.colon(s)
+        assert m.primes() and m.min_primes()
+        assert not m.is_cyclic()
+        assert m.annihilator().divisors == ann
 
 
 def test_colon_monotone_and_contains_annihilator():
@@ -340,6 +382,8 @@ def test_zero_divisors_examples():
 
 def test_closed_forms_match_scan_oracles(oracle_modules):
     for m in oracle_modules:
+        assert m.cyclic_generator() == brute_cyclic_generator(m), m
+        assert m.annihilator().element_set == brute_colon(m, m.zero_submodule()), m
         zdiv = brute_zero_divisors(m)
         assert m.zero_divisors() == zdiv, m
         assert min_prime_complement(m).closure == set(m.ring.elements()) - zdiv, m
@@ -457,6 +501,8 @@ def test_classify():
 def test_decomposition_submodules_split_componentwise():
     # every submodule is the sum of its two idempotent slices
     for m in [zmod(12), product_module([2, 4]), zmod(36)]:
+        k = len(m.factors)
+        gens = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         for e, left, right in m.nontrivial_decompositions():
             comp = m.ring.sub(m.ring.one, e)
             for s in m.lattice().all:
@@ -468,8 +514,8 @@ def test_decomposition_submodules_split_componentwise():
                 assert colon == {
                     r
                     for r in m.ring.elements()
-                    if all(m.smul(m.ring.mul(r, e), g) in part1 for g in m.gens())
-                    and all(m.smul(m.ring.mul(r, comp), g) in part2 for g in m.gens())
+                    if all(m.smul(m.ring.mul(r, e), g) in part1 for g in gens)
+                    and all(m.smul(m.ring.mul(r, comp), g) in part2 for g in gens)
                 }
 
 
@@ -489,7 +535,7 @@ def test_product_ring_lattice_is_componentwise():
     # submodule per slice, and products multiply slice by slice
     for m in [product_module([2, 4]), product_module([4, 9]),
               product_module([2, 8], [(2, 0), (4, 1)])]:
-        e = m.ring.unit_vector(0)
+        e = (1, 0)
         comp = m.ring.sub(m.ring.one, e)
         slices = {}
         for s in m.lattice().all:
