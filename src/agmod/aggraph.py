@@ -13,13 +13,13 @@ colon ideals.  The graph is built per colon class: the zero test
 (``Module.annihilates``) runs once per pair of classes, and each vertex's
 adjacency is the union of the classes its class annihilates, kept as
 per-vertex bitmasks.  Every colon class is a class of twins (same open or
-same closed neighbourhood).  Connectivity, diameter and girth are
-breadth-first searches over bitmasks, a level at a time; the diameter needs
-one search per twin class, and girth first looks for a triangle along the
-edges.  The clique solver is a pivoting maximal-clique search; the chromatic
-solver deepens the colour count from the clique lower bound to a greedy upper
-bound, branching over vertices in descending-degree order.  Both searches
-keep explicit stacks, so their depth is not bounded by the recursion limit.
+same closed neighbourhood).  A graph runs one breadth-first search over
+bitmasks, a level at a time, per twin class, and connectivity, diameter and
+girth all read those searches.  The clique solver is a pivoting
+maximal-clique search; the chromatic solver deepens the colour count from
+the clique lower bound to a greedy upper bound, branching over vertices in
+descending-degree order.  Both searches keep explicit stacks, so their depth
+is not bounded by the recursion limit.
 
 Degenerate conventions, pinned once here: the empty graph has clique and
 chromatic number 0, no girth, no diameter, shape flag {"empty"} only; girth
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .finmod import Module, Submodule
 
@@ -69,6 +70,26 @@ class AnnGraph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
+
+    @cached_property
+    def searches(self) -> list[tuple[int | None, int | None]]:
+        """(eccentricity, first cycle) of one ``_search`` per twin class.
+
+        A vertex whose open or closed neighbourhood an earlier vertex has is
+        that vertex's twin and gets no search.  Twins share an eccentricity,
+        and swapping twins on a cycle keeps it a cycle, so the first vertex
+        on a shortest cycle is always searched.
+        """
+        full = (1 << self.n) - 1
+        seen_open, seen_closed = set(), set()
+        out = []
+        for v, nbrs in enumerate(self.adj):
+            closed = nbrs | 1 << v
+            if nbrs not in seen_open and closed not in seen_closed:
+                out.append(_search(self.adj, v, full))
+            seen_open.add(nbrs)
+            seen_closed.add(closed)
+        return out
 
 
 def build_AG(module: Module) -> AnnGraph:
@@ -220,90 +241,48 @@ def invariants(g: AnnGraph) -> InvariantReport:
     )
 
 
-def _eccentricity(adj, src: int, full: int) -> int | None:
-    """Breadth-first search from src, one level at a time on bitmasks: the
-    depth of the last level, or None if some vertex of full is unreached."""
+def _search(adj, src: int, full: int) -> tuple[int | None, int | None]:
+    """Breadth-first search from src, one level at a time on bitmasks.
+
+    Returns the eccentricity of src (the depth of the last level, or None if
+    some vertex of full is unreached) and the first cycle the search closes:
+    an edge inside level d closes one of length at most 2d + 1, and a vertex
+    at level d + 1 with two neighbours at level d one of length at most
+    2d + 2.  From a vertex on a shortest cycle the first cycle is its length.
+    """
     seen = frontier = 1 << src
     depth = 0
+    cycle = None
     while True:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        if not frontier:
-            return depth if seen == full else None
-        seen |= frontier
+        reach = twice = 0
+        level = frontier
+        while level:
+            low = level & -level
+            nbrs = adj[low.bit_length() - 1]
+            level ^= low
+            if cycle is None and nbrs & frontier:
+                cycle = 2 * depth + 1
+            fresh = nbrs & ~seen
+            twice |= reach & fresh
+            reach |= fresh
+        if cycle is None and twice:
+            cycle = 2 * depth + 2
+        if not reach:
+            return (depth if seen == full else None), cycle
+        seen |= reach
+        frontier = reach
         depth += 1
 
 
 def _diameter(g: AnnGraph) -> int | None:
-    """Largest eccentricity, one search per twin class; None if disconnected.
-
-    Vertices with the same open or the same closed neighbourhood are at the
-    same distance from every other vertex, so they share an eccentricity; a
-    vertex twinned with one already seen needs no search of its own.
-    """
-    adj, full = g.adj, (1 << g.n) - 1
-    seen_open, seen_closed = set(), set()
-    best = 0
-    for v in range(g.n):
-        closed = adj[v] | 1 << v
-        if adj[v] not in seen_open and closed not in seen_closed:
-            ecc = _eccentricity(adj, v, full)
-            if ecc is None:
-                return None
-            best = max(best, ecc)
-        seen_open.add(adj[v])
-        seen_closed.add(closed)
-    return best
+    """Largest eccentricity; None if disconnected, 0 on the empty graph."""
+    eccs = [ecc for ecc, _ in g.searches]
+    return None if None in eccs else max(eccs, default=0)
 
 
 def _girth(g: AnnGraph) -> int | None:
-    """Shortest cycle: a triangle test over the edges, then a bitset
-    breadth-first search from every vertex.
-
-    From a vertex s, an edge inside level d closes a cycle of length at most
-    2d + 1, and a vertex at level d + 1 with two neighbours at level d one of
-    length at most 2d + 2; from a vertex on a shortest cycle the search meets
-    exactly its length.  A search stops once its levels cannot beat the best.
-    """
-    adj = g.adj
-    for u in range(g.n):
-        higher = adj[u] >> (u + 1)
-        while higher:
-            low = higher & -higher
-            if adj[u] & adj[u + low.bit_length()]:
-                return 3
-            higher ^= low
-    best = None
-    for s in range(g.n):
-        seen = frontier = 1 << s
-        depth = 0
-        while frontier and (best is None or 2 * depth + 1 < best):
-            reach = twice = 0
-            cycle = None
-            level = frontier
-            while level:
-                low = level & -level
-                nbrs = adj[low.bit_length() - 1]
-                level ^= low
-                if nbrs & frontier:
-                    cycle = 2 * depth + 1
-                    break
-                fresh = nbrs & ~seen
-                twice |= reach & fresh
-                reach |= fresh
-            if cycle is None and twice:
-                cycle = 2 * depth + 2
-            if cycle is not None:
-                best = cycle
-                break
-            seen |= reach
-            frontier = reach
-            depth += 1
-    return best
+    """Shortest cycle: the least first cycle over the searches, or None."""
+    return min((cycle for _, cycle in g.searches if cycle is not None), default=None)
 
 
 # -- exact solvers ----------------------------------------------------------------

@@ -182,23 +182,20 @@ def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
             {"id": v.id, "label": v.label, "size": v.size}
             for v in graph.vertices
         ],
-        "edges": sorted(
-            sorted((graph.vertices[i].id, graph.vertices[j].id))
-            for i, j in graph.edges()
-        ),
+        "edges": [
+            [graph.vertices[i].id, graph.vertices[j].id] for i, j in graph.edges()
+        ],
         "invariants": inv.to_dict(),
     }
 
 
 def _localization_dict(
-    module: Module, s, inv_before: aggraph.InvariantReport, include_components: bool
+    a: theorems.InstanceAnalysis, s, include_components: bool
 ) -> dict:
-    """Localize at S and compare against inv_before, the invariants of AG(M)."""
+    """Localize at S and compare the invariants of AG before and after."""
+    module = a.module
     loc = localize(module, s)
-    if loc.image is module:
-        inv_after = inv_before
-    else:
-        inv_after = aggraph.invariants(aggraph.build_AG(loc.image))
+    inv_before, inv_after = a.inv, a.localized(loc).inv
     out = {
         "mult_set": {
             "generator_count": len(s.gens),
@@ -232,11 +229,8 @@ def cmd_analyze(args) -> int:
     module, options = load_spec(args.spec)
     if args.localize_at_min_primes:
         options = dict(options, localize_at_min_primes=True)
+    a = theorems.InstanceAnalysis(module)
     lat = module.lattice()
-    ag = aggraph.build_AG(module)
-    ag_star = aggraph.build_AG_star(module)
-    inv = aggraph.invariants(ag)
-    mins = module.min_primes()
     gen = module.cyclic_generator()
     report = {
         "schema": 1,
@@ -256,25 +250,23 @@ def cmd_analyze(args) -> int:
             "count": len(lat),
             "minimal": [s.id for s in module.minimal_submodules()],
             "primes": [s.id for s in module.primes()],
-            "min_primes": [s.id for s in mins],
-            "radical_zero": lat.find(
-                module.radical(module.zero_submodule()).elements
-            ).id,
+            "min_primes": [s.id for s in a.mins],
+            "radical_zero": lat.find(a.rad0.elements).id,
             "annihilator": list(module.annihilator().divisors),
-            "annihilator_nil": module.annihilator().is_nil(),
+            "annihilator_nil": a.ann_nil,
             "semiprime": module.is_semiprime(),
             "cyclic": gen is not None,
             "cyclic_generator": None if gen is None else list(gen),
-            "classification": list(module.classify()),
+            "classification": list(a.classification),
         },
         "graphs": {
-            "AG": _graph_dict(ag, inv),
-            "AG_star": _graph_dict(ag_star, aggraph.invariants(ag_star)),
+            "AG": _graph_dict(a.ag, a.inv),
+            "AG_star": _graph_dict(a.ag_star, a.inv_star),
         },
     }
     if options.get("localize_at_min_primes"):
         report["localization"] = _localization_dict(
-            module, min_prime_complement(module), inv, include_components=True
+            a, min_prime_complement(module), include_components=True
         )
     elif args.localize_gens or options.get("localize_gens"):
         gens = (
@@ -283,7 +275,7 @@ def cmd_analyze(args) -> int:
             else options["localize_gens"]
         )
         report["localization"] = _localization_dict(
-            module, mult_closure(module.ring, gens), inv, include_components=False
+            a, mult_closure(module.ring, gens), include_components=False
         )
     if gen is not None:
         witnesses, wreport = module.min_prime_clique_witness()
@@ -323,7 +315,7 @@ def cmd_localize(args) -> int:
         "version": __version__,
         "instance": instance_echo(module),
         "localization": _localization_dict(
-            module, s, aggraph.invariants(aggraph.build_AG(module)), include_components
+            theorems.InstanceAnalysis(module), s, include_components
         ),
     }
     _dump(report, args.out)

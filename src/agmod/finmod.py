@@ -489,11 +489,13 @@ class Module:
 
         Construction: localize away from the minimal-prime colons (the
         projection onto their primary parts), pull the component idempotents
-        back onto the cyclic generator, and scale by a multiplier that kills
-        every cross product.  Each multiplier is the first ring element, in
-        lexicographic order, outside every minimal-prime colon that does.
-        The result is verified before it is returned.  Returns (witnesses,
-        report).
+        back onto the cyclic generator, and scale by a multiplier.  Distinct
+        minimal primes sit on distinct primary parts, so their component
+        idempotents are orthogonal and every cross product e_i e_j * gen is
+        already zero.  Each pair multiplier is then the first ring element,
+        in lexicographic order, outside every minimal-prime colon: 1 on each
+        component carrying a minimal prime, 0 elsewhere.  The result is
+        verified before it is returned.  Returns (witnesses, report).
         """
         gen = self.cyclic_generator()
         if gen is None:
@@ -506,26 +508,12 @@ class Module:
         e_total = ring.part_idempotent(pairs)
         e_parts = self.component_idempotents(e_total)
 
-        t = ring.one
-        pair_multipliers = []
-        for i in range(len(mins)):
-            for j in range(i + 1, len(mins)):
-                target = self.smul(ring.mul(e_parts[i], e_parts[j]), gen)
-                t_ij = next(
-                    (
-                        s
-                        for s in ring.elements()
-                        if all(s[c] % q for c, q in pairs)
-                        and self.smul(s, target) == self.zero
-                    ),
-                    None,
-                )
-                if t_ij is None:
-                    raise InternalCheckError(
-                        f"no multiplier kills the cross product for primes {i},{j}"
-                    )
-                pair_multipliers.append((i, j, t_ij))
-                t = ring.mul(t, t_ij)
+        carried = {c for c, _ in pairs}
+        s = tuple(int(c in carried) for c in range(len(ring.moduli)))
+        pair_multipliers = [
+            (i, j, s) for i, j in itertools.combinations(range(len(mins)), 2)
+        ]
+        t = s if pair_multipliers else ring.one
 
         witnesses = [
             self.submodule([self.smul(ring.mul(t, e_i), gen)]) for e_i in e_parts

@@ -128,6 +128,10 @@ class InstanceAnalysis:
         """M localized at the minimal-prime complement."""
         return localize(self.module, min_prime_complement(self.module))
 
+    def localized(self, loc) -> "InstanceAnalysis":
+        """The analysis of loc.image: this one when the image is M itself."""
+        return self if loc.image is self.module else InstanceAnalysis(loc.image)
+
 
 def _sub_ref(sub) -> dict:
     ref = {"label": sub.label, "size": sub.size}
@@ -457,9 +461,10 @@ def _require_identity(a: InstanceAnalysis, loc) -> InstanceAnalysis:
     S then acts bijectively on the finite carrier, so the localization
     idempotent is the identity there and the image is M itself.
     """
-    if loc.image is not a.module:
+    img = a.localized(loc)
+    if img is not a:
         raise InternalCheckError("S avoids Z(M) but the localized image is not M")
-    return a
+    return img
 
 
 def _localization_setup(a: InstanceAnalysis):
@@ -857,13 +862,9 @@ def _evaluate_module(module: Module, theorem_ids, cap=None) -> list[PredicateRes
     return [run_predicate(tid, analysis) for tid in theorem_ids]
 
 
-def _evaluate_spec(args) -> list[tuple]:
+def _evaluate_spec(args) -> list[PredicateResult]:
     moduli, factors, theorem_ids, cap = args
-    module = Module(Ring(moduli), factors)
-    return [
-        (r.theorem_id, r.instance_id, r.status, r.witness)
-        for r in _evaluate_module(module, theorem_ids, cap)
-    ]
+    return _evaluate_module(Module(Ring(moduli), factors), theorem_ids, cap)
 
 
 def run_suite(
@@ -893,9 +894,6 @@ def run_suite(
         return report
     payload = [(m.ring.moduli, m.factors, ids, finmod.LATTICE_CAP) for m in modules]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for rows in pool.map(_evaluate_spec, payload):
-            report.results.extend(
-                PredicateResult(tid, iid, status, witness)
-                for tid, iid, status, witness in rows
-            )
+        for results in pool.map(_evaluate_spec, payload):
+            report.results.extend(results)
     return report

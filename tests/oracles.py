@@ -47,9 +47,30 @@ def ideal_radical(ideal):
 
 
 def brute_ideal_product(ring, i, j):
-    """Set generated by pairwise element products of two ideals."""
-    prods = {ring.mul(x, y) for x in i.elements() for y in j.elements()}
-    return additive_closure(ring.add, ring.zero, prods)
+    """Set generated by pairwise element products of two ideals.
+
+    Products are taken residue by residue.  They are closed under addition
+    one cyclic subgroup at a time: the closure H so far plus the subgroup of
+    a product p is the union of the cosets H + k*p, for k from 0 up to the
+    first multiple of p inside H.
+    """
+    moduli = ring.moduli
+    ys = list(j.elements())
+    prods = {
+        tuple(a * b % n for a, b, n in zip(x, y, moduli))
+        for x in i.elements()
+        for y in ys
+    }
+    closure = {ring.zero}
+    for p in prods:
+        shift, cosets = p, [closure]
+        while shift not in closure:
+            cosets.append(
+                {tuple((a + b) % n for a, b, n in zip(x, shift, moduli)) for x in closure}
+            )
+            shift = tuple((a + b) % n for a, b, n in zip(shift, p, moduli))
+        closure = set().union(*cosets)
+    return frozenset(closure)
 
 
 def is_nilpotent(ring, r):
@@ -95,6 +116,33 @@ def brute_cyclic_generator(module):
     return next(
         (m for m in module.elements if len(module.cyclic_span(m)) == module.size), None
     )
+
+
+def brute_clique_multipliers(module, e_parts):
+    """The clique-witness multipliers by search, for a cyclic module.
+
+    For each pair i < j of minimal primes, the first ring element in
+    lexicographic order that lies outside every minimal-prime colon and
+    kills the cross product e_i e_j * gen; the multiplier t is their product
+    (1 when there is no pair).  Returns (t, pair_multipliers) as lists, in the
+    shape of the witness report.
+    """
+    ring = module.ring
+    gen = module.cyclic_generator()
+    colons = [module.colon(p) for p in module.min_primes()]
+    t = ring.one
+    pair_multipliers = []
+    for i, j in itertools.combinations(range(len(e_parts)), 2):
+        target = module.smul(ring.mul(e_parts[i], e_parts[j]), gen)
+        t_ij = next(
+            s
+            for s in ring.elements()
+            if not any(colon.contains(s) for colon in colons)
+            and module.smul(s, target) == module.zero
+        )
+        pair_multipliers.append([i, j, list(t_ij)])
+        t = ring.mul(t, t_ij)
+    return list(t), pair_multipliers
 
 
 def brute_submodule_product(module, n, k):

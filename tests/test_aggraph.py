@@ -183,6 +183,15 @@ def test_graphs_match_pairwise_oracle(oracle_modules):
             assert list(g.adj) == adj, (m, star)
 
 
+def test_vertex_ids_increase_in_index_order(oracle_modules):
+    # vertices come in lattice order, so the report's edge pairs, listed in
+    # index order, are already sorted by id
+    for m in oracle_modules:
+        for g in (build_AG(m), build_AG_star(m)):
+            ids = [v.id for v in g.vertices]
+            assert all(a < b for a, b in zip(ids, ids[1:])), (m, g.kind)
+
+
 def _graph(adj):
     return aggraph.AnnGraph(None, "AG", tuple(None for _ in adj), tuple(adj))
 
@@ -220,6 +229,12 @@ def test_traversals_match_oracles_on_twin_blow_ups():
     rng = random.Random(515)
     for _ in range(150):
         _assert_traversals_match(_blow_up(rng, rng.randint(1, 6)))
+
+
+def test_traversals_on_degenerate_graphs():
+    # empty, one vertex, two isolated vertices, one edge, three isolated
+    for adj in ([], [0], [0, 0], [2, 1], [0, 0, 0]):
+        _assert_traversals_match(adj)
 
 
 def test_traversals_on_cycles():

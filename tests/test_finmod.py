@@ -14,6 +14,7 @@ from agmod.theorems import InstanceAnalysis
 
 from helpers import NON_CYCLIC, encset, product_module, sub_by_label, zmod
 from oracles import (
+    brute_clique_multipliers,
     brute_colon,
     brute_cyclic_generator,
     brute_is_prime_submodule,
@@ -601,6 +602,22 @@ def test_clique_witness_products_vanish():
         zero = m.zero_submodule()
         for a, b in itertools.combinations(witnesses, 2):
             assert m.product(a, b) == zero
+
+
+def test_clique_witness_multipliers_match_search(oracle_modules):
+    checked = 0
+    for m in oracle_modules:
+        if not m.is_cyclic():
+            continue
+        _, report = m.min_prime_clique_witness()
+        if not report["size"]:
+            continue
+        e_parts = [tuple(e) for e in report["component_idempotents"]]
+        t, pair_multipliers = brute_clique_multipliers(m, e_parts)
+        assert report["multiplier"] == t, m
+        assert report["pair_multipliers"] == pair_multipliers, m
+        checked += 1
+    assert checked > 200
 
 
 def test_clique_witness_needs_cyclic():
