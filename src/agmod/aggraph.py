@@ -16,10 +16,12 @@ per-vertex bitmasks.  Every colon class is a class of twins (same open or
 same closed neighbourhood).  A graph runs one breadth-first search over
 bitmasks, a level at a time, per twin class, and connectivity, diameter and
 girth all read those searches.  The clique solver is a pivoting
-maximal-clique search; the chromatic solver deepens the colour count from
-the clique lower bound to a greedy upper bound, branching over vertices in
-descending-degree order.  Both searches keep explicit stacks, so their depth
-is not bounded by the recursion limit.
+maximal-clique search.  The chromatic solver is one backtracking colouring
+search over vertices in descending-degree order, each vertex taking the least
+colour class it has no neighbour in; it is run for k colours from the clique
+lower bound up until it succeeds, which it does by k = the greedy count,
+since its first descent is the greedy colouring.  Both searches keep explicit
+stacks, so their depth is not bounded by the recursion limit.
 
 Degenerate conventions, pinned once here: the empty graph has clique and
 chromatic number 0, no girth, no diameter, shape flag {"empty"} only; girth
@@ -333,70 +335,51 @@ def max_clique(adj, n: int) -> tuple[int, int]:
     return best, best_mask
 
 
-def greedy_coloring(adj, n: int) -> int:
-    """Descending-degree greedy; an upper bound for the chromatic number."""
-    if n == 0:
-        return 0
-    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    colors = {}
-    used = 0
-    for v in order:
-        banned = {colors[u] for u in colors if adj[v] >> u & 1}
-        c = 0
-        while c in banned:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-    return used
-
-
 def _colorable(adj, order, k: int) -> bool:
     """Backtracking k-colouring in the given vertex order, with an explicit
-    stack: depth i holds the next colour to try for order[i]."""
+    stack.  members[c] is the bitmask of the vertices coloured c so far, and
+    color[i] the colour of order[i] (-1 before its first try).  Each vertex
+    takes the least colour class holding none of its neighbours; on backtrack
+    it leaves its class and tries the next one.  The first descent is the
+    greedy colouring in this order."""
     n = len(order)
-    colors = [-1] * n
+    members = [0] * k
+    color = [-1] * n
     used = [0] * (n + 1)  # colours in use among order[:i]
-    banned = [0] * n
-    next_color = [0] * n
-    i, entering = 0, True
+    i = 0
     while i < n:
         v = order[i]
-        if entering:
-            mask = 0
-            for u in range(n):
-                if adj[v] >> u & 1 and colors[u] >= 0:
-                    mask |= 1 << colors[u]
-            banned[i], next_color[i] = mask, 0
+        nbrs = adj[v]
+        c = color[i]
+        if c >= 0:
+            members[c] ^= 1 << v
+        c += 1
         limit = min(used[i] + 1, k)  # at most one brand-new colour, breaks symmetry
-        c = next_color[i]
-        while c < limit and banned[i] >> c & 1:
+        while c < limit and members[c] & nbrs:
             c += 1
         if c < limit:
-            colors[v] = c
-            next_color[i] = c + 1
+            members[c] |= 1 << v
+            color[i] = c
             used[i + 1] = max(used[i], c + 1)
-            i, entering = i + 1, True
+            i += 1
         else:
-            colors[v] = -1
+            color[i] = -1
             if i == 0:
                 return False
-            i, entering = i - 1, False
+            i -= 1
     return True
 
 
 def chromatic_number(adj, n: int, lower: int | None = None) -> int:
-    """Exact chromatic number: deepen k from the clique bound to the greedy bound."""
+    """Exact chromatic number: deepen k from the clique bound until a
+    k-colouring exists, branching over vertices in descending-degree order."""
     if n == 0:
         return 0
-    lb = max(1, lower if lower is not None else max_clique(adj, n)[0])
-    ub = greedy_coloring(adj, n)
-    if lb >= ub:
-        return ub
+    k = max(1, lower if lower is not None else max_clique(adj, n)[0])
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    for k in range(lb, ub):
-        if _colorable(adj, order, k):
-            return k
-    return ub
+    while not _colorable(adj, order, k):
+        k += 1
+    return k
 
 
 # -- DOT export --------------------------------------------------------------------

@@ -225,12 +225,12 @@ def _localization_dict(
     return out
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, cap: int | None) -> int:
     module, options = load_spec(args.spec)
     if args.localize_at_min_primes:
         options = dict(options, localize_at_min_primes=True)
     a = theorems.InstanceAnalysis(module)
-    lat = module.lattice()
+    lat = module.lattice(cap)
     gen = module.cyclic_generator()
     report = {
         "schema": 1,
@@ -290,8 +290,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args, cap: int | None) -> int:
     module, _ = load_spec(args.spec)
+    module.lattice(cap)
     graph = aggraph.build_AG_star(module) if args.star else aggraph.build_AG(module)
     text = aggraph.to_dot(graph)
     if args.dot:
@@ -302,7 +303,7 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def cmd_localize(args) -> int:
+def cmd_localize(args, cap: int | None) -> int:
     module, _ = load_spec(args.spec)
     if args.at_min_primes:
         s = min_prime_complement(module)
@@ -310,6 +311,7 @@ def cmd_localize(args) -> int:
     else:
         s = mult_closure(module.ring, parse_gens(module.ring, args.gens))
         include_components = False
+    module.lattice(cap)
     report = {
         "schema": 1,
         "version": __version__,
@@ -322,7 +324,7 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args, cap: int | None) -> int:
     spec = theorems.CorpusSpec(
         max_ring_card=args.max_ring, max_module_card=args.max_module
     )
@@ -333,7 +335,7 @@ def cmd_corpus(args) -> int:
         if unknown:
             raise SpecError(f"unknown theorem ids: {unknown}", unknown)
     corpus = theorems.generate_corpus(spec)
-    report = theorems.run_suite(corpus, ids, corpus_spec=spec, jobs=args.jobs)
+    report = theorems.run_suite(corpus, ids, corpus_spec=spec, jobs=args.jobs, cap=cap)
     payload = report.to_dict()
     payload["version"] = __version__
     payload["instances"] = len(corpus)
@@ -399,24 +401,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cap = os.environ.get("AGMOD_MAX_SUBMODULES")
-    if cap:
+    env = os.environ.get("AGMOD_MAX_SUBMODULES")
+    cap = None  # the lattice cap for this run; finmod.LATTICE_CAP when None
+    if env:
         try:
-            value = int(cap)
+            cap = int(env)
         except ValueError:
-            value = 0
-        if value < 1:
-            print(f"agmod: AGMOD_MAX_SUBMODULES must be a positive integer, got {cap!r}",
+            cap = 0
+        if cap < 1:
+            print(f"agmod: AGMOD_MAX_SUBMODULES must be a positive integer, got {env!r}",
                   file=sys.stderr)
             return 64
-        finmod.LATTICE_CAP = value
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 64 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.func(args, cap)
     except ResourceLimitError as exc:
         print(f"agmod: resource cap exceeded: {exc}", file=sys.stderr)
         return 3

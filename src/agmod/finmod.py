@@ -17,16 +17,23 @@ added up.
 
 The lattice also records each submodule's colon ideal (N : M), read off the
 Hermite forms: the divisor on component c is the product over p of the
-exponents of the (c, p)-part modulo N's subgroup of it.  ann(M) is the lcm of
-the factor orders per component, and M is cyclic iff every primary part is.
-The other module facts are read off colon ideals.  Every prime ideal of a
-finite ring is maximal, so a proper N is prime iff (N : M) is maximal.  Z(M)
-is the union of the maximal ideals containing ann(M) (its associated primes),
-M is semiprime iff ann(M) is an intersection of maximal ideals, and since
-every ideal of the ring is principal, a product (N:M)(K:M)M is the image g*M
-of one generator g.  The product vanishes iff (N:M)(K:M) lies in ann(M), so
-the zero test (``annihilates``) is divisibility on divisor tuples and builds
-no set.  The exhaustive scans for these facts live in tests/oracles.py.
+exponents of the (c, p)-part modulo N's subgroup of it.  Facts about M itself
+come from the table of primary parts and need no lattice: ann(M) is the lcm
+of the factor orders per component, the associated primes are the maximal
+ideals m_{c,p} = {r : p | r_c} of the nonzero parts, M is cyclic iff every
+part has one coordinate, simple iff M has one coordinate in all and its
+order is a prime p, and has exactly one nontrivial submodule iff that one
+coordinate has order p^2.  Every prime ideal of a finite ring is maximal, so
+a proper N is prime iff (N : M) is maximal, and Z(M) is the union of the
+associated primes.  Since every ideal of the ring is principal, each
+submodule made from a scalar is one image r*M (``times``): a product
+(N:M)(K:M)M, an idempotent part e*M, and rad(0).  The primes with colon
+m_{c,p} are the proper submodules containing m_{c,p}M, so rad(0) is the sum
+of the p*M_{c,p}, the image of the element whose residue on c is the
+squarefree kernel of ann(M)'s divisor there; M is semiprime iff it is 0.  A
+product vanishes iff (N:M)(K:M) lies in ann(M), so the zero test
+(``annihilates``) is divisibility on divisor tuples and builds no set.  The
+exhaustive scans for these facts live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -83,11 +90,10 @@ class Module:
 
         self.zero = (0,) * len(self.factors)
         self.elements = tuple(itertools.product(*(range(d) for d, _ in self.factors)))
-        self.element_set = frozenset(self.elements)
         self.size = len(self.elements)
 
         self._facts: dict = {}
-        self._product_cache: dict = {}
+        self._times_cache: dict = {}
         self._span_cache: dict = {}
 
     # -- identity ------------------------------------------------------------
@@ -150,20 +156,17 @@ class Module:
                 span = {self.add(s, m) for s in span for m in orbit}
         return frozenset(span)
 
-    def submodule(self, gens) -> "Submodule":
-        for g in gens:
-            if g not in self.element_set:
-                raise DomainError(f"generator {g} is not a module element")
-        return self.submodule_from_set(self.span(gens))
-
     def submodule_from_set(self, elems) -> "Submodule":
         return Submodule(self, frozenset(elems))
 
-    def zero_submodule(self) -> "Submodule":
-        return self.submodule_from_set({self.zero})
-
-    def whole_submodule(self) -> "Submodule":
-        return self.submodule_from_set(self.element_set)
+    def times(self, r) -> "Submodule":
+        """The image r*M = {r*m}, cached by the scalar r."""
+        image = self._times_cache.get(r)
+        if image is None:
+            image = self._times_cache[r] = self.submodule_from_set(
+                {self.smul(r, m) for m in self.elements}
+            )
+        return image
 
     @_once
     def lattice(self, cap: int | None = None) -> "Lattice":
@@ -319,15 +322,9 @@ class Module:
         """The submodule product (N:M)(K:M)M.
 
         The ideal (N:M)(K:M) is generated by the element g whose residues are
-        its divisors, so the product is g*M = {g*m}, cached by the divisors.
+        its divisors, so the product is g*M.
         """
-        g = self.colon(n).product(self.colon(k)).divisors
-        cached = self._product_cache.get(g)
-        if cached is None:
-            cached = self._product_cache[g] = self.submodule_from_set(
-                {self.smul(g, m) for m in self.elements}
-            )
-        return cached
+        return self.times(self.colon(n).product(self.colon(k)).divisors)
 
     # -- prime submodules ---------------------------------------------------------
 
@@ -356,13 +353,17 @@ class Module:
             first.setdefault(self.colon(p).divisors, p)
         return list(first.values())
 
-    def radical(self, sub: "Submodule") -> "Submodule":
-        """Intersection of the primes containing N; M itself if there are none."""
-        containing = [p for p in self.primes() if sub.elements <= p.elements]
-        if not containing:
-            return self.whole_submodule()
-        inter = frozenset.intersection(*(p.elements for p in containing))
-        return self.submodule_from_set(inter)
+    def prime_radical(self) -> "Submodule":
+        """rad(0), the intersection of all prime submodules, as r*M.
+
+        The primes with colon m_{c,q} are the proper submodules containing
+        m_{c,q}M, so they meet in m_{c,q}M, and over the associated (c, q)
+        these meet in the sum of the q*M_{c,q}.  That is r*M for r_c the
+        squarefree kernel of the annihilator divisor on component c.
+        """
+        return self.times(
+            tuple(squarefree_kernel(d) for d in self.annihilator().divisors)
+        )
 
     @_once
     def is_semiprime(self) -> bool:
@@ -377,12 +378,8 @@ class Module:
 
     def associated_primes(self) -> list:
         """Ass(M) as pairs (c, q): the maximal ideals m_{c,q} = {r : q | r_c}
-        containing ann(M), one per prime q dividing its divisor on c."""
-        return [
-            (c, q)
-            for c, d in enumerate(self.annihilator().divisors)
-            for q in prime_factors(d)
-        ]
+        containing ann(M), one per nonzero (c, q) primary part."""
+        return [(c, q) for c, q, _ in self._primary_parts()]
 
     @_once
     def zero_divisors(self) -> frozenset:
@@ -422,14 +419,21 @@ class Module:
         return self.cyclic_generator() is not None
 
     def classify(self) -> tuple[str, ...]:
-        """Overlapping labels in fixed order; ('other',) when none apply."""
-        lat = self.lattice()
+        """Overlapping labels in fixed order; ('other',) when none apply.
+
+        M has exactly two submodules (simple) iff it is Z_p, and exactly
+        three iff it is Z_{p^2}: one part coordinate, of order p or p^2.  It
+        is a prime module iff (0) is prime, that is iff ann(M) is maximal.
+        """
+        orders = [(p, q) for _, p, coords in self._primary_parts() for _, q, _ in coords]
         labels = []
-        if len(lat.all) == 2:
-            labels.append("simple")
-        if len(lat.all) == 3:
-            labels.append("unique_nontrivial_submodule")
-        if self.size > 1 and self.is_prime_submodule(self.zero_submodule()):
+        if len(orders) == 1:
+            p, q = orders[0]
+            if q == p:
+                labels.append("simple")
+            if q == p * p:
+                labels.append("unique_nontrivial_submodule")
+        if self.annihilator().is_maximal():
             labels.append("prime_module")
         return tuple(labels) if labels else ("other",)
 
@@ -489,16 +493,16 @@ class Module:
 
         Construction: localize away from the minimal-prime colons (the
         projection onto their primary parts), pull the component idempotents
-        back onto the cyclic generator, and scale by a multiplier.  Distinct
+        back onto the cyclic generator, and scale by a multiplier t.  Distinct
         minimal primes sit on distinct primary parts, so their component
         idempotents are orthogonal and every cross product e_i e_j * gen is
         already zero.  Each pair multiplier is then the first ring element,
         in lexicographic order, outside every minimal-prime colon: 1 on each
-        component carrying a minimal prime, 0 elsewhere.  The result is
-        verified before it is returned.  Returns (witnesses, report).
+        component carrying a minimal prime, 0 elsewhere.  Witness i is
+        R*(t e_i gen), which is the image (t e_i)*M because M = R*gen.  The
+        result is verified before it is returned.  Returns (witnesses, report).
         """
-        gen = self.cyclic_generator()
-        if gen is None:
+        if not self.is_cyclic():
             raise DomainError("clique witness construction needs a cyclic module")
         mins = self.min_primes()
         if not mins:
@@ -515,9 +519,7 @@ class Module:
         ]
         t = s if pair_multipliers else ring.one
 
-        witnesses = [
-            self.submodule([self.smul(ring.mul(t, e_i), gen)]) for e_i in e_parts
-        ]
+        witnesses = [self.times(ring.mul(t, e_i)) for e_i in e_parts]
         if len({w.encoding for w in witnesses}) != len(witnesses):
             raise InternalCheckError("clique witnesses are not distinct")
         for w in witnesses:

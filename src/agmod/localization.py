@@ -83,12 +83,11 @@ class LocalizedModule:
 
 
 def localize(module: Module, s: MultSet) -> LocalizedModule:
-    """e*M for the localization idempotent of S, with its kernel."""
+    """e*M for the localization idempotent of S, with its kernel (1-e)*M:
+    e*m = 0 iff m = (1-e)*m."""
     e = localization_idempotent(s)
     image = module.scaled(e)
-    kernel = module.submodule_from_set(
-        {m for m in module.elements if module.smul(e, m) == module.zero}
-    )
+    kernel = module.times(module.ring.sub(module.ring.one, e))
     if image.size * kernel.size != module.size:
         raise InternalCheckError("localization image and kernel sizes do not multiply out")
     return LocalizedModule(s, e, image, kernel)
@@ -108,7 +107,7 @@ def min_prime_complement(module: Module) -> MultSet:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """The direct-sum split of a localized cyclic module into the sets e_i*M."""
+    """The direct-sum split of a localized cyclic module into the images e_i*M."""
 
     idem: tuple
     component_idempotents: tuple
@@ -116,7 +115,7 @@ class DecompositionReport:
     localized: LocalizedModule
 
     def sizes(self) -> list[int]:
-        return [len(c) for c in self.components]
+        return [c.size for c in self.components]
 
 
 def check_product_decomposition(module: Module, loc: LocalizedModule) -> DecompositionReport:
@@ -147,17 +146,15 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
     if total != e:
         raise InternalCheckError("component idempotents do not sum to the localization idempotent")
 
-    components = tuple(
-        frozenset(module.smul(e_i, m) for m in module.elements) for e_i in parts
-    )
+    components = tuple(module.times(e_i) for e_i in parts)
     size_prod = 1
     for c in components:
-        size_prod *= len(c)
+        size_prod *= c.size
     if size_prod != loc.image.size:
         raise InternalCheckError("component sizes do not multiply to the image size")
     for i in range(len(components)):
         for j in range(i + 1, len(components)):
-            if components[i] & components[j] != {module.zero}:
+            if components[i].elements & components[j].elements != {module.zero}:
                 raise InternalCheckError(
                     f"components {i} and {j} overlap beyond zero"
                 )

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import aggraph, finmod
+from . import aggraph
 from .errors import InternalCheckError, ResourceLimitError
 from .finmod import Module
 from .finring import Ring, divisors
@@ -93,7 +93,7 @@ class InstanceAnalysis:
 
     @cached_property
     def rad0(self):
-        return self.module.radical(self.module.zero_submodule())
+        return self.module.prime_radical()
 
     @cached_property
     def classification(self):
@@ -167,14 +167,7 @@ def _lemma_2_4(a: InstanceAnalysis):
         if m.annihilates(n, n):
             branches.append({"submodule": _sub_ref(n), "branch": "square_zero"})
             continue
-        e = next(
-            (
-                e
-                for e in m.ring.idempotents()
-                if {m.smul(e, x) for x in m.elements} == n.elements
-            ),
-            None,
-        )
+        e = next((e for e in m.ring.idempotents() if m.times(e) == n), None)
         if e is None:
             return FAIL, {"submodule": _sub_ref(n)}
         branches.append(
@@ -239,8 +232,8 @@ def _p4_fxs_structure(a: InstanceAnalysis):
     m = a.module
     e = a.fxs[0]
     comp = m.ring.sub(m.ring.one, e)
-    f_set = frozenset(m.smul(e, x) for x in m.elements)
-    s_set = frozenset(m.smul(comp, x) for x in m.elements)
+    f_set = m.times(e).elements
+    s_set = m.times(comp).elements
     inside = [
         n.elements for n in m.lattice().all if not n.is_zero and n.elements < s_set
     ]
@@ -872,13 +865,14 @@ def run_suite(
     theorem_ids=None,
     corpus_spec: CorpusSpec | None = None,
     jobs: int = 1,
+    cap: int | None = None,
 ) -> SuiteReport:
     """Evaluate the predicates over the corpus, in deterministic corpus order.
 
     Instances are independent; with jobs > 1 they are evaluated in a process
-    pool, and the report is assembled in corpus order either way.  Each worker
-    enumerates an instance's lattice under this process's lattice cap, which
-    a worker started by spawn would not otherwise see.
+    pool, and the report is assembled in corpus order either way.  Every
+    instance's lattice is enumerated under ``cap`` (``finmod.LATTICE_CAP``
+    when None), which is passed to each worker with its instance.
     """
     if theorem_ids is None:
         ids = THEOREM_IDS
@@ -890,9 +884,9 @@ def run_suite(
     report = SuiteReport(corpus_spec, ids)
     if jobs <= 1:
         for module in modules:
-            report.results.extend(_evaluate_module(module, ids))
+            report.results.extend(_evaluate_module(module, ids, cap))
         return report
-    payload = [(m.ring.moduli, m.factors, ids, finmod.LATTICE_CAP) for m in modules]
+    payload = [(m.ring.moduli, m.factors, ids, cap) for m in modules]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         for results in pool.map(_evaluate_spec, payload):
             report.results.extend(results)

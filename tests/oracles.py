@@ -178,6 +178,31 @@ def brute_is_prime_submodule(module, p):
     )
 
 
+def brute_radical(module, sub):
+    """Intersection of the prime submodules containing N, primality tested
+    over every (r, m) by ``brute_is_prime_submodule``; M if there are none."""
+    inter = frozenset(module.elements)
+    for p in module.lattice().all:
+        if sub.elements <= p.elements and brute_is_prime_submodule(module, p):
+            inter &= p.elements
+    return module.submodule_from_set(inter)
+
+
+def brute_classify(module):
+    """The module labels by counting the lattice: two submodules make M
+    simple, three give it a unique nontrivial submodule, and M is a prime
+    module when (0) is a prime submodule, tested over every (r, m)."""
+    subs = module.lattice().all
+    labels = []
+    if len(subs) == 2:
+        labels.append("simple")
+    if len(subs) == 3:
+        labels.append("unique_nontrivial_submodule")
+    if module.size > 1 and brute_is_prime_submodule(module, subs[0]):
+        labels.append("prime_module")
+    return tuple(labels) if labels else ("other",)
+
+
 def brute_min_primes(module):
     """Inclusion-minimal primes, by comparing every pair of primes."""
     ps = module.primes()
@@ -375,7 +400,7 @@ def verify_localization(module, s, loc):
         )
     image = loc.image
     for x in s.closure:
-        if {image.smul(x, m) for m in image.elements} != image.element_set:
+        if {image.smul(x, m) for m in image.elements} != frozenset(image.elements):
             raise InternalCheckError(f"{x} does not act invertibly on the image")
 
 
@@ -383,7 +408,7 @@ def brute_AG(module, star=False):
     """AG(M), or AG(M)* when star, built pair by pair: the vertex list and the
     adjacency bitmasks, every zero test a full ``Module.product`` compared
     with (0)."""
-    zero = module.zero_submodule()
+    zero = module.lattice().zero
     subs = module.lattice().all
     if star:
         ann = module.annihilator()

@@ -256,7 +256,6 @@ def test_solvers_have_no_recursion_limit():
     crown = [
         (full ^ evens if v % 2 == 0 else evens) & ~(1 << (v ^ 1)) for v in range(n)
     ]
-    assert aggraph.greedy_coloring(crown, n) == n // 2
     assert aggraph.chromatic_number(crown, n) == 2
 
 

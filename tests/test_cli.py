@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import agmod
-from agmod import cli, finmod
+from agmod import cli
 from agmod.cli import main, parse_gens, parse_instance
+from agmod.finmod import Module
 from agmod.finring import Ring
 
 
@@ -210,18 +211,18 @@ def test_usage_error_exit_64(capsys):
 
 def test_lattice_cap_env_override(capsys, spec_file, monkeypatch):
     monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "2")
-    saved = finmod.LATTICE_CAP
-    try:
-        code, _, err = run_cli(capsys, "analyze", spec_file(Z12))
-        assert code == 3
-        assert "cap" in err
-    finally:
-        finmod.LATTICE_CAP = saved
+    code, _, err = run_cli(capsys, "analyze", spec_file(Z12))
+    assert code == 3
+    assert "cap" in err
     for junk in ("junk", "0", "-3"):
         monkeypatch.setenv("AGMOD_MAX_SUBMODULES", junk)
         code, _, err = run_cli(capsys, "analyze", spec_file(Z12))
         assert code == 64 and "must be a positive integer" in err, junk
-    assert finmod.LATTICE_CAP == saved
+    # the cap held for those runs only
+    monkeypatch.delenv("AGMOD_MAX_SUBMODULES")
+    code, _, _ = run_cli(capsys, "analyze", spec_file(Z12))
+    assert code == 0
+    assert len(Module(Ring([12]), [(12, 0)]).lattice()) == 6
 
 
 def test_element_cap_fires_before_the_module_is_built(capsys, spec_file):

@@ -14,6 +14,7 @@ from agmod.theorems import InstanceAnalysis
 
 from helpers import NON_CYCLIC, encset, product_module, sub_by_label, zmod
 from oracles import (
+    brute_classify,
     brute_clique_multipliers,
     brute_colon,
     brute_cyclic_generator,
@@ -21,6 +22,7 @@ from oracles import (
     brute_is_semiprime,
     brute_min_primes,
     brute_minimal_submodules,
+    brute_radical,
     brute_subgroup_closure,
     brute_submodule_product,
     brute_zero_divisors,
@@ -42,19 +44,14 @@ def test_module_validation_lists_every_offender():
 
 def test_submodule_generate_examples():
     m = zmod(12)
-    assert m.submodule([(4,)]).elements == encset(m, [0, 4, 8])
-    assert m.submodule([]).elements == encset(m, [0])
+    assert m.span([(4,)]) == encset(m, [0, 4, 8])
+    assert m.span([]) == encset(m, [0])
     # over the product ring the idempotent (1,0) scales (1,2) down to (1,0),
     # so the closure is the full product {0,1} x {0,2}; frozen from the
     # exhaustive closure oracle
     p = product_module([2, 4])
-    assert p.submodule([(1, 2)]).elements == {(0, 0), (0, 2), (1, 0), (1, 2)}
-    assert p.submodule([(1, 2)]).elements == brute_subgroup_closure(p, [(1, 2)])
-
-
-def test_submodule_generate_rejects_foreign_elements():
-    with pytest.raises(DomainError):
-        zmod(12).submodule([(0, 0)])
+    assert p.span([(1, 2)]) == {(0, 0), (0, 2), (1, 0), (1, 2)}
+    assert p.span([(1, 2)]) == brute_subgroup_closure(p, [(1, 2)])
 
 
 def test_lattice_counts():
@@ -203,7 +200,7 @@ def test_generators_regenerate_and_are_minimal():
 def test_colon_examples():
     m = zmod(12)
     assert m.colon(sub_by_label(m, "⟨6⟩")) == m.ring.ideal([6])
-    assert m.colon(m.whole_submodule()) == m.ring.ideal([1])
+    assert m.colon(m.lattice().top) == m.ring.ideal([1])
     p = product_module([2, 4])
     z2x0 = p.lattice().find({(0, 0), (1, 0)})
     assert p.colon(z2x0) == p.ring.ideal([1, 4])
@@ -279,7 +276,7 @@ def test_product_examples():
     assert m.product(two, six).is_zero
     assert m.product(two, three) == six
     for n in m.lattice().all:
-        prod = m.product(n, m.whole_submodule())
+        prod = m.product(n, m.lattice().top)
         assert prod.elements == ideal_act(m, m.colon(n))
         assert prod.elements <= n.elements
 
@@ -304,8 +301,9 @@ def test_prime_submodule_examples():
     m = zmod(12)
     assert m.is_prime_submodule(sub_by_label(m, "⟨2⟩"))
     assert not m.is_prime_submodule(sub_by_label(m, "⟨4⟩"))
-    assert zmod(5).is_prime_submodule(zmod(5).zero_submodule())
-    assert not m.is_prime_submodule(m.whole_submodule())
+    m5 = zmod(5)
+    assert m5.is_prime_submodule(m5.lattice().zero)
+    assert not m.is_prime_submodule(m.lattice().top)
 
 
 def test_min_primes():
@@ -327,18 +325,21 @@ def test_prime_colon_is_prime_ideal():
 
 def test_radical_examples():
     m12 = zmod(12)
-    assert m12.radical(m12.zero_submodule()).elements == encset(m12, [0, 6])
+    assert brute_radical(m12, m12.lattice().zero).elements == encset(m12, [0, 6])
+    assert m12.prime_radical().elements == encset(m12, [0, 6])
     m30 = zmod(30)
-    assert m30.radical(m30.zero_submodule()).is_zero
-    assert m12.radical(m12.whole_submodule()).is_whole
+    assert brute_radical(m30, m30.lattice().zero).is_zero
+    assert m30.prime_radical().is_zero
+    assert brute_radical(m12, m12.lattice().top).is_whole
 
 
 def test_radical_idempotent_and_inflationary():
     for m in [zmod(12), zmod(16), product_module([2, 4])]:
-        for s in m.lattice().all:
-            r = m.radical(s)
+        lat = m.lattice()
+        for s in lat.all:
+            r = lat.find(brute_radical(m, s).elements)
             assert s.elements <= r.elements
-            assert m.radical(r) == r
+            assert brute_radical(m, r) == r
 
 
 def test_radical_colon_identity():
@@ -347,7 +348,8 @@ def test_radical_colon_identity():
         for q in m.lattice().all:
             if q.is_whole:
                 continue
-            assert ideal_radical(m.colon(q)) == m.colon(m.radical(q))
+            rad = m.lattice().find(brute_radical(m, q).elements)
+            assert ideal_radical(m.colon(q)) == m.colon(rad)
 
 
 def _is_semiprime_submodule(m, sub):
@@ -384,7 +386,7 @@ def test_zero_divisors_examples():
 def test_closed_forms_match_scan_oracles(oracle_modules):
     for m in oracle_modules:
         assert m.cyclic_generator() == brute_cyclic_generator(m), m
-        assert m.annihilator().element_set == brute_colon(m, m.zero_submodule()), m
+        assert m.annihilator().element_set == brute_colon(m, m.lattice().zero), m
         zdiv = brute_zero_divisors(m)
         assert m.zero_divisors() == zdiv, m
         assert min_prime_complement(m).closure == set(m.ring.elements()) - zdiv, m
@@ -401,13 +403,27 @@ def test_closed_forms_match_scan_oracles(oracle_modules):
             assert m.annihilates(a, b) == m.product(a, b).is_zero, (m, a, b)
 
 
+def test_module_facts_match_scan_oracles(oracle_modules):
+    # rad(0), the labels of M and of both parts of each split, and e*M
+    for m in oracle_modules:
+        rad = m.prime_radical()
+        assert rad == brute_radical(m, m.lattice().zero), m
+        assert rad.is_zero == m.is_semiprime(), m
+        parts = [m] + [p for _, left, right in m.nontrivial_decompositions()
+                       for p in (left, right)]
+        for part in parts:
+            assert part.classify() == brute_classify(part), part
+        for e in m.ring.idempotents():
+            assert m.times(e).elements == {m.smul(e, x) for x in m.elements}, (m, e)
+
+
 def test_min_primes_are_maximal_ideals_times_module(oracle_modules):
     # Min(M) = {pM : p maximal, p contains ann(M)}, |Min(M)| = sum_c omega(a_c)
     maximal = {}
     for m in oracle_modules:
         if m.ring not in maximal:
             maximal[m.ring] = [p for p in m.ring.ideals() if is_prime_ideal(m.ring, p)]
-        ann = brute_colon(m, m.zero_submodule())
+        ann = brute_colon(m, m.lattice().zero)
         expected = {ideal_act(m, p) for p in maximal[m.ring] if ann <= p.element_set}
         assert {p.elements for p in m.min_primes()} == expected, m
         assert len(expected) == sum(omega(d) for d in m.annihilator().divisors), m
@@ -431,7 +447,7 @@ def test_scaled_is_isomorphic_to_the_image(oracle_modules):
                 return tuple(a % d for a, (d, _) in zip(x, img.factors))
 
             carrier = {m.smul(e, x) for x in m.elements}
-            assert {reduce(x) for x in carrier} == img.element_set, (m, e)
+            assert {reduce(x) for x in carrier} == frozenset(img.elements), (m, e)
             assert len(carrier) == img.size, (m, e)
             for x in carrier:
                 assert m.smul(e, x) == x, (m, e)
@@ -491,7 +507,11 @@ def test_cyclic_detection():
     assert two_dim.cyclic_generator() is None
 
 
-def test_classify():
+def test_classify(monkeypatch):
+    def no_lattice(self, cap=None):
+        raise AssertionError("classify built a lattice")
+
+    monkeypatch.setattr(Module, "lattice", no_lattice)
     assert zmod(4).classify() == ("unique_nontrivial_submodule",)
     assert zmod(5).classify() == ("simple", "prime_module")
     assert zmod(12).classify() == ("other",)
@@ -599,7 +619,7 @@ def test_clique_witness_products_vanish():
     for n in [6, 12, 30, 36, 60, 210]:
         m = zmod(n)
         witnesses, _ = m.min_prime_clique_witness()
-        zero = m.zero_submodule()
+        zero = m.lattice().zero
         for a, b in itertools.combinations(witnesses, 2):
             assert m.product(a, b) == zero
 

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from agmod import finmod, theorems
+from agmod import theorems
 from agmod.cli import main
 
 SPECS = {
@@ -123,10 +123,9 @@ def test_corpus_report_digest(corpus_report):
     assert sha256(data.encode()) == CORPUS_DIGEST
 
 
-def test_capped_corpus_report_digest(monkeypatch):
-    monkeypatch.setattr(finmod, "LATTICE_CAP", 4)
+def test_capped_corpus_report_digest():
     spec = theorems.CorpusSpec(max_ring_card=16)
-    report = theorems.run_suite(theorems.generate_corpus(spec), corpus_spec=spec)
+    report = theorems.run_suite(theorems.generate_corpus(spec), corpus_spec=spec, cap=4)
     assert len(report.skips) == 210
     data = json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False)
     assert sha256(data.encode()) == CAPPED_CORPUS_DIGEST

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from agmod import finmod, theorems
+from agmod import theorems
 from agmod.finmod import Module
 from agmod.finring import Ring
 from agmod.localization import mult_closure
@@ -297,17 +297,16 @@ def test_run_suite_parallel_matches_sequential():
     assert seq == par
 
 
-def test_lattice_cap_reaches_spawned_workers(monkeypatch):
+def test_lattice_cap_reaches_spawned_workers():
     # a spawned worker starts from a fresh import of agmod, so it sees the
     # cap only if run_suite hands it over
-    monkeypatch.setattr(finmod, "LATTICE_CAP", 4)
     saved = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("spawn", force=True)
     try:
         spec = CorpusSpec(max_ring_card=12)
         corpus = generate_corpus(spec)
-        seq = run_suite(corpus, corpus_spec=spec)
-        par = run_suite(corpus, corpus_spec=spec, jobs=2)
+        seq = run_suite(corpus, corpus_spec=spec, cap=4)
+        par = run_suite(corpus, corpus_spec=spec, jobs=2, cap=4)
     finally:
         multiprocessing.set_start_method(saved, force=True)
     assert len(seq.skips) == 84
