@@ -6,7 +6,8 @@ validation reports every offending entry.  All outputs are deterministic byte
 for byte for a given input and package version.
 
 Exit codes: 0 ok, 2 theorem violation, 3 resource cap hit (or corpus skips,
-unless --skips-ok), 64 usage or spec errors.
+unless --skips-ok), 64 usage or spec errors, including an output path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import json
 import math
 import os
 import sys
+from itertools import compress, islice
+from json.encoder import encode_basestring
 
 from . import __version__, aggraph, finmod, theorems
 from .errors import (
@@ -167,13 +170,113 @@ def parse_gens(ring: Ring, text: str):
     return gens
 
 
+def _output(path: str | None, emit) -> None:
+    """Run ``emit(write)`` on stdout, or on the file at ``path``.
+
+    The file is opened before anything is written; a path that cannot be
+    opened or written is a usage error.
+    """
+    if not path:
+        emit(sys.stdout.write)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            emit(fh.write)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _dump(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Stream the bytes of json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) plus a newline, without building the text."""
+
+    def emit(write):
+        _write(obj, write, 0)
+        write("\n")
+
+    _output(out, emit)
+
+
+class _Edges:
+    """A graph's edge list in a report, written by ``_write`` from the bitmasks."""
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: aggraph.AnnGraph):
+        self.graph = graph
+
+
+def _write(obj, write, depth: int) -> None:
+    """Write ``obj`` at nesting ``depth`` as the json module's indent=2 encoder
+    would; a value a report never holds (a float, a set, a non-str key)
+    raises TypeError."""
+    if isinstance(obj, str):
+        write(encode_basestring(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        if all(type(x) is int for x in obj):
+            write("[" + inner + ("," + inner).join(map(str, obj)))
+        else:
+            sep = "[" + inner
+            for item in obj:
+                write(sep)
+                sep = "," + inner
+                _write(item, write, depth + 1)
+        write("\n" + "  " * depth + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError(f"report keys must be str, got {list(obj)!r}")
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for key in sorted(obj):
+            write(sep + encode_basestring(key) + ": ")
+            sep = "," + inner
+            _write(obj[key], write, depth + 1)
+        write("\n" + "  " * depth + "}")
+    elif isinstance(obj, _Edges):
+        _write_edges(obj.graph, write, depth)
     else:
-        sys.stdout.write(text)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _write_edges(graph: aggraph.AnnGraph, write, depth: int) -> None:
+    """The pairs [id_i, id_j] of ``graph.edges()``, one row of i per write.
+
+    Row i is its head (``[``, id_i, ``,``) joined to the tails (id_j, ``]``)
+    of the set bits of adj[i] above bit i, which ``compress`` picks out of
+    the row's binary digits, lowest first.
+    """
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    item = "\n" + "  " * (depth + 2)
+    ids = [str(v.id) for v in graph.vertices]
+    tails = [i + inner + "]" for i in ids]
+    sep = "[" + inner
+    for i, mask in enumerate(graph.adj):
+        upper = mask >> (i + 1)
+        if upper:
+            head = "[" + item + ids[i] + "," + item
+            bits = bin(upper)[:1:-1].encode().translate(_BITS)
+            row = compress(islice(tails, i + 1, None), bits)
+            write(sep + head + ("," + inner + head).join(row))
+            sep = "," + inner
+    write("[]" if sep[0] == "[" else outer + "]")
 
 
 def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
@@ -182,9 +285,7 @@ def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
             {"id": v.id, "label": v.label, "size": v.size}
             for v in graph.vertices
         ],
-        "edges": [
-            [graph.vertices[i].id, graph.vertices[j].id] for i, j in graph.edges()
-        ],
+        "edges": _Edges(graph),
         "invariants": inv.to_dict(),
     }
 
@@ -295,11 +396,7 @@ def cmd_graph(args, cap: int | None) -> int:
     module.lattice(cap)
     graph = aggraph.build_AG_star(module) if args.star else aggraph.build_AG(module)
     text = aggraph.to_dot(graph)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _output(args.dot, lambda write: write(text))
     return 0
 
 

@@ -168,8 +168,22 @@ class Module:
             )
         return image
 
-    @_once
     def lattice(self, cap: int | None = None) -> "Lattice":
+        """Every submodule, enumerated on the first call (see ``_enumerate``).
+
+        A ``cap`` holds for every call: a later call whose cap is below the
+        size of the lattice already built raises as enumerating would have.
+        """
+        try:
+            lattice = self._facts["lattice"]
+        except KeyError:
+            lattice = self._facts["lattice"] = self._enumerate(cap)
+            return lattice
+        if cap is not None and len(lattice) > cap:
+            raise ResourceLimitError(f"more than {cap} submodules (lattice cap)", cap)
+        return lattice
+
+    def _enumerate(self, cap: int | None) -> "Lattice":
         """Enumerate every submodule as a direct sum over the primary parts.
 
         M is the direct sum of its primary parts (see ``_primary_parts``), so
@@ -180,9 +194,9 @@ class Module:
         colon divisor tuple: r*M <= N iff r carries every part into N's
         subgroup of it, so on component c the divisor is the product of the
         exponents of the (c, p)-part quotients, 1 where n_c has no part at p.
-        The caps apply to the first, computing call.  A part may have at most
-        ``cap`` divided by the counts of the parts before it, which is exactly
-        the condition that the whole lattice has at most ``cap`` submodules.
+        A part may have at most ``cap`` divided by the counts of the parts
+        before it, which is exactly the condition that the whole lattice has
+        at most ``cap`` submodules.
         """
         check_element_cap(self.size)
         cap = LATTICE_CAP if cap is None else cap

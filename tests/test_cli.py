@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import agmod
-from agmod import cli
+from agmod import aggraph, cli
 from agmod.cli import main, parse_gens, parse_instance
 from agmod.finmod import Module
 from agmod.finring import Ring
@@ -266,3 +269,98 @@ def test_analyze_dense_module_is_fast(tmp_path):
     assert proc.returncode == 0, proc.stderr
     ag = json.loads(proc.stdout)["graphs"]["AG"]
     assert ag["invariants"]["girth"] == 3 and ag["invariants"]["diameter"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "SPEC", "--out"],
+    ["graph", "SPEC", "--dot"],
+    ["localize", "SPEC", "--at-min-primes", "--out"],
+    ["corpus", "--max-ring", "4", "--theorems", "thm_2_21", "--out"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_64(capsys, spec_file, tmp_path, argv):
+    target = tmp_path / "no" / "such" / "dir" / "r.json"
+    argv = [spec_file(Z12) if a == "SPEC" else a for a in argv] + [str(target)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err == f"agmod: cannot write {target}: No such file or directory\n"
+
+
+# JSON values of the shapes reports hold: str keys and strings with non-ASCII,
+# control and quote characters, ints of any size and sign, bools, None, and
+# nested lists, tuples and dicts (empty ones included).
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f\x7f", "⟨2⟩", "é", "\u2028", "\U0001f600"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _TEXT,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(), max_size=5)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+def _dumped(obj) -> str:
+    chunks = []
+    cli._write(obj, chunks.append, 0)
+    return "".join(chunks) + "\n"
+
+
+@given(_JSON)
+def test_writer_matches_json_dumps(obj):
+    assert _dumped(obj) == json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_writer_matches_json_on_the_corpus_report(corpus_report):
+    obj = corpus_report.to_dict()
+    assert _dumped(obj) == json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, 1.5, {1: "a"}, {"a": [0, {(1,): 2}]}, b"x"],
+                         ids=["set", "float", "int-key", "nested-tuple-key", "bytes"])
+def test_writer_rejects_values_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._write(value, lambda chunk: None, 0)
+
+
+def test_streamed_edges_match_the_pair_list(oracle_modules):
+    # the edge array written from the bitmasks is json's rendering of the
+    # [id_i, id_j] pairs of graph.edges() at the same nesting depth
+    edgeless = ragged = 0
+    for m in oracle_modules:
+        for g in (aggraph.build_AG(m), aggraph.build_AG_star(m)):
+            edges = g.edges()
+            pairs = [[g.vertices[i].id, g.vertices[j].id] for i, j in edges]
+            edgeless += not edges
+            # the array ends in rows, besides the last, with no later neighbour
+            ragged += bool(edges) and edges[-1][0] < g.n - 2
+            for depth in (0, 3):
+                chunks = []
+                cli._write(cli._Edges(g), chunks.append, depth)
+                expected = json.dumps(pairs, indent=2).replace("\n", "\n" + "  " * depth)
+                assert "".join(chunks) == expected, (m.key, g.kind, depth)
+    assert edgeless and ragged
+
+
+def test_report_is_written_in_bounded_memory(spec_file, tmp_path, monkeypatch):
+    # F_3^4: the report is 1.17 MB, nearly all of it edge pairs; writing it
+    # must hold no more than a few adjacency rows at once
+    peaks = []
+    dump = cli._dump
+
+    def traced(obj, out):
+        tracemalloc.start()
+        try:
+            dump(obj, out)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_dump", traced)
+    out = tmp_path / "report.json"
+    spec = spec_file({"ring": [3], "module": [{"d": 3, "c": 0}] * 4})
+    assert main(["analyze", spec, "--out", str(out)]) == 0
+    size = out.stat().st_size
+    assert size > 1_000_000
+    assert peaks[0] < size / 4, (peaks, size)

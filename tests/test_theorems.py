@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from agmod import theorems
+from agmod.errors import ResourceLimitError
 from agmod.finmod import Module
 from agmod.finring import Ring
 from agmod.localization import mult_closure
@@ -14,6 +15,7 @@ from agmod.theorems import (
     NOT_MET,
     PASS,
     SKIPPED,
+    THEOREM_IDS,
     CorpusSpec,
     InstanceAnalysis,
     generate_corpus,
@@ -313,3 +315,25 @@ def test_lattice_cap_reaches_spawned_workers():
     assert json.dumps(par.to_dict(), sort_keys=True) == json.dumps(
         seq.to_dict(), sort_keys=True
     )
+
+
+def test_cap_after_the_lattice_is_cached_is_honoured():
+    # a cap holds on every call, not only on the one that enumerates: a
+    # module whose lattice is already built skips what a fresh one skips,
+    # sequentially and in the pool (which rebuilds modules from their specs)
+    cached = zmod(12)
+    assert len(cached.lattice()) == 6
+    with pytest.raises(ResourceLimitError) as late:
+        cached.lattice(cap=2)
+    with pytest.raises(ResourceLimitError) as fresh:
+        zmod(12).lattice(cap=2)
+    assert str(late.value) == str(fresh.value) and late.value.limit == fresh.value.limit == 2
+    assert cached.lattice(cap=6) is cached.lattice()
+    reports = [
+        run_suite([cached], cap=2),
+        run_suite([zmod(12)], cap=2),
+        run_suite([cached], cap=2, jobs=2),
+    ]
+    assert len(reports[0].skips) == len(THEOREM_IDS) == 21
+    first = json.dumps(reports[0].to_dict(), sort_keys=True)
+    assert all(json.dumps(r.to_dict(), sort_keys=True) == first for r in reports)
