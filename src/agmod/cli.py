@@ -173,17 +173,34 @@ def parse_gens(ring: Ring, text: str):
 def _output(path: str | None, emit) -> None:
     """Run ``emit(write)`` on stdout, or on the file at ``path``.
 
-    The file is opened before anything is written; a path that cannot be
-    opened or written is a usage error.
+    The file is opened before anything is written.  A path that cannot be
+    opened or written is a usage error, and so is a stdout that cannot be
+    written, such as a pipe its reader closed.  The stdout descriptor is then
+    pointed at os.devnull, so the flush at interpreter exit prints nothing.
     """
-    if not path:
-        emit(sys.stdout.write)
-        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            emit(fh.write)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                emit(fh.write)
+        else:
+            emit(sys.stdout.write)
+            sys.stdout.flush()
     except OSError as exc:
-        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if not path:
+            _silence_stdout()
+        raise SpecError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
+
+
+def _silence_stdout() -> None:
+    """Point the stdout descriptor at os.devnull; an in-process stdout without
+    a descriptor (a test's capture buffer, say) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _dump(obj, out: str | None) -> None:
@@ -351,14 +368,14 @@ def cmd_analyze(args, cap: int | None) -> int:
             "count": len(lat),
             "minimal": [s.id for s in module.minimal_submodules()],
             "primes": [s.id for s in module.primes()],
-            "min_primes": [s.id for s in a.mins],
-            "radical_zero": lat.find(a.rad0.elements).id,
+            "min_primes": [s.id for s in module.min_primes()],
+            "radical_zero": module.prime_radical().id,
             "annihilator": list(module.annihilator().divisors),
-            "annihilator_nil": a.ann_nil,
+            "annihilator_nil": module.annihilator().is_nil(),
             "semiprime": module.is_semiprime(),
             "cyclic": gen is not None,
             "cyclic_generator": None if gen is None else list(gen),
-            "classification": list(a.classification),
+            "classification": list(module.classify()),
         },
         "graphs": {
             "AG": _graph_dict(a.ag, a.inv),
@@ -382,7 +399,7 @@ def cmd_analyze(args, cap: int | None) -> int:
         witnesses, wreport = module.min_prime_clique_witness()
         report["clique_witness"] = {
             "submodules": [
-                {"id": lat.find(w.elements).id, "label": w.label, "size": w.size}
+                {"id": w.id, "label": w.label, "size": w.size}
                 for w in witnesses
             ],
             **wreport,

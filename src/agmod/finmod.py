@@ -15,23 +15,27 @@ has one lower-triangular Hermite normal form (reduced row echelon form when
 every a_i = 1), so each is listed exactly once; the parts' subgroups are then
 added up.
 
-The lattice also records each submodule's colon ideal (N : M), read off the
-Hermite forms: the divisor on component c is the product over p of the
-exponents of the (c, p)-part modulo N's subgroup of it.  Facts about M itself
-come from the table of primary parts and need no lattice: ann(M) is the lcm
-of the factor orders per component, the associated primes are the maximal
-ideals m_{c,p} = {r : p | r_c} of the nonzero parts, M is cyclic iff every
-part has one coordinate, simple iff M has one coordinate in all and its
-order is a prime p, and has exactly one nontrivial submodule iff that one
-coordinate has order p^2.  Every prime ideal of a finite ring is maximal, so
-a proper N is prime iff (N : M) is maximal, and Z(M) is the union of the
-associated primes.  Since every ideal of the ring is principal, each
-submodule made from a scalar is one image r*M (``times``): a product
-(N:M)(K:M)M, an idempotent part e*M, and rad(0).  The primes with colon
-m_{c,p} are the proper submodules containing m_{c,p}M, so rad(0) is the sum
-of the p*M_{c,p}, the image of the element whose residue on c is the
-squarefree kernel of ann(M)'s divisor there; M is semiprime iff it is 0.  A
-product vanishes iff (N:M)(K:M) lies in ann(M), so the zero test
+The lattice makes every ``Submodule``, each once, and gives it its colon
+ideal (N : M), read off the Hermite forms: the divisor on component c is the
+product over p of the exponents of the (c, p)-part modulo N's subgroup of it.
+Every submodule the module hands out (an image r*M, a product, rad(0), a
+witness) is that lattice member, so submodules of one module compare with
+``is`` or ``==``; across modules, compare their ``elements``.
+
+Facts about M itself come from the table of primary parts and need no
+lattice: ann(M) is the lcm of the factor orders per component, the
+associated primes are the maximal ideals m_{c,p} = {r : p | r_c} of the
+nonzero parts, M is cyclic iff every part has one coordinate, simple iff M
+has one coordinate in all and its order is a prime p, and has exactly one
+nontrivial submodule iff that one coordinate has order p^2.  Every prime
+ideal of a finite ring is maximal, so a proper N is prime iff (N : M) is
+maximal, and Z(M) is the union of the associated primes.  Since every ideal
+of the ring is principal, each submodule made from a scalar is one image r*M
+(``times``): a product (N:M)(K:M)M, an idempotent part e*M, and rad(0).  The
+primes with colon m_{c,p} are the proper submodules containing m_{c,p}M, so
+rad(0) is the sum of the p*M_{c,p}, the image of the element whose residue
+on c is the squarefree kernel of ann(M)'s divisor there; M is semiprime iff
+it is 0.  A product vanishes iff (N:M)(K:M) lies in ann(M), so the zero test
 (``annihilates``) is divisibility on divisor tuples and builds no set.  The
 exhaustive scans for these facts live in tests/oracles.py.
 """
@@ -156,14 +160,12 @@ class Module:
                 span = {self.add(s, m) for s in span for m in orbit}
         return frozenset(span)
 
-    def submodule_from_set(self, elems) -> "Submodule":
-        return Submodule(self, frozenset(elems))
-
     def times(self, r) -> "Submodule":
-        """The image r*M = {r*m}, cached by the scalar r."""
+        """The lattice member r*M = {r*m}, cached by the scalar r; the first
+        call enumerates the lattice, under its caps, if nothing has yet."""
         image = self._times_cache.get(r)
         if image is None:
-            image = self._times_cache[r] = self.submodule_from_set(
+            image = self._times_cache[r] = self.lattice().find(
                 {self.smul(r, m) for m in self.elements}
             )
         return image
@@ -307,7 +309,7 @@ class Module:
 
     def colon(self, sub: "Submodule") -> Ideal:
         """(N : M) = {r : r*M <= N} in divisor form, recorded by the lattice."""
-        return self.lattice().colons[sub.encoding]
+        return sub.colon
 
     @_once
     def annihilator(self) -> Ideal:
@@ -336,7 +338,9 @@ class Module:
         """The submodule product (N:M)(K:M)M.
 
         The ideal (N:M)(K:M) is generated by the element g whose residues are
-        its divisors, so the product is g*M.
+        its divisors, so the product is g*M.  The pipeline decides NK = (0)
+        with ``annihilates`` and never builds a product; this stays for the
+        tests and the per-layer trace.
         """
         return self.times(self.colon(n).product(self.colon(k)).divisors)
 
@@ -355,6 +359,7 @@ class Module:
     def primes(self) -> list["Submodule"]:
         return [s for s in self.lattice().all if self.is_prime_submodule(s)]
 
+    @_once
     def min_primes(self) -> list["Submodule"]:
         """Inclusion-minimal prime submodules: the first prime of each colon.
 
@@ -432,6 +437,7 @@ class Module:
     def is_cyclic(self) -> bool:
         return self.cyclic_generator() is not None
 
+    @_once
     def classify(self) -> tuple[str, ...]:
         """Overlapping labels in fixed order; ('other',) when none apply.
 
@@ -534,7 +540,7 @@ class Module:
         t = s if pair_multipliers else ring.one
 
         witnesses = [self.times(ring.mul(t, e_i)) for e_i in e_parts]
-        if len({w.encoding for w in witnesses}) != len(witnesses):
+        if len(set(witnesses)) != len(witnesses):
             raise InternalCheckError("clique witnesses are not distinct")
         for w in witnesses:
             if w.is_zero:
@@ -572,14 +578,18 @@ def _in_span(y, rows, heads) -> bool:
 
 
 class Submodule:
-    """A submodule as a canonical closed element set with a minimal generator list."""
+    """A member of its module's lattice: a closed element set with its colon
+    ideal and a minimal generator list.  The lattice makes each submodule
+    once, so two members of one module are equal iff they are the same object.
+    """
 
-    __slots__ = ("module", "elements", "encoding", "_gens", "id")
+    __slots__ = ("module", "elements", "encoding", "colon", "_gens", "id")
 
-    def __init__(self, module: Module, elems: frozenset):
+    def __init__(self, module: Module, elems: frozenset, colon: Ideal):
         self.module = module
         self.elements = elems
         self.encoding = tuple(sorted(elems))
+        self.colon = colon
         self._gens = None
         self.id = None
 
@@ -589,16 +599,6 @@ class Submodule:
         if self._gens is None:
             self._gens = _minimal_gens(self.module, self.elements)
         return self._gens
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Submodule)
-            and self.module.key == other.module.key
-            and self.encoding == other.encoding
-        )
-
-    def __hash__(self):
-        return hash(self.encoding)
 
     def __repr__(self):
         return f"<{self.label} #{self.size}>"
@@ -655,19 +655,18 @@ def _minimal_gens(module: Module, elems: frozenset) -> tuple:
 
 
 class Lattice:
-    """All submodules, sorted by (size, canonical encoding), with inclusion
-    order, and their colon ideals by encoding, one Ideal per colon class."""
+    """All submodules, sorted by (size, canonical encoding), each made here
+    once with its colon ideal, one Ideal per colon class."""
 
     def __init__(self, module: Module, sums):
         self.module = module
         ideals = {divs: Ideal(module.ring, divs) for divs in {d for _, d in sums}}
-        subs = [Submodule(module, elems) for elems, _ in sums]
-        self.colons = {s.encoding: ideals[d] for s, (_, d) in zip(subs, sums)}
+        subs = [Submodule(module, elems, ideals[divs]) for elems, divs in sums]
         subs.sort(key=lambda s: (s.size, s.encoding))
         for i, s in enumerate(subs):
             s.id = i
         self.all = tuple(subs)
-        self._by_encoding = {s.encoding: s for s in subs}
+        self._by_elements = {s.elements: s for s in subs}
 
     def __len__(self):
         return len(self.all)
@@ -681,8 +680,9 @@ class Lattice:
         return self.all[-1]
 
     def find(self, elems) -> Submodule:
-        enc = tuple(sorted(elems))
-        sub = self._by_encoding.get(enc)
+        """The member with exactly these elements; a frozenset keeps its hash,
+        so looking up a member's own elements hashes nothing."""
+        sub = self._by_elements.get(frozenset(elems))
         if sub is None:
             raise DomainError("element set is not a submodule of this lattice")
         return sub

@@ -167,9 +167,10 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
 
 
 def image_submodule(loc: LocalizedModule, sub: Submodule) -> Submodule:
-    """The image N_S = e*N of a submodule of the original module, with e*x
-    read as x reduced modulo each factor of the image (``Module.scaled``)."""
+    """The image N_S = e*N of a submodule of the original module, as a member
+    of the image's lattice, with e*x read as x reduced modulo each factor of
+    the image (``Module.scaled``)."""
     image = loc.image
-    return image.submodule_from_set(
+    return image.lattice().find(
         {tuple(a % d for a, (d, _) in zip(x, image.factors)) for x in sub.elements}
     )

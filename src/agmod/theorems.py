@@ -25,6 +25,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,10 +59,10 @@ def instance_id(module: Module) -> str:
 class InstanceAnalysis:
     """Lazily computed views of one module instance.
 
-    It caches only facts the module does not cache itself, such as graphs,
-    invariants, decompositions and localizations, and lives as long as its
-    caller keeps it: the suite builds one per instance and drops it when the
-    instance is done.
+    It caches only facts the module does not cache itself (graphs,
+    invariants, decompositions, the FxS split and localizations) and lives
+    as long as its caller keeps it: the suite builds one per instance and
+    drops it when the instance is done.
     """
 
     def __init__(self, module: Module):
@@ -84,26 +85,6 @@ class InstanceAnalysis:
         return aggraph.invariants(self.ag_star)
 
     @cached_property
-    def ann_nil(self) -> bool:
-        return self.module.annihilator().is_nil()
-
-    @cached_property
-    def mins(self):
-        return self.module.min_primes()
-
-    @cached_property
-    def rad0(self):
-        return self.module.prime_radical()
-
-    @cached_property
-    def classification(self):
-        return self.module.classify()
-
-    @property
-    def simple(self) -> bool:
-        return "simple" in self.classification
-
-    @cached_property
     def decompositions(self):
         return self.module.nontrivial_decompositions()
 
@@ -120,10 +101,6 @@ class InstanceAnalysis:
         return None
 
     @cached_property
-    def vertex_encodings(self):
-        return {v.encoding for v in self.ag.vertices}
-
-    @cached_property
     def loc_min(self):
         """M localized at the minimal-prime complement."""
         return localize(self.module, min_prime_complement(self.module))
@@ -134,10 +111,7 @@ class InstanceAnalysis:
 
 
 def _sub_ref(sub) -> dict:
-    ref = {"label": sub.label, "size": sub.size}
-    if sub.id is not None:
-        ref["id"] = sub.id
-    return ref
+    return {"id": sub.id, "label": sub.label, "size": sub.size}
 
 
 # -- predicates -------------------------------------------------------------------
@@ -146,10 +120,11 @@ def _sub_ref(sub) -> dict:
 def _prop_2_5(a: InstanceAnalysis):
     """Every nonzero proper submodule is a graph vertex (finite instances
     always satisfy the finiteness/Artinian hypotheses by construction)."""
+    vertices = set(a.ag.vertices)
     missing = [
         _sub_ref(s)
         for s in a.module.lattice().all
-        if not s.is_zero and not s.is_whole and s.encoding not in a.vertex_encodings
+        if not s.is_zero and not s.is_whole and s not in vertices
     ]
     if missing:
         return FAIL, {"non_vertices": missing}
@@ -159,15 +134,15 @@ def _prop_2_5(a: InstanceAnalysis):
 def _lemma_2_4(a: InstanceAnalysis):
     """With a nil annihilator, each minimal submodule squares to zero or is
     cut out by an idempotent."""
-    if not a.ann_nil:
-        return NOT_MET, {"reason": "annihilator is not nil"}
     m = a.module
+    if not m.annihilator().is_nil():
+        return NOT_MET, {"reason": "annihilator is not nil"}
     branches = []
     for n in m.minimal_submodules():
         if m.annihilates(n, n):
             branches.append({"submodule": _sub_ref(n), "branch": "square_zero"})
             continue
-        e = next((e for e in m.ring.idempotents() if m.times(e) == n), None)
+        e = next((e for e in m.ring.idempotents() if m.times(e) is n), None)
         if e is None:
             return FAIL, {"submodule": _sub_ref(n)}
         branches.append(
@@ -231,23 +206,19 @@ def _p4_fxs_structure(a: InstanceAnalysis):
     F = eM, S = (1-e)M and N the one nonzero submodule of M strictly in S."""
     m = a.module
     e = a.fxs[0]
-    comp = m.ring.sub(m.ring.one, e)
-    f_set = m.times(e).elements
-    s_set = m.times(comp).elements
-    inside = [
-        n.elements for n in m.lattice().all if not n.is_zero and n.elements < s_set
-    ]
+    f = m.times(e)
+    s = m.times(m.ring.sub(m.ring.one, e))
+    inside = [k for k in m.lattice().all if not k.is_zero and k.elements < s.elements]
     if len(inside) != 1:
         return False, {"reason": "second part lacks a unique nontrivial submodule"}
-    n_set = inside[0]
-    fn_set = frozenset(m.add(f, n) for f in f_set for n in n_set)
-    expected = [s_set, f_set, n_set, fn_set]
+    n = inside[0]
+    fn = m.lattice().find({m.add(x, y) for x in f.elements for y in n.elements})
+    expected = [s, f, n, fn]
     if len(set(expected)) != 4:
         return False, {"reason": "expected vertices are not distinct"}
-    actual = {v.elements for v in a.ag.vertices}
-    if set(expected) != actual:
+    index = {v: i for i, v in enumerate(a.ag.vertices)}
+    if set(expected) != set(index):
         return False, {"reason": "vertex sets differ"}
-    index = {v.elements: i for i, v in enumerate(a.ag.vertices)}
     path = [index[x] for x in expected]
     for i in range(4):
         for j in range(i + 1, 4):
@@ -299,7 +270,7 @@ def _thm_2_8(a: InstanceAnalysis):
 
 def _prop_2_9a(a: InstanceAnalysis):
     """Nil annihilator + finite bipartite graph: star or four-vertex path."""
-    if not a.ann_nil:
+    if not a.module.annihilator().is_nil():
         return NOT_MET, {"reason": "annihilator is not nil"}
     if a.ag.n == 0:
         return NOT_MET, {"reason": "empty graph"}
@@ -314,7 +285,7 @@ def _prop_2_9a(a: InstanceAnalysis):
 
 def _prop_2_9b(a: InstanceAnalysis):
     """Nil annihilator + regular graph of finite degree: complete graph."""
-    if not a.ann_nil:
+    if not a.module.annihilator().is_nil():
         return NOT_MET, {"reason": "annihilator is not nil"}
     if a.ag.n == 0:
         return NOT_MET, {"reason": "empty graph"}
@@ -424,7 +395,8 @@ def _thm_2_10(a: InstanceAnalysis):
 def _thm_2_11(a: InstanceAnalysis):
     """Cyclic, nil annihilator, at least three minimal primes: the graph has
     a cycle."""
-    if not a.module.is_cyclic() or not a.ann_nil or len(a.mins) < 3:
+    m = a.module
+    if not m.is_cyclic() or not m.annihilator().is_nil() or len(m.min_primes()) < 3:
         return NOT_MET, {"reason": "needs cyclic, nil annihilator, |Min| >= 3"}
     if a.inv.girth is not None:
         return PASS, {"girth": a.inv.girth}
@@ -434,11 +406,12 @@ def _thm_2_11(a: InstanceAnalysis):
 def _thm_2_12(a: InstanceAnalysis):
     """Cyclic, nonzero prime radical of 0, nil annihilator, exactly two
     minimal primes: a cycle or the four-vertex path."""
+    m = a.module
     if (
-        not a.module.is_cyclic()
-        or a.rad0.is_zero
-        or not a.ann_nil
-        or len(a.mins) != 2
+        not m.is_cyclic()
+        or m.prime_radical().is_zero
+        or not m.annihilator().is_nil()
+        or len(m.min_primes()) != 2
     ):
         return NOT_MET, {
             "reason": "needs cyclic, rad(0) != 0, nil annihilator, |Min| = 2"
@@ -570,23 +543,23 @@ def _thm_2_18(a: InstanceAnalysis):
     degenerates to the improper submodule, which is not a vertex."""
     if not a.module.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
-    if len(a.mins) < 2:
+    if len(a.module.min_primes()) < 2:
         return NOT_MET, {"reason": "needs |Min| >= 2"}
     try:
         witnesses, report = a.module.min_prime_clique_witness()
     except InternalCheckError as exc:
         return FAIL, {"construction": str(exc)}
-    index = {v.encoding: i for i, v in enumerate(a.ag.vertices)}
+    index = {v: i for i, v in enumerate(a.ag.vertices)}
     ids = []
     for w in witnesses:
-        if w.encoding not in index:
+        if w not in index:
             return FAIL, {"witness_not_vertex": _sub_ref(w)}
-        ids.append(index[w.encoding])
+        ids.append(index[w])
     for i, j in itertools.combinations(ids, 2):
         if not a.ag.has_edge(i, j):
             return FAIL, {"non_adjacent_pair": [i, j]}
     return PASS, {
-        "witness": [_sub_ref(w) for w in witnesses],
+        "witness": [{"label": w.label, "size": w.size} for w in witnesses],
         **report,
     }
 
@@ -599,9 +572,9 @@ def _cor_2_19(a: InstanceAnalysis):
     minimal prime, so the inequality has no graph to live in."""
     if not a.module.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
-    if a.simple:
+    if "simple" in a.module.classify():
         return NOT_MET, {"reason": "simple module (empty graph)"}
-    n = len(a.mins)
+    n = len(a.module.min_primes())
     if a.inv.clique_number < n:
         return FAIL, {"clique_number": a.inv.clique_number, "min_primes": n}
     if n >= 3 and a.inv.girth != 3:
@@ -617,11 +590,11 @@ def _thm_2_20(a: InstanceAnalysis):
     """Cyclic with zero prime radical: chromatic = clique = |Min|.
 
     Scoped to non-simple modules, as for the clique bound."""
-    if not a.module.is_cyclic() or not a.rad0.is_zero:
+    if not a.module.is_cyclic() or not a.module.prime_radical().is_zero:
         return NOT_MET, {"reason": "needs cyclic with rad(0) = 0"}
-    if a.simple:
+    if "simple" in a.module.classify():
         return NOT_MET, {"reason": "simple module (empty graph)"}
-    n = len(a.mins)
+    n = len(a.module.min_primes())
     if a.inv.chromatic_number == a.inv.clique_number == n:
         return PASS, {"value": n}
     return FAIL, {
@@ -648,7 +621,7 @@ def _star_conclusion(a: InstanceAnalysis):
 def _thm_2_22(a: InstanceAnalysis):
     """Nil annihilator, one minimal prime, triangle-free graph: a star.
     Empty graphs are out of scope (a star needs a centre)."""
-    if not a.ann_nil or len(a.mins) != 1:
+    if not a.module.annihilator().is_nil() or len(a.module.min_primes()) != 1:
         return NOT_MET, {"reason": "needs nil annihilator and |Min| = 1"}
     if a.ag.n == 0:
         return NOT_MET, {"reason": "empty graph"}
@@ -659,7 +632,7 @@ def _thm_2_22(a: InstanceAnalysis):
 
 def _cor_2_23(a: InstanceAnalysis):
     """Nil annihilator, one minimal prime, bipartite graph: a star."""
-    if not a.ann_nil or len(a.mins) != 1:
+    if not a.module.annihilator().is_nil() or len(a.module.min_primes()) != 1:
         return NOT_MET, {"reason": "needs nil annihilator and |Min| = 1"}
     if a.ag.n == 0:
         return NOT_MET, {"reason": "empty graph"}
@@ -869,10 +842,12 @@ def run_suite(
 ) -> SuiteReport:
     """Evaluate the predicates over the corpus, in deterministic corpus order.
 
-    Instances are independent; with jobs > 1 they are evaluated in a process
-    pool, and the report is assembled in corpus order either way.  Every
-    instance's lattice is enumerated under ``cap`` (``finmod.LATTICE_CAP``
-    when None), which is passed to each worker with its instance.
+    Instances are independent; they are evaluated in a process pool of at
+    most ``jobs`` workers, no more than the instances or the CPUs, or in this
+    process when that is one, and the report is assembled in corpus order
+    either way.  Every instance's lattice is enumerated under ``cap``
+    (``finmod.LATTICE_CAP`` when None), which is passed to each worker with
+    its instance.
     """
     if theorem_ids is None:
         ids = THEOREM_IDS
@@ -882,12 +857,13 @@ def run_suite(
         if unknown:
             raise KeyError(f"unknown theorem ids: {unknown}")
     report = SuiteReport(corpus_spec, ids)
-    if jobs <= 1:
+    workers = min(jobs, len(modules), os.cpu_count() or 1)
+    if workers <= 1:
         for module in modules:
             report.results.extend(_evaluate_module(module, ids, cap))
         return report
     payload = [(m.ring.moduli, m.factors, ids, cap) for m in modules]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for results in pool.map(_evaluate_spec, payload):
             report.results.extend(results)
     return report

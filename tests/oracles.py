@@ -179,13 +179,14 @@ def brute_is_prime_submodule(module, p):
 
 
 def brute_radical(module, sub):
-    """Intersection of the prime submodules containing N, primality tested
-    over every (r, m) by ``brute_is_prime_submodule``; M if there are none."""
+    """The element set of the intersection of the prime submodules containing
+    N, primality tested over every (r, m) by ``brute_is_prime_submodule``; M if
+    there are none."""
     inter = frozenset(module.elements)
     for p in module.lattice().all:
         if sub.elements <= p.elements and brute_is_prime_submodule(module, p):
             inter &= p.elements
-    return module.submodule_from_set(inter)
+    return inter
 
 
 def brute_classify(module):

@@ -76,12 +76,13 @@ def test_criterion_2_clique_bound_and_witnesses(corpus_analyses):
             if not a.module.is_cyclic():
                 continue
             witnesses, _ = a.module.min_prime_clique_witness()  # self-verifying
-            assert len(witnesses) == len(a.mins)
-            if a.simple:
+            mins = a.module.min_primes()
+            assert len(witnesses) == len(mins)
+            if "simple" in a.module.classify():
                 continue  # empty graph: one minimal prime but no vertices
             applicable += 1
-            assert a.inv.clique_number >= len(a.mins), instance_id(a.module)
-            if len(a.mins) >= 3:
+            assert a.inv.clique_number >= len(mins), instance_id(a.module)
+            if len(mins) >= 3:
                 assert a.inv.girth == 3, instance_id(a.module)
         assert applicable > 0
 

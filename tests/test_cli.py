@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -237,17 +239,22 @@ def test_element_cap_fires_before_the_module_is_built(capsys, spec_file):
     assert code == 3 and "above the cap of 512" in err
 
 
+def _subprocess_env() -> dict:
+    """The environment with this checkout's agmod first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(agmod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_analyze_cost_does_not_grow_with_the_ring(tmp_path):
     # Z_6 over Z_9699690 (the product of the primes up to 19): the module is
     # tiny, so no step of analyze may scale with the 9.7 million ring elements
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"ring": [9699690], "module": [{"d": 6, "c": 0}]}))
-    env = dict(os.environ)
-    src = str(Path(agmod.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
-        capture_output=True, text=True, timeout=30, env=env,
+        capture_output=True, text=True, timeout=30, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     witness = json.loads(proc.stdout)["clique_witness"]
@@ -259,16 +266,42 @@ def test_analyze_dense_module_is_fast(tmp_path):
     # classes; the graph and its girth and diameter are built per class
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"ring": [2], "module": [{"d": 2, "c": 0}] * 5}))
-    env = dict(os.environ)
-    src = str(Path(agmod.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
-        capture_output=True, text=True, timeout=20, env=env,
+        capture_output=True, text=True, timeout=20, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     ag = json.loads(proc.stdout)["graphs"]["AG"]
     assert ag["invariants"]["girth"] == 3 and ag["invariants"]["diameter"] == 1
+
+
+def test_closed_stdout_exits_64_without_a_traceback(tmp_path):
+    # F_3^4's report is over 1 MB, far more than a pipe holds, so the writer
+    # meets the closed pipe in the middle of the report
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ring": [3], "module": [{"d": 3, "c": 0}] * 4}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    err = err.decode()
+    assert proc.returncode == 64, err
+    assert err.splitlines() == ["agmod: cannot write stdout: Broken pipe"]
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_unwritable_stdout_without_a_descriptor_exits_64(capsys, spec_file, monkeypatch):
+    # an in-process stdout has no descriptor to point at os.devnull
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["analyze", spec_file(Z12)]) == 64
+    assert capsys.readouterr().err == "agmod: cannot write stdout: Broken pipe\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,13 @@ from agmod.aggraph import build_AG, build_AG_star
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
 from agmod.finmod import Module
 from agmod.finring import Ring, divisors
-from agmod.localization import min_prime_complement
+from agmod.localization import (
+    check_product_decomposition,
+    image_submodule,
+    localize,
+    min_prime_complement,
+    mult_closure,
+)
 from agmod.theorems import InstanceAnalysis
 
 from helpers import NON_CYCLIC, encset, product_module, sub_by_label, zmod
@@ -325,21 +331,21 @@ def test_prime_colon_is_prime_ideal():
 
 def test_radical_examples():
     m12 = zmod(12)
-    assert brute_radical(m12, m12.lattice().zero).elements == encset(m12, [0, 6])
+    assert brute_radical(m12, m12.lattice().zero) == encset(m12, [0, 6])
     assert m12.prime_radical().elements == encset(m12, [0, 6])
     m30 = zmod(30)
-    assert brute_radical(m30, m30.lattice().zero).is_zero
+    assert brute_radical(m30, m30.lattice().zero) == encset(m30, [0])
     assert m30.prime_radical().is_zero
-    assert brute_radical(m12, m12.lattice().top).is_whole
+    assert brute_radical(m12, m12.lattice().top) == frozenset(m12.elements)
 
 
 def test_radical_idempotent_and_inflationary():
     for m in [zmod(12), zmod(16), product_module([2, 4])]:
         lat = m.lattice()
         for s in lat.all:
-            r = lat.find(brute_radical(m, s).elements)
+            r = lat.find(brute_radical(m, s))
             assert s.elements <= r.elements
-            assert brute_radical(m, r) == r
+            assert brute_radical(m, r) == r.elements
 
 
 def test_radical_colon_identity():
@@ -348,7 +354,7 @@ def test_radical_colon_identity():
         for q in m.lattice().all:
             if q.is_whole:
                 continue
-            rad = m.lattice().find(brute_radical(m, q).elements)
+            rad = m.lattice().find(brute_radical(m, q))
             assert ideal_radical(m.colon(q)) == m.colon(rad)
 
 
@@ -368,7 +374,7 @@ def test_intersections_of_primes_are_semiprime():
         for size in range(1, len(primes) + 1):
             for subset in itertools.combinations(primes, size):
                 inter = frozenset.intersection(*(p.elements for p in subset))
-                assert _is_semiprime_submodule(m, m.submodule_from_set(inter))
+                assert _is_semiprime_submodule(m, m.lattice().find(inter))
 
 
 def test_semiprime_module_examples():
@@ -407,7 +413,7 @@ def test_module_facts_match_scan_oracles(oracle_modules):
     # rad(0), the labels of M and of both parts of each split, and e*M
     for m in oracle_modules:
         rad = m.prime_radical()
-        assert rad == brute_radical(m, m.lattice().zero), m
+        assert rad is m.lattice().find(brute_radical(m, m.lattice().zero)), m
         assert rad.is_zero == m.is_semiprime(), m
         parts = [m] + [p for _, left, right in m.nontrivial_decompositions()
                        for p in (left, right)]
@@ -415,6 +421,32 @@ def test_module_facts_match_scan_oracles(oracle_modules):
             assert part.classify() == brute_classify(part), part
         for e in m.ring.idempotents():
             assert m.times(e).elements == {m.smul(e, x) for x in m.elements}, (m, e)
+
+
+def test_handed_out_submodules_are_lattice_members(oracle_modules):
+    # every submodule a module hands out is its lattice's own member, with
+    # the colon ideal the scan finds; each member's colon is scanned once
+    scanned = set()
+
+    def check(m, s):
+        assert s is m.lattice().all[s.id], (m, s)
+        if (m.key, s.id) not in scanned:
+            scanned.add((m.key, s.id))
+            assert s.colon.element_set == brute_colon(m, s), (m, s)
+
+    for m in oracle_modules:
+        for e in m.ring.idempotents():
+            check(m, m.times(e))
+            loc = localize(m, mult_closure(m.ring, [e]))
+            for n in m.lattice().all:
+                check(loc.image, image_submodule(loc, n))
+        check(m, m.prime_radical())
+        if m.is_cyclic():
+            for w in m.min_prime_clique_witness()[0]:
+                check(m, w)
+            loc = localize(m, min_prime_complement(m))
+            for c in check_product_decomposition(m, loc).components:
+                check(m, c)
 
 
 def test_min_primes_are_maximal_ideals_times_module(oracle_modules):
@@ -558,32 +590,29 @@ def test_product_ring_lattice_is_componentwise():
               product_module([2, 8], [(2, 0), (4, 1)])]:
         e = (1, 0)
         comp = m.ring.sub(m.ring.one, e)
+        lat = m.lattice()
         slices = {}
-        for s in m.lattice().all:
+        for s in lat.all:
             part1 = frozenset(m.smul(e, x) for x in s.elements)
             part2 = frozenset(m.smul(comp, x) for x in s.elements)
             assert {m.add(a, b) for a in part1 for b in part2} == s.elements
-            slices[s.encoding] = (part1, part2)
+            slices[s] = (part1, part2)
         firsts = {p1 for p1, _ in slices.values()}
         seconds = {p2 for _, p2 in slices.values()}
-        assert len(m.lattice()) == len(firsts) * len(seconds)
-        for a in m.lattice().all:
-            for b in m.lattice().all:
+        assert len(lat) == len(firsts) * len(seconds)
+        for a in lat.all:
+            for b in lat.all:
                 prod = m.product(a, b)
-                pa, pb = slices[a.encoding], slices[b.encoding]
+                pa, pb = slices[a], slices[b]
                 left = {m.smul(e, x) for x in prod.elements}
                 right = {m.smul(comp, x) for x in prod.elements}
                 sliced_left = {
                     m.smul(e, x)
-                    for x in m.product(
-                        m.submodule_from_set(pa[0]), m.submodule_from_set(pb[0])
-                    ).elements
+                    for x in m.product(lat.find(pa[0]), lat.find(pb[0])).elements
                 }
                 sliced_right = {
                     m.smul(comp, x)
-                    for x in m.product(
-                        m.submodule_from_set(pa[1]), m.submodule_from_set(pb[1])
-                    ).elements
+                    for x in m.product(lat.find(pa[1]), lat.find(pb[1])).elements
                 }
                 assert left == sliced_left and right == sliced_right
 

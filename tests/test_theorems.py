@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
+import os
 import weakref
 
 import pytest
@@ -156,7 +158,7 @@ def test_simple_module_degenerate_scope():
     a = InstanceAnalysis(m)
     assert a.ag.n == 0
     assert a.inv.clique_number == 0
-    assert len(a.mins) == 1
+    assert len(m.min_primes()) == 1
     assert run("cor_2_19", m).status == NOT_MET
     assert run("thm_2_20", m).status == NOT_MET
     assert run("thm_2_18", m).status == NOT_MET
@@ -332,8 +334,46 @@ def test_cap_after_the_lattice_is_cached_is_honoured():
     reports = [
         run_suite([cached], cap=2),
         run_suite([zmod(12)], cap=2),
-        run_suite([cached], cap=2, jobs=2),
     ]
     assert len(reports[0].skips) == len(THEOREM_IDS) == 21
     first = json.dumps(reports[0].to_dict(), sort_keys=True)
     assert all(json.dumps(r.to_dict(), sort_keys=True) == first for r in reports)
+    # two instances, so that jobs=2 does start a pool of two workers
+    pooled = run_suite([cached, cached], cap=2, jobs=2)
+    assert pooled.results == reports[0].results * 2
+
+
+class _InlinePool:
+    """A stand-in ProcessPoolExecutor that records its size and maps in this
+    process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, modules, pool", [
+    (4, 3, 3),  # no more workers than instances
+    (2, 3, 2),  # no more workers than CPUs
+    (None, 3, None),  # an unknown CPU count counts as one: no pool
+    (4, 1, None),  # a single instance runs in this process
+])
+def test_pool_size_is_bounded(monkeypatch, cpus, modules, pool):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    corpus = [zmod(n) for n in (6, 12, 30)[:modules]]
+    ids = ["thm_2_21", "cor_2_19"]
+    report = run_suite(corpus, theorem_ids=ids, jobs=100000)
+    assert _InlinePool.sizes == ([] if pool is None else [pool])
+    assert report.to_dict() == run_suite(corpus, theorem_ids=ids).to_dict()
