@@ -62,14 +62,6 @@ class AnnGraph:
             yield low.bit_length() - 1
             mask ^= low
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in self.neighbors(i)
-            if i < j
-        ]
-
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
 
@@ -385,14 +377,16 @@ def chromatic_number(adj, n: int, lower: int | None = None) -> int:
 # -- DOT export --------------------------------------------------------------------
 
 
-def to_dot(g: AnnGraph) -> str:
-    """Deterministic DOT text: vertices in canonical submodule-encoding order."""
+def to_dot(g: AnnGraph, write) -> None:
+    """Write deterministic DOT text: the vertices in canonical
+    submodule-encoding order, then each vertex's edges to later vertices,
+    one ascending row per vertex."""
     order = sorted(range(g.n), key=lambda i: g.vertices[i].encoding)
     pos = {v: k for k, v in enumerate(order)}
-    lines = [f"graph {g.kind} {{"]
-    for v in order:
-        lines.append(f'  v{pos[v]} [label="{g.vertices[v].label}"];')
-    for a, b in sorted(tuple(sorted((pos[i], pos[j]))) for i, j in g.edges()):
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    write(f"graph {g.kind} {{\n")
+    for k, v in enumerate(order):
+        write(f'  v{k} [label="{g.vertices[v].label}"];\n')
+    for k, v in enumerate(order):
+        later = sorted(pos[j] for j in g.neighbors(v) if pos[j] > k)
+        write("".join(f"  v{k} -- v{b};\n" for b in later))
+    write("}\n")

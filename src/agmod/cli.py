@@ -35,6 +35,7 @@ from .localization import (
     localize,
     min_prime_complement,
     mult_closure,
+    zero_divisor_free,
 )
 
 _OPTION_KEYS = {"localize_at_min_primes", "localize_gens"}
@@ -274,7 +275,7 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _write_edges(graph: aggraph.AnnGraph, write, depth: int) -> None:
-    """The pairs [id_i, id_j] of ``graph.edges()``, one row of i per write.
+    """The edge pairs [id_i, id_j], i < j, one row of i per write.
 
     Row i is its head (``[``, id_i, ``,``) joined to the tails (id_j, ``]``)
     of the set bits of adj[i] above bit i, which ``compress`` picks out of
@@ -316,14 +317,14 @@ def _localization_dict(
     inv_before, inv_after = a.inv, a.localized(loc).inv
     out = {
         "mult_set": {
-            "generator_count": len(s.gens),
-            "size": len(s.closure),
+            "generator_count": s.generator_count,
+            "size": s.size,
             "contains_zero": s.contains_zero,
         },
         "idempotent": list(loc.idem),
         "image_size": loc.image.size,
         "kernel_size": loc.kernel.size,
-        "zero_divisor_free": not (s.closure & module.zero_divisors()),
+        "zero_divisor_free": zero_divisor_free(module, s),
         "invariants_before": inv_before.to_dict(),
         "invariants_after": inv_after.to_dict(),
         "comparison": {
@@ -412,8 +413,7 @@ def cmd_graph(args, cap: int | None) -> int:
     module, _ = load_spec(args.spec)
     module.lattice(cap)
     graph = aggraph.build_AG_star(module) if args.star else aggraph.build_AG(module)
-    text = aggraph.to_dot(graph)
-    _output(args.dot, lambda write: write(text))
+    _output(args.dot, lambda write: aggraph.to_dot(graph, write))
     return 0
 
 
@@ -443,8 +443,10 @@ def cmd_corpus(args, cap: int | None) -> int:
         max_ring_card=args.max_ring, max_module_card=args.max_module
     )
     ids = None
-    if args.theorems:
+    if args.theorems is not None:
         ids = [t.strip() for t in args.theorems.split(",") if t.strip()]
+        if not ids:
+            raise SpecError("no theorem ids given")
         unknown = [t for t in ids if t not in theorems.PREDICATES]
         if unknown:
             raise SpecError(f"unknown theorem ids: {unknown}", unknown)

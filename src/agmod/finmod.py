@@ -405,7 +405,10 @@ class Module:
         """Z(M): scalars killing some nonzero element.
 
         Z(M) is the union of the associated primes, which for a finite ring
-        are the maximal ideals containing ann(M).
+        are the maximal ideals containing ann(M).  It lists R, so only the
+        tests and the perfbench tracer call it; the pipeline asks whether a
+        multiplicative set avoids each associated prime instead
+        (``localization.zero_divisor_free``).
         """
         pairs = self.associated_primes()
         return frozenset(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import StructuralError
 
@@ -136,23 +135,19 @@ class Ring:
         return tuple(out)
 
     def idempotents(self) -> list[tuple[int, ...]]:
-        """All e with e*e = e, sorted; always contains 0 and 1."""
-        per_comp = [
-            [x for x in range(n) if (x * x) % n == x] for n in self.moduli
-        ]
-        return sorted(itertools.product(*per_comp))
+        """All e with e*e = e, sorted: one ``part_idempotent`` per set of
+        (c, q)-primary parts; always contains 0 and 1."""
+        parts = [(c, q) for c, n in enumerate(self.moduli) for q in prime_factors(n)]
+        return sorted(
+            self.part_idempotent(kept)
+            for k in range(len(parts) + 1)
+            for kept in itertools.combinations(parts, k)
+        )
 
     # -- ideals ---------------------------------------------------------------
 
     def ideal(self, divs) -> "Ideal":
         return Ideal(self, tuple(int(d) for d in divs))
-
-    def ideals(self) -> list["Ideal"]:
-        """All ideals as divisor tuples; count = prod of divisor counts."""
-        return [
-            Ideal(self, divs)
-            for divs in itertools.product(*(divisors(n) for n in self.moduli))
-        ]
 
 @dataclass(frozen=True)
 class Ideal:
@@ -176,19 +171,6 @@ class Ideal:
 
     def __repr__(self):
         return "(" + ",".join(str(d) for d in self.divisors) + ")"
-
-    def contains(self, r) -> bool:
-        return all(x % d == 0 for x, d in zip(r, self.divisors))
-
-    def elements(self):
-        """The encoded element set (d = n contributes only 0)."""
-        return itertools.product(
-            *(range(0, n, d) for d, n in zip(self.divisors, self.ring.moduli))
-        )
-
-    @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements())
 
     def is_zero(self) -> bool:
         return self.divisors == self.ring.moduli

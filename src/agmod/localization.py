@@ -5,9 +5,11 @@ one per component c and prime q | n_c.  An element s acts invertibly on a
 part iff q does not divide s_c, and nilpotently otherwise, so S^-1 M is the
 sum of the parts whose maximal ideal m_{c,q} = {r : q | r_c} S avoids.  That
 sum is e*M for the idempotent e projecting onto those parts
-(``Ring.part_idempotent``).  That image is again a sum of cyclic factors, one
-Z_d' per factor Z_d of M (``Module.scaled``), so the localized module is an
-ordinary finite module instead of a quotient of formal fractions.
+(``Ring.part_idempotent``), so a ``MultSet`` is known by the pairs (c, q) it
+avoids, and no path lists the elements of R.  That image is again a sum of
+cyclic factors, one Z_d' per factor Z_d of M (``Module.scaled``), so the
+localized module is an ordinary finite module instead of a quotient of formal
+fractions.
 The defining properties of the fraction module (every s acts invertibly on
 e*M, and the kernel of m -> e*m is the S-torsion) are checked by exhaustive
 scans in tests/oracles.py.
@@ -27,49 +29,57 @@ from .finring import Ring, prime_factors
 
 @dataclass(frozen=True)
 class MultSet:
-    """A multiplicatively closed subset of a ring, with its generator list."""
+    """A multiplicatively closed subset S of a ring, known by the pairs (c, q)
+    whose maximal ideal m_{c,q} it avoids, with its generator and element
+    counts."""
 
     ring: Ring
-    gens: tuple
-    closure: frozenset
+    avoided: frozenset
+    generator_count: int
+    size: int
 
     @property
     def contains_zero(self) -> bool:
-        return self.ring.zero in self.closure
+        """S holds 0 iff it meets every m_{c,q}: 0 lies in each of them, and
+        a product of one member from each is nilpotent, so a power of it is 0."""
+        return not self.avoided
 
     def __repr__(self):
-        return f"MultSet({len(self.closure)} elements of {self.ring!r})"
+        return f"MultSet({self.size} elements of {self.ring!r})"
 
 
-def mult_closure(ring: Ring, gens) -> MultSet:
-    """Least multiplicatively closed superset of gens plus 1: every product
-    of generators, found by multiplying each new member by each generator."""
-    gens = tuple(ring.element(g) for g in gens)
-    closure = {ring.one}
+def closure(ring: Ring, gens) -> frozenset:
+    """Least multiplicatively closed superset of the ring elements gens plus
+    1: every product of generators, found by multiplying each new member by
+    each generator."""
+    members = {ring.one}
     frontier = [ring.one]
     while frontier:
         x = frontier.pop()
         for g in gens:
             p = ring.mul(x, g)
-            if p not in closure:
-                closure.add(p)
+            if p not in members:
+                members.add(p)
                 frontier.append(p)
-    return MultSet(ring, gens, frozenset(closure))
+    return frozenset(members)
 
 
-def localization_idempotent(s: MultSet):
-    """The projection onto the primary parts whose maximal ideal S avoids.
-
-    S avoids m_{c,q} iff every generator does, since a product lies in a
-    prime ideal iff one of its factors does.
-    """
-    ring = s.ring
-    return ring.part_idempotent(
+def mult_closure(ring: Ring, gens) -> MultSet:
+    """The closure of gens.  S avoids m_{c,q} iff every generator does, since
+    a product lies in a prime ideal iff one of its factors does."""
+    gens = [ring.element(g) for g in gens]
+    avoided = frozenset(
         (c, q)
         for c, n in enumerate(ring.moduli)
         for q in prime_factors(n)
-        if all(g[c] % q for g in s.gens)
+        if all(g[c] % q for g in gens)
     )
+    return MultSet(ring, avoided, len(gens), len(closure(ring, gens)))
+
+
+def zero_divisor_free(module: Module, s: MultSet) -> bool:
+    """S misses Z(M), the union of the associated primes, iff it avoids each."""
+    return s.avoided.issuperset(module.associated_primes())
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class LocalizedModule:
 def localize(module: Module, s: MultSet) -> LocalizedModule:
     """e*M for the localization idempotent of S, with its kernel (1-e)*M:
     e*m = 0 iff m = (1-e)*m."""
-    e = localization_idempotent(s)
+    e = s.ring.part_idempotent(s.avoided)
     image = module.scaled(e)
     kernel = module.times(module.ring.sub(module.ring.one, e))
     if image.size * kernel.size != module.size:
@@ -94,15 +104,18 @@ def localize(module: Module, s: MultSet) -> LocalizedModule:
 
 
 def min_prime_complement(module: Module) -> MultSet:
-    """R minus the union of the minimal-prime colons.
+    """R minus Z(M), the union of the minimal-prime colons.
 
     The minimal-prime colons are the maximal ideals m_{c,q} containing
-    ann(M), so the union is Z(M).  The complement of a union of prime ideals
-    is multiplicatively closed and contains 1.
+    ann(M), so S avoids exactly those.  On component c, the residues outside
+    them number n_c times the product of their (1 - 1/q), and |S| is the
+    product of those counts.  Every member counts as a generator.
     """
-    pairs = module.associated_primes()
-    elems = [r for r in module.ring.elements() if all(r[c] % q for c, q in pairs)]
-    return MultSet(module.ring, tuple(elems), frozenset(elems))
+    avoided = frozenset(module.associated_primes())
+    size = module.ring.cardinality
+    for c, q in avoided:
+        size = size // q * (q - 1)
+    return MultSet(module.ring, avoided, size, size)
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,11 @@ from .finmod import Module
 from .finring import Ring, divisors
 from .localization import (
     check_product_decomposition,
+    closure,
     image_submodule,
     localize,
     min_prime_complement,
-    mult_closure,
+    zero_divisor_free,
 )
 
 PASS = "applicable_pass"
@@ -351,7 +352,7 @@ def _thm_2_10(a: InstanceAnalysis):
     for z in ring.elements():
         if len(units) > 1 and z not in units:
             continue
-        s_clo = mult_closure(ring, [z]).closure
+        s_clo = closure(ring, [z])
         if s_clo in seen_s:
             continue
         seen_s.add(s_clo)
@@ -435,7 +436,7 @@ def _require_identity(a: InstanceAnalysis, loc) -> InstanceAnalysis:
 
 def _localization_setup(a: InstanceAnalysis):
     loc = a.loc_min
-    if loc.mult_set.closure & a.module.zero_divisors():
+    if not zero_divisor_free(a.module, loc.mult_set):
         return None, (NOT_MET, {"reason": "S meets the zero divisors on M"})
     return (loc, _require_identity(a, loc)), None
 

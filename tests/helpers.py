@@ -27,6 +27,11 @@ def product_module(moduli, factors=None):
     return Module(ring, factors)
 
 
+def edges(g):
+    """The pairs (i, j), i < j, of adjacent vertex indices of a graph, sorted."""
+    return [(i, j) for i in range(g.n) for j in g.neighbors(i) if i < j]
+
+
 def sub_by_label(module, label):
     """Look up a lattice submodule by its generator label."""
     for s in module.lattice().all:

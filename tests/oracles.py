@@ -11,6 +11,35 @@ import itertools
 import math
 
 from agmod.errors import InternalCheckError
+from agmod.finring import divisors
+
+
+def ideals(ring):
+    """Every ideal of the ring, one per tuple of component divisors."""
+    return [
+        ring.ideal(divs)
+        for divs in itertools.product(*(divisors(n) for n in ring.moduli))
+    ]
+
+
+def ideal_contains(ideal, r):
+    """r lies in the ideal iff each residue is a multiple of its divisor."""
+    return all(x % d == 0 for x, d in zip(r, ideal.divisors))
+
+
+def ideal_elements(ideal):
+    """The ideal's element set (a divisor d = n contributes only 0)."""
+    return frozenset(
+        itertools.product(
+            *(range(0, n, d) for d, n in zip(ideal.divisors, ideal.ring.moduli))
+        )
+    )
+
+
+def brute_idempotents(ring):
+    """All e with e*e = e, sorted, by squaring every residue of every component."""
+    per_comp = [[x for x in range(n) if x * x % n == x] for n in ring.moduli]
+    return sorted(itertools.product(*per_comp))
 
 
 def additive_closure(add, zero, seed):
@@ -41,7 +70,7 @@ def ideal_radical(ideal):
         x = r
         for _ in range(ring.cardinality.bit_length() + 1):
             x = ring.mul(x, x)
-        if ideal.contains(x):
+        if ideal_contains(ideal, x):
             divs = [math.gcd(d, a) for d, a in zip(divs, r)]
     return ring.ideal(divs)
 
@@ -55,10 +84,10 @@ def brute_ideal_product(ring, i, j):
     first multiple of p inside H.
     """
     moduli = ring.moduli
-    ys = list(j.elements())
+    ys = ideal_elements(j)
     prods = {
         tuple(a * b % n for a, b, n in zip(x, y, moduli))
-        for x in i.elements()
+        for x in ideal_elements(i)
         for y in ys
     }
     closure = {ring.zero}
@@ -92,12 +121,12 @@ def is_prime_ideal(ring, ideal):
     if ideal.is_whole():
         return False
     for r in ring.elements():
-        if ideal.contains(r):
+        if ideal_contains(ideal, r):
             continue
         for s in ring.elements():
-            if ideal.contains(s):
+            if ideal_contains(ideal, s):
                 continue
-            if ideal.contains(ring.mul(r, s)):
+            if ideal_contains(ideal, ring.mul(r, s)):
                 return False
     return True
 
@@ -137,7 +166,7 @@ def brute_clique_multipliers(module, e_parts):
         t_ij = next(
             s
             for s in ring.elements()
-            if not any(colon.contains(s) for colon in colons)
+            if not any(ideal_contains(colon, s) for colon in colons)
             and module.smul(s, target) == module.zero
         )
         pair_multipliers.append([i, j, list(t_ij)])
@@ -163,7 +192,7 @@ def ideal_act(module, ideal, elems=None):
     ``brute_subgroup_closure``.
     """
     elems = module.elements if elems is None else elems
-    return module.span({module.smul(r, n) for r in ideal.elements() for n in elems})
+    return module.span({module.smul(r, n) for r in ideal_elements(ideal) for n in elems})
 
 
 def brute_is_prime_submodule(module, p):
@@ -238,7 +267,7 @@ def brute_is_semiprime(module):
     I^2 is ``Ideal.product``, which tests check against ``brute_ideal_product``.
     """
     zero = frozenset({module.zero})
-    for ideal in module.ring.ideals():
+    for ideal in ideals(module.ring):
         sq = ideal.product(ideal)
         for k in module.lattice().all:
             if (
@@ -376,31 +405,32 @@ def idempotent_power(ring, r):
     raise InternalCheckError(f"no idempotent power found for {r} in {ring!r}")
 
 
-def verify_localization(module, s, loc):
-    """Check that loc is the localization of module at s, by full scans.
+def verify_localization(module, members, loc):
+    """Check that loc is the localization of module at the multiplicative
+    set with these members, by full scans.
 
     S contains 1 and is closed under products; the kernel of m -> e*m is the
     S-torsion {m : s*m = 0 for some s in S}; and every s in S acts
     invertibly on the image.  Raises InternalCheckError on the first failure.
     """
     ring = module.ring
-    if ring.one not in s.closure:
+    if ring.one not in members:
         raise InternalCheckError("multiplicative set does not contain 1")
-    for a in s.closure:
-        for b in s.closure:
-            if ring.mul(a, b) not in s.closure:
+    for a in members:
+        for b in members:
+            if ring.mul(a, b) not in members:
                 raise InternalCheckError("multiplicative set is not closed")
     torsion = {
         m
         for m in module.elements
-        if any(module.smul(x, m) == module.zero for x in s.closure)
+        if any(module.smul(x, m) == module.zero for x in members)
     }
     if torsion != loc.kernel.elements:
         raise InternalCheckError(
             "kernel of the idempotent differs from the S-torsion elements"
         )
     image = loc.image
-    for x in s.closure:
+    for x in members:
         if {image.smul(x, m) for m in image.elements} != frozenset(image.elements):
             raise InternalCheckError(f"{x} does not act invertibly on the image")
 

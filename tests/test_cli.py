@@ -18,6 +18,8 @@ from agmod.cli import main, parse_gens, parse_instance
 from agmod.finmod import Module
 from agmod.finring import Ring
 
+from helpers import edges
+
 
 @pytest.fixture()
 def spec_file(tmp_path):
@@ -180,6 +182,13 @@ def test_corpus_unknown_theorem(capsys):
     code, _, err = run_cli(capsys, "corpus", "--theorems", "nope")
     assert code == 64
     assert "unknown theorem" in err
+
+
+@pytest.mark.parametrize("ids", [",", "", " , "])
+def test_corpus_empty_theorem_list(capsys, ids):
+    code, out, err = run_cli(capsys, "corpus", "--max-ring", "6", "--theorems", ids)
+    assert code == 64 and out == ""
+    assert "no theorem ids given" in err
 
 
 def test_bad_specs_exit_64(capsys, spec_file, tmp_path):
@@ -359,15 +368,15 @@ def test_writer_rejects_values_reports_never_hold(value):
 
 def test_streamed_edges_match_the_pair_list(oracle_modules):
     # the edge array written from the bitmasks is json's rendering of the
-    # [id_i, id_j] pairs of graph.edges() at the same nesting depth
+    # [id_i, id_j] edge pairs, i < j, at the same nesting depth
     edgeless = ragged = 0
     for m in oracle_modules:
         for g in (aggraph.build_AG(m), aggraph.build_AG_star(m)):
-            edges = g.edges()
-            pairs = [[g.vertices[i].id, g.vertices[j].id] for i, j in edges]
-            edgeless += not edges
+            pairs_ij = edges(g)
+            pairs = [[g.vertices[i].id, g.vertices[j].id] for i, j in pairs_ij]
+            edgeless += not pairs_ij
             # the array ends in rows, besides the last, with no later neighbour
-            ragged += bool(edges) and edges[-1][0] < g.n - 2
+            ragged += bool(pairs_ij) and pairs_ij[-1][0] < g.n - 2
             for depth in (0, 3):
                 chunks = []
                 cli._write(cli._Edges(g), chunks.append, depth)
@@ -396,4 +405,27 @@ def test_report_is_written_in_bounded_memory(spec_file, tmp_path, monkeypatch):
     assert main(["analyze", spec, "--out", str(out)]) == 0
     size = out.stat().st_size
     assert size > 1_000_000
+    assert peaks[0] < size / 4, (peaks, size)
+
+
+def test_dot_is_written_in_bounded_memory(spec_file, tmp_path, monkeypatch):
+    # Z_8^3: the DOT text is 5 MB, nearly all of it edge lines; writing it
+    # must hold no more than one vertex's edge row at once
+    peaks = []
+    to_dot = aggraph.to_dot
+
+    def traced(graph, write):
+        tracemalloc.start()
+        try:
+            to_dot(graph, write)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(aggraph, "to_dot", traced)
+    out = tmp_path / "ag.dot"
+    spec = spec_file({"ring": [8], "module": [{"d": 8, "c": 0}] * 3})
+    assert main(["graph", spec, "--dot", str(out)]) == 0
+    size = out.stat().st_size
+    assert size > 5_000_000
     assert peaks[0] < size / 4, (peaks, size)

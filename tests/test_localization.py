@@ -1,44 +1,49 @@
 import itertools
+import json
+import random
 
 import pytest
 
-from agmod import aggraph
+from agmod import aggraph, theorems
+from agmod.cli import main
 from agmod.errors import DomainError
 from agmod.finmod import Module
 from agmod.finring import Ring
+from agmod.finring import prime_factors
 from agmod.localization import (
     check_product_decomposition,
+    closure,
     image_submodule,
     localize,
     min_prime_complement,
     mult_closure,
+    zero_divisor_free,
 )
 
 from helpers import NON_CYCLIC, product_module, zmod
-from oracles import idempotent_power, verify_localization
+from oracles import brute_zero_divisors, idempotent_power, verify_localization
 
 
 def test_mult_closure_examples():
     z12 = Ring([12])
-    assert mult_closure(z12, [(3,)]).closure == {(1,), (3,), (9,)}
-    assert mult_closure(z12, []).closure == {(1,)}
+    assert closure(z12, [(3,)]) == {(1,), (3,), (9,)}
+    assert closure(z12, []) == {(1,)}
     # powers of a single element stay inside their own orbit plus 1
-    s = mult_closure(z12, [(2,)])
-    assert s.closure == {(1,), (2,), (4,), (8,)}
-    assert mult_closure(z12, [(5,), (7,)]).closure == {(1,), (5,), (7,), (11,)}
-    assert mult_closure(z12, [(2,), (3,)]).closure == {
+    assert closure(z12, [(2,)]) == {(1,), (2,), (4,), (8,)}
+    assert closure(z12, [(5,), (7,)]) == {(1,), (5,), (7,), (11,)}
+    assert closure(z12, [(2,), (3,)]) == {
         (1,), (2,), (3,), (4,), (6,), (8,), (9,), (0,)
     }
+    s = mult_closure(z12, [(2,), (5,)])
+    assert (s.avoided, s.generator_count, s.size) == ({(0, 3)}, 2, 6)
     assert mult_closure(z12, [(0,)]).contains_zero
 
 
 def test_localization_idempotent_examples():
-    z12 = Ring([12])
-    from agmod.localization import localization_idempotent
-
-    assert localization_idempotent(mult_closure(z12, [(3,)])) == (9,)
-    assert localization_idempotent(mult_closure(z12, [(5,), (7,), (11,)])) == (1,)
-    assert localization_idempotent(mult_closure(z12, [(0,)])) == (0,)
+    m = zmod(12)
+    assert localize(m, mult_closure(m.ring, [(3,)])).idem == (9,)
+    assert localize(m, mult_closure(m.ring, [(5,), (7,), (11,)])).idem == (1,)
+    assert localize(m, mult_closure(m.ring, [(0,)])).idem == (0,)
 
 
 def test_localize_z12_at_powers_of_three():
@@ -74,14 +79,50 @@ def test_localize_with_zero_gives_zero_module():
 
 
 def test_min_prime_complement_examples():
-    assert min_prime_complement(zmod(12)).closure == {(1,), (5,), (7,), (11,)}
-    m30 = zmod(30)
-    units = {r for r in m30.ring.elements() if r[0] % 2 and r[0] % 3 and r[0] % 5}
-    assert min_prime_complement(m30).closure == units
-    simple = zmod(5)
-    assert min_prime_complement(simple).closure == {
-        (r,) for r in range(1, 5)
+    s = min_prime_complement(zmod(12))
+    assert (s.avoided, s.generator_count, s.size) == ({(0, 2), (0, 3)}, 4, 4)
+    assert min_prime_complement(zmod(30)).size == 8
+    assert min_prime_complement(zmod(5)).size == 4
+    # Z_2 over Z_9699690 avoids m_2 only: half the ring, counted, not listed
+    s = min_prime_complement(zmod(9699690, 2))
+    assert (s.avoided, s.size) == ({(0, 2)}, 9699690 // 2)
+    zero = Module(Ring([12]), [(1, 0)])
+    assert min_prime_complement(zero).contains_zero
+    assert min_prime_complement(zero).size == 12
+
+
+def _expected(module, members, generator_count):
+    """The MultSet fields and zero-divisor freedom read off a member scan."""
+    ring = module.ring
+    avoided = {
+        (c, q)
+        for c, n in enumerate(ring.moduli)
+        for q in prime_factors(n)
+        if all(x[c] % q for x in members)
     }
+    free = not (members & brute_zero_divisors(module))
+    return avoided, generator_count, len(members), ring.zero in members, free
+
+
+def test_mult_set_fields_match_member_scan(oracle_modules):
+    rng = random.Random(17)
+    checked = 0
+    for m in oracle_modules:
+        ring = m.ring
+        members = frozenset(ring.elements()) - brute_zero_divisors(m)
+        sets = [(min_prime_complement(m), members, len(members))]
+        for _ in range(3):
+            gens = [
+                tuple(rng.randrange(n) for n in ring.moduli)
+                for _ in range(rng.randrange(4))
+            ]
+            sets.append((mult_closure(ring, gens), closure(ring, gens), len(gens)))
+        for s, members, count in sets:
+            got = (s.avoided, s.generator_count, s.size, s.contains_zero,
+                   zero_divisor_free(m, s))
+            assert got == _expected(m, members, count), (m, s)
+            checked += 1
+    assert checked == 4 * len(oracle_modules)
 
 
 def test_localization_matches_scan_oracles(default_corpus):
@@ -93,13 +134,13 @@ def test_localization_matches_scan_oracles(default_corpus):
     for m in list(modules) + [Module(Ring(r), f) for r, f in NON_CYCLIC]:
         one_gen = {}
         for g in m.ring.elements():
-            s = mult_closure(m.ring, [g])
-            one_gen.setdefault(s.closure, s)
-        for s in [min_prime_complement(m), *one_gen.values()]:
+            one_gen.setdefault(closure(m.ring, [g]), mult_closure(m.ring, [g]))
+        complement = frozenset(m.ring.elements()) - brute_zero_divisors(m)
+        for members, s in [(complement, min_prime_complement(m)), *one_gen.items()]:
             loc = localize(m, s)
-            verify_localization(m, s, loc)
+            verify_localization(m, members, loc)
             expected = m.ring.one
-            for g in s.gens:
+            for g in members:
                 expected = m.ring.mul(expected, idempotent_power(m.ring, g))
             assert loc.idem == expected, (m, s)
             count += 1
@@ -108,9 +149,8 @@ def test_localization_matches_scan_oracles(default_corpus):
 
 def test_each_member_acts_invertibly_on_image():
     for m in [zmod(12), zmod(36), product_module([2, 4])]:
-        s = min_prime_complement(m)
-        loc = localize(m, s)
-        for x in s.closure:
+        loc = localize(m, min_prime_complement(m))
+        for x in frozenset(m.ring.elements()) - brute_zero_divisors(m):
             mapped = {loc.image.smul(x, v) for v in loc.image.elements}
             assert mapped == frozenset(loc.image.elements)
 
@@ -128,7 +168,7 @@ def test_adjacency_preserved_under_localization():
     # avoids the zero divisors
     for m in [zmod(12), zmod(30), product_module([2, 4])]:
         s = min_prime_complement(m)
-        assert not (s.closure & m.zero_divisors())
+        assert zero_divisor_free(m, s)
         loc = localize(m, s)
         zero, img_zero = m.lattice().zero, loc.image.lattice().zero
         nonzero = [x for x in m.lattice().all if not x.is_zero]
@@ -144,14 +184,14 @@ def test_adjacency_preserved_under_localization():
 def test_clique_and_chromatic_never_increase_under_safe_localization():
     for m in [zmod(12), zmod(30), zmod(36), product_module([2, 8])]:
         base = aggraph.invariants(aggraph.build_AG(m))
-        zdiv = m.zero_divisors()
+        zdiv = brute_zero_divisors(m)
         seen = set()
         for z in m.ring.elements():
-            s = mult_closure(m.ring, [z])
-            if s.closure in seen or s.closure & zdiv:
+            members = closure(m.ring, [z])
+            if members in seen or members & zdiv:
                 continue
-            seen.add(s.closure)
-            img = localize(m, s).image
+            seen.add(members)
+            img = localize(m, mult_closure(m.ring, [z])).image
             inv = aggraph.invariants(aggraph.build_AG(img))
             assert inv.clique_number <= base.clique_number
             assert inv.chromatic_number <= base.chromatic_number
@@ -216,3 +256,31 @@ def test_localized_image_is_first_class():
     assert img.annihilator() == m.ring.ideal([4])
     inner = localize(img, mult_closure(m.ring, [(3,)]))
     assert inner.image.size == img.size
+
+
+def test_localization_never_lists_the_ring(tmp_path, monkeypatch):
+    # the CLI localizations and every corpus predicate but thm_2_10 (which
+    # scans rings of at most 64 elements) work from the primes S avoids
+    specs = [([9699690], [(2, 0)])] + NON_CYCLIC
+    paths = []
+    for k, (moduli, factors) in enumerate(specs):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(
+            {"ring": moduli, "module": [{"d": d, "c": c} for d, c in factors]}
+        ))
+        paths.append((str(path), ":".join("3" for _ in moduli)))
+    corpus = theorems.generate_corpus(theorems.CorpusSpec())
+
+    def forbidden(*args):
+        raise AssertionError("a localization path listed the ring")
+
+    monkeypatch.setattr(Ring, "elements", forbidden)
+    monkeypatch.setattr(Module, "zero_divisors", forbidden)
+    out = str(tmp_path / "out.json")
+    for path, three in paths:
+        assert main(["analyze", path, "--localize-at-min-primes", "--out", out]) == 0
+        assert main(["localize", path, "--at-min-primes", "--out", out]) == 0
+        assert main(["localize", path, "--gens", three, "--out", out]) == 0
+    ids = [t for t in theorems.THEOREM_IDS if t != "thm_2_10"]
+    report = theorems.run_suite(corpus, ids)
+    assert not report.violations

@@ -11,7 +11,7 @@ from agmod import theorems
 from agmod.errors import ResourceLimitError
 from agmod.finmod import Module
 from agmod.finring import Ring
-from agmod.localization import mult_closure
+from agmod.localization import closure
 from agmod.theorems import (
     FAIL,
     NOT_MET,
@@ -108,7 +108,7 @@ def test_saturation_fails_for_sets_missing_a_unit():
             for x in m.elements:
                 fact[m.smul(r, x)].append((r, x))
         for z in ring.elements():
-            s_clo = mult_closure(ring, [z]).closure
+            s_clo = closure(ring, [z])
             if units <= s_clo:
                 continue
             for x in m.elements:
