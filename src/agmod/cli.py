@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import compress, islice
 from json.encoder import encode_basestring
 
-from . import __version__, aggraph, finmod, theorems
+from . import __version__, aggraph, theorems
 from .errors import (
     AgmodError,
     DomainError,
@@ -94,7 +93,6 @@ def parse_instance(obj) -> tuple[Module, dict]:
         raise SpecError("'module' needs at least one factor")
 
     options = _parse_options(ring, obj.get("options", {}))
-    finmod.check_element_cap(math.prod(d for d, _ in factors))
     return Module(ring, factors), options
 
 
@@ -419,19 +417,18 @@ def cmd_graph(args, cap: int | None) -> int:
 
 def cmd_localize(args, cap: int | None) -> int:
     module, _ = load_spec(args.spec)
-    if args.at_min_primes:
+    gens = None if args.at_min_primes else parse_gens(module.ring, args.gens)
+    module.lattice(cap)  # the caps hold before S is walked
+    if gens is None:
         s = min_prime_complement(module)
-        include_components = True
     else:
-        s = mult_closure(module.ring, parse_gens(module.ring, args.gens))
-        include_components = False
-    module.lattice(cap)
+        s = mult_closure(module.ring, gens)
     report = {
         "schema": 1,
         "version": __version__,
         "instance": instance_echo(module),
         "localization": _localization_dict(
-            theorems.InstanceAnalysis(module), s, include_components
+            theorems.InstanceAnalysis(module), s, args.at_min_primes
         ),
     }
     _dump(report, args.out)
@@ -439,6 +436,8 @@ def cmd_localize(args, cap: int | None) -> int:
 
 
 def cmd_corpus(args, cap: int | None) -> int:
+    if args.jobs < 1:
+        raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
     spec = theorems.CorpusSpec(
         max_ring_card=args.max_ring, max_module_card=args.max_module
     )
@@ -451,6 +450,11 @@ def cmd_corpus(args, cap: int | None) -> int:
         if unknown:
             raise SpecError(f"unknown theorem ids: {unknown}", unknown)
     corpus = theorems.generate_corpus(spec)
+    if not corpus:
+        raise SpecError(
+            f"--max-ring {args.max_ring} and --max-module {args.max_module} "
+            "select no instance"
+        )
     report = theorems.run_suite(corpus, ids, corpus_spec=spec, jobs=args.jobs, cap=cap)
     payload = report.to_dict()
     payload["version"] = __version__

@@ -53,15 +53,6 @@ ELEMENT_CAP = 512
 LATTICE_CAP = 4096
 
 
-def check_element_cap(size: int) -> None:
-    """Refuse a module with more than ELEMENT_CAP elements."""
-    if size > ELEMENT_CAP:
-        raise ResourceLimitError(
-            f"module has {size} elements, above the cap of {ELEMENT_CAP}",
-            ELEMENT_CAP,
-        )
-
-
 def _once(method):
     """Compute a module fact on the first call and return it on every later one."""
     name = method.__name__
@@ -93,12 +84,17 @@ class Module:
             raise StructuralError(f"invalid module factors: {bad}", bad)
 
         self.zero = (0,) * len(self.factors)
-        self.elements = tuple(itertools.product(*(range(d) for d, _ in self.factors)))
-        self.size = len(self.elements)
+        self.size = math.prod(d for d, _ in self.factors)
 
         self._facts: dict = {}
         self._times_cache: dict = {}
         self._span_cache: dict = {}
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """Every element, listed on first use; nothing that only needs the
+        structure of M (its size, parts, colons or images) lists them."""
+        return tuple(itertools.product(*(range(d) for d, _ in self.factors)))
 
     # -- identity ------------------------------------------------------------
 
@@ -198,9 +194,14 @@ class Module:
         exponents of the (c, p)-part quotients, 1 where n_c has no part at p.
         A part may have at most ``cap`` divided by the counts of the parts
         before it, which is exactly the condition that the whole lattice has
-        at most ``cap`` submodules.
+        at most ``cap`` submodules.  A module with more than ``ELEMENT_CAP``
+        elements is refused first, before any element is listed.
         """
-        check_element_cap(self.size)
+        if self.size > ELEMENT_CAP:
+            raise ResourceLimitError(
+                f"module has {self.size} elements, above the cap of {ELEMENT_CAP}",
+                ELEMENT_CAP,
+            )
         cap = LATTICE_CAP if cap is None else cap
         ones = (1,) * len(self.ring.moduli)
         sums = [(frozenset({self.zero}), ones)]
@@ -645,15 +646,12 @@ def _minimal_gens(module: Module, elems: frozenset) -> tuple:
         span = {module.add(s, m) for s in span for m in orbit}
         if len(span) == len(elems):
             break
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            if module.span(rest) == elems:
-                gens.remove(g)
-                changed = True
-                break
+    # a generator not redundant in a set is not redundant in any subset of
+    # it, so one forward pass leaves no redundant generator
+    for g in list(gens):
+        rest = [h for h in gens if h != g]
+        if module.span(rest) == elems:
+            gens.remove(g)
     return tuple(gens)
 
 

@@ -182,7 +182,8 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
 def image_submodule(loc: LocalizedModule, sub: Submodule) -> Submodule:
     """The image N_S = e*N of a submodule of the original module, as a member
     of the image's lattice, with e*x read as x reduced modulo each factor of
-    the image (``Module.scaled``)."""
+    the image (``Module.scaled``).  The pipeline never maps a submodule into
+    a localization; this stays for the tests and the per-layer trace."""
     image = loc.image
     return image.lattice().find(
         {tuple(a % d for a, (d, _) in zip(x, image.factors)) for x in sub.elements}

@@ -191,6 +191,18 @@ def test_corpus_empty_theorem_list(capsys, ids):
     assert "no theorem ids given" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--max-ring", "1"], "select no instance"),
+    (["--max-module", "1"], "select no instance"),
+    (["--max-ring", "6", "--jobs", "0"], "--jobs must be at least 1"),
+    (["--max-ring", "6", "--jobs", "-3"], "--jobs must be at least 1"),
+])
+def test_corpus_options_that_run_nothing_exit_64(capsys, argv, message):
+    code, out, err = run_cli(capsys, "corpus", *argv)
+    assert code == 64 and out == ""
+    assert message in err
+
+
 def test_bad_specs_exit_64(capsys, spec_file, tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -244,6 +256,15 @@ def test_element_cap_fires_before_the_module_is_built(capsys, spec_file):
     huge = {"ring": [100000000], "module": [{"d": 100000000, "c": 0}]}
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "analyze", spec_file(huge))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and "above the cap of 512" in err
+
+
+def test_element_cap_fires_before_the_multiplicative_set_is_walked(capsys, spec_file):
+    # 3 has order 5 * 10^6 modulo 10^8, so walking its powers takes seconds
+    huge = {"ring": [100000000], "module": [{"d": 100000000, "c": 0}]}
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "localize", spec_file(huge), "--gens", "3")
     assert time.perf_counter() - start < 1
     assert code == 3 and "above the cap of 512" in err
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -137,6 +138,20 @@ def test_localization_predicates():
     assert run("cor_2_16", zmod(30)).status == PASS
 
 
+def test_localization_predicates_fail_when_the_image_is_not_m(monkeypatch):
+    # R minus Z(M) acts bijectively on a finite M, so S^-1 M is M itself; a
+    # localization handing back a proper image is an internal failure
+    real = theorems.localize
+
+    def proper_image(module, s):
+        return dataclasses.replace(real(module, s), image=module.scaled((6,)))
+
+    monkeypatch.setattr(theorems, "localize", proper_image)
+    for tid in ("thm_2_13", "cor_2_14", "cor_2_15", "cor_2_16"):
+        r = run(tid, zmod(30))  # semiprime, so the corollaries reach the check
+        assert r.status == FAIL and "internal_error" in r.witness, tid
+
+
 def test_thm_2_17_decomposition_predicate():
     r = run("thm_2_17", zmod(12))
     assert r.status == PASS
@@ -229,6 +244,21 @@ def test_generate_corpus_family_flags():
                    prime_power_towers=False)
     )
     assert empty == []
+
+
+def test_corpus_generation_lists_no_element(monkeypatch, default_corpus):
+    # sizes, primary parts and idempotent images come from the factors, so
+    # picking a corpus and splitting its modules lists no module's elements
+    def listed(self):
+        raise AssertionError("a module listed its elements")
+
+    monkeypatch.setattr(Module, "elements", property(listed))
+    wide = generate_corpus(CorpusSpec(max_ring_card=2000, max_module_card=4))
+    assert len(wide) > 2000 and all(m.size <= 4 for m in wide)
+    _, modules = default_corpus
+    for m in [*modules, *wide[:200]]:
+        for _, left, right in m.nontrivial_decompositions():
+            assert left.classify() and right.classify()
 
 
 def test_corpus_is_deterministic():
