@@ -16,7 +16,8 @@ per-vertex bitmasks.  Every colon class is a class of twins (same open or
 same closed neighbourhood).  A graph runs one breadth-first search over
 bitmasks, a level at a time, per twin class, and connectivity, diameter and
 girth all read those searches.  The clique solver is a pivoting
-maximal-clique search.  The chromatic solver is one backtracking colouring
+maximal-clique search whose pivot scan stops at the first vertex that leaves
+at most one branch.  The chromatic solver is one backtracking colouring
 search over vertices in descending-degree order, each vertex taking the least
 colour class it has no neighbour in; it is run for k colours from the clique
 lower bound up until it succeeds, which it does by k = the greedy count,
@@ -285,6 +286,12 @@ def _girth(g: AnnGraph) -> int | None:
 def max_clique(adj, n: int) -> tuple[int, int]:
     """Maximum clique size and one witness bitmask, by pivoted expansion.
 
+    A node branches on the candidates that are not neighbours of its pivot,
+    a vertex of cand | excl with the most neighbours in cand; any pivot
+    leads to a maximum clique, and fewer branches to a smaller search.  The
+    scan stops at the first vertex that leaves at most one branch, so on a
+    complete graph it ends at each node's first vertex.
+
     The search keeps an explicit stack of [size, mask, cand, excl, branch]
     frames, branch being None until the frame's node has been expanded, so
     its depth is not bounded by the interpreter's recursion limit.
@@ -303,12 +310,12 @@ def max_clique(adj, n: int) -> tuple[int, int]:
                     best, best_mask = size, mask
                 stack.pop()
                 continue
-            if size + cand.bit_count() <= best:
+            count = cand.bit_count()
+            if size + count <= best:
                 stack.pop()
                 continue
-            pool = cand | excl
             pivot, pivot_deg = -1, -1
-            m = pool
+            m = cand | excl
             while m:
                 low = m & -m
                 v = low.bit_length() - 1
@@ -316,6 +323,8 @@ def max_clique(adj, n: int) -> tuple[int, int]:
                 deg = (cand & adj[v]).bit_count()
                 if deg > pivot_deg:
                     pivot, pivot_deg = v, deg
+                    if deg >= count - 1:
+                        break
             branch = cand & ~adj[pivot]
         if not branch:
             stack.pop()

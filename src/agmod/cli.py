@@ -13,6 +13,7 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -489,13 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="add a localization section at the closure of these ring elements "
         "(comma-separated; residues within an element joined by ':')",
     )
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("graph", help="DOT output for AG (or AG* with --star)")
     p.add_argument("spec")
     p.add_argument("--star", action="store_true", help="export AG* instead of AG")
     p.add_argument("--dot", help="write DOT here instead of stdout")
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("localize", help="localize an instance and compare invariants")
     p.add_argument("spec")
@@ -503,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--at-min-primes", action="store_true")
     group.add_argument("--gens", help="ring elements generating the multiplicative set")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("corpus", help="run the structural predicates over a corpus")
     p.add_argument("--max-ring", type=int, default=36)
@@ -516,8 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 0 even when resource-capped instances were skipped",
     )
-    p.set_defaults(func=cmd_corpus)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call, not at import."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -532,13 +535,14 @@ def main(argv=None) -> int:
             print(f"agmod: AGMOD_MAX_SUBMODULES must be a positive integer, got {env!r}",
                   file=sys.stderr)
             return 64
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 64 if exc.code not in (0, None) else 0
+    # looked up at call time, so a rebound cmd_<command> is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args, cap)
+        return command(args, cap)
     except ResourceLimitError as exc:
         print(f"agmod: resource cap exceeded: {exc}", file=sys.stderr)
         return 3

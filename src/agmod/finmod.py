@@ -20,7 +20,9 @@ ideal (N : M), read off the Hermite forms: the divisor on component c is the
 product over p of the exponents of the (c, p)-part modulo N's subgroup of it.
 Every submodule the module hands out (an image r*M, a product, rad(0), a
 witness) is that lattice member, so submodules of one module compare with
-``is`` or ``==``; across modules, compare their ``elements``.
+``is`` or ``==``; across modules, compare their ``elements``.  A member's
+generators are found among members as well: every span on the way is a
+cyclic member R*x or a join, and the lattice memoizes its joins.
 
 Facts about M itself come from the table of primary parts and need no
 lattice: ann(M) is the lcm of the factor orders per component, the
@@ -45,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
 from .finring import Ideal, Ring, prime_factors, squarefree_kernel
@@ -84,7 +87,8 @@ class Module:
             raise StructuralError(f"invalid module factors: {bad}", bad)
 
         self.zero = (0,) * len(self.factors)
-        self.size = math.prod(d for d, _ in self.factors)
+        self._orders = tuple(d for d, _ in self.factors)
+        self.size = math.prod(self._orders)
 
         self._facts: dict = {}
         self._times_cache: dict = {}
@@ -110,9 +114,7 @@ class Module:
     # -- carrier arithmetic ----------------------------------------------------
 
     def add(self, x, y):
-        return tuple(
-            (a + b) % d for a, b, (d, _) in zip(x, y, self.factors)
-        )
+        return tuple(map(operator.mod, map(operator.add, x, y), self._orders))
 
     def smul(self, r, x):
         return tuple(
@@ -146,15 +148,6 @@ class Module:
         out = frozenset(span)
         self._span_cache[x] = out
         return out
-
-    def span(self, gens) -> frozenset:
-        """Least submodule carrier containing gens."""
-        span = {self.zero}
-        for g in gens:
-            if g not in span:
-                orbit = self.cyclic_span(g)
-                span = {self.add(s, m) for s in span for m in orbit}
-        return frozenset(span)
 
     def times(self, r) -> "Submodule":
         """The lattice member r*M = {r*m}, cached by the scalar r; the first
@@ -601,7 +594,7 @@ class Submodule:
     def gens(self) -> tuple:
         """Minimal generators, found on first use (see ``_minimal_gens``)."""
         if self._gens is None:
-            self._gens = _minimal_gens(self.module, self.elements)
+            self._gens = _minimal_gens(self.module.lattice(), self)
         return self._gens
 
     def __repr__(self):
@@ -632,32 +625,36 @@ def _fmt_elem(x) -> str:
     return "(" + ",".join(str(a) for a in x) + ")"
 
 
-def _minimal_gens(module: Module, elems: frozenset) -> tuple:
-    """Greedy lexicographically-least generators, then drop redundant ones."""
-    if len(elems) == 1:
+def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
+    """Greedy lexicographically-least generators, then drop redundant ones.
+
+    Every span along the way is a lattice member: the span of x is the
+    cyclic member R*x, and adding a generator is a join (``Lattice.join``).
+    """
+    if sub.is_zero:
         return ()
     gens = []
-    span = {module.zero}
-    for x in sorted(elems):
-        if x in span:
+    span = lattice.zero
+    for x in sub.encoding:
+        if x in span.elements:
             continue
         gens.append(x)
-        orbit = module.cyclic_span(x)
-        span = {module.add(s, m) for s in span for m in orbit}
-        if len(span) == len(elems):
+        span = lattice.join(span, lattice.cyclic(x))
+        if span is sub:
             break
     # a generator not redundant in a set is not redundant in any subset of
     # it, so one forward pass leaves no redundant generator
     for g in list(gens):
-        rest = [h for h in gens if h != g]
-        if module.span(rest) == elems:
+        rest = [lattice.cyclic(h) for h in gens if h != g]
+        if functools.reduce(lattice.join, rest, lattice.zero) is sub:
             gens.remove(g)
     return tuple(gens)
 
 
 class Lattice:
     """All submodules, sorted by (size, canonical encoding), each made here
-    once with its colon ideal, one Ideal per colon class."""
+    once with its colon ideal, one Ideal per colon class.  The lattice also
+    memoizes the joins asked of it, by the pair of member ids."""
 
     def __init__(self, module: Module, sums):
         self.module = module
@@ -668,6 +665,7 @@ class Lattice:
             s.id = i
         self.all = tuple(subs)
         self._by_elements = {s.elements: s for s in subs}
+        self._joins: dict = {}
 
     def __len__(self):
         return len(self.all)
@@ -687,3 +685,24 @@ class Lattice:
         if sub is None:
             raise DomainError("element set is not a submodule of this lattice")
         return sub
+
+    def cyclic(self, x) -> Submodule:
+        """The cyclic member R*x."""
+        return self.find(self.module.cyclic_span(x))
+
+    def join(self, a: Submodule, b: Submodule) -> Submodule:
+        """A + B, memoized by the id pair.  The member with the higher id,
+        which is no smaller, is translated by each element of the other one
+        that it does not cover yet; each translate is a new coset of it."""
+        if a.id < b.id:
+            a, b = b, a
+        key = (a.id, b.id)
+        joined = self._joins.get(key)
+        if joined is None:
+            add = self.module.add
+            elems = set(a.elements)
+            for y in b.elements:
+                if y not in elems:
+                    elems.update([add(x, y) for x in a.elements])
+            joined = self._joins[key] = a if len(elems) == a.size else self.find(elems)
+        return joined

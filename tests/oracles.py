@@ -188,11 +188,10 @@ def brute_submodule_product(module, n, k):
 def ideal_act(module, ideal, elems=None):
     """I*N (N = M by default): the span of every product r*n, r in I, n in N.
 
-    The span is ``Module.span``, which tests check against
-    ``brute_subgroup_closure``.
+    The span is ``span``, which tests check against ``brute_subgroup_closure``.
     """
     elems = module.elements if elems is None else elems
-    return module.span({module.smul(r, n) for r in ideal_elements(ideal) for n in elems})
+    return span(module, {module.smul(r, n) for r in ideal_elements(ideal) for n in elems})
 
 
 def brute_is_prime_submodule(module, p):
@@ -324,6 +323,38 @@ def submodule_closure(module):
                 seen.add(bigger)
                 order.append(bigger)
     return seen
+
+
+def span(module, gens):
+    """The least submodule containing gens, as an element set: each generator
+    outside the span so far adds every element of its orbit R*g."""
+    out = {module.zero}
+    for g in gens:
+        if g not in out:
+            orbit = module.cyclic_span(g)
+            out = {module.add(s, m) for s in out for m in orbit}
+    return frozenset(out)
+
+
+def brute_minimal_gens(module, elems):
+    """Greedy lexicographically-least generators of an element set, then one
+    forward pass dropping redundant ones, every span built as a set."""
+    if len(elems) == 1:
+        return ()
+    gens = []
+    spanned = {module.zero}
+    for x in sorted(elems):
+        if x in spanned:
+            continue
+        gens.append(x)
+        orbit = module.cyclic_span(x)
+        spanned = {module.add(s, m) for s in spanned for m in orbit}
+        if len(spanned) == len(elems):
+            break
+    for g in list(gens):
+        if span(module, [h for h in gens if h != g]) == elems:
+            gens.remove(g)
+    return tuple(gens)
 
 
 def brute_subgroup_closure(module, gens):
@@ -476,6 +507,20 @@ def brute_clique_number(adj, n):
                 break
         if ok:
             best = size
+    return best
+
+
+def blow_up_clique_number(k, linked, sizes):
+    """The clique number of a twin blow-up of a graph on k classes, from the
+    quotient: the largest sum, over the quotient cliques (sets of classes
+    pairwise linked), of sizes[a] for a clique class ((a, a) linked) and 1
+    for a stable one.  linked holds the linked pairs (a, b), a <= b."""
+    best = 0
+    for mask in range(1 << k):
+        members = [a for a in range(k) if mask >> a & 1]
+        if all(pair in linked for pair in itertools.combinations(members, 2)):
+            weight = sum(sizes[a] if (a, a) in linked else 1 for a in members)
+            best = max(best, weight)
     return best
 
 

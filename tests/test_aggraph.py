@@ -8,6 +8,7 @@ from agmod.finring import Ring
 
 from helpers import edges, product_module, zmod
 from oracles import (
+    blow_up_clique_number,
     brute_AG,
     brute_chromatic_number,
     brute_clique_number,
@@ -156,14 +157,8 @@ def test_solvers_match_brute_force_on_random_graphs():
     for _ in range(120):
         n = rng.randint(0, 9)
         adj = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        cl, witness = aggraph.max_clique(adj, n)
-        assert cl == brute_clique_number(adj, n)
-        assert witness.bit_count() == cl
-        members = [v for v in range(n) if witness >> v & 1]
-        for a in members:
-            for b in members:
-                if a != b:
-                    assert adj[a] >> b & 1
+        cl = brute_clique_number(adj, n)
+        _assert_clique(adj, n, cl)
         ch = aggraph.chromatic_number(adj, n)
         assert ch == brute_chromatic_number(adj, n)
         assert ch >= cl
@@ -218,24 +213,82 @@ def test_traversals_match_oracles_on_random_graphs():
         _assert_traversals_match(_random_graph(rng, n, rng.choice([0.04, 0.08, 0.15, 0.4])))
 
 
-def _blow_up(rng, k):
-    """A random graph on k classes, some of them cliques, each class blown up
-    to 1-5 twins of one another and the vertices shuffled."""
+def _blow_up(rng, k, most=5):
+    """A random graph on k classes, each class blown up to 1-most twins of
+    one another and the vertices shuffled.  Class a is a clique of true
+    twins when (a, a) is linked, else a stable set of false twins.  Returns
+    the adjacency, the class of each vertex and the linked pairs a <= b."""
     linked = {(a, b) for a in range(k) for b in range(a, k) if rng.random() < 0.4}
-    cls = [a for a in range(k) for _ in range(rng.randint(1, 5))]
+    cls = [a for a in range(k) for _ in range(rng.randint(1, most))]
     rng.shuffle(cls)
     adj = [0] * len(cls)
     for u, a in enumerate(cls):
         for v, b in enumerate(cls):
             if u != v and (min(a, b), max(a, b)) in linked:
                 adj[u] |= 1 << v
-    return adj
+    return adj, cls, linked
 
 
 def test_traversals_match_oracles_on_twin_blow_ups():
     rng = random.Random(515)
     for _ in range(150):
-        _assert_traversals_match(_blow_up(rng, rng.randint(1, 6)))
+        _assert_traversals_match(_blow_up(rng, rng.randint(1, 6))[0])
+
+
+def _excl_pivot_nodes(adj, n):
+    """The nodes of ``max_clique``'s search whose pivot lies in excl, by a
+    recursive replay of its bound, pivot rule and branching order."""
+    best = hits = 0
+
+    def expand(size, cand, excl):
+        nonlocal best, hits
+        if not cand and not excl:
+            best = max(best, size)
+            return
+        count = cand.bit_count()
+        if size + count <= best:
+            return
+        pool = [v for v in range(n) if (cand | excl) >> v & 1]
+        degs = [(cand & adj[v]).bit_count() for v in pool]
+        enough = [v for v, d in zip(pool, degs) if d >= count - 1]
+        pivot = enough[0] if enough else pool[degs.index(max(degs))]
+        hits += excl >> pivot & 1
+        for v in range(n):
+            if (cand & ~adj[pivot]) >> v & 1:
+                expand(size + 1, cand & adj[v], excl & adj[v])
+                cand &= ~(1 << v)
+                excl |= 1 << v
+
+    expand(0, (1 << n) - 1, 0)
+    return hits
+
+
+def _assert_clique(adj, n, expected):
+    size, witness = aggraph.max_clique(adj, n)
+    assert size == expected, adj
+    assert witness.bit_count() == size
+    members = [v for v in range(n) if witness >> v & 1]
+    assert all(adj[a] >> b & 1 for a in members for b in members if a != b), adj
+
+
+def test_clique_matches_weighted_quotient_on_twin_blow_ups():
+    # up to 8 classes of up to 12 twins: up to 96 vertices, past the reach of
+    # the subset oracle; a clique takes all of a true-twin class and at most
+    # one vertex of a false-twin class
+    rng = random.Random(1919)
+    excl_pivots = 0
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        adj, cls, linked = _blow_up(rng, k, most=12)
+        sizes = [cls.count(a) for a in range(k)]
+        _assert_clique(adj, len(adj), blow_up_clique_number(k, linked, sizes))
+        excl_pivots += _excl_pivot_nodes(adj, len(adj)) > 0
+    # the search takes a pivot from excl on a fifth of these graphs
+    assert excl_pivots >= 20
+    for n in range(1, 41):
+        full = (1 << n) - 1
+        complete = [full & ~(1 << v) for v in range(n)]
+        assert aggraph.max_clique(complete, n) == (n, full)
 
 
 def test_traversals_on_degenerate_graphs():

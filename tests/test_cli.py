@@ -235,6 +235,49 @@ def test_usage_error_exit_64(capsys):
     assert main(["localize", "x.json"]) == 64  # missing required group
 
 
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(
+    capsys, spec_file, monkeypatch
+):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    path = spec_file(Z12)
+    assert run_cli(capsys, "analyze", path)[0] == 0
+    # a cmd_analyze rebound after the first call (as the benchmark's tracer
+    # rebinds it) is the one the next call runs
+    seen = []
+    analyze = cli.cmd_analyze
+    monkeypatch.setattr(
+        cli, "cmd_analyze", lambda args, cap: seen.append(args.spec) or analyze(args, cap)
+    )
+    code, out, _ = run_cli(capsys, "analyze", path)
+    assert code == 0 and seen == [path]
+    assert json.loads(out)["lattice"]["count"] == 6
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0 and out == f"agmod {agmod.__version__}\n"
+    assert run_cli(capsys, "localize", path)[0] == 64
+    assert built == [1]
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import agmod.cli\n"
+        "assert not built, 'importing agmod.cli built a parser'\n"
+        "assert agmod.cli.main(['--version']) == 0 and built\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=30, env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lattice_cap_env_override(capsys, spec_file, monkeypatch):
     monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "2")
     code, _, err = run_cli(capsys, "analyze", spec_file(Z12))

@@ -27,6 +27,7 @@ from oracles import (
     brute_is_prime_submodule,
     brute_is_semiprime,
     brute_min_primes,
+    brute_minimal_gens,
     brute_minimal_submodules,
     brute_radical,
     brute_subgroup_closure,
@@ -38,6 +39,7 @@ from oracles import (
     ideals,
     is_prime_ideal,
     omega,
+    span,
     subgroup_count,
     submodule_closure,
     verify_action,
@@ -52,14 +54,14 @@ def test_module_validation_lists_every_offender():
 
 def test_submodule_generate_examples():
     m = zmod(12)
-    assert m.span([(4,)]) == encset(m, [0, 4, 8])
-    assert m.span([]) == encset(m, [0])
+    assert span(m, [(4,)]) == encset(m, [0, 4, 8])
+    assert span(m, []) == encset(m, [0])
     # over the product ring the idempotent (1,0) scales (1,2) down to (1,0),
     # so the closure is the full product {0,1} x {0,2}; frozen from the
     # exhaustive closure oracle
     p = product_module([2, 4])
-    assert p.span([(1, 2)]) == {(0, 0), (0, 2), (1, 0), (1, 2)}
-    assert p.span([(1, 2)]) == brute_subgroup_closure(p, [(1, 2)])
+    assert span(p, [(1, 2)]) == {(0, 0), (0, 2), (1, 0), (1, 2)}
+    assert span(p, [(1, 2)]) == brute_subgroup_closure(p, [(1, 2)])
 
 
 def test_lattice_counts():
@@ -183,7 +185,7 @@ def test_lattice_closed_under_meet_and_join():
         lat = m.lattice()
         for a, b in itertools.combinations(lat.all, 2):
             assert lat.find(a.elements & b.elements) in lat.all
-            assert lat.find(m.span(a.gens + b.gens)) in lat.all
+            assert lat.find(span(m, a.gens + b.gens)) in lat.all
 
 
 def test_lattice_matches_brute_closure():
@@ -199,10 +201,18 @@ def test_lattice_matches_brute_closure():
 def test_generators_regenerate_and_are_minimal():
     for m in [zmod(12), zmod(30), product_module([2, 4]), product_module([4, 9])]:
         for s in m.lattice().all:
-            assert m.span(s.gens) == s.elements
+            assert span(m, s.gens) == s.elements
             for g in s.gens:
                 rest = [h for h in s.gens if h != g]
-                assert m.span(rest) != s.elements
+                assert span(m, rest) != s.elements
+
+
+def test_labels_match_set_oracle(oracle_modules):
+    shapes = {Module(Ring(r), f).key for r, f in NON_CYCLIC}
+    assert shapes <= {m.key for m in oracle_modules}
+    for m in oracle_modules:
+        for s in m.lattice().all:
+            assert s.gens == brute_minimal_gens(m, s.elements), (m.key, s.id)
 
 
 def test_colon_examples():
@@ -692,7 +702,7 @@ def test_random_instances_generate_consistent_lattices(m):
     lat = m.lattice()
     assert lat.zero.is_zero and lat.top.is_whole
     for s in lat.all:
-        assert m.span(s.gens) == s.elements
+        assert span(m, s.gens) == s.elements
     for x in m.elements:
         assert m.cyclic_span(x) in {s.elements for s in lat.all}
 
