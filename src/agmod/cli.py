@@ -298,10 +298,7 @@ def _write_edges(graph: aggraph.AnnGraph, write, depth: int) -> None:
 
 def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
     return {
-        "vertices": [
-            {"id": v.id, "label": v.label, "size": v.size}
-            for v in graph.vertices
-        ],
+        "vertices": [v.ref() for v in graph.vertices],
         "edges": _Edges(graph),
         "invariants": inv.to_dict(),
     }
@@ -398,10 +395,7 @@ def cmd_analyze(args, cap: int | None) -> int:
     if gen is not None:
         witnesses, wreport = module.min_prime_clique_witness()
         report["clique_witness"] = {
-            "submodules": [
-                {"id": w.id, "label": w.label, "size": w.size}
-                for w in witnesses
-            ],
+            "submodules": [w.ref() for w in witnesses],
             **wreport,
         }
     _dump(report, args.out)

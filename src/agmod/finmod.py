@@ -22,7 +22,8 @@ Every submodule the module hands out (an image r*M, a product, rad(0), a
 witness) is that lattice member, so submodules of one module compare with
 ``is`` or ``==``; across modules, compare their ``elements``.  A member's
 generators are found among members as well: every span on the way is a
-cyclic member R*x or a join, and the lattice memoizes its joins.
+cyclic member R*x or a join, and the lattice memoizes both, R*x by x and a
+join by the pair of member ids.
 
 Facts about M itself come from the table of primary parts and need no
 lattice: ann(M) is the lcm of the factor orders per component, the
@@ -33,7 +34,9 @@ nontrivial submodule iff that one coordinate has order p^2.  Every prime
 ideal of a finite ring is maximal, so a proper N is prime iff (N : M) is
 maximal, and Z(M) is the union of the associated primes.  Since every ideal
 of the ring is principal, each submodule made from a scalar is one image r*M
-(``times``): a product (N:M)(K:M)M, an idempotent part e*M, and rad(0).  The
+(``times``): a product (N:M)(K:M)M, an idempotent part e*M, and rad(0).  A
+scalar acts on a factor Z_d on component c as r_c, so r*M is the direct sum
+of the gcd(r_c, d)*Z_d, read off the factors without listing M.  The
 primes with colon m_{c,p} are the proper submodules containing m_{c,p}M, so
 rad(0) is the sum of the p*M_{c,p}, the image of the element whose residue
 on c is the squarefree kernel of ann(M)'s divisor there; M is semiprime iff
@@ -91,8 +94,6 @@ class Module:
         self.size = math.prod(self._orders)
 
         self._facts: dict = {}
-        self._times_cache: dict = {}
-        self._span_cache: dict = {}
 
     @functools.cached_property
     def elements(self) -> tuple:
@@ -121,43 +122,17 @@ class Module:
             (r[c] * a) % d for a, (d, c) in zip(x, self.factors)
         )
 
-    def project(self, x, comp: int):
-        """The action of the component unit e_comp on x."""
-        return tuple(
-            a if c == comp else 0 for a, (d, c) in zip(x, self.factors)
-        )
-
-    # -- spans and submodules --------------------------------------------------
-
-    def cyclic_span(self, x) -> frozenset:
-        """The orbit R*x: the additive span of the component projections of x."""
-        cached = self._span_cache.get(x)
-        if cached is not None:
-            return cached
-        span = {self.zero}
-        for c in range(len(self.ring.moduli)):
-            p = self.project(x, c)
-            if p == self.zero:
-                continue
-            mults = [self.zero]
-            q = p
-            while q != self.zero:
-                mults.append(q)
-                q = self.add(q, p)
-            span = {self.add(s, m) for s in span for m in mults}
-        out = frozenset(span)
-        self._span_cache[x] = out
-        return out
+    # -- images r*M -------------------------------------------------------------
 
     def times(self, r) -> "Submodule":
-        """The lattice member r*M = {r*m}, cached by the scalar r; the first
+        """The lattice member r*M, read off the factors: r acts on a factor
+        Z_d on component c as r_c, whose image is gcd(r_c, d)*Z_d.  The first
         call enumerates the lattice, under its caps, if nothing has yet."""
-        image = self._times_cache.get(r)
-        if image is None:
-            image = self._times_cache[r] = self.lattice().find(
-                {self.smul(r, m) for m in self.elements}
+        return self.lattice().find(
+            itertools.product(
+                *(range(0, d, math.gcd(r[c], d)) for d, c in self.factors)
             )
-        return image
+        )
 
     def lattice(self, cap: int | None = None) -> "Lattice":
         """Every submodule, enumerated on the first call (see ``_enumerate``).
@@ -560,6 +535,21 @@ class Module:
         return witnesses, report
 
 
+def cyclic_span(module: Module, x) -> frozenset:
+    """The orbit R*x: the additive span of the projections of x onto the ring
+    components, each keeping the coordinates of x on its component."""
+    zero, add = module.zero, module.add
+    span = {zero}
+    for comp in range(len(module.ring.moduli)):
+        p = tuple(a if c == comp else 0 for a, (_, c) in zip(x, module.factors))
+        mults, q = [zero], p
+        while q != zero:
+            mults.append(q)
+            q = add(q, p)
+        span = {add(s, m) for s in span for m in mults}
+    return frozenset(span)
+
+
 def _in_span(y, rows, heads) -> bool:
     """Whether the integer vector y lies in the span of lower-triangular rows
     with diagonal entries heads, by triangular division from the last row."""
@@ -580,7 +570,7 @@ class Submodule:
     once, so two members of one module are equal iff they are the same object.
     """
 
-    __slots__ = ("module", "elements", "encoding", "colon", "_gens", "id")
+    __slots__ = ("module", "elements", "encoding", "colon", "_gens", "_label", "id")
 
     def __init__(self, module: Module, elems: frozenset, colon: Ideal):
         self.module = module
@@ -588,6 +578,7 @@ class Submodule:
         self.encoding = tuple(sorted(elems))
         self.colon = colon
         self._gens = None
+        self._label = None
         self.id = None
 
     @property
@@ -614,9 +605,15 @@ class Submodule:
 
     @property
     def label(self) -> str:
-        if not self.gens:
-            return "⟨0⟩"
-        return "⟨" + ", ".join(_fmt_elem(g) for g in self.gens) + "⟩"
+        """The generators as text, built on first use."""
+        if self._label is None:
+            gens = ", ".join(map(_fmt_elem, self.gens))
+            self._label = "⟨" + (gens or "0") + "⟩"
+        return self._label
+
+    def ref(self) -> dict:
+        """How a report names this member: its id, label and size."""
+        return {"id": self.id, "label": self.label, "size": self.size}
 
 
 def _fmt_elem(x) -> str:
@@ -654,7 +651,8 @@ def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
 class Lattice:
     """All submodules, sorted by (size, canonical encoding), each made here
     once with its colon ideal, one Ideal per colon class.  The lattice also
-    memoizes the joins asked of it, by the pair of member ids."""
+    memoizes the members derived from others: each cyclic member R*x by x,
+    and each join by the pair of member ids."""
 
     def __init__(self, module: Module, sums):
         self.module = module
@@ -665,6 +663,7 @@ class Lattice:
             s.id = i
         self.all = tuple(subs)
         self._by_elements = {s.elements: s for s in subs}
+        self._cyclics: dict = {}
         self._joins: dict = {}
 
     def __len__(self):
@@ -687,8 +686,11 @@ class Lattice:
         return sub
 
     def cyclic(self, x) -> Submodule:
-        """The cyclic member R*x."""
-        return self.find(self.module.cyclic_span(x))
+        """The cyclic member R*x, memoized by x."""
+        sub = self._cyclics.get(x)
+        if sub is None:
+            sub = self._cyclics[x] = self.find(cyclic_span(self.module, x))
+        return sub
 
     def join(self, a: Submodule, b: Submodule) -> Submodule:
         """A + B, memoized by the id pair.  The member with the higher id,

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import StructuralError
+from .errors import ResourceLimitError, StructuralError
 
 
 def divisors(n: int) -> list[int]:
@@ -33,22 +33,20 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def squarefree_kernel(n: int) -> int:
-    """Product of the distinct primes dividing n (1 for n = 1)."""
-    kernel, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            kernel *= p
-            while m % p == 0:
-                m //= p
-        p += 1
-    return kernel * m if m > 1 else kernel
+TRIAL_BOUND = 10**6
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending."""
+    """Distinct prime divisors of n, ascending, by trial division up to
+    ``TRIAL_BOUND``.  A cofactor left above the bound squared could be a
+    product of two large primes, so it raises instead of guessing: every
+    factorization returned is exact."""
     out, m, p = [], n, 2
     while p * p <= m:
+        if p > TRIAL_BOUND:
+            raise ResourceLimitError(
+                f"cannot factor the modulus {n} by trial division to {TRIAL_BOUND}", TRIAL_BOUND
+            )
         if m % p == 0:
             out.append(p)
             while m % p == 0:
@@ -57,6 +55,11 @@ def prime_factors(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def squarefree_kernel(n: int) -> int:
+    """Product of the distinct primes dividing n (1 for n = 1)."""
+    return math.prod(prime_factors(n))
 
 
 class Ring:

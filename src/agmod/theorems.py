@@ -115,10 +115,6 @@ class InstanceAnalysis:
         return self if loc.image is self.module else InstanceAnalysis(loc.image)
 
 
-def _sub_ref(sub) -> dict:
-    return {"id": sub.id, "label": sub.label, "size": sub.size}
-
-
 # -- predicates -------------------------------------------------------------------
 
 
@@ -127,7 +123,7 @@ def _prop_2_5(a: InstanceAnalysis):
     always satisfy the finiteness/Artinian hypotheses by construction)."""
     vertices = set(a.ag.vertices)
     missing = [
-        _sub_ref(s)
+        s.ref()
         for s in a.module.lattice().all
         if not s.is_zero and not s.is_whole and s not in vertices
     ]
@@ -145,13 +141,13 @@ def _lemma_2_4(a: InstanceAnalysis):
     branches = []
     for n in m.minimal_submodules():
         if m.annihilates(n, n):
-            branches.append({"submodule": _sub_ref(n), "branch": "square_zero"})
+            branches.append({"submodule": n.ref(), "branch": "square_zero"})
             continue
         e = next((e for e in m.ring.idempotents() if m.times(e) is n), None)
         if e is None:
-            return FAIL, {"submodule": _sub_ref(n)}
+            return FAIL, {"submodule": n.ref()}
         branches.append(
-            {"submodule": _sub_ref(n), "branch": "idempotent", "e": list(e)}
+            {"submodule": n.ref(), "branch": "idempotent", "e": list(e)}
         )
     return PASS, {"minimal_submodules": branches}
 
@@ -217,7 +213,7 @@ def _p4_fxs_structure(a: InstanceAnalysis):
     if len(inside) != 1:
         return False, {"reason": "second part lacks a unique nontrivial submodule"}
     n = inside[0]
-    fn = m.lattice().find({m.add(x, y) for x in f.elements for y in n.elements})
+    fn = m.lattice().join(f, n)
     expected = [s, f, n, fn]
     if len(set(expected)) != 4:
         return False, {"reason": "expected vertices are not distinct"}
@@ -390,7 +386,7 @@ def _thm_2_10(a: InstanceAnalysis):
                     return FAIL, {
                         "z": list(z),
                         "saturated_size": len(sat),
-                        "non_prime_maximal": _sub_ref(n),
+                        "non_prime_maximal": n.ref(),
                     }
     if pairs == 0:
         return NOT_MET, {"reason": "no saturated S-closed subsets arise"}
@@ -506,7 +502,7 @@ def _thm_2_18(a: InstanceAnalysis):
     ids = []
     for w in witnesses:
         if w not in index:
-            return FAIL, {"witness_not_vertex": _sub_ref(w)}
+            return FAIL, {"witness_not_vertex": w.ref()}
         ids.append(index[w])
     for i, j in itertools.combinations(ids, 2):
         if not a.ag.has_edge(i, j):

@@ -11,6 +11,7 @@ import itertools
 import math
 
 from agmod.errors import InternalCheckError
+from agmod.finmod import cyclic_span
 from agmod.finring import divisors
 
 
@@ -143,7 +144,7 @@ def brute_colon(module, sub):
 def brute_cyclic_generator(module):
     """The first element in element order whose orbit R*m is all of M, or None."""
     return next(
-        (m for m in module.elements if len(module.cyclic_span(m)) == module.size), None
+        (m for m in module.elements if len(cyclic_span(module, m)) == module.size), None
     )
 
 
@@ -172,6 +173,11 @@ def brute_clique_multipliers(module, e_parts):
         pair_multipliers.append([i, j, list(t_ij)])
         t = ring.mul(t, t_ij)
     return list(t), pair_multipliers
+
+
+def brute_times(module, r):
+    """r*M = {r*m}, by applying r to every element."""
+    return frozenset(module.smul(r, m) for m in module.elements)
 
 
 def brute_submodule_product(module, n, k):
@@ -331,7 +337,7 @@ def span(module, gens):
     out = {module.zero}
     for g in gens:
         if g not in out:
-            orbit = module.cyclic_span(g)
+            orbit = cyclic_span(module, g)
             out = {module.add(s, m) for s in out for m in orbit}
     return frozenset(out)
 
@@ -347,7 +353,7 @@ def brute_minimal_gens(module, elems):
         if x in spanned:
             continue
         gens.append(x)
-        orbit = module.cyclic_span(x)
+        orbit = cyclic_span(module, x)
         spanned = {module.add(s, m) for s in spanned for m in orbit}
         if len(spanned) == len(elems):
             break

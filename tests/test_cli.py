@@ -13,12 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import agmod
-from agmod import aggraph, cli
+from agmod import aggraph, cli, theorems
 from agmod.cli import main, parse_gens, parse_instance
 from agmod.finmod import Module
 from agmod.finring import Ring
 
-from helpers import edges
+from helpers import NON_CYCLIC, edges
 
 
 @pytest.fixture()
@@ -318,6 +318,51 @@ def _subprocess_env() -> dict:
     src = str(Path(agmod.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def test_pipeline_lists_no_element_of_m(monkeypatch, capsys, spec_file):
+    # images r*M, cyclic members and joins come from the factors and the
+    # lattice, so only thm_2_10's scan may list the elements of M
+    def listed(self):
+        raise AssertionError("a module listed its elements")
+
+    monkeypatch.setattr(Module, "elements", property(listed))
+    shapes = NON_CYCLIC + [([30], [(30, 0)])]
+    for moduli, factors in shapes:
+        spec = spec_file({
+            "ring": moduli,
+            "module": [{"d": d, "c": c} for d, c in factors],
+        })
+        # the projection onto component 0, and an element that is no unit
+        proj = ":".join("1" if c == 0 else "0" for c in range(len(moduli)))
+        other = ":".join(str(n // 2) for n in moduli)
+        for argv in (
+            ["analyze", spec],
+            ["analyze", spec, "--localize-at-min-primes"],
+            ["analyze", spec, "--localize-gens", proj],
+            ["analyze", spec, "--localize-gens", other],
+            ["graph", spec],
+            ["graph", spec, "--star"],
+            ["localize", spec, "--at-min-primes"],
+            ["localize", spec, "--gens", other],
+        ):
+            assert run_cli(capsys, *argv)[0] == 0, argv
+    ids = [t for t in theorems.THEOREM_IDS if t != "thm_2_10"]
+    report = theorems.run_suite([Module(Ring(r), f) for r, f in shapes], ids)
+    assert not report.violations and not report.skips
+
+
+def test_unfactorable_modulus_exits_3_at_once(tmp_path):
+    # Z_1 over Z_{2^61 - 1}: the module is trivial, but the ring modulus has
+    # no prime factor below the trial-division bound
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ring": [2**61 - 1], "module": [{"d": 1, "c": 0}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
+        capture_output=True, text=True, timeout=10, env=_subprocess_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "resource cap exceeded" in proc.stderr
 
 
 def test_analyze_cost_does_not_grow_with_the_ring(tmp_path):

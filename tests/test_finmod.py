@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from agmod.aggraph import build_AG, build_AG_star
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from agmod.finmod import Module
+from agmod.finmod import Module, cyclic_span
 from agmod.finring import Ring, divisors
 from agmod.localization import (
     check_product_decomposition,
@@ -32,6 +33,7 @@ from oracles import (
     brute_radical,
     brute_subgroup_closure,
     brute_submodule_product,
+    brute_times,
     brute_zero_divisors,
     ideal_act,
     ideal_elements,
@@ -213,6 +215,35 @@ def test_labels_match_set_oracle(oracle_modules):
     for m in oracle_modules:
         for s in m.lattice().all:
             assert s.gens == brute_minimal_gens(m, s.elements), (m.key, s.id)
+
+
+def test_labels_are_built_once():
+    for m in (zmod(12), product_module([4, 6])):
+        for s in m.lattice().all:
+            assert s.label is s.label, s
+
+
+def test_times_matches_scan_oracle(oracle_modules):
+    # r*M read off the factors against r applied to every element: every
+    # scalar of a small ring, else the idempotents and some seeded scalars
+    rng = random.Random(20)
+    for m in oracle_modules:
+        ring = m.ring
+        if ring.cardinality <= 64:
+            scalars = list(ring.elements())
+        else:
+            scalars = ring.idempotents() + [
+                tuple(rng.randrange(n) for n in ring.moduli) for _ in range(16)
+            ]
+        for r in scalars:
+            assert m.times(r).elements == brute_times(m, r), (m, r)
+
+
+def test_cyclic_members_are_the_spans(oracle_modules):
+    for m in oracle_modules:
+        lat = m.lattice()
+        for x in m.elements:
+            assert lat.cyclic(x) is lat.find(cyclic_span(m, x)), (m, x)
 
 
 def test_colon_examples():
@@ -422,7 +453,7 @@ def test_closed_forms_match_scan_oracles(oracle_modules):
 
 
 def test_module_facts_match_scan_oracles(oracle_modules):
-    # rad(0), the labels of M and of both parts of each split, and e*M
+    # rad(0) and the labels of M and of both parts of each split
     for m in oracle_modules:
         rad = m.prime_radical()
         assert rad is m.lattice().find(brute_radical(m, m.lattice().zero)), m
@@ -431,8 +462,6 @@ def test_module_facts_match_scan_oracles(oracle_modules):
                        for p in (left, right)]
         for part in parts:
             assert part.classify() == brute_classify(part), part
-        for e in m.ring.idempotents():
-            assert m.times(e).elements == {m.smul(e, x) for x in m.elements}, (m, e)
 
 
 def test_handed_out_submodules_are_lattice_members(oracle_modules):
@@ -704,7 +733,7 @@ def test_random_instances_generate_consistent_lattices(m):
     for s in lat.all:
         assert span(m, s.gens) == s.elements
     for x in m.elements:
-        assert m.cyclic_span(x) in {s.elements for s in lat.all}
+        assert cyclic_span(m, x) in {s.elements for s in lat.all}
 
 
 @given(_random_small_module())

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from agmod.errors import StructuralError
+from agmod.errors import ResourceLimitError, StructuralError
 from agmod.finring import Ideal, Ring, divisors, prime_factors, squarefree_kernel
 
 from oracles import (
@@ -162,6 +162,15 @@ def test_divisor_helpers():
     assert squarefree_kernel(12) == 6
     assert squarefree_kernel(8) == 2
     assert squarefree_kernel(1) == 1
+
+
+def test_factoring_is_exact_or_refused():
+    # both primes lie near the trial-division bound, so this factors exactly;
+    # the Mersenne prime 2^61 - 1 has no factor below it and is refused
+    assert prime_factors(999983 * 1000003) == [999983, 1000003]
+    assert squarefree_kernel(999983**2 * 1000003) == 999983 * 1000003
+    with pytest.raises(ResourceLimitError, match="2305843009213693951"):
+        prime_factors(2**61 - 1)
 
 
 _ring_strategy = st.builds(
