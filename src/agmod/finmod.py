@@ -15,6 +15,16 @@ has one lower-triangular Hermite normal form (reduced row echelon form when
 every a_i = 1), so each is listed exactly once; the parts' subgroups are then
 added up.
 
+Sets of elements are masks (``_Radix``).  The element x of
+Z_{d_0} + ... + Z_{d_{k-1}} has the mixed-radix index sum x_i * w_i, with
+w_i the product of the orders after d_i, so index order is tuple order, and
+a set is the int with a bit at each of its indices.  Adding an element to
+every member of a set rotates each aligned block of d_i * w_i bits of the
+mask by y_i * w_i, one rotation per nonzero coordinate y_i, so a subgroup
+plus a cyclic group is an OR of rotated masks and no element tuple is added
+while the lattice or its labels are built.  A submodule's ``elements`` are
+decoded from its mask only when read, for the tests and oracles.
+
 The lattice makes every ``Submodule``, each once, and gives it its colon
 ideal (N : M), read off the Hermite forms: the divisor on component c is the
 product over p of the exponents of the (c, p)-part modulo N's subgroup of it.
@@ -22,8 +32,8 @@ Every submodule the module hands out (an image r*M, a product, rad(0), a
 witness) is that lattice member, so submodules of one module compare with
 ``is`` or ``==``; across modules, compare their ``elements``.  A member's
 generators are found among members as well: every span on the way is a
-cyclic member R*x or a join, and the lattice memoizes both, R*x by x and a
-join by the pair of member ids.
+cyclic member R*x or a join, and the lattice memoizes both, R*x by the index
+of x and a join by the pair of member ids.
 
 Facts about M itself come from the table of primary parts and need no
 lattice: ann(M) is the lcm of the factor orders per component, the
@@ -97,8 +107,9 @@ class Module:
 
     @functools.cached_property
     def elements(self) -> tuple:
-        """Every element, listed on first use; nothing that only needs the
-        structure of M (its size, parts, colons or images) lists them."""
+        """Every element in index order (see ``_Radix``), listed on first use;
+        nothing that only needs the structure of M (its size, parts, colons,
+        images or lattice) lists them."""
         return tuple(itertools.product(*(range(d) for d, _ in self.factors)))
 
     # -- identity ------------------------------------------------------------
@@ -126,13 +137,16 @@ class Module:
 
     def times(self, r) -> "Submodule":
         """The lattice member r*M, read off the factors: r acts on a factor
-        Z_d on component c as r_c, whose image is gcd(r_c, d)*Z_d.  The first
-        call enumerates the lattice, under its caps, if nothing has yet."""
-        return self.lattice().find(
-            itertools.product(
-                *(range(0, d, math.gcd(r[c], d)) for d, c in self.factors)
-            )
-        )
+        Z_d on component c as r_c, whose image is gcd(r_c, d)*Z_d.  At weight
+        w its mask is the progression (2^(d w) - 1) / (2^(g w) - 1), and a
+        sum of sets on disjoint digits is the carry-free product of their
+        masks.  The first call enumerates the lattice, under its caps, if
+        nothing has yet."""
+        lattice = self.lattice()
+        mask = 1
+        for (d, c), w in zip(self.factors, lattice.radix.weights):
+            mask *= ((1 << d * w) - 1) // ((1 << math.gcd(r[c], d) * w) - 1)
+        return lattice.member(mask)
 
     def lattice(self, cap: int | None = None) -> "Lattice":
         """Every submodule, enumerated on the first call (see ``_enumerate``).
@@ -156,14 +170,15 @@ class Module:
         every submodule is the sum of one subgroup of each part, and each such
         sum is a different submodule.  Each part's subgroups are listed once
         each by Hermite normal form (``_subgroups``); the sums are then built
-        one part at a time, each element set once.  Next to each sum goes its
-        colon divisor tuple: r*M <= N iff r carries every part into N's
-        subgroup of it, so on component c the divisor is the product of the
-        exponents of the (c, p)-part quotients, 1 where n_c has no part at p.
-        A part may have at most ``cap`` divided by the counts of the parts
-        before it, which is exactly the condition that the whole lattice has
-        at most ``cap`` submodules.  A module with more than ``ELEMENT_CAP``
-        elements is refused first, before any element is listed.
+        one part at a time, as masks: adding a subgroup ORs the translates of
+        the sum so far along each of its Hermite rows (``_Radix.span``).
+        Next to each sum goes its colon divisor tuple: r*M <= N iff r carries
+        every part into N's subgroup of it, so on component c the divisor is
+        the product of the exponents of the (c, p)-part quotients, 1 where n_c
+        has no part at p.  A part may have at most ``cap`` divided by the
+        counts of the parts before it, which is exactly the condition that the
+        whole lattice has at most ``cap`` submodules.  A module with more than
+        ``ELEMENT_CAP`` elements is refused first, before any mask is made.
         """
         if self.size > ELEMENT_CAP:
             raise ResourceLimitError(
@@ -171,25 +186,26 @@ class Module:
                 ELEMENT_CAP,
             )
         cap = LATTICE_CAP if cap is None else cap
-        ones = (1,) * len(self.ring.moduli)
-        sums = [(frozenset({self.zero}), ones)]
+        span = self._radix().span
+        sums = [(1, (1,) * len(self.ring.moduli))]
         room = cap
-        for i, (c, p, coords) in enumerate(self._primary_parts()):
+        for c, p, coords in self._primary_parts():
             subgroups = self._subgroups(p, coords, room, cap)
             room //= len(subgroups)
-            if i == 0:
-                sums = [(t, ones[:c] + (e,) + ones[c + 1:]) for t, e in subgroups]
-                continue
             sums = [
-                (
-                    frozenset(self.add(a, b) for a in s for b in t),
-                    divs[:c] + (divs[c] * e,) + divs[c + 1:],
-                )
-                for s, divs in sums
-                for t, e in subgroups
+                # 0 + T is T, made by _subgroups already
+                (part if mask == 1 else span(mask, gens), divs[:c] + (divs[c] * e,) + divs[c + 1:])
+                for mask, divs in sums
+                for part, gens, e in subgroups
             ]
         return Lattice(self, sums)
 
+    @_once
+    def _radix(self) -> "_Radix":
+        """The index arithmetic of this module's element masks."""
+        return _Radix(self._orders)
+
+    @_once
     def _primary_parts(self) -> list[tuple]:
         """The nonzero primary parts, one per ring component c and prime p | n_c.
 
@@ -200,8 +216,8 @@ class Module:
         triple (c, p, coordinates).
         """
         parts = []
-        for c, n in enumerate(self.ring.moduli):
-            for p in prime_factors(n):
+        for c, primes in enumerate(self.ring.primes):
+            for p in primes:
                 coords = []
                 for i, (d, dc) in enumerate(self.factors):
                     if dc == c and d % p == 0:
@@ -215,7 +231,9 @@ class Module:
 
     def _subgroups(self, p, coords, limit: int, cap: int) -> list[tuple]:
         """Every subgroup of one primary part, each once, by Hermite normal form,
-        as (element set, exponent of the part over the subgroup) pairs.
+        as (mask, generators, exponent) triples: the generators are the
+        (index in M, order) pairs of its rows that add to the rows before
+        them, and the exponent is that of the part over the subgroup.
 
         In part coordinates the part is Z^r / K with K the sum of the
         p^{a_i} Z, so its subgroups are the lattices L with K <= L <= Z^r.
@@ -227,18 +245,22 @@ class Module:
         first i coordinates extends to at least one full form (the next row
         p^{a_i} e_i always qualifies), so a level holding more than ``limit``
         forms means the part has more than ``limit`` subgroups and M more
-        than ``cap`` submodules.  This is found before any element set is
-        built.
+        than ``cap`` submodules.  This is found before any mask is built.
 
         The exponent of Z^r / L is the least p^j with p^j e_i in L for every
         i.  It lies between the largest head and the largest order p^{a_i},
         and can exceed the head: the rows (2), (1, 2) in Z_4^2 leave Z_4.
         """
         orders = [q for _, q, _ in coords]
-        forms = [()]
+        radix = self._radix()
+        span = radix.span
+        # a row's index in M: entry v on part coordinate (i, q, step) is the
+        # digit v mod q * step of factor i (a diagonal p^{a_i} is 0 there)
+        scales = [step * radix.weights[i] for i, _, step in coords]
+        forms = [((), (), 1)]
         for order in orders:
             grown = []
-            for rows in forms:
+            for rows, gens, mask in forms:
                 heads = [row[-1] for row in rows]
                 for x in itertools.product(*(range(h) for h in heads)):
                     h = 1
@@ -248,22 +270,18 @@ class Module:
                                 raise ResourceLimitError(
                                     f"more than {cap} submodules (lattice cap)", cap
                                 )
-                            grown.append(rows + (x + (h,),))
+                            row = x + (h,)
+                            if h < order:
+                                # the row has order order / h over the rows before it
+                                y = sum(map(operator.mul, map(operator.mod, row, orders), scales))
+                                gen = (y, order // h)
+                                grown.append((rows + (row,), gens + (gen,), span(mask, [gen])))
+                            else:  # the row lies in the span of the rows before it
+                                grown.append((rows + (row,), gens, mask))
                         h *= p
-            forms = grown
-        # L / K holds each sum of c_i * row_i with 0 <= c_i < p^{a_i} / h_i once
+            forms = grown  # each with its mask, grown along its rows one at a time
         subgroups = []
-        for rows in forms:
-            elems = [self.zero]
-            for row, order in zip(rows, orders):
-                vec = [0] * len(self.factors)
-                for (idx, q, step), v in zip(coords, row):
-                    vec[idx] = v % q * step  # a diagonal p^{a_i} is 0 here
-                vec = tuple(vec)
-                multiples = [self.zero]
-                for _ in range(order // row[-1] - 1):
-                    multiples.append(self.add(multiples[-1], vec))
-                elems = [self.add(s, m) for s in elems for m in multiples]
+        for rows, gens, mask in forms:
             heads = [row[-1] for row in rows]
             exponent = max(heads)
             while exponent < max(orders) and not all(
@@ -271,7 +289,7 @@ class Module:
                 for i in range(len(rows))
             ):
                 exponent *= p
-            subgroups.append((frozenset(elems), exponent))
+            subgroups.append((mask, gens, exponent))
         return subgroups
 
     # -- colon ideals and products ----------------------------------------------
@@ -535,21 +553,6 @@ class Module:
         return witnesses, report
 
 
-def cyclic_span(module: Module, x) -> frozenset:
-    """The orbit R*x: the additive span of the projections of x onto the ring
-    components, each keeping the coordinates of x on its component."""
-    zero, add = module.zero, module.add
-    span = {zero}
-    for comp in range(len(module.ring.moduli)):
-        p = tuple(a if c == comp else 0 for a, (_, c) in zip(x, module.factors))
-        mults, q = [zero], p
-        while q != zero:
-            mults.append(q)
-            q = add(q, p)
-        span = {add(s, m) for s in span for m in mults}
-    return frozenset(span)
-
-
 def _in_span(y, rows, heads) -> bool:
     """Whether the integer vector y lies in the span of lower-triangular rows
     with diagonal entries heads, by triangular division from the last row."""
@@ -564,22 +567,134 @@ def _in_span(y, rows, heads) -> bool:
     return True
 
 
-class Submodule:
-    """A member of its module's lattice: a closed element set with its colon
-    ideal and a minimal generator list.  The lattice makes each submodule
-    once, so two members of one module are equal iff they are the same object.
+class _Radix:
+    """The mixed-radix indices of a module's elements, and sets of them as masks.
+
+    Over Z_{d_0} + ... + Z_{d_{k-1}} the element x has index sum x_i * w_i
+    with w_i = d_{i+1} * ... * d_{k-1}, so the first coordinate is the most
+    significant digit and index order is the lexicographic order of tuples.
+    A set of elements is the int with a bit at each member's index; zero is
+    bit 0.  Adding t to coordinate i of every member rotates each aligned
+    block of d_i * w_i bits by s = t * w_i:
+    ((m & lo) << s) | ((m & hi) >> (block - s)), where lo holds the indices
+    whose digit i is below d_i - t and hi the rest.  These masks are made
+    once per (i, t), on first use, and |M| <= ELEMENT_CAP keeps every mask
+    that short.
     """
 
-    __slots__ = ("module", "elements", "encoding", "colon", "_gens", "_label", "id")
+    __slots__ = ("weights", "orders", "_full", "_rotations", "_decoded")
 
-    def __init__(self, module: Module, elems: frozenset, colon: Ideal):
+    def __init__(self, orders):
+        self.orders = tuple(orders)
+        size = math.prod(self.orders)
+        self._full = (1 << size) - 1
+        weights = []
+        for d in self.orders:
+            size //= d
+            weights.append(size)
+        self.weights = tuple(weights)
+        self._rotations: dict = {}
+        self._decoded: dict = {}
+
+    def mask(self, elems) -> int:
+        """The mask of a set of element tuples."""
+        out = 0
+        for x in elems:
+            out |= 1 << sum(map(operator.mul, x, self.weights))
+        return out
+
+    def element(self, i: int) -> tuple:
+        """The element tuple at index i, decoded once."""
+        x = self._decoded.get(i)
+        if x is None:
+            digits, y = [], i
+            for w in self.weights:
+                t, y = divmod(y, w)
+                digits.append(t)
+            x = self._decoded[i] = tuple(digits)
+        return x
+
+    def multiple(self, y: int, k: int) -> int:
+        """The index of k times the element at index y."""
+        if k == 1:
+            return y
+        out = 0
+        for w, d in zip(self.weights, self.orders):
+            t, y = divmod(y, w)
+            out += t * k % d * w
+        return out
+
+    def translate(self, mask: int, y: int) -> int:
+        """Every member plus the element at index y, one rotation per digit."""
+        for i, w in enumerate(self.weights):
+            t, y = divmod(y, w)
+            if t:
+                s, back, lo, hi = self._rotations.get((i, t)) or self._rotation(i, t)
+                mask = (mask & lo) << s | (mask & hi) >> back
+        return mask
+
+    def _rotation(self, i: int, t: int) -> tuple:
+        w = self.weights[i]
+        block, s = self.orders[i] * w, t * w
+        starts = self._full // ((1 << block) - 1)  # the first bit of each block
+        lo = ((1 << block - s) - 1) * starts
+        rotation = self._rotations[i, t] = (s, block - s, lo, self._full ^ lo)
+        return rotation
+
+    def span(self, mask: int, gens) -> int:
+        """S + <y> for a subgroup mask S and each (y, n) in turn, n the order
+        of the element at index y modulo S.  While the mask holds the
+        translates of S by 0, y, ..., (c - 1)y, translating it by
+        min(c, n - c)y adds the next ones, so about log2(n) translations
+        build all n."""
+        for y, n in gens:
+            c = 1
+            while c < n:
+                step = min(c, n - c)
+                mask |= self.translate(mask, self.multiple(y, step))
+                c += step
+        return mask
+
+
+class Submodule:
+    """A member of its module's lattice: a closed set of elements, held as a
+    mask over their indices (see ``_Radix``), with its colon ideal and a
+    minimal generator list.  The lattice makes each submodule once, so two
+    members of one module are equal iff they are the same object.
+    """
+
+    __slots__ = (
+        "module", "mask", "size", "colon", "_encoding", "_elements", "_gens", "_label", "id"
+    )
+
+    def __init__(self, module: Module, mask: int, colon: Ideal):
         self.module = module
-        self.elements = elems
-        self.encoding = tuple(sorted(elems))
+        self.mask = mask
+        self.size = mask.bit_count()
         self.colon = colon
+        self._encoding = None
+        self._elements = None
         self._gens = None
         self._label = None
         self.id = None
+
+    @property
+    def encoding(self) -> tuple:
+        """The indices of the elements, ascending, listed on first use.  Index
+        order is tuple order, so this orders members as their sorted
+        elements would."""
+        if self._encoding is None:
+            bits = format(self.mask, "b")[::-1]
+            self._encoding = tuple(i for i, b in enumerate(bits) if b == "1")
+        return self._encoding
+
+    @property
+    def elements(self) -> frozenset:
+        """The elements as tuples, decoded on first use and kept.  This is a
+        view for the tests and oracles; the lattice works on ``mask``."""
+        if self._elements is None:
+            self._elements = frozenset(map(self.module.elements.__getitem__, self.encoding))
+        return self._elements
 
     @property
     def gens(self) -> tuple:
@@ -590,10 +705,6 @@ class Submodule:
 
     def __repr__(self):
         return f"<{self.label} #{self.size}>"
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
     @property
     def is_zero(self) -> bool:
@@ -625,44 +736,48 @@ def _fmt_elem(x) -> str:
 def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
     """Greedy lexicographically-least generators, then drop redundant ones.
 
-    Every span along the way is a lattice member: the span of x is the
-    cyclic member R*x, and adding a generator is a join (``Lattice.join``).
+    The next generator is the least element of the submodule outside the
+    span so far: the lowest bit of one mask minus the other.  Generators
+    are found as indices and only those kept are decoded.  Every span along
+    the way is a lattice member: the span of x is the cyclic member R*x, and
+    adding a generator is a join (``Lattice.join``).
     """
-    if sub.is_zero:
-        return ()
     gens = []
     span = lattice.zero
-    for x in sub.encoding:
-        if x in span.elements:
-            continue
+    while span is not sub:
+        rest = sub.mask & ~span.mask
+        x = (rest & -rest).bit_length() - 1
         gens.append(x)
         span = lattice.join(span, lattice.cyclic(x))
-        if span is sub:
-            break
     # a generator not redundant in a set is not redundant in any subset of
     # it, so one forward pass leaves no redundant generator
     for g in list(gens):
         rest = [lattice.cyclic(h) for h in gens if h != g]
         if functools.reduce(lattice.join, rest, lattice.zero) is sub:
             gens.remove(g)
-    return tuple(gens)
+    return tuple(map(lattice.radix.element, gens))
 
 
 class Lattice:
     """All submodules, sorted by (size, canonical encoding), each made here
-    once with its colon ideal, one Ideal per colon class.  The lattice also
-    memoizes the members derived from others: each cyclic member R*x by x,
-    and each join by the pair of member ids."""
+    once with its colon ideal, one Ideal per colon class, and found by mask.
+    Among members of one size, the lowest index in just one of two masks
+    puts its member first, so the key is the size and the mask read with
+    its bits reversed, descending.  The lattice also memoizes the members
+    derived from others: each cyclic member R*x by the index of x, and each
+    join by the pair of member ids."""
 
     def __init__(self, module: Module, sums):
         self.module = module
+        self.radix = module._radix()
         ideals = {divs: Ideal(module.ring, divs) for divs in {d for _, d in sums}}
-        subs = [Submodule(module, elems, ideals[divs]) for elems, divs in sums]
-        subs.sort(key=lambda s: (s.size, s.encoding))
+        subs = [Submodule(module, mask, ideals[divs]) for mask, divs in sums]
+        width = f"0{module.size}b"
+        subs.sort(key=lambda s: (s.size, -int(format(s.mask, width)[::-1], 2)))
         for i, s in enumerate(subs):
             s.id = i
         self.all = tuple(subs)
-        self._by_elements = {s.elements: s for s in subs}
+        self._by_mask = {s.mask: s for s in subs}
         self._cyclics: dict = {}
         self._joins: dict = {}
 
@@ -677,34 +792,49 @@ class Lattice:
     def top(self) -> Submodule:
         return self.all[-1]
 
-    def find(self, elems) -> Submodule:
-        """The member with exactly these elements; a frozenset keeps its hash,
-        so looking up a member's own elements hashes nothing."""
-        sub = self._by_elements.get(frozenset(elems))
+    def member(self, mask: int) -> Submodule:
+        """The member with exactly this mask."""
+        sub = self._by_mask.get(mask)
         if sub is None:
             raise DomainError("element set is not a submodule of this lattice")
         return sub
 
-    def cyclic(self, x) -> Submodule:
-        """The cyclic member R*x, memoized by x."""
-        sub = self._cyclics.get(x)
+    def find(self, elems) -> Submodule:
+        """The member with exactly these element tuples."""
+        return self.member(self.radix.mask(elems))
+
+    def cyclic(self, i: int) -> Submodule:
+        """The cyclic member R*x for the element x at index i, memoized by i:
+        the sum of the cyclic groups of the projections of x onto the ring
+        components.  A projection's order is the lcm of its digits' orders,
+        and the components hold disjoint digits."""
+        sub = self._cyclics.get(i)
         if sub is None:
-            sub = self._cyclics[x] = self.find(cyclic_span(self.module, x))
+            comps = len(self.module.ring.moduli)
+            projections, orders = [0] * comps, [1] * comps
+            y = i
+            for w, (d, c) in zip(self.radix.weights, self.module.factors):
+                a, y = divmod(y, w)
+                projections[c] += a * w
+                orders[c] = math.lcm(orders[c], d // math.gcd(a, d))
+            mask = self.radix.span(1, zip(projections, orders))
+            sub = self._cyclics[i] = self.member(mask)
         return sub
 
     def join(self, a: Submodule, b: Submodule) -> Submodule:
-        """A + B, memoized by the id pair.  The member with the higher id,
-        which is no smaller, is translated by each element of the other one
-        that it does not cover yet; each translate is a new coset of it."""
+        """A + B, memoized by the id pair.  Starting from the member with the
+        higher id, the union so far is translated by the least element of
+        the other one that it does not cover, until it covers B; that union
+        is A plus some sums of elements of B, and holds A + B."""
         if a.id < b.id:
             a, b = b, a
         key = (a.id, b.id)
         joined = self._joins.get(key)
         if joined is None:
-            add = self.module.add
-            elems = set(a.elements)
-            for y in b.elements:
-                if y not in elems:
-                    elems.update([add(x, y) for x in a.elements])
-            joined = self._joins[key] = a if len(elems) == a.size else self.find(elems)
+            mask = a.mask
+            rest = b.mask & ~mask
+            while rest:
+                mask |= self.radix.translate(mask, (rest & -rest).bit_length() - 1)
+                rest &= ~mask
+            joined = self._joins[key] = self.member(mask)
         return joined

@@ -13,6 +13,7 @@ parts whose maximal ideal S avoids.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,6 +87,17 @@ class Ring:
     def __repr__(self):
         return "Z" + "xZ".join(str(n) for n in self.moduli)
 
+    @functools.cached_property
+    def primes(self) -> tuple[list[int], ...]:
+        """The distinct primes of each modulus, ascending: each modulus is
+        factored once per ring."""
+        return tuple(prime_factors(n) for n in self.moduli)
+
+    @functools.cached_property
+    def nil_divisors(self) -> tuple[int, ...]:
+        """The nilradical in divisor form: the squarefree kernel of each modulus."""
+        return tuple(math.prod(ps) for ps in self.primes)
+
     # -- element arithmetic -------------------------------------------------
 
     def _check(self, r):
@@ -127,9 +139,9 @@ class Ring:
         """
         pairs = set(pairs)
         out = []
-        for c, n in enumerate(self.moduli):
+        for c, (n, primes) in enumerate(zip(self.moduli, self.primes)):
             kept = 1
-            for q in prime_factors(n):
+            for q in primes:
                 if (c, q) in pairs:
                     while n % (kept * q) == 0:
                         kept *= q
@@ -140,7 +152,7 @@ class Ring:
     def idempotents(self) -> list[tuple[int, ...]]:
         """All e with e*e = e, sorted: one ``part_idempotent`` per set of
         (c, q)-primary parts; always contains 0 and 1."""
-        parts = [(c, q) for c, n in enumerate(self.moduli) for q in prime_factors(n)]
+        parts = [(c, q) for c, primes in enumerate(self.primes) for q in primes]
         return sorted(
             self.part_idempotent(kept)
             for k in range(len(parts) + 1)
@@ -200,7 +212,4 @@ class Ideal:
 
     def is_nil(self) -> bool:
         """True iff every element is nilpotent, i.e. I lies in the nilradical."""
-        return all(
-            d % squarefree_kernel(n) == 0
-            for d, n in zip(self.divisors, self.ring.moduli)
-        )
+        return all(d % k == 0 for d, k in zip(self.divisors, self.ring.nil_divisors))

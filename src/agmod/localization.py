@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError
 from .finmod import Module, Submodule
-from .finring import Ring, prime_factors
+from .finring import Ring
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ def mult_closure(ring: Ring, gens) -> MultSet:
     gens = [ring.element(g) for g in gens]
     avoided = frozenset(
         (c, q)
-        for c, n in enumerate(ring.moduli)
-        for q in prime_factors(n)
+        for c, primes in enumerate(ring.primes)
+        for q in primes
         if all(g[c] % q for g in gens)
     )
     return MultSet(ring, avoided, len(gens), len(closure(ring, gens)))
@@ -167,7 +167,7 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
         raise InternalCheckError("component sizes do not multiply to the image size")
     for i in range(len(components)):
         for j in range(i + 1, len(components)):
-            if components[i].elements & components[j].elements != {module.zero}:
+            if components[i].mask & components[j].mask != 1:
                 raise InternalCheckError(
                     f"components {i} and {j} overlap beyond zero"
                 )

@@ -209,7 +209,10 @@ def _p4_fxs_structure(a: InstanceAnalysis):
     e = a.fxs[0]
     f = m.times(e)
     s = m.times(m.ring.sub(m.ring.one, e))
-    inside = [k for k in m.lattice().all if not k.is_zero and k.elements < s.elements]
+    inside = [
+        k for k in m.lattice().all
+        if not k.is_zero and k is not s and k.mask | s.mask == s.mask
+    ]
     if len(inside) != 1:
         return False, {"reason": "second part lacks a unique nontrivial submodule"}
     n = inside[0]
@@ -372,11 +375,12 @@ def _thm_2_10(a: InstanceAnalysis):
             sat = _saturate(m, s_clo, orbit, fact)
             if sat is None or m.zero in sat:
                 continue
-            cands = [s for s in lattice.all if not (s.elements & sat)]
+            outside = lattice.radix.mask(sat)
+            cands = [s for s in lattice.all if not s.mask & outside]
             maximal = [
                 s
                 for s in cands
-                if not any(t is not s and s.elements < t.elements for t in cands)
+                if not any(t is not s and s.mask | t.mask == t.mask for t in cands)
             ]
             if not maximal:
                 continue

@@ -11,7 +11,6 @@ import itertools
 import math
 
 from agmod.errors import InternalCheckError
-from agmod.finmod import cyclic_span
 from agmod.finring import divisors
 
 
@@ -138,6 +137,21 @@ def brute_colon(module, sub):
     for r in module.ring.elements():
         if all(module.smul(r, m) in sub.elements for m in module.elements):
             out.add(r)
+    return frozenset(out)
+
+
+def cyclic_span(module, x):
+    """The orbit R*x: the additive span of the projections of x onto the ring
+    components, each keeping the coordinates of x on its component."""
+    zero, add = module.zero, module.add
+    out = {zero}
+    for comp in range(len(module.ring.moduli)):
+        p = tuple(a if c == comp else 0 for a, (_, c) in zip(x, module.factors))
+        mults, q = [zero], p
+        while q != zero:
+            mults.append(q)
+            q = add(q, p)
+        out = {add(s, m) for s in out for m in mults}
     return frozenset(out)
 
 

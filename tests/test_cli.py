@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import agmod
 from agmod import aggraph, cli, theorems
 from agmod.cli import main, parse_gens, parse_instance
-from agmod.finmod import Module
-from agmod.finring import Ring
+from agmod.finmod import Module, Submodule
+from agmod.finring import Ring, prime_factors
 
 from helpers import NON_CYCLIC, edges
 
@@ -320,15 +320,12 @@ def _subprocess_env() -> dict:
     return env
 
 
-def test_pipeline_lists_no_element_of_m(monkeypatch, capsys, spec_file):
-    # images r*M, cyclic members and joins come from the factors and the
-    # lattice, so only thm_2_10's scan may list the elements of M
-    def listed(self):
-        raise AssertionError("a module listed its elements")
+# non-cyclic shapes and a squarefree one, run through every pipeline command
+PIPELINE_SHAPES = NON_CYCLIC + [([30], [(30, 0)])]
 
-    monkeypatch.setattr(Module, "elements", property(listed))
-    shapes = NON_CYCLIC + [([30], [(30, 0)])]
-    for moduli, factors in shapes:
+
+def _run_pipeline(capsys, spec_file, theorem_ids):
+    for moduli, factors in PIPELINE_SHAPES:
         spec = spec_file({
             "ring": moduli,
             "module": [{"d": d, "c": c} for d, c in factors],
@@ -347,9 +344,53 @@ def test_pipeline_lists_no_element_of_m(monkeypatch, capsys, spec_file):
             ["localize", spec, "--gens", other],
         ):
             assert run_cli(capsys, *argv)[0] == 0, argv
-    ids = [t for t in theorems.THEOREM_IDS if t != "thm_2_10"]
-    report = theorems.run_suite([Module(Ring(r), f) for r, f in shapes], ids)
+    modules = [Module(Ring(r), f) for r, f in PIPELINE_SHAPES]
+    report = theorems.run_suite(modules, theorem_ids)
     assert not report.violations and not report.skips
+
+
+def _refuse(what):
+    def refused(*args):
+        raise AssertionError(f"the pipeline used {what}")
+
+    return refused
+
+
+def test_pipeline_lists_no_element_of_m(monkeypatch, capsys, spec_file):
+    # images r*M, cyclic members and joins come from the factors and the
+    # lattice, so only thm_2_10's scan may list the elements of M
+    monkeypatch.setattr(Module, "elements", property(_refuse("Module.elements")))
+    ids = [t for t in theorems.THEOREM_IDS if t != "thm_2_10"]
+    _run_pipeline(capsys, spec_file, ids)
+
+
+def test_pipeline_works_on_masks_only(monkeypatch, capsys, spec_file):
+    # lattice members are masks over element indices: no command and no
+    # predicate adds element tuples or decodes a member's element set
+    monkeypatch.setattr(Module, "add", _refuse("Module.add"))
+    monkeypatch.setattr(Submodule, "elements", property(_refuse("Submodule.elements")))
+    _run_pipeline(capsys, spec_file, theorems.THEOREM_IDS)
+
+
+def test_one_analyze_factors_each_modulus_once(monkeypatch, capsys, spec_file):
+    # the two primes are close to the trial-division bound, so every
+    # factorization of the modulus costs
+    n = 999983 * 1000003
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return prime_factors(k)
+
+    for name, module in list(sys.modules.items()):
+        imported = getattr(module, "prime_factors", None) is prime_factors
+        if name.split(".")[0] == "agmod" and imported:
+            monkeypatch.setattr(module, "prime_factors", counted)
+    spec = spec_file({"ring": [n], "module": [{"d": 1, "c": 0}]})
+    for extra in ([], ["--localize-at-min-primes"]):
+        calls.clear()
+        assert run_cli(capsys, "analyze", spec, *extra)[0] == 0
+        assert calls.count(n) == 1, extra
 
 
 def test_unfactorable_modulus_exits_3_at_once(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from agmod.aggraph import build_AG, build_AG_star
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from agmod.finmod import Module, cyclic_span
+from agmod.finmod import Module
 from agmod.finring import Ring, divisors
 from agmod.localization import (
     check_product_decomposition,
@@ -35,6 +35,7 @@ from oracles import (
     brute_submodule_product,
     brute_times,
     brute_zero_divisors,
+    cyclic_span,
     ideal_act,
     ideal_elements,
     ideal_radical,
@@ -223,27 +224,73 @@ def test_labels_are_built_once():
             assert s.label is s.label, s
 
 
+def _scalars(ring, rng):
+    """Every scalar of a small ring, else the idempotents and some seeded ones."""
+    if ring.cardinality <= 64:
+        return list(ring.elements())
+    return ring.idempotents() + [
+        tuple(rng.randrange(n) for n in ring.moduli) for _ in range(16)
+    ]
+
+
 def test_times_matches_scan_oracle(oracle_modules):
-    # r*M read off the factors against r applied to every element: every
-    # scalar of a small ring, else the idempotents and some seeded scalars
+    # r*M read off the factors against r applied to every element
     rng = random.Random(20)
     for m in oracle_modules:
-        ring = m.ring
-        if ring.cardinality <= 64:
-            scalars = list(ring.elements())
+        for r in _scalars(m.ring, rng):
+            assert m.times(r).elements == brute_times(m, r), (m, r)
+
+
+def _index(m, x) -> int:
+    """The mixed-radix index of x, its first coordinate most significant."""
+    i = 0
+    for a, (d, _) in zip(x, m.factors):
+        i = i * d + a
+    return i
+
+
+def test_mask_layer_matches_set_oracles(oracle_modules):
+    # members are masks over element indices; decoded, they must be the
+    # element sets the set oracles build, in (size, sorted elements) order
+    found = {}
+    for m in oracle_modules:
+        found.setdefault(m.key, m)
+        for _, left, right in m.nontrivial_decompositions():
+            found.setdefault(left.key, left)
+            found.setdefault(right.key, right)
+    z1 = Module(Ring([6, 4]), [(2, 0), (1, 1), (4, 1), (3, 0)])  # a Z_1 factor
+    zero = Module(Ring([6]), [(1, 0)])
+    z8_cubed = _p_group(2, (3, 3, 3))  # |M| = 512, the element cap
+    rng = random.Random(21)
+    for m in [*found.values(), z1, zero, z8_cubed]:
+        lat = m.lattice()
+        if m is z8_cubed:
+            # the closure scan is too slow at 802 members: each decoded set
+            # is the span of its generators, and the closed form counts them
+            assert len(lat) == subgroup_count(2, (3, 3, 3))
+            assert all(span(m, s.gens) == s.elements for s in lat.all)
         else:
-            scalars = ring.idempotents() + [
-                tuple(rng.randrange(n) for n in ring.moduli) for _ in range(16)
-            ]
-        for r in scalars:
+            assert {s.elements for s in lat.all} == submodule_closure(m), m
+        assert [_index(m, x) for x in m.elements] == list(range(m.size)), m
+        for s in lat.all:
+            assert s.encoding == tuple(sorted(_index(m, x) for x in s.elements)), (m, s.id)
+        keys = [(s.size, sorted(s.elements)) for s in lat.all]
+        assert keys == sorted(keys), m
+        for i, x in enumerate(m.elements):
+            assert lat.cyclic(i).elements == cyclic_span(m, x), (m, x)
+        pairs = list(itertools.combinations_with_replacement(lat.all, 2))
+        for a, b in rng.sample(pairs, min(len(pairs), 300)):
+            assert lat.join(a, b).elements == span(m, a.elements | b.elements), (m, a.id, b.id)
+        for r in _scalars(m.ring, rng):
             assert m.times(r).elements == brute_times(m, r), (m, r)
 
 
 def test_cyclic_members_are_the_spans(oracle_modules):
     for m in oracle_modules:
         lat = m.lattice()
-        for x in m.elements:
-            assert lat.cyclic(x) is lat.find(cyclic_span(m, x)), (m, x)
+        # the index of an element is its place in the listing of M
+        for i, x in enumerate(m.elements):
+            assert lat.cyclic(i) is lat.find(cyclic_span(m, x)), (m, x)
 
 
 def test_colon_examples():
