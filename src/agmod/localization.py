@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .finmod import Module, Submodule
 from .finring import Ring
 
@@ -48,10 +48,14 @@ class MultSet:
         return f"MultSet({self.size} elements of {self.ring!r})"
 
 
+MULT_SET_CAP = 1 << 17
+
+
 def closure(ring: Ring, gens) -> frozenset:
     """Least multiplicatively closed superset of the ring elements gens plus
     1: every product of generators, found by multiplying each new member by
-    each generator."""
+    each generator.  The walk stops with ``ResourceLimitError`` once it holds
+    more than ``MULT_SET_CAP`` members."""
     members = {ring.one}
     frontier = [ring.one]
     while frontier:
@@ -61,12 +65,17 @@ def closure(ring: Ring, gens) -> frozenset:
             if p not in members:
                 members.add(p)
                 frontier.append(p)
+        if len(members) > MULT_SET_CAP:
+            raise ResourceLimitError(
+                f"multiplicative set has more than {MULT_SET_CAP} elements", MULT_SET_CAP
+            )
     return frozenset(members)
 
 
 def mult_closure(ring: Ring, gens) -> MultSet:
     """The closure of gens.  S avoids m_{c,q} iff every generator does, since
-    a product lies in a prime ideal iff one of its factors does."""
+    a product lies in a prime ideal iff one of its factors does.  Only its
+    size walks S, under the ``closure`` cap."""
     gens = [ring.element(g) for g in gens]
     avoided = frozenset(
         (c, q)

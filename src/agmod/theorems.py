@@ -36,11 +36,10 @@ from functools import cached_property
 
 from . import aggraph
 from .errors import InternalCheckError, ResourceLimitError
-from .finmod import Module
-from .finring import Ring, divisors
+from .finmod import Module, _Radix
+from .finring import Ring, divisors, prime_factors
 from .localization import (
     check_product_decomposition,
-    closure,
     localize,
     min_prime_complement,
     zero_divisor_free,
@@ -64,7 +63,7 @@ def instance_id(module: Module) -> str:
 class InstanceAnalysis:
     """Lazily computed views of one module instance.
 
-    It caches only facts the module does not cache itself (graphs,
+    It caches only facts the module does not cache itself (its id, graphs,
     invariants, decompositions, the FxS split and localizations) and lives
     as long as its caller keeps it: the suite builds one per instance and
     drops it when the instance is done.
@@ -72,6 +71,11 @@ class InstanceAnalysis:
 
     def __init__(self, module: Module):
         self.module = module
+
+    @cached_property
+    def iid(self) -> str:
+        """The instance id, built once for every predicate run on it."""
+        return instance_id(self.module)
 
     @cached_property
     def ag(self) -> aggraph.AnnGraph:
@@ -300,30 +304,119 @@ def _prop_2_9b(a: InstanceAnalysis):
     return FAIL, {"degree_sequence": list(a.inv.degree_sequence)}
 
 
-def _saturate(module: Module, s_set, seed, fact):
-    """Least saturated S-closed superset of the seed, or None.
+def _unit_generator(ring: Ring):
+    """The first unit in lexicographic order whose powers cover U(R), or None
+    when U(R) is not cyclic.
 
-    Saturation demands that every factorization r*m = x of a member has
-    r in S (and pulls m in); S-closure multiplies members by S.  Both are
-    monotone, so a worklist either stabilises or hits an unfixable
-    factorization and reports failure.
+    U(R) is the product of the U(Z_{n_c}), cyclic iff each is and their
+    orders phi(n_c) are pairwise coprime.  phi(n) is even for n > 2, so at
+    most one n_c may be above 2; every other component has 1 as its only
+    unit.  U(Z_n) is cyclic iff n is 4, p^k or 2p^k for an odd prime p, and
+    then the generator is the least residue g of order phi(n): no g^(phi / q)
+    is 1 for a prime q dividing phi.
     """
-    members = set(seed)
-    queue = list(seed)
+    big = [c for c, n in enumerate(ring.moduli) if n > 2]
+    if not big:
+        return ring.one
+    if len(big) > 1:
+        return None
+    c = big[0]
+    n, primes = ring.moduli[c], ring.primes[c]
+    odd = [p for p in primes if p != 2]
+    if n != 4 and (len(odd) != 1 or n % 4 == 0):
+        return None
+    phi = n // math.prod(primes) * math.prod(p - 1 for p in primes)
+    qs = prime_factors(phi)
+    g = next(
+        g for g in range(2, n)
+        if math.gcd(g, n) == 1 and all(pow(g, phi // q, n) != 1 for q in qs)
+    )
+    return ring.one[:c] + (g,) + ring.one[c + 1:]
+
+
+def _multiples(n: int, q: int, w: int) -> int:
+    """The mask of the multiples of q in Z_n, for q | n, at weight w."""
+    return ((1 << n * w) - 1) // ((1 << q * w) - 1)
+
+
+def _reaching(module: Module, weights, ring_weights) -> tuple[list, list]:
+    """For each element index x of a cyclic M, the two sides of the
+    factorizations r*m = x: the mask over ring indices of the r with x in rM,
+    and the mask over element indices of the m with x in Rm.
+
+    A scalar acts on a factor Z_d on component c by the digit map
+    a -> r_c*a mod d, whose image is gcd(r_c, d)*Z_d.  So t*a = x has a
+    solution a iff gcd(t, d) divides g = gcd(x, d), and a solution t iff
+    gcd(a, d) does.  That fails iff, for some prime p, t is a multiple of
+    q = p^(k+1) with p^k exactly dividing g and q dividing d; and r_c mod d
+    is a multiple of such a q iff r_c is.  So both sides of a digit are the
+    residues outside a few progressions, one table entry per divisor g of d.
+    An r_c reaches x iff it reaches every digit of x on c (an AND over those
+    factors), and the components hold disjoint digits of r, so the product
+    over them is the carry-free product of their masks.  M cyclic gives the
+    factors of one component coprime orders, so by CRT one r_c serves all of
+    them, and the m reaching x are the product of the digits reaching each
+    x_i.
+    """
+    ring = module.ring
+    full = [_multiples(n, 1, v) for n, v in zip(ring.moduli, ring_weights)]
+    tables = []
+    keys = [()]  # per element index, the gcd of each digit with its order
+    for (d, c), w in zip(module.factors, weights):
+        n, v = ring.moduli[c], ring_weights[c]
+        gcds = [math.gcd(x, d) for x in range(d)]
+        table = {}
+        for g in set(gcds):
+            rs, ms = full[c], _multiples(d, 1, w)
+            for p in ring.primes[c]:
+                q = p
+                while g % q == 0:
+                    q *= p
+                if d % q == 0:
+                    rs &= ~_multiples(n, q, v)
+                    ms &= ~_multiples(d, q, w)
+            table[g] = rs, ms
+        tables.append((c, table))
+        keys = [k + (g,) for k in keys for g in gcds]
+    reach_r, reach_m = {}, {}
+    for key in set(keys):
+        comps, ms = list(full), 1
+        for g, (c, table) in zip(key, tables):
+            comps[c] &= table[g][0]
+            ms *= table[g][1]
+        reach_r[key], reach_m[key] = math.prod(comps), ms
+    return list(map(reach_r.__getitem__, keys)), list(map(reach_m.__getitem__, keys))
+
+
+def _times_index(module: Module, weights, r) -> list:
+    """The index of r*x for each element index x, from each factor's digit map."""
+    out = [0]
+    for (d, c), w in zip(module.factors, weights):
+        digit = [r[c] * a % d * w for a in range(d)]
+        out = [i + j for i in out for j in digit]
+    return out
+
+
+def _saturate(seed: int, s_mask: int, reach_r, reach_m, times):
+    """Least saturated S-closed superset of the seed mask, or None, for S the
+    powers of one z, s_mask its ring indices and times[x] the index of zx.
+
+    Saturation demands that every r with x in rM lies in S and pulls in every
+    m with x in Rm (see ``_reaching``); S-closure is closure under z.  Both
+    are monotone, so a worklist of indices either stabilises or meets an r
+    outside S and reports failure.
+    """
+    members = queue = seed
     while queue:
-        x = queue.pop()
-        for r, m in fact[x]:
-            if r not in s_set:
-                return None
-            if m not in members:
-                members.add(m)
-                queue.append(m)
-        for s in s_set:
-            y = module.smul(s, x)
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-    return frozenset(members)
+        low = queue & -queue
+        queue ^= low
+        x = low.bit_length() - 1
+        if reach_r[x] & ~s_mask:
+            return None
+        new = (reach_m[x] | 1 << times[x]) & ~members
+        members |= new
+        queue |= new
+    return members
 
 
 _THM_2_10_CAP = 64
@@ -332,7 +425,19 @@ _THM_2_10_CAP = 64
 def _thm_2_10(a: InstanceAnalysis):
     """For cyclic M and saturated S-closed S*, submodules maximal in the
     complement of S* are prime.  Run over single-generator multiplicative
-    sets with S* the least saturated S-closed superset of an orbit S*m."""
+    sets S with S* the least saturated S-closed superset of an orbit S*m.
+
+    Every x = u * (u^-1 x) for a unit u, so a saturated S* needs every unit
+    in S.  The powers of a non-unit hold no unit but 1, and those of a unit
+    z hold every unit iff z generates U(R).  So when R has a unit besides 1,
+    the one S tried is U(R), generated by the first such z, and there is none
+    when U(R) is not cyclic.  Nor is there one when ann(M) is not nil: then
+    some maximal ideal m_{c,p} misses ann(M), so p divides the order of no
+    factor on c, and the non-unit that is p on c and 1 elsewhere acts
+    bijectively on M, reaches every x and leaves no orbit saturated.  Over
+    Z_2 x ... x Z_2 every z is idempotent and tried, with S = {1, z}.  The
+    scalar action is read off index tables and every set is a mask.
+    """
     m = a.module
     if not m.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
@@ -342,54 +447,59 @@ def _thm_2_10(a: InstanceAnalysis):
             "reason": f"predicate scale cap: |M| <= {_THM_2_10_CAP} and |R| <= {_THM_2_10_CAP}",
             "cap": _THM_2_10_CAP,
         }
+    if max(ring.moduli) > 2:
+        z = _unit_generator(ring) if m.annihilator().is_nil() else None
+        if z is None:
+            return NOT_MET, {"reason": "no saturated S-closed subsets arise"}
+        ring_weights = _Radix(ring.moduli).weights
+        units = 1  # the residues outside every p*Z_{n_c}, on each component
+        for n, v, primes in zip(ring.moduli, ring_weights, ring.primes):
+            mask = _multiples(n, 1, v)
+            for p in primes:
+                mask &= ~_multiples(n, p, v)
+            units *= mask
+        sets = [(z, units)]
+    else:
+        ring_radix = _Radix(ring.moduli)
+        ring_weights = ring_radix.weights
+        sets = [(z, ring_radix.mask([ring.one, z])) for z in ring.elements()]
     lattice = m.lattice()
-    # every x = u * (u^-1 x) for a unit u, so a saturated S contains all units;
-    # the powers of a non-unit hold no unit but 1
-    units = {
-        r for r in ring.elements()
-        if all(math.gcd(a, n) == 1 for a, n in zip(r, ring.moduli))
-    }
-    fact = None
+    weights = lattice.radix.weights
+    reach_r, reach_m = _reaching(m, weights, ring_weights)
+    maximal_outside = {}
     pairs = 0
-    seen_s = set()
-    for z in ring.elements():
-        if len(units) > 1 and z not in units:
-            continue
-        s_clo = closure(ring, [z])
-        if s_clo in seen_s:
-            continue
-        seen_s.add(s_clo)
-        if not units <= s_clo:
-            continue
-        if fact is None:
-            fact = {x: [] for x in m.elements}
-            for r in ring.elements():
-                for x in m.elements:
-                    fact[m.smul(r, x)].append((r, x))
-        seen_orbits = set()
-        for seed_elem in m.elements:
-            orbit = frozenset(m.smul(s, seed_elem) for s in s_clo)
-            if orbit in seen_orbits:
+    for z, s_mask in sets:
+        times = _times_index(m, weights, z)
+        # S*x = {x, zx, z^2 x, ...}; two seeds share it iff they lie on one
+        # cycle of x -> zx, so each cycle seeds once, and no orbit through an
+        # x reached by some r outside S saturates
+        seeded = 0
+        for x in range(m.size):
+            if seeded >> x & 1 or reach_r[x] & ~s_mask:
                 continue
-            seen_orbits.add(orbit)
-            sat = _saturate(m, s_clo, orbit, fact)
-            if sat is None or m.zero in sat:
+            orbit, y = 0, x
+            while not orbit >> y & 1:
+                orbit |= 1 << y
+                y = times[y]
+            seeded |= orbit if y == x else 1 << x
+            sat = _saturate(orbit, s_mask, reach_r, reach_m, times)
+            if sat is None or sat & 1:
                 continue
-            outside = lattice.radix.mask(sat)
-            cands = [s for s in lattice.all if not s.mask & outside]
-            maximal = [
-                s
-                for s in cands
-                if not any(t is not s and s.mask | t.mask == t.mask for t in cands)
-            ]
-            if not maximal:
-                continue
+            maximal = maximal_outside.get(sat)
+            if maximal is None:
+                # members come in ascending size, so only later ones can hold s
+                cands = [s for s in lattice.all if not s.mask & sat]
+                maximal = maximal_outside[sat] = [
+                    s
+                    for i, s in enumerate(cands)
+                    if not any(s.mask & ~t.mask == 0 for t in cands[i + 1:])
+                ]
             pairs += 1
             for n in maximal:
                 if not m.is_prime_submodule(n):
                     return FAIL, {
                         "z": list(z),
-                        "saturated_size": len(sat),
+                        "saturated_size": sat.bit_count(),
                         "non_prime_maximal": n.ref(),
                     }
     if pairs == 0:
@@ -636,7 +746,7 @@ def run_predicate(theorem_id: str, a: InstanceAnalysis) -> PredicateResult:
     """One predicate on one instance; caps and failed internal checks become results."""
     if theorem_id not in PREDICATES:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    iid = instance_id(a.module)
+    iid = a.iid
     try:
         status, witness = PREDICATES[theorem_id](a)
     except ResourceLimitError as exc:

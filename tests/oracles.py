@@ -12,6 +12,8 @@ import math
 
 from agmod.errors import InternalCheckError
 from agmod.finring import divisors
+from agmod.localization import closure
+from agmod.theorems import _THM_2_10_CAP, FAIL, NOT_MET, PASS, SKIPPED
 
 
 def ideals(ring):
@@ -632,3 +634,92 @@ def is_squarefree(n):
             return False
         p += 1
     return True
+
+
+def brute_saturate(module, s_set, seed, fact):
+    """Least saturated S-closed superset of the seed, or None, on element
+    tuples: every factorization r*m = x of a member (``fact[x]`` lists them)
+    needs r in S and pulls m in, and every s*x of a member joins."""
+    members = set(seed)
+    queue = list(seed)
+    while queue:
+        x = queue.pop()
+        for r, m in fact[x]:
+            if r not in s_set:
+                return None
+            if m not in members:
+                members.add(m)
+                queue.append(m)
+        for s in s_set:
+            y = module.smul(s, x)
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+    return frozenset(members)
+
+
+def brute_thm_2_10(module):
+    """Theorem 2.10's (status, witness) by scanning: every single-generator
+    multiplicative set S = closure(z) that holds every unit, the least
+    saturated S-closed superset of each distinct orbit S*m over the full
+    |R| x |M| factorization table, and the members maximal outside it, each
+    of which must be prime."""
+    m = module
+    if not m.is_cyclic():
+        return NOT_MET, {"reason": "not cyclic"}
+    ring = m.ring
+    if m.size > _THM_2_10_CAP or ring.cardinality > _THM_2_10_CAP:
+        return SKIPPED, {
+            "reason": f"predicate scale cap: |M| <= {_THM_2_10_CAP} and |R| <= {_THM_2_10_CAP}",
+            "cap": _THM_2_10_CAP,
+        }
+    lattice = m.lattice()
+    units = {
+        r for r in ring.elements()
+        if all(math.gcd(a, n) == 1 for a, n in zip(r, ring.moduli))
+    }
+    fact = None
+    pairs = 0
+    seen_s = set()
+    for z in ring.elements():
+        if len(units) > 1 and z not in units:
+            continue
+        s_clo = closure(ring, [z])
+        if s_clo in seen_s:
+            continue
+        seen_s.add(s_clo)
+        if not units <= s_clo:
+            continue
+        if fact is None:
+            fact = {x: [] for x in m.elements}
+            for r in ring.elements():
+                for x in m.elements:
+                    fact[m.smul(r, x)].append((r, x))
+        seen_orbits = set()
+        for seed_elem in m.elements:
+            orbit = frozenset(m.smul(s, seed_elem) for s in s_clo)
+            if orbit in seen_orbits:
+                continue
+            seen_orbits.add(orbit)
+            sat = brute_saturate(m, s_clo, orbit, fact)
+            if sat is None or m.zero in sat:
+                continue
+            cands = [s for s in lattice.all if not s.elements & sat]
+            maximal = [
+                s
+                for s in cands
+                if not any(t is not s and s.elements < t.elements for t in cands)
+            ]
+            if not maximal:
+                continue
+            pairs += 1
+            for n in maximal:
+                if not m.is_prime_submodule(n):
+                    return FAIL, {
+                        "z": list(z),
+                        "saturated_size": len(sat),
+                        "non_prime_maximal": n.ref(),
+                    }
+    if pairs == 0:
+        return NOT_MET, {"reason": "no saturated S-closed subsets arise"}
+    return PASS, {"pairs_checked": pairs}

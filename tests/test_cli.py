@@ -17,6 +17,7 @@ from agmod import aggraph, cli, theorems
 from agmod.cli import main, parse_gens, parse_instance
 from agmod.finmod import Module, Submodule
 from agmod.finring import Ring, prime_factors
+from agmod.localization import MULT_SET_CAP
 
 from helpers import NON_CYCLIC, edges
 
@@ -312,6 +313,19 @@ def test_element_cap_fires_before_the_multiplicative_set_is_walked(capsys, spec_
     assert code == 3 and "above the cap of 512" in err
 
 
+def test_multiplicative_set_walk_is_capped(capsys, spec_file):
+    # Z_2 over Z_2000000: the seven odd primes below generate 800000 units,
+    # past the walk's cap, while the powers of 3 number 100000, below it
+    spec = spec_file({"ring": [2000000], "module": [{"d": 2, "c": 0}]})
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "localize", spec, "--gens", "3,7,11,13,17,19,23")
+    assert time.perf_counter() - start < 10
+    assert code == 3 and f"more than {MULT_SET_CAP} elements" in err
+    code, out, _ = run_cli(capsys, "localize", spec, "--gens", "3")
+    assert code == 0
+    assert json.loads(out)["localization"]["mult_set"]["size"] == 100000
+
+
 def _subprocess_env() -> dict:
     """The environment with this checkout's agmod first on PYTHONPATH."""
     env = dict(os.environ)
@@ -358,10 +372,10 @@ def _refuse(what):
 
 def test_pipeline_lists_no_element_of_m(monkeypatch, capsys, spec_file):
     # images r*M, cyclic members and joins come from the factors and the
-    # lattice, so only thm_2_10's scan may list the elements of M
+    # lattice, and thm_2_10 works on element indices, so nothing lists the
+    # elements of M
     monkeypatch.setattr(Module, "elements", property(_refuse("Module.elements")))
-    ids = [t for t in theorems.THEOREM_IDS if t != "thm_2_10"]
-    _run_pipeline(capsys, spec_file, ids)
+    _run_pipeline(capsys, spec_file, theorems.THEOREM_IDS)
 
 
 def test_pipeline_works_on_masks_only(monkeypatch, capsys, spec_file):

@@ -8,10 +8,10 @@ import weakref
 
 import pytest
 
-from agmod import theorems
+from agmod import localization, theorems
 from agmod.errors import ResourceLimitError
-from agmod.finmod import Module
-from agmod.finring import Ring
+from agmod.finmod import Module, _Radix
+from agmod.finring import Ring, divisors
 from agmod.localization import closure
 from agmod.theorems import (
     FAIL,
@@ -28,6 +28,7 @@ from agmod.theorems import (
 )
 
 from helpers import product_module, zmod
+from oracles import brute_saturate, brute_thm_2_10
 
 
 def run(theorem_id, module):
@@ -96,27 +97,162 @@ def test_thm_2_10_saturated_sets():
     assert r.status == SKIPPED and r.witness["cap"] == 64
 
 
+def _tuple_factorizations(m):
+    """fact[x]: every pair (r, m') with r*m' = x, by scanning R x M."""
+    fact = {x: [] for x in m.elements}
+    for r in m.ring.elements():
+        for x in m.elements:
+            fact[m.smul(r, x)].append((r, x))
+    return fact
+
+
 def test_saturation_fails_for_sets_missing_a_unit():
     # x = u * (u^-1 x) for every unit u, so no orbit of an S that misses a
-    # unit saturates, and thm_2_10 may skip such S
+    # unit saturates, and thm_2_10 may skip such S; checked on the tuple scan
+    # and on the index tables alike
     checked = 0
     for n in (4, 6, 8, 9, 12, 15):
         m = zmod(n)
         ring = m.ring
         units = {r for r in ring.elements() if math.gcd(r[0], n) == 1}
-        fact = {x: [] for x in m.elements}
-        for r in ring.elements():
-            for x in m.elements:
-                fact[m.smul(r, x)].append((r, x))
+        fact = _tuple_factorizations(m)
+        weights = m.lattice().radix.weights
+        reach_r, reach_m = theorems._reaching(m, weights, _Radix(ring.moduli).weights)
         for z in ring.elements():
             s_clo = closure(ring, [z])
             if units <= s_clo:
                 continue
+            s_mask = _Radix(ring.moduli).mask(s_clo)
+            times = theorems._times_index(m, weights, z)
             for x in m.elements:
                 orbit = {m.smul(s, x) for s in s_clo}
-                assert theorems._saturate(m, s_clo, orbit, fact) is None, (n, z, x)
+                assert brute_saturate(m, s_clo, orbit, fact) is None, (n, z, x)
+                seed = m.lattice().radix.mask(orbit)
+                assert theorems._saturate(seed, s_mask, reach_r, reach_m, times) is None, (n, z, x)
                 checked += 1
     assert checked > 100
+
+
+def test_mask_saturation_matches_the_tuple_scan():
+    # every single-generator S and every orbit, whether it saturates or not
+    shapes = [zmod(n) for n in (4, 9, 12, 18)] + [
+        zmod(12, 6), product_module([2, 2]), product_module([2, 9]),
+        product_module([3, 4], [(3, 0), (2, 1)]),
+    ]
+    saturated = 0
+    for m in shapes:
+        ring, radix = m.ring, m.lattice().radix
+        fact = _tuple_factorizations(m)
+        reach_r, reach_m = theorems._reaching(m, radix.weights, _Radix(ring.moduli).weights)
+        for z in ring.elements():
+            s_clo = closure(ring, [z])
+            s_mask = _Radix(ring.moduli).mask(s_clo)
+            times = theorems._times_index(m, radix.weights, z)
+            for x in m.elements:
+                orbit = {m.smul(s, x) for s in s_clo}
+                brute = brute_saturate(m, s_clo, orbit, fact)
+                sat = theorems._saturate(radix.mask(orbit), s_mask, reach_r, reach_m, times)
+                assert sat == (None if brute is None else radix.mask(brute)), (m, z, x)
+                saturated += sat is not None
+    assert saturated == 43
+
+
+def _cyclic_modules_to_64():
+    """Z_d over Z_n for every d | n, n <= 64; over Z_a x Z_b (a <= b, ab <= 64)
+    each single factor and the full ring; the full rings Z_2^3 ... Z_2^6 and
+    Z_2 x Z_3 x Z_4."""
+    out = [Module(Ring([n]), [(d, 0)]) for n in range(2, 65) for d in divisors(n)]
+    for a in range(2, 33):
+        for b in range(a, 64 // a + 1):
+            ring = Ring([a, b])
+            out += [Module(ring, [(d, c)]) for c in (0, 1) for d in divisors(ring.moduli[c])]
+            out.append(product_module([a, b]))
+    out += [product_module([2] * k) for k in range(3, 7)]
+    out.append(product_module([2, 3, 4]))
+    return out
+
+
+def test_thm_2_10_matches_scan_oracle(oracle_modules, monkeypatch):
+    cyclic = _cyclic_modules_to_64()
+    assert len(cyclic) == 836
+    statuses = set()
+    for m in [*oracle_modules, *cyclic]:
+        expected = brute_thm_2_10(m)
+        r = run("thm_2_10", m)
+        assert (r.status, r.witness) == expected, m
+        statuses.add(expected[0])
+    assert statuses == {PASS, NOT_MET}
+    # the witness of a failure: no member counts as prime, so the first
+    # maximal member outside the first saturated set fails
+    monkeypatch.setattr(Module, "is_prime_submodule", lambda self, p: False)
+    for m in [zmod(4), zmod(18), product_module([2, 2]), product_module([2, 9])]:
+        expected = brute_thm_2_10(m)
+        r = run("thm_2_10", m)
+        assert expected[0] == FAIL and (r.status, r.witness) == expected, m
+
+
+def _first_unit_covering_units(ring):
+    """The first unit, in lexicographic order, whose powers cover U(R), or
+    None.  A unit's powers run through a cycle back to 1, so they cover U(R)
+    iff the cycle is |U(R)| long; on a tuple it is the lcm of the cycle
+    lengths of its residues, each found by walking its powers."""
+    units = [
+        r for r in ring.elements()
+        if all(math.gcd(a, n) == 1 for a, n in zip(r, ring.moduli))
+    ]
+
+    def cycle(a, n):
+        p, length = a, 1
+        while p != 1:
+            p, length = p * a % n, length + 1
+        return length
+
+    return next(
+        (z for z in units
+         if math.lcm(*map(cycle, z, ring.moduli)) == len(units)),
+        None,
+    )
+
+
+def _moduli_up_to(card):
+    """Every tuple of moduli >= 2 with product at most card, () included."""
+    yield ()
+    for n in range(2, card + 1):
+        for rest in _moduli_up_to(card // n):
+            yield (n, *rest)
+
+
+def test_unit_generator_matches_power_scan():
+    rings = [Ring(mods) for mods in _moduli_up_to(64) if mods]
+    rings += [Ring([n]) for n in range(65, 501)]
+    cyclic = 0
+    for ring in rings:
+        z = theorems._unit_generator(ring)
+        assert z == _first_unit_covering_units(ring), ring
+        cyclic += z is not None
+    assert (len(rings), cyclic) == (876, 274)
+
+
+def test_thm_2_10_does_no_tuple_arithmetic(monkeypatch):
+    # the scalar action is read off index tables and every set is a mask, so
+    # the predicate needs no smul, no ring product, no closure walk and no
+    # listing of M
+    shapes = [
+        ([4], [(4, 0)]), ([12], [(12, 0)]), ([60], [(60, 0)]),
+        ([2, 2, 2], [(2, 0), (2, 1), (2, 2)]), ([3, 4], [(3, 0), (4, 1)]),
+    ]
+    before = [run("thm_2_10", Module(Ring(r), f)) for r, f in shapes]
+
+    def refused(*args):
+        raise AssertionError("thm_2_10 did tuple arithmetic")
+
+    monkeypatch.setattr(Module, "smul", refused)
+    monkeypatch.setattr(Ring, "mul", refused)
+    monkeypatch.setattr(localization, "closure", refused)
+    monkeypatch.setattr(Module, "elements", property(refused))
+    after = [run("thm_2_10", Module(Ring(r), f)) for r, f in shapes]
+    assert after == before
+    assert {r.status for r in before} == {PASS, NOT_MET}
 
 
 def test_thm_2_11_and_2_12():
@@ -203,6 +339,20 @@ def test_thm_2_22_and_cor_2_23():
     assert run("thm_2_22", zmod(5)).status == NOT_MET  # empty graph
     assert run("thm_2_22", zmod(12)).status == NOT_MET  # |Min| = 2
     assert run("cor_2_23", zmod(9)).status == PASS
+
+
+def test_run_suite_names_each_instance_once(monkeypatch):
+    calls = []
+
+    def counted(module):
+        calls.append(module)
+        return instance_id(module)
+
+    monkeypatch.setattr(theorems, "instance_id", counted)
+    report = run_suite([zmod(12)])
+    assert len(calls) == 1
+    assert len(report.results) == 21
+    assert {r.instance_id for r in report.results} == {"Z12|Z12.0"}
 
 
 def test_unknown_theorem_id():
