@@ -9,20 +9,21 @@ differs from the annihilator, with both ends of the defining partner
 condition filtered the same way.
 
 NK = (N:M)(K:M)M, so whether N and K are adjacent depends only on their two
-colon ideals.  The graph is built per colon class: the zero test
-(``Module.annihilates``) runs once per pair of classes, and each vertex's
-adjacency is the union of the classes its class annihilates, kept as
-per-vertex bitmasks.  Every colon class is a class of twins (same open or
-same closed neighbourhood).  A graph runs one breadth-first search over
-bitmasks, a level at a time, per twin class, and connectivity, diameter and
-girth all read those searches.  The clique solver is a pivoting
-maximal-clique search whose pivot scan stops at the first vertex that leaves
-at most one branch.  The chromatic solver is one backtracking colouring
-search over vertices in descending-degree order, each vertex taking the least
-colour class it has no neighbour in; it is run for k colours from the clique
-lower bound up until it succeeds, which it does by k = the greedy count,
-since its first descent is the greedy colouring.  Both searches keep explicit
-stacks, so their depth is not bounded by the recursion limit.
+colon classes (``Submodule.cls``), and AG and AG* read the module's one
+zero-product table over them (``Module.kills``).  Each vertex's adjacency is
+the union of the classes its class kills, as a bitmask.  Every colon class is
+a class of twins (same open or same closed neighbourhood), and the graph
+keeps each vertex's class.  A graph runs one breadth-first search over
+bitmasks, a level at a time, from the first vertex of each class, and
+connectivity, diameter and girth all read those searches.  The clique solver
+is a pivoting maximal-clique search whose pivot scan stops at the first
+vertex that leaves at most one branch.  The chromatic solver is one
+backtracking colouring search over vertices in descending-degree order, each
+vertex taking the least colour class it has no neighbour in; it is run for
+k colours from the clique lower bound up until it succeeds, which it does by
+k = the greedy count, since its first descent is the greedy colouring.  Both
+searches keep explicit stacks, so their depth is not bounded by the recursion
+limit.
 
 Degenerate conventions, pinned once here: the empty graph has clique and
 chromatic number 0, no girth, no diameter, shape flag {"empty"} only; girth
@@ -33,7 +34,6 @@ count.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,12 +42,14 @@ from .finmod import Module, Submodule
 
 @dataclass(frozen=True)
 class AnnGraph:
-    """A graph on submodule vertices, with adjacency bitmasks by vertex index."""
+    """A graph on submodule vertices, with adjacency bitmasks by vertex
+    index and the twin class of each vertex (its colon class)."""
 
     module: Module
     kind: str  # "AG" or "AG_star"
     vertices: tuple[Submodule, ...]
     adj: tuple[int, ...]
+    cls: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -68,23 +70,17 @@ class AnnGraph:
 
     @cached_property
     def searches(self) -> list[tuple[int | None, int | None]]:
-        """(eccentricity, first cycle) of one ``_search`` per twin class.
+        """(eccentricity, first cycle) of one ``_search`` from the first
+        vertex of each twin class.
 
-        A vertex whose open or closed neighbourhood an earlier vertex has is
-        that vertex's twin and gets no search.  Twins share an eccentricity,
-        and swapping twins on a cycle keeps it a cycle, so the first vertex
-        on a shortest cycle is always searched.
+        Twins share an eccentricity, and a twin off a cycle can take the
+        place of one on it, so some searched vertex lies on a shortest cycle.
         """
+        first = {}
+        for v, a in enumerate(self.cls):
+            first.setdefault(a, v)
         full = (1 << self.n) - 1
-        seen_open, seen_closed = set(), set()
-        out = []
-        for v, nbrs in enumerate(self.adj):
-            closed = nbrs | 1 << v
-            if nbrs not in seen_open and closed not in seen_closed:
-                out.append(_search(self.adj, v, full))
-            seen_open.add(nbrs)
-            seen_closed.add(closed)
-        return out
+        return [_search(self.adj, v, full) for v in first.values()]
 
 
 def build_AG(module: Module) -> AnnGraph:
@@ -95,13 +91,10 @@ def build_AG(module: Module) -> AnnGraph:
 
 
 def build_AG_star(module: Module) -> AnnGraph:
-    """AG(M)*: proper submodules with colon different from the annihilator."""
-    ann = module.annihilator().divisors
-    cands = [
-        s
-        for s in module.lattice().all
-        if not s.is_whole and module.colon(s).divisors != ann
-    ]
+    """AG(M)*: proper submodules with colon different from the annihilator,
+    that is outside the colon class of (0)."""
+    lattice = module.lattice()
+    cands = [s for s in lattice.all if not s.is_whole and s.cls != lattice.zero.cls]
     return _annihilating_graph(module, "AG_star", cands, cands)
 
 
@@ -109,40 +102,23 @@ def _annihilating_graph(module: Module, kind: str, cands, partners) -> AnnGraph:
     """The graph on the candidates that annihilate some partner (partners is
     a subset of cands), distinct vertices adjacent iff their product vanishes.
 
-    Whether NK = (0) depends only on the colons (N:M) and (K:M), so the
-    candidates are grouped by colon divisor tuple and the zero test runs once
-    per unordered pair of classes.  A class is all vertices or none, and each
-    of its vertices is adjacent to every vertex of each class it annihilates,
+    A colon class is all vertices or none, and each of its vertices is
+    adjacent to every vertex of each class it kills (``Module.kills``),
     itself excepted.
     """
-    index: dict[tuple, int] = {}  # colon divisor tuple -> class number
-    reps, cls = [], []
-    for s in cands:
-        key = module.colon(s).divisors
-        if key not in index:
-            index[key] = len(reps)
-            reps.append(s)
-        cls.append(index[key])
-    partner_cls = {index[module.colon(s).divisors] for s in partners}
-    kills = [[] for _ in reps]
-    for a, b in itertools.combinations_with_replacement(range(len(reps)), 2):
-        if module.annihilates(reps[a], reps[b]):
-            kills[a].append(b)
-            if b != a:
-                kills[b].append(a)
-    is_vertex = [any(b in partner_cls for b in kills[a]) for a in range(len(reps))]
-
-    verts = [s for s, a in zip(cands, cls) if is_vertex[a]]
-    vert_cls = [a for a in cls if is_vertex[a]]
-    mask = [0] * len(reps)
-    for v, a in enumerate(vert_cls):
-        mask[a] |= 1 << v
-    nbrs = [0] * len(reps)
-    for a in range(len(reps)):
-        for b in kills[a]:
-            nbrs[a] |= mask[b]
-    adj = tuple(nbrs[a] & ~(1 << v) for v, a in enumerate(vert_cls))
-    return AnnGraph(module, kind, tuple(verts), adj)
+    kills = module.kills()
+    partner_classes = sum({1 << s.cls for s in partners})
+    verts = tuple(s for s in cands if kills[s.cls] & partner_classes)
+    cls = tuple(s.cls for s in verts)
+    members = [0] * len(kills)
+    for v, a in enumerate(cls):
+        members[a] |= 1 << v
+    # the classes' vertex masks are disjoint, so their sum is their union
+    nbrs = {
+        a: sum(mask for b, mask in enumerate(members) if kills[a] >> b & 1) for a in set(cls)
+    }
+    adj = tuple(nbrs[a] & ~(1 << v) for v, a in enumerate(cls))
+    return AnnGraph(module, kind, verts, adj, cls)
 
 
 # -- invariants ----------------------------------------------------------------

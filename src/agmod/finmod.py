@@ -28,6 +28,7 @@ decoded from its mask only when read, for the tests and oracles.
 The lattice makes every ``Submodule``, each once, and gives it its colon
 ideal (N : M), read off the Hermite forms: the divisor on component c is the
 product over p of the exponents of the (c, p)-part modulo N's subgroup of it.
+Members with one colon form a colon class, numbered once by the lattice.
 Every submodule the module hands out (an image r*M, a product, rad(0), a
 witness) is that lattice member, so submodules of one module compare with
 ``is`` or ``==``; across modules, compare their ``elements``.  A member's
@@ -50,9 +51,11 @@ of the gcd(r_c, d)*Z_d, read off the factors without listing M.  The
 primes with colon m_{c,p} are the proper submodules containing m_{c,p}M, so
 rad(0) is the sum of the p*M_{c,p}, the image of the element whose residue
 on c is the squarefree kernel of ann(M)'s divisor there; M is semiprime iff
-it is 0.  A product vanishes iff (N:M)(K:M) lies in ann(M), so the zero test
-(``annihilates``) is divisibility on divisor tuples and builds no set.  The
-exhaustive scans for these facts live in tests/oracles.py.
+it is 0.  A product vanishes iff (N:M)(K:M) lies in ann(M), a divisibility
+test on the divisor tuples of the two colon classes; the module runs it once
+per pair of classes into one zero-product table (``kills``), which
+``annihilates`` and both graphs AG(M) and AG(M)* read.  The exhaustive scans
+for these facts live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ class Module:
         lattice = self.lattice()
         mask = 1
         for (d, c), w in zip(self.factors, lattice.radix.weights):
-            mask *= ((1 << d * w) - 1) // ((1 << math.gcd(r[c], d) * w) - 1)
+            mask *= _multiples(d, math.gcd(r[c], d), w)
         return lattice.member(mask)
 
     def lattice(self, cap: int | None = None) -> "Lattice":
@@ -306,20 +309,27 @@ class Module:
             divs[c] = math.lcm(divs[c], d)
         return Ideal(self.ring, tuple(divs))
 
-    def annihilates(self, n: "Submodule", k: "Submodule") -> bool:
-        """NK = (0), read off divisors: a_c | d_c * e_c on every component c.
+    @_once
+    def kills(self) -> tuple[int, ...]:
+        """The zero-product table over the lattice's colon classes: bit b of
+        entry a is set iff NK = (0) for N of class a and K of class b.
 
-        IM = 0 iff I lies in ann(M), whose divisors are a; the product ideal
-        (N:M)(K:M) has divisors gcd(d_c * e_c, n_c), and a_c divides n_c.
+        IM = 0 iff I lies in ann(M), whose divisors are a, and (N:M)(K:M)
+        has divisors gcd(d_c * e_c, n_c) with a_c | n_c, so NK = (0) iff
+        a_c | d_c * e_c on every component c.
         """
-        return all(
-            d * e % a == 0
-            for a, d, e in zip(
-                self.annihilator().divisors,
-                self.colon(n).divisors,
-                self.colon(k).divisors,
-            )
-        )
+        ann = self.annihilator().divisors
+        colons = [ideal.divisors for ideal in self.lattice().colons]
+        table = [0] * len(colons)
+        for a, b in itertools.combinations_with_replacement(range(len(colons)), 2):
+            if all(d * e % n == 0 for n, d, e in zip(ann, colons[a], colons[b])):
+                table[a] |= 1 << b
+                table[b] |= 1 << a
+        return tuple(table)
+
+    def annihilates(self, n: "Submodule", k: "Submodule") -> bool:
+        """NK = (0), looked up in the zero-product table (``kills``)."""
+        return bool(self.kills()[n.cls] >> k.cls & 1)
 
     def product(self, n: "Submodule", k: "Submodule") -> "Submodule":
         """The submodule product (N:M)(K:M)M.
@@ -348,7 +358,7 @@ class Module:
 
     @_once
     def min_primes(self) -> list["Submodule"]:
-        """Inclusion-minimal prime submodules: the first prime of each colon.
+        """Inclusion-minimal primes: the first prime of each colon class.
 
         A prime inside another has the same maximal colon m, and the primes
         with colon m are the proper submodules containing mM, so the least
@@ -356,7 +366,7 @@ class Module:
         """
         first = {}
         for p in self.primes():
-            first.setdefault(self.colon(p).divisors, p)
+            first.setdefault(p.cls, p)
         return list(first.values())
 
     def prime_radical(self) -> "Submodule":
@@ -567,6 +577,12 @@ def _in_span(y, rows, heads) -> bool:
     return True
 
 
+def _multiples(d: int, g: int, w: int) -> int:
+    """The mask of the multiples of g in Z_d, for g | d, at weight w: the
+    progression (2^(d w) - 1) / (2^(g w) - 1)."""
+    return ((1 << d * w) - 1) // ((1 << g * w) - 1)
+
+
 class _Radix:
     """The mixed-radix indices of a module's elements, and sets of them as masks.
 
@@ -658,25 +674,28 @@ class _Radix:
 
 class Submodule:
     """A member of its module's lattice: a closed set of elements, held as a
-    mask over their indices (see ``_Radix``), with its colon ideal and a
-    minimal generator list.  The lattice makes each submodule once, so two
-    members of one module are equal iff they are the same object.
+    mask over their indices (see ``_Radix``), with its id, its colon class
+    and ideal, and a minimal generator list.  The lattice makes each
+    submodule once, so two members of one module are equal iff they are the
+    same object.
     """
 
     __slots__ = (
-        "module", "mask", "size", "colon", "_encoding", "_elements", "_gens", "_label", "id"
+        "module", "mask", "size", "id", "cls", "colon",
+        "_encoding", "_elements", "_gens", "_label",
     )
 
-    def __init__(self, module: Module, mask: int, colon: Ideal):
+    def __init__(self, module: Module, mask: int, id: int, cls: int, colon: Ideal):
         self.module = module
         self.mask = mask
         self.size = mask.bit_count()
+        self.id = id
+        self.cls = cls
         self.colon = colon
         self._encoding = None
         self._elements = None
         self._gens = None
         self._label = None
-        self.id = None
 
     @property
     def encoding(self) -> tuple:
@@ -760,22 +779,28 @@ def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
 
 class Lattice:
     """All submodules, sorted by (size, canonical encoding), each made here
-    once with its colon ideal, one Ideal per colon class, and found by mask.
-    Among members of one size, the lowest index in just one of two masks
-    puts its member first, so the key is the size and the mask read with
-    its bits reversed, descending.  The lattice also memoizes the members
+    once, and found by mask.  Among members of one size, the lowest index in
+    just one of two masks puts its member first, so the key is the size and
+    the mask read with its bits reversed, descending.  Members with one
+    colon ideal form a colon class; the classes are numbered in lattice
+    order, so class 0 is that of (0), whose colon is ann(M), and ``colons``
+    holds one Ideal per class.  The lattice also memoizes the members
     derived from others: each cyclic member R*x by the index of x, and each
     join by the pair of member ids."""
 
     def __init__(self, module: Module, sums):
         self.module = module
         self.radix = module._radix()
-        ideals = {divs: Ideal(module.ring, divs) for divs in {d for _, d in sums}}
-        subs = [Submodule(module, mask, ideals[divs]) for mask, divs in sums]
         width = f"0{module.size}b"
-        subs.sort(key=lambda s: (s.size, -int(format(s.mask, width)[::-1], 2)))
-        for i, s in enumerate(subs):
-            s.id = i
+        sums = sorted(sums, key=lambda t: (t[0].bit_count(), -int(format(t[0], width)[::-1], 2)))
+        classes: dict = {}  # colon divisor tuple -> class number
+        colons, subs = [], []
+        for i, (mask, divs) in enumerate(sums):
+            cls = classes.setdefault(divs, len(colons))
+            if cls == len(colons):
+                colons.append(Ideal(module.ring, divs))
+            subs.append(Submodule(module, mask, i, cls, colons[cls]))
+        self.colons = tuple(colons)
         self.all = tuple(subs)
         self._by_mask = {s.mask: s for s in subs}
         self._cyclics: dict = {}

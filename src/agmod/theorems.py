@@ -27,7 +27,6 @@ hypotheses and then exactly that identity (``_localization_keeps``).
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 import os
@@ -36,7 +35,7 @@ from functools import cached_property
 
 from . import aggraph
 from .errors import InternalCheckError, ResourceLimitError
-from .finmod import Module, _Radix
+from .finmod import Module, _multiples, _Radix
 from .finring import Ring, divisors, prime_factors
 from .localization import (
     check_product_decomposition,
@@ -143,11 +142,12 @@ def _lemma_2_4(a: InstanceAnalysis):
     if not m.annihilator().is_nil():
         return NOT_MET, {"reason": "annihilator is not nil"}
     branches = []
+    idempotents = m.ring.idempotents()
     for n in m.minimal_submodules():
         if m.annihilates(n, n):
             branches.append({"submodule": n.ref(), "branch": "square_zero"})
             continue
-        e = next((e for e in m.ring.idempotents() if m.times(e) is n), None)
+        e = next((e for e in idempotents if m.times(e) is n), None)
         if e is None:
             return FAIL, {"submodule": n.ref()}
         branches.append(
@@ -334,11 +334,6 @@ def _unit_generator(ring: Ring):
     return ring.one[:c] + (g,) + ring.one[c + 1:]
 
 
-def _multiples(n: int, q: int, w: int) -> int:
-    """The mask of the multiples of q in Z_n, for q | n, at weight w."""
-    return ((1 << n * w) - 1) // ((1 << q * w) - 1)
-
-
 def _reaching(module: Module, weights, ring_weights) -> tuple[list, list]:
     """For each element index x of a cyclic M, the two sides of the
     factorizations r*m = x: the mask over ring indices of the r with x in rM,
@@ -447,11 +442,12 @@ def _thm_2_10(a: InstanceAnalysis):
             "reason": f"predicate scale cap: |M| <= {_THM_2_10_CAP} and |R| <= {_THM_2_10_CAP}",
             "cap": _THM_2_10_CAP,
         }
+    ring_radix = _Radix(ring.moduli)
+    ring_weights = ring_radix.weights
     if max(ring.moduli) > 2:
         z = _unit_generator(ring) if m.annihilator().is_nil() else None
         if z is None:
             return NOT_MET, {"reason": "no saturated S-closed subsets arise"}
-        ring_weights = _Radix(ring.moduli).weights
         units = 1  # the residues outside every p*Z_{n_c}, on each component
         for n, v, primes in zip(ring.moduli, ring_weights, ring.primes):
             mask = _multiples(n, 1, v)
@@ -460,8 +456,6 @@ def _thm_2_10(a: InstanceAnalysis):
             units *= mask
         sets = [(z, units)]
     else:
-        ring_radix = _Radix(ring.moduli)
-        ring_weights = ring_radix.weights
         sets = [(z, ring_radix.mask([ring.one, z])) for z in ring.elements()]
     lattice = m.lattice()
     weights = lattice.radix.weights
@@ -915,11 +909,15 @@ def run_suite(
         if unknown:
             raise KeyError(f"unknown theorem ids: {unknown}")
     report = SuiteReport(corpus_spec, ids)
-    workers = min(jobs, len(modules), os.cpu_count() or 1)
-    if workers <= 1:
+    workers = 1
+    if jobs > 1 and len(modules) > 1:
+        workers = min(jobs, len(modules), os.cpu_count() or 1)
+    if workers == 1:
         for module in modules:
             report.results.extend(_evaluate_module(module, ids, cap))
         return report
+    import concurrent.futures  # only a pool needs it; importing agmod stays lean
+
     payload = [(m.ring.moduli, m.factors, ids, cap) for m in modules]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for results in pool.map(_evaluate_spec, payload):

@@ -6,7 +6,7 @@ from agmod.aggraph import build_AG, build_AG_star, invariants, to_dot
 from agmod.finmod import Module
 from agmod.finring import Ring
 
-from helpers import edges, product_module, zmod
+from helpers import NON_CYCLIC, edges, product_module, zmod
 from oracles import (
     blow_up_clique_number,
     brute_AG,
@@ -169,9 +169,7 @@ def test_girth_matches_edge_removal_oracle():
     for _ in range(80):
         n = rng.randint(0, 8)
         adj = _random_graph(rng, n, 0.45)
-        verts = tuple(None for _ in range(n))
-        g = aggraph.AnnGraph(None, "AG", verts, tuple(adj))
-        assert aggraph._girth(g) == brute_girth(adj, n)
+        assert aggraph._girth(_graph(adj)) == brute_girth(adj, n)
 
 
 def test_graphs_match_pairwise_oracle(oracle_modules):
@@ -183,6 +181,31 @@ def test_graphs_match_pairwise_oracle(oracle_modules):
             g = build(m)
             assert [v.encoding for v in g.vertices] == [v.encoding for v in verts], (m, star)
             assert list(g.adj) == adj, (m, star)
+            # each vertex keeps its colon class, and a class is a set of twins
+            assert g.cls == tuple(v.cls for v in g.vertices), (m, star)
+            first = {}
+            for v, a in enumerate(g.cls):
+                u = first.setdefault(a, v)
+                assert adj[u] | 1 << u == adj[v] | 1 << v or adj[u] == adj[v], (m, star)
+
+
+def test_ag_star_shares_the_zero_product_table_of_ag(monkeypatch):
+    # once AG is built, AG* reads the module's classes and zero-product
+    # table and asks the module for nothing else, not even its annihilator
+    shapes = NON_CYCLIC + [([12], [(12, 0)]), ([2, 4], [(2, 0), (4, 1)])]
+    expected = [build_AG_star(Module(Ring(r), f)) for r, f in shapes]
+    modules = [Module(Ring(r), f) for r, f in shapes]
+    for m in modules:
+        build_AG(m)
+
+    def unread(self):
+        raise AssertionError("AG* read the annihilator")
+
+    monkeypatch.setattr(Module, "annihilator", unread)
+    for m, want in zip(modules, expected):
+        g = build_AG_star(m)
+        assert [v.id for v in g.vertices] == [v.id for v in want.vertices], m
+        assert g.adj == want.adj and g.cls == want.cls, m
 
 
 def test_vertex_ids_increase_in_index_order(oracle_modules):
@@ -194,13 +217,16 @@ def test_vertex_ids_increase_in_index_order(oracle_modules):
             assert all(a < b for a, b in zip(ids, ids[1:])), (m, g.kind)
 
 
-def _graph(adj):
-    return aggraph.AnnGraph(None, "AG", tuple(None for _ in adj), tuple(adj))
+def _graph(adj, cls=None):
+    """A graph on the adjacency masks; each vertex is its own class unless
+    ``cls`` gives the classes of twins."""
+    cls = range(len(adj)) if cls is None else cls
+    return aggraph.AnnGraph(None, "AG", tuple(None for _ in adj), tuple(adj), tuple(cls))
 
 
-def _assert_traversals_match(adj):
+def _assert_traversals_match(adj, cls=None):
     n = len(adj)
-    g = _graph(adj)
+    g = _graph(adj, cls)
     diameter = brute_diameter(adj, n)
     assert aggraph._girth(g) == brute_girth(adj, n), adj
     assert aggraph._diameter(g) == diameter, adj
@@ -232,7 +258,9 @@ def _blow_up(rng, k, most=5):
 def test_traversals_match_oracles_on_twin_blow_ups():
     rng = random.Random(515)
     for _ in range(150):
-        _assert_traversals_match(_blow_up(rng, rng.randint(1, 6))[0])
+        # the searches run once per twin class
+        adj, cls, _ = _blow_up(rng, rng.randint(1, 6))
+        _assert_traversals_match(adj, cls)
 
 
 def _excl_pivot_nodes(adj, n):
@@ -333,7 +361,7 @@ def test_bipartite_matches_bipartition_enumeration():
     for _ in range(60):
         n = rng.randint(0, 9)
         adj = _random_graph(rng, n, 0.4)
-        g = aggraph.AnnGraph(None, "AG", tuple(None for _ in range(n)), tuple(adj))
+        g = _graph(adj)
         brute = any(
             all(
                 (split >> i & 1) != (split >> j & 1)

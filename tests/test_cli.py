@@ -407,6 +407,17 @@ def test_one_analyze_factors_each_modulus_once(monkeypatch, capsys, spec_file):
         assert calls.count(n) == 1, extra
 
 
+def test_import_agmod_leaves_the_process_pool_unloaded():
+    # only run_suite's pool branch needs concurrent.futures
+    code = "import sys, agmod; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=30, env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_unfactorable_modulus_exits_3_at_once(tmp_path):
     # Z_1 over Z_{2^61 - 1}: the module is trivial, but the ring modulus has
     # no prime factor below the trial-division bound

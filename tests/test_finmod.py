@@ -499,6 +499,19 @@ def test_closed_forms_match_scan_oracles(oracle_modules):
             assert m.annihilates(a, b) == m.product(a, b).is_zero, (m, a, b)
 
 
+def test_colon_classes_are_numbered_once(oracle_modules):
+    # two members share a class iff their colon divisors are equal, each
+    # member's colon is its class's one Ideal, and (0) is class 0
+    for m in oracle_modules:
+        lattice = m.lattice()
+        classes = {}
+        for s in lattice.all:
+            assert lattice.colons[s.cls] is s.colon, (m, s)
+            assert classes.setdefault(s.colon.divisors, s.cls) == s.cls, (m, s)
+        assert sorted(classes.values()) == list(range(len(lattice.colons))), m
+        assert lattice.zero.cls == 0 and lattice.colons[0] == m.annihilator(), m
+
+
 def test_module_facts_match_scan_oracles(oracle_modules):
     # rad(0) and the labels of M and of both parts of each split
     for m in oracle_modules:

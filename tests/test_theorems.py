@@ -474,6 +474,17 @@ def test_run_suite_keeps_no_analysis_alive(monkeypatch):
     assert all(ref() is None for ref in refs.values())
 
 
+def test_serial_run_suite_asks_for_no_cpu_count(monkeypatch):
+    # one job, or one instance, runs in this process whatever the CPU count
+    def unasked():
+        raise AssertionError("run_suite asked for the CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", unasked)
+    ids = ["thm_2_21", "cor_2_19"]
+    assert run_suite([zmod(6), zmod(12)], theorem_ids=ids).results
+    assert run_suite([zmod(6)], theorem_ids=ids, jobs=4).results
+
+
 def test_run_suite_parallel_matches_sequential():
     corpus = generate_corpus(CorpusSpec(max_ring_card=8))
     seq = run_suite(corpus, theorem_ids=["thm_2_21", "cor_2_19"]).to_dict()
