@@ -145,6 +145,8 @@ def load_spec(path: str) -> tuple[Module, dict]:
         raise SpecError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, too long an int
+        raise SpecError(f"cannot decode spec file {path}: {exc}")
     return parse_instance(obj)
 
 
@@ -383,10 +385,10 @@ def cmd_analyze(args, cap: int | None) -> int:
         report["localization"] = _localization_dict(
             a, min_prime_complement(module), include_components=True
         )
-    elif args.localize_gens or options.get("localize_gens"):
+    elif args.localize_gens is not None or options.get("localize_gens"):
         gens = (
             parse_gens(module.ring, args.localize_gens)
-            if args.localize_gens
+            if args.localize_gens is not None
             else options["localize_gens"]
         )
         report["localization"] = _localization_dict(

@@ -134,7 +134,6 @@ class DecompositionReport:
     idem: tuple
     component_idempotents: tuple
     components: tuple
-    localized: LocalizedModule
 
     def sizes(self) -> list[int]:
         return [c.size for c in self.components]
@@ -184,7 +183,6 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
         idem=e,
         component_idempotents=tuple(parts),
         components=components,
-        localized=loc,
     )
 
 

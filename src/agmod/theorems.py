@@ -64,8 +64,8 @@ class InstanceAnalysis:
 
     It caches only facts the module does not cache itself (its id, graphs,
     invariants, decompositions, the FxS split and localizations) and lives
-    as long as its caller keeps it: the suite builds one per instance and
-    drops it when the instance is done.
+    as long as its caller keeps it: the suite builds each instance's module
+    and analysis, here or in a worker, and drops both with the instance.
     """
 
     def __init__(self, module: Module):
@@ -867,7 +867,10 @@ class SuiteReport:
         }
 
 
-def _evaluate_module(module: Module, theorem_ids, cap=None) -> list[PredicateResult]:
+def _evaluate_instance(args) -> list[PredicateResult]:
+    """One instance's rows, on a module built and freed here: all skipped past the cap."""
+    ring, factors, theorem_ids, cap = args
+    module = Module(ring, factors)
     try:
         module.lattice(cap=cap)
     except ResourceLimitError as exc:
@@ -877,12 +880,9 @@ def _evaluate_module(module: Module, theorem_ids, cap=None) -> list[PredicateRes
             for tid in theorem_ids
         ]
     analysis = InstanceAnalysis(module)
-    return [run_predicate(tid, analysis) for tid in theorem_ids]
-
-
-def _evaluate_spec(args) -> list[PredicateResult]:
-    moduli, factors, theorem_ids, cap = args
-    return _evaluate_module(Module(Ring(moduli), factors), theorem_ids, cap)
+    rows = [run_predicate(tid, analysis) for tid in theorem_ids]
+    module._facts.clear()  # its lattice members hold the module: free both on return
+    return rows
 
 
 def run_suite(
@@ -894,12 +894,11 @@ def run_suite(
 ) -> SuiteReport:
     """Evaluate the predicates over the corpus, in deterministic corpus order.
 
-    Instances are independent; they are evaluated in a process pool of at
-    most ``jobs`` workers, no more than the instances or the CPUs, or in this
-    process when that is one, and the report is assembled in corpus order
-    either way.  Every instance's lattice is enumerated under ``cap``
-    (``finmod.LATTICE_CAP`` when None), which is passed to each worker with
-    its instance.
+    Only the ring and factors of the modules passed in are read: each
+    instance's module is built afresh and freed with its analysis, in a pool
+    of min(jobs, instances, CPUs) workers or, when that is one, in this
+    process.  Each lattice is enumerated under ``cap`` (``finmod.LATTICE_CAP``
+    when None), which travels with its instance.
     """
     if theorem_ids is None:
         ids = THEOREM_IDS
@@ -912,14 +911,14 @@ def run_suite(
     workers = 1
     if jobs > 1 and len(modules) > 1:
         workers = min(jobs, len(modules), os.cpu_count() or 1)
+    payload = [(m.ring, m.factors, ids, cap) for m in modules]
     if workers == 1:
-        for module in modules:
-            report.results.extend(_evaluate_module(module, ids, cap))
+        for results in map(_evaluate_instance, payload):
+            report.results.extend(results)
         return report
     import concurrent.futures  # only a pool needs it; importing agmod stays lean
 
-    payload = [(m.ring.moduli, m.factors, ids, cap) for m in modules]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for results in pool.map(_evaluate_spec, payload):
+        for results in pool.map(_evaluate_instance, payload):
             report.results.extend(results)
     return report

@@ -121,6 +121,11 @@ def test_analyze_localization_sections(capsys, spec_file):
     )
     assert code == 0
     assert json.loads(out)["localization"]["idempotent"] == [1]
+    # an empty flag gives no generators, and it overrides the spec's own gens
+    with_gens = spec_file({**Z12, "options": {"localize_gens": "3"}}, name="gens.json")
+    for spec in (path, with_gens):
+        code, out, err = run_cli(capsys, "analyze", spec, "--localize-gens", "")
+        assert code == 64 and out == "" and "no generators given" in err, spec
 
 
 def test_graph_command(capsys, spec_file):
@@ -215,6 +220,22 @@ def test_bad_specs_exit_64(capsys, spec_file, tmp_path):
     assert code == 64 and "factor" in err
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 64
+    # files that cannot be decoded: not UTF-8, nested past the recursion
+    # limit, an integer past the int-string conversion limit
+    undecodable = [tmp_path / name for name in ("latin.json", "deep.json", "long.json")]
+    undecodable[0].write_bytes(b'{"ring": [12], "module": "\xe9"}')
+    undecodable[1].write_text("[" * 100000)
+    undecodable[2].write_text('{"ring": [' + "1" * 5000 + "]}")
+    for path in undecodable:
+        for argv in (["analyze"], ["graph"], ["localize", "--at-min-primes"]):
+            code, _, err = run_cli(capsys, *argv, str(path))
+            assert code == 64 and f"cannot decode spec file {path}" in err, (argv, path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "agmod.cli", "analyze", str(path)],
+            capture_output=True, text=True, timeout=30, env=_subprocess_env(),
+        )
+        assert proc.returncode == 64 and proc.stderr.startswith("agmod: "), proc.stderr
+        assert "Traceback" not in proc.stderr
     for options, message in [
         ({"localize_gens": ["x"]}, "localize_gens"),
         ({"localize_gens": 5}, "localize_gens"),

@@ -232,12 +232,13 @@ def test_product_decomposition_z30_and_single_prime():
 
 def test_product_decomposition_every_small_cyclic():
     for n in range(2, 40):
-        rep = _decompose(zmod(n))
-        sizes = rep.sizes()
+        m = zmod(n)
+        loc = localize(m, min_prime_complement(m))
+        sizes = check_product_decomposition(m, loc).sizes()
         prod = 1
         for x in sizes:
             prod *= x
-        assert prod == rep.localized.image.size
+        assert prod == loc.image.size
 
 
 def test_product_decomposition_needs_cyclic():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import gc
 import json
 import math
 import multiprocessing
@@ -457,21 +458,46 @@ def test_run_suite_records_lattice_cap_skips():
 def test_run_suite_keeps_no_analysis_alive(monkeypatch):
     # one analysis per instance, dropped when the instance is done: nothing
     # computed for an instance (graphs, invariants, localizations) outlives
-    # the run, and no reference cycle defers that to the garbage collector
+    # the run, and no reference cycle defers that to the garbage collector,
+    # not even the one between the suite's own module and its lattice members
     refs = {}
 
     def spy(theorem_id, analysis):
-        ref = refs.setdefault(instance_id(analysis.module), weakref.ref(analysis))
-        assert ref() is analysis  # every predicate of an instance shares one
+        ref = refs.setdefault(
+            instance_id(analysis.module),
+            (weakref.ref(analysis), weakref.ref(analysis.module)),
+        )
+        assert ref[0]() is analysis  # every predicate of an instance shares one
         return run_predicate(theorem_id, analysis)
 
     monkeypatch.setattr(theorems, "run_predicate", spy)
     modules = [zmod(12), zmod(30), product_module([2, 4]),
                Module(Ring([2]), [(2, 0), (2, 0)])]
-    report = run_suite(modules)
-    assert not report.violations
-    assert len(refs) == len(modules)
-    assert all(ref() is None for ref in refs.values())
+    gc.disable()
+    try:
+        report = run_suite(modules)
+        assert not report.violations
+        assert len(refs) == len(modules)
+        assert all(a() is None and m() is None for a, m in refs.values())
+    finally:
+        gc.enable()
+
+
+def test_run_suite_leaves_the_callers_modules_unenumerated(monkeypatch):
+    # the suite builds its own module per instance: the one passed in is only
+    # read, so its first lattice() call after the run still enumerates
+    enumerated = []
+    enumerate_ = Module._enumerate
+    monkeypatch.setattr(
+        Module, "_enumerate",
+        lambda self, cap: enumerated.append(self) or enumerate_(self, cap),
+    )
+    module = zmod(12)
+    assert not run_suite([module], theorem_ids=["cor_2_19"]).violations
+    assert enumerated and all(m is not module for m in enumerated)
+    enumerated.clear()
+    assert len(module.lattice()) == 6
+    assert enumerated == [module]
 
 
 def test_serial_run_suite_asks_for_no_cpu_count(monkeypatch):
@@ -513,7 +539,8 @@ def test_lattice_cap_reaches_spawned_workers():
 def test_cap_after_the_lattice_is_cached_is_honoured():
     # a cap holds on every call, not only on the one that enumerates: a
     # module whose lattice is already built skips what a fresh one skips,
-    # sequentially and in the pool (which rebuilds modules from their specs)
+    # and so does the suite, which builds each instance's module afresh
+    # whether it runs in this process or in the pool
     cached = zmod(12)
     assert len(cached.lattice()) == 6
     with pytest.raises(ResourceLimitError) as late:
