@@ -39,6 +39,7 @@ from .localization import (
 )
 
 _OPTION_KEYS = {"localize_at_min_primes", "localize_gens"}
+RING_DIGIT_CAP = 4300  # Python's default int-to-str limit; reports write |R|
 
 
 def _is_int(x) -> bool:
@@ -64,6 +65,10 @@ def parse_instance(obj) -> tuple[Module, dict]:
     ):
         raise SpecError("'ring' must be a nonempty list of integers >= 2")
     ring = Ring(ring_spec)
+    if ring.cardinality >= 10**RING_DIGIT_CAP:
+        raise ResourceLimitError(
+            f"the ring's order has more than {RING_DIGIT_CAP} digits", RING_DIGIT_CAP
+        )
 
     mod_spec = obj["module"]
     if not isinstance(mod_spec, list):

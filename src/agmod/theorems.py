@@ -27,6 +27,7 @@ hypotheses and then exactly that identity (``_localization_keeps``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -35,7 +36,7 @@ from functools import cached_property
 
 from . import aggraph
 from .errors import InternalCheckError, ResourceLimitError
-from .finmod import Module, _multiples, _Radix
+from .finmod import Module
 from .finring import Ring, divisors, prime_factors
 from .localization import (
     check_product_decomposition,
@@ -334,104 +335,44 @@ def _unit_generator(ring: Ring):
     return ring.one[:c] + (g,) + ring.one[c + 1:]
 
 
-def _reaching(module: Module, weights, ring_weights) -> tuple[list, list]:
-    """For each element index x of a cyclic M, the two sides of the
-    factorizations r*m = x: the mask over ring indices of the r with x in rM,
-    and the mask over element indices of the m with x in Rm.
-
-    A scalar acts on a factor Z_d on component c by the digit map
-    a -> r_c*a mod d, whose image is gcd(r_c, d)*Z_d.  So t*a = x has a
-    solution a iff gcd(t, d) divides g = gcd(x, d), and a solution t iff
-    gcd(a, d) does.  That fails iff, for some prime p, t is a multiple of
-    q = p^(k+1) with p^k exactly dividing g and q dividing d; and r_c mod d
-    is a multiple of such a q iff r_c is.  So both sides of a digit are the
-    residues outside a few progressions, one table entry per divisor g of d.
-    An r_c reaches x iff it reaches every digit of x on c (an AND over those
-    factors), and the components hold disjoint digits of r, so the product
-    over them is the carry-free product of their masks.  M cyclic gives the
-    factors of one component coprime orders, so by CRT one r_c serves all of
-    them, and the m reaching x are the product of the digits reaching each
-    x_i.
-    """
-    ring = module.ring
-    full = [_multiples(n, 1, v) for n, v in zip(ring.moduli, ring_weights)]
-    tables = []
-    keys = [()]  # per element index, the gcd of each digit with its order
-    for (d, c), w in zip(module.factors, weights):
-        n, v = ring.moduli[c], ring_weights[c]
-        gcds = [math.gcd(x, d) for x in range(d)]
-        table = {}
-        for g in set(gcds):
-            rs, ms = full[c], _multiples(d, 1, w)
-            for p in ring.primes[c]:
-                q = p
-                while g % q == 0:
-                    q *= p
-                if d % q == 0:
-                    rs &= ~_multiples(n, q, v)
-                    ms &= ~_multiples(d, q, w)
-            table[g] = rs, ms
-        tables.append((c, table))
-        keys = [k + (g,) for k in keys for g in gcds]
-    reach_r, reach_m = {}, {}
-    for key in set(keys):
-        comps, ms = list(full), 1
-        for g, (c, table) in zip(key, tables):
-            comps[c] &= table[g][0]
-            ms *= table[g][1]
-        reach_r[key], reach_m[key] = math.prod(comps), ms
-    return list(map(reach_r.__getitem__, keys)), list(map(reach_m.__getitem__, keys))
-
-
-def _times_index(module: Module, weights, r) -> list:
-    """The index of r*x for each element index x, from each factor's digit map."""
-    out = [0]
-    for (d, c), w in zip(module.factors, weights):
-        digit = [r[c] * a % d * w for a in range(d)]
-        out = [i + j for i in out for j in digit]
-    return out
-
-
-def _saturate(seed: int, s_mask: int, reach_r, reach_m, times):
-    """Least saturated S-closed superset of the seed mask, or None, for S the
-    powers of one z, s_mask its ring indices and times[x] the index of zx.
-
-    Saturation demands that every r with x in rM lies in S and pulls in every
-    m with x in Rm (see ``_reaching``); S-closure is closure under z.  Both
-    are monotone, so a worklist of indices either stabilises or meets an r
-    outside S and reports failure.
-    """
-    members = queue = seed
-    while queue:
-        low = queue & -queue
-        queue ^= low
-        x = low.bit_length() - 1
-        if reach_r[x] & ~s_mask:
-            return None
-        new = (reach_m[x] | 1 << times[x]) & ~members
-        members |= new
-        queue |= new
-    return members
-
-
 _THM_2_10_CAP = 64
 
 
 def _thm_2_10(a: InstanceAnalysis):
     """For cyclic M and saturated S-closed S*, submodules maximal in the
     complement of S* are prime.  Run over single-generator multiplicative
-    sets S with S* the least saturated S-closed superset of an orbit S*m.
+    sets S = {1, z, z^2, ...}, with S* the least saturated S-closed superset
+    of an orbit S*x.
+
+    Lemma: such an S* is U = {y : N <= Ry}, N the least of the members
+    R z^j x.  The orbit ends in a cycle, w = z^p w for w = z^e x and some
+    p >= 1, so N = Rw = z^p N.  Saturation puts y in S* whenever some
+    element of S* lies in Ry, so S* holds U.  U holds the orbit, is closed
+    under that step, and is S-closed, as N <= Ry gives N = z^p N <= R(zy);
+    so S* lies in U.  Every member K is cyclic, so K misses S* iff N is not
+    in K: the members maximal outside S* are those maximal among the
+    members not holding N, and |S*| is |M| minus the size of their union.
+    U saturates iff every r with N <= rM lies in S, N is least on an orbit
+    iff zN = N, and N = (0) puts 0 in S*, leaving no member outside.
 
     Every x = u * (u^-1 x) for a unit u, so a saturated S* needs every unit
     in S.  The powers of a non-unit hold no unit but 1, and those of a unit
-    z hold every unit iff z generates U(R).  So when R has a unit besides 1,
-    the one S tried is U(R), generated by the first such z, and there is none
-    when U(R) is not cyclic.  Nor is there one when ann(M) is not nil: then
-    some maximal ideal m_{c,p} misses ann(M), so p divides the order of no
-    factor on c, and the non-unit that is p on c and 1 elsewhere acts
-    bijectively on M, reaches every x and leaves no orbit saturated.  Over
-    Z_2 x ... x Z_2 every z is idempotent and tried, with S = {1, z}.  The
-    scalar action is read off index tables and every set is a mask.
+    z hold every unit iff z generates U(R).  So when some n_c > 2 the one S
+    tried is U(R), generated by the first such z, and there is none when
+    U(R) is not cyclic.  Nor is there one when ann(M) is not nil: then some
+    maximal ideal m_{c,p} misses ann(M), so p divides the order of no factor
+    on c, and the non-unit that is p on c and 1 elsewhere acts bijectively
+    on M, reaches every x and leaves no orbit saturated.  With ann(M) nil,
+    every non-unit lies in some m_{c,p}, and the m_{c,p}M are the coatoms,
+    so only N = M saturates; units lift from R/ann(M) to R, so the
+    generators of M are one orbit and one pair is checked, on the coatoms.
+
+    Over R = Z_2^k, S = {1, z} and each member is e_T M for T within the
+    components J that carry a factor Z_2.  The r with e_T M <= rM are the
+    2^(k - |T|) that are 1 on T, so |T| >= k - 1.  With J every component,
+    z = 1 gives N = M on the orbit {1_M}, and z = 1 - e_i gives N = zM on
+    the orbits {1_M, z 1_M} and {z 1_M}; with J missing only i, z = e_J
+    gives N = M on {1_M}; otherwise no set saturates.  In each case N = zM.
     """
     m = a.module
     if not m.is_cyclic():
@@ -442,60 +383,40 @@ def _thm_2_10(a: InstanceAnalysis):
             "reason": f"predicate scale cap: |M| <= {_THM_2_10_CAP} and |R| <= {_THM_2_10_CAP}",
             "cap": _THM_2_10_CAP,
         }
-    ring_radix = _Radix(ring.moduli)
-    ring_weights = ring_radix.weights
     if max(ring.moduli) > 2:
         z = _unit_generator(ring) if m.annihilator().is_nil() else None
         if z is None:
             return NOT_MET, {"reason": "no saturated S-closed subsets arise"}
-        units = 1  # the residues outside every p*Z_{n_c}, on each component
-        for n, v, primes in zip(ring.moduli, ring_weights, ring.primes):
-            mask = _multiples(n, 1, v)
-            for p in primes:
-                mask &= ~_multiples(n, p, v)
-            units *= mask
-        sets = [(z, units)]
+        seeds = [(z, 1)]  # (z, the orbits whose S* is named by N = zM)
     else:
-        sets = [(z, ring_radix.mask([ring.one, z])) for z in ring.elements()]
-    lattice = m.lattice()
-    weights = lattice.radix.weights
-    reach_r, reach_m = _reaching(m, weights, ring_weights)
-    maximal_outside = {}
+        e_j = tuple(int((2, c) in m.factors) for c in range(len(ring.moduli)))
+        if all(e_j):
+            # each z with one zero residue, then z = 1: lexicographic order
+            seeds = [(e_j[:c] + (0,) + e_j[c + 1:], 2) for c in range(len(e_j))]
+            seeds.append((e_j, 1))
+        else:
+            seeds = [(e_j, 1)] if e_j.count(0) == 1 else []
     pairs = 0
-    for z, s_mask in sets:
-        times = _times_index(m, weights, z)
-        # S*x = {x, zx, z^2 x, ...}; two seeds share it iff they lie on one
-        # cycle of x -> zx, so each cycle seeds once, and no orbit through an
-        # x reached by some r outside S saturates
-        seeded = 0
-        for x in range(m.size):
-            if seeded >> x & 1 or reach_r[x] & ~s_mask:
-                continue
-            orbit, y = 0, x
-            while not orbit >> y & 1:
-                orbit |= 1 << y
-                y = times[y]
-            seeded |= orbit if y == x else 1 << x
-            sat = _saturate(orbit, s_mask, reach_r, reach_m, times)
-            if sat is None or sat & 1:
-                continue
-            maximal = maximal_outside.get(sat)
-            if maximal is None:
-                # members come in ascending size, so only later ones can hold s
-                cands = [s for s in lattice.all if not s.mask & sat]
-                maximal = maximal_outside[sat] = [
-                    s
-                    for i, s in enumerate(cands)
-                    if not any(s.mask & ~t.mask == 0 for t in cands[i + 1:])
-                ]
-            pairs += 1
-            for n in maximal:
-                if not m.is_prime_submodule(n):
-                    return FAIL, {
-                        "z": list(z),
-                        "saturated_size": sat.bit_count(),
-                        "non_prime_maximal": n.ref(),
-                    }
+    for z, orbits in seeds:
+        n = m.times(z)
+        if n.is_zero:
+            continue
+        outside = [s for s in m.lattice().all if n.mask & ~s.mask]
+        # members come in ascending size, so only later ones can hold s
+        maximal = [
+            s
+            for i, s in enumerate(outside)
+            if not any(s.mask & ~t.mask == 0 for t in outside[i + 1:])
+        ]
+        pairs += orbits
+        for p in maximal:
+            if not m.is_prime_submodule(p):
+                union = functools.reduce(int.__or__, [s.mask for s in maximal])
+                return FAIL, {
+                    "z": list(z),
+                    "saturated_size": m.size - union.bit_count(),
+                    "non_prime_maximal": p.ref(),
+                }
     if pairs == 0:
         return NOT_MET, {"reason": "no saturated S-closed subsets arise"}
     return PASS, {"pairs_checked": pairs}
@@ -903,7 +824,7 @@ def run_suite(
     if theorem_ids is None:
         ids = THEOREM_IDS
     else:
-        ids = tuple(theorem_ids)
+        ids = tuple(dict.fromkeys(theorem_ids))  # each id once, at its first place
         unknown = [t for t in ids if t not in PREDICATES]
         if unknown:
             raise KeyError(f"unknown theorem ids: {unknown}")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import agmod
 from agmod import aggraph, cli, theorems
 from agmod.cli import main, parse_gens, parse_instance
+from agmod.errors import ResourceLimitError
 from agmod.finmod import Module, Submodule
 from agmod.finring import Ring, prime_factors
 from agmod.localization import MULT_SET_CAP
@@ -182,6 +183,16 @@ def test_corpus_command(capsys, tmp_path):
     assert not report["violations"]
     assert report["theorems"]["thm_2_21"]["applicable_FAIL"] == 0
     assert report["theorems"]["thm_2_21"]["applicable_pass"] == report["instances"]
+
+
+def test_corpus_runs_a_repeated_theorem_id_once(capsys, tmp_path):
+    outs = [tmp_path / "once.json", tmp_path / "twice.json"]
+    for ids, out in zip(["prop_2_5", "prop_2_5,prop_2_5"], outs):
+        code, _, _ = run_cli(
+            capsys, "corpus", "--max-ring", "4", "--theorems", ids, "--out", str(out)
+        )
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_corpus_unknown_theorem(capsys):
@@ -450,6 +461,28 @@ def test_unfactorable_modulus_exits_3_at_once(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert "resource cap exceeded" in proc.stderr
+
+
+def test_ring_order_past_the_digit_cap_exits_3_before_any_output(capsys, spec_file, tmp_path):
+    # |R| = 2^15000 has 4516 digits, more than a report can write in decimal
+    spec = spec_file({"ring": [2] * 15000, "module": [{"d": 2, "c": 0}]})
+    out = tmp_path / "report.json"
+    message = "agmod: resource cap exceeded: the ring's order has more than 4300 digits"
+    for argv in (["analyze"], ["localize", "--at-min-primes"]):
+        code, stdout, err = run_cli(capsys, *argv, spec, "--out", str(out))
+        assert (code, stdout) == (3, "") and err.startswith(message), (argv, err)
+        assert not out.exists()
+        proc = subprocess.run(
+            [sys.executable, "-m", "agmod.cli", *argv, spec],
+            capture_output=True, text=True, timeout=60, env=_subprocess_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+    # the cap is on the digits: 9 * 10^4299 is written, 10^4300 is not
+    factor = [{"d": 2, "c": 0}]
+    parse_instance({"ring": [10] * 4299 + [9], "module": factor})
+    with pytest.raises(ResourceLimitError):
+        parse_instance({"ring": [10] * 4300, "module": factor})
 
 
 def test_analyze_cost_does_not_grow_with_the_ring(tmp_path):

@@ -260,8 +260,8 @@ def test_localized_image_is_first_class():
 
 
 def test_localization_never_lists_the_ring(tmp_path, monkeypatch):
-    # the CLI localizations and every corpus predicate but thm_2_10 (which
-    # scans rings of at most 64 elements) work from the primes S avoids
+    # the CLI localizations and every corpus predicate work from the primes
+    # S avoids
     specs = [([9699690], [(2, 0)])] + NON_CYCLIC
     paths = []
     for k, (moduli, factors) in enumerate(specs):
@@ -282,6 +282,5 @@ def test_localization_never_lists_the_ring(tmp_path, monkeypatch):
         assert main(["analyze", path, "--localize-at-min-primes", "--out", out]) == 0
         assert main(["localize", path, "--at-min-primes", "--out", out]) == 0
         assert main(["localize", path, "--gens", three, "--out", out]) == 0
-    ids = [t for t in theorems.THEOREM_IDS if t != "thm_2_10"]
-    report = theorems.run_suite(corpus, ids)
+    report = theorems.run_suite(corpus)
     assert not report.violations

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 
 from agmod import localization, theorems
 from agmod.errors import ResourceLimitError
-from agmod.finmod import Module, _Radix
+from agmod.finmod import Module
 from agmod.finring import Ring, divisors
 from agmod.localization import closure
 from agmod.theorems import (
@@ -110,51 +111,51 @@ def _tuple_factorizations(m):
 def test_saturation_fails_for_sets_missing_a_unit():
     # x = u * (u^-1 x) for every unit u, so no orbit of an S that misses a
     # unit saturates, and thm_2_10 may skip such S; checked on the tuple scan
-    # and on the index tables alike
     checked = 0
     for n in (4, 6, 8, 9, 12, 15):
         m = zmod(n)
         ring = m.ring
         units = {r for r in ring.elements() if math.gcd(r[0], n) == 1}
         fact = _tuple_factorizations(m)
-        weights = m.lattice().radix.weights
-        reach_r, reach_m = theorems._reaching(m, weights, _Radix(ring.moduli).weights)
         for z in ring.elements():
             s_clo = closure(ring, [z])
             if units <= s_clo:
                 continue
-            s_mask = _Radix(ring.moduli).mask(s_clo)
-            times = theorems._times_index(m, weights, z)
             for x in m.elements:
                 orbit = {m.smul(s, x) for s in s_clo}
                 assert brute_saturate(m, s_clo, orbit, fact) is None, (n, z, x)
-                seed = m.lattice().radix.mask(orbit)
-                assert theorems._saturate(seed, s_mask, reach_r, reach_m, times) is None, (n, z, x)
                 checked += 1
     assert checked > 100
 
 
-def test_mask_saturation_matches_the_tuple_scan():
-    # every single-generator S and every orbit, whether it saturates or not
+def test_saturated_sets_are_named_by_one_member():
+    # thm_2_10's lemma, on every single-generator S and every orbit: a
+    # saturated S* is every element outside the members that do not hold N,
+    # for N the meet of the cyclic members R*x of its elements
     shapes = [zmod(n) for n in (4, 9, 12, 18)] + [
         zmod(12, 6), product_module([2, 2]), product_module([2, 9]),
         product_module([3, 4], [(3, 0), (2, 1)]),
     ]
     saturated = 0
     for m in shapes:
-        ring, radix = m.ring, m.lattice().radix
+        ring, lattice = m.ring, m.lattice()
         fact = _tuple_factorizations(m)
-        reach_r, reach_m = theorems._reaching(m, radix.weights, _Radix(ring.moduli).weights)
         for z in ring.elements():
             s_clo = closure(ring, [z])
-            s_mask = _Radix(ring.moduli).mask(s_clo)
-            times = theorems._times_index(m, radix.weights, z)
             for x in m.elements:
                 orbit = {m.smul(s, x) for s in s_clo}
                 brute = brute_saturate(m, s_clo, orbit, fact)
-                sat = theorems._saturate(radix.mask(orbit), s_mask, reach_r, reach_m, times)
-                assert sat == (None if brute is None else radix.mask(brute)), (m, z, x)
-                saturated += sat is not None
+                if brute is None:
+                    continue
+                sat = lattice.radix.mask(brute)
+                masks = [lattice.cyclic(i).mask for i in range(m.size) if sat >> i & 1]
+                n = lattice.member(functools.reduce(int.__and__, masks))
+                outside = 0
+                for k in lattice.all:
+                    if n.mask & ~k.mask:
+                        outside |= k.mask
+                assert sat == lattice.top.mask & ~outside, (m, z, x)
+                saturated += 1
     assert saturated == 43
 
 
@@ -235,9 +236,8 @@ def test_unit_generator_matches_power_scan():
 
 
 def test_thm_2_10_does_no_tuple_arithmetic(monkeypatch):
-    # the scalar action is read off index tables and every set is a mask, so
-    # the predicate needs no smul, no ring product, no closure walk and no
-    # listing of M
+    # each saturated set is named by one lattice member, so the predicate
+    # needs no smul, no ring product, no closure walk and no listing of M
     shapes = [
         ([4], [(4, 0)]), ([12], [(12, 0)]), ([60], [(60, 0)]),
         ([2, 2, 2], [(2, 0), (2, 1), (2, 2)]), ([3, 4], [(3, 0), (4, 1)]),
