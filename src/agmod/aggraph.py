@@ -13,17 +13,18 @@ colon classes (``Submodule.cls``), and AG and AG* read the module's one
 zero-product table over them (``Module.kills``).  Each vertex's adjacency is
 the union of the classes its class kills, as a bitmask.  Every colon class is
 a class of twins (same open or same closed neighbourhood), and the graph
-keeps each vertex's class.  A graph runs one breadth-first search over
-bitmasks, a level at a time, from the first vertex of each class, and
-connectivity, diameter and girth all read those searches.  The clique solver
-is a pivoting maximal-clique search whose pivot scan stops at the first
-vertex that leaves at most one branch.  The chromatic solver is one
-backtracking colouring search over vertices in descending-degree order, each
-vertex taking the least colour class it has no neighbour in; it is run for
-k colours from the clique lower bound up until it succeeds, which it does by
-k = the greedy count, since its first descent is the greedy colouring.  Both
-searches keep explicit stacks, so their depth is not bounded by the recursion
-limit.
+keeps each vertex's class.  The report and DOT writers take each vertex's
+edge row from one neighbour list per class (``later_neighbors``).
+A graph runs one breadth-first search over bitmasks, a level at a time, from
+the first vertex of each class, and connectivity, diameter and girth all
+read those searches.  The clique solver is a pivoting maximal-clique search
+whose pivot scan stops at the first vertex that leaves at most one branch.
+The chromatic solver is one backtracking colouring search over vertices in
+descending-degree order, each vertex taking the least colour class it has no
+neighbour in; it is run for k colours from the clique lower bound up until
+it succeeds, which it does by k = the greedy count, since its first descent
+is the greedy colouring.  Both searches keep explicit stacks, so their depth
+is not bounded by the recursion limit.
 
 Degenerate conventions, pinned once here: the empty graph has clique and
 chromatic number 0, no girth, no diameter, shape flag {"empty"} only; girth
@@ -34,8 +35,11 @@ count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .finmod import Module, Submodule
 
@@ -54,16 +58,6 @@ class AnnGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
-    def neighbors(self, i: int):
-        mask = self.adj[i]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
@@ -177,7 +171,7 @@ def invariants(g: AnnGraph) -> InvariantReport:
             degree_sequence=(),
             shape=frozenset({"empty"}),
         )
-    degrees = sorted(g.degree(i) for i in range(n))
+    degrees = sorted(a.bit_count() for a in g.adj)
     edge_count = sum(degrees) // 2
     girth = _girth(g)
     diameter = _diameter(g) if n >= 2 else None
@@ -359,7 +353,26 @@ def chromatic_number(adj, n: int, lower: int | None = None) -> int:
     return k
 
 
-# -- DOT export --------------------------------------------------------------------
+# -- edge rows and DOT export ------------------------------------------------------
+
+
+def later_neighbors(g: AnnGraph, order: Sequence[int]) -> Iterator[list[int]]:
+    """Each vertex's row, for the vertices of ``order`` in turn: the
+    ascending positions in ``order`` of its neighbours placed after it.
+
+    A vertex's neighbours are the vertices of the classes its class kills
+    (``Module.kills``), itself excepted, so the members of a colon class are
+    twins.  Each class's neighbour positions are sorted once, and a vertex's
+    row is the part of its class's list past its own position.
+    """
+    kills = g.module.kills()
+    at: dict[int, list[int]] = {}  # class -> its members' positions, ascending
+    for k, v in enumerate(order):
+        at.setdefault(g.cls[v], []).append(k)
+    rows = {a: sorted(chain.from_iterable(at[b] for b in at if kills[a] >> b & 1)) for a in at}
+    for k, v in enumerate(order):
+        row = rows[g.cls[v]]
+        yield row[bisect_right(row, k):]
 
 
 def to_dot(g: AnnGraph, write) -> None:
@@ -367,11 +380,12 @@ def to_dot(g: AnnGraph, write) -> None:
     submodule-encoding order, then each vertex's edges to later vertices,
     one ascending row per vertex."""
     order = sorted(range(g.n), key=lambda i: g.vertices[i].encoding)
-    pos = {v: k for k, v in enumerate(order)}
     write(f"graph {g.kind} {{\n")
     for k, v in enumerate(order):
         write(f'  v{k} [label="{g.vertices[v].label}"];\n')
-    for k, v in enumerate(order):
-        later = sorted(pos[j] for j in g.neighbors(v) if pos[j] > k)
-        write("".join(f"  v{k} -- v{b};\n" for b in later))
+    tails = [f"v{b};\n" for b in range(g.n)]
+    for k, row in enumerate(later_neighbors(g, order)):
+        if row:
+            head = f"  v{k} -- "
+            write(head + head.join(map(tails.__getitem__, row)))
     write("}\n")

@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from itertools import compress, islice
 from json.encoder import encode_basestring
 
 from . import __version__, aggraph, theorems
@@ -221,15 +220,6 @@ def _dump(obj, out: str | None) -> None:
     _output(out, emit)
 
 
-class _Edges:
-    """A graph's edge list in a report, written by ``_write`` from the bitmasks."""
-
-    __slots__ = ("graph",)
-
-    def __init__(self, graph: aggraph.AnnGraph):
-        self.graph = graph
-
-
 def _write(obj, write, depth: int) -> None:
     """Write ``obj`` at nesting ``depth`` as the json module's indent=2 encoder
     would; a value a report never holds (a float, a set, a non-str key)
@@ -271,34 +261,27 @@ def _write(obj, write, depth: int) -> None:
             sep = "," + inner
             _write(obj[key], write, depth + 1)
         write("\n" + "  " * depth + "}")
-    elif isinstance(obj, _Edges):
-        _write_edges(obj.graph, write, depth)
+    elif isinstance(obj, aggraph.AnnGraph):
+        _write_edges(obj, write, depth)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _write_edges(graph: aggraph.AnnGraph, write, depth: int) -> None:
     """The edge pairs [id_i, id_j], i < j, one row of i per write.
 
     Row i is its head (``[``, id_i, ``,``) joined to the tails (id_j, ``]``)
-    of the set bits of adj[i] above bit i, which ``compress`` picks out of
-    the row's binary digits, lowest first.
+    of the later neighbours j that ``aggraph.later_neighbors`` lists.
     """
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     item = "\n" + "  " * (depth + 2)
     ids = [str(v.id) for v in graph.vertices]
     tails = [i + inner + "]" for i in ids]
     sep = "[" + inner
-    for i, mask in enumerate(graph.adj):
-        upper = mask >> (i + 1)
-        if upper:
+    for i, row in enumerate(aggraph.later_neighbors(graph, range(graph.n))):
+        if row:
             head = "[" + item + ids[i] + "," + item
-            bits = bin(upper)[:1:-1].encode().translate(_BITS)
-            row = compress(islice(tails, i + 1, None), bits)
-            write(sep + head + ("," + inner + head).join(row))
+            write(sep + head + ("," + inner + head).join(map(tails.__getitem__, row)))
             sep = "," + inner
     write("[]" if sep[0] == "[" else outer + "]")
 
@@ -306,7 +289,7 @@ def _write_edges(graph: aggraph.AnnGraph, write, depth: int) -> None:
 def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
     return {
         "vertices": [v.ref() for v in graph.vertices],
-        "edges": _Edges(graph),
+        "edges": graph,
         "invariants": inv.to_dict(),
     }
 

@@ -813,10 +813,6 @@ class Lattice:
     def zero(self) -> Submodule:
         return self.all[0]
 
-    @property
-    def top(self) -> Submodule:
-        return self.all[-1]
-
     def member(self, mask: int) -> Submodule:
         """The member with exactly this mask."""
         sub = self._by_mask.get(mask)

@@ -5,8 +5,8 @@ the claimed conclusion; a hypothesis-satisfying instance that fails its
 conclusion is reported as a violation, which in this code base always means
 an implementation bug (the statements themselves are proven facts about
 these graphs).  Instances whose hypotheses do not hold report
-``hypotheses_not_met``; instances above a predicate's scale cap report
-``skipped`` with the cap, never silently.
+``hypotheses_not_met``; instances past a resource cap report ``skipped``
+with the cap, never silently.
 
 Hypotheses that are automatic for finite instances (finitely generated
 module, Artinian quotient ring) are recorded as satisfied by construction
@@ -335,9 +335,6 @@ def _unit_generator(ring: Ring):
     return ring.one[:c] + (g,) + ring.one[c + 1:]
 
 
-_THM_2_10_CAP = 64
-
-
 def _thm_2_10(a: InstanceAnalysis):
     """For cyclic M and saturated S-closed S*, submodules maximal in the
     complement of S* are prime.  Run over single-generator multiplicative
@@ -378,11 +375,6 @@ def _thm_2_10(a: InstanceAnalysis):
     if not m.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
     ring = m.ring
-    if m.size > _THM_2_10_CAP or ring.cardinality > _THM_2_10_CAP:
-        return SKIPPED, {
-            "reason": f"predicate scale cap: |M| <= {_THM_2_10_CAP} and |R| <= {_THM_2_10_CAP}",
-            "cap": _THM_2_10_CAP,
-        }
     if max(ring.moduli) > 2:
         z = _unit_generator(ring) if m.annihilator().is_nil() else None
         if z is None:

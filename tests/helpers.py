@@ -29,7 +29,7 @@ def product_module(moduli, factors=None):
 
 def edges(g):
     """The pairs (i, j), i < j, of adjacent vertex indices of a graph, sorted."""
-    return [(i, j) for i in range(g.n) for j in g.neighbors(i) if i < j]
+    return [(i, j) for i, a in enumerate(g.adj) for j in range(i + 1, g.n) if a >> j & 1]
 
 
 def sub_by_label(module, label):

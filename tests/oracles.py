@@ -13,7 +13,10 @@ import math
 from agmod.errors import InternalCheckError
 from agmod.finring import divisors
 from agmod.localization import closure
-from agmod.theorems import _THM_2_10_CAP, FAIL, NOT_MET, PASS, SKIPPED
+from agmod.theorems import FAIL, NOT_MET, PASS
+
+# brute_thm_2_10 scans |R| x |M|; it refuses modules or rings past this size
+BRUTE_THM_2_10_CAP = 64
 
 
 def ideals(ring):
@@ -511,6 +514,20 @@ def brute_AG(module, star=False):
     return verts, adj
 
 
+def brute_dot(g, write):
+    """DOT text of a graph, each vertex's row read off its own adjacency mask
+    and sorted by the positions of the vertices in encoding order."""
+    order = sorted(range(g.n), key=lambda i: g.vertices[i].encoding)
+    pos = {v: k for k, v in enumerate(order)}
+    write(f"graph {g.kind} {{\n")
+    for k, v in enumerate(order):
+        write(f'  v{k} [label="{g.vertices[v].label}"];\n')
+    for k, v in enumerate(order):
+        later = sorted(pos[j] for j in range(g.n) if g.adj[v] >> j & 1 and pos[j] > k)
+        write("".join(f"  v{k} -- v{b};\n" for b in later))
+    write("}\n")
+
+
 def brute_clique_number(adj, n):
     """Largest pairwise-adjacent subset, over all 2^n vertex subsets."""
     best = 0
@@ -668,11 +685,8 @@ def brute_thm_2_10(module):
     if not m.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
     ring = m.ring
-    if m.size > _THM_2_10_CAP or ring.cardinality > _THM_2_10_CAP:
-        return SKIPPED, {
-            "reason": f"predicate scale cap: |M| <= {_THM_2_10_CAP} and |R| <= {_THM_2_10_CAP}",
-            "cap": _THM_2_10_CAP,
-        }
+    if m.size > BRUTE_THM_2_10_CAP or ring.cardinality > BRUTE_THM_2_10_CAP:
+        raise ValueError(f"the scan needs |M|, |R| <= {BRUTE_THM_2_10_CAP}: {m}")
     lattice = m.lattice()
     units = {
         r for r in ring.elements()

@@ -13,6 +13,7 @@ from oracles import (
     brute_chromatic_number,
     brute_clique_number,
     brute_diameter,
+    brute_dot,
     brute_girth,
 )
 
@@ -382,6 +383,16 @@ def test_to_dot_z6():
         "  v0 -- v1;\n"
         "}\n"
     )
+
+
+def test_dot_matches_the_per_vertex_writer(oracle_modules):
+    # to_dot reads each row off its colon class's neighbour list, the oracle
+    # off the vertex's own adjacency mask
+    for m in oracle_modules:
+        for g in (build_AG(m), build_AG_star(m)):
+            buf = io.StringIO()
+            brute_dot(g, buf.write)
+            assert _dot(g) == buf.getvalue(), (m, g.kind)
 
 
 def test_to_dot_empty_and_deterministic():

@@ -404,7 +404,7 @@ def _refuse(what):
 
 def test_pipeline_lists_no_element_of_m(monkeypatch, capsys, spec_file):
     # images r*M, cyclic members and joins come from the factors and the
-    # lattice, and thm_2_10 works on element indices, so nothing lists the
+    # lattice, and thm_2_10 reads lattice members, so nothing lists the
     # elements of M
     monkeypatch.setattr(Module, "elements", property(_refuse("Module.elements")))
     _run_pipeline(capsys, spec_file, theorems.THEOREM_IDS)
@@ -608,7 +608,7 @@ def test_streamed_edges_match_the_pair_list(oracle_modules):
             ragged += bool(pairs_ij) and pairs_ij[-1][0] < g.n - 2
             for depth in (0, 3):
                 chunks = []
-                cli._write(cli._Edges(g), chunks.append, depth)
+                cli._write(g, chunks.append, depth)
                 expected = json.dumps(pairs, indent=2).replace("\n", "\n" + "  " * depth)
                 assert "".join(chunks) == expected, (m.key, g.kind, depth)
     assert edgeless and ragged

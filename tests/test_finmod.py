@@ -296,7 +296,7 @@ def test_cyclic_members_are_the_spans(oracle_modules):
 def test_colon_examples():
     m = zmod(12)
     assert m.colon(sub_by_label(m, "⟨6⟩")) == m.ring.ideal([6])
-    assert m.colon(m.lattice().top) == m.ring.ideal([1])
+    assert m.colon(m.lattice().all[-1]) == m.ring.ideal([1])
     p = product_module([2, 4])
     z2x0 = p.lattice().find({(0, 0), (1, 0)})
     assert p.colon(z2x0) == p.ring.ideal([1, 4])
@@ -372,7 +372,7 @@ def test_product_examples():
     assert m.product(two, six).is_zero
     assert m.product(two, three) == six
     for n in m.lattice().all:
-        prod = m.product(n, m.lattice().top)
+        prod = m.product(n, m.lattice().all[-1])
         assert prod.elements == ideal_act(m, m.colon(n))
         assert prod.elements <= n.elements
 
@@ -399,7 +399,7 @@ def test_prime_submodule_examples():
     assert not m.is_prime_submodule(sub_by_label(m, "⟨4⟩"))
     m5 = zmod(5)
     assert m5.is_prime_submodule(m5.lattice().zero)
-    assert not m.is_prime_submodule(m.lattice().top)
+    assert not m.is_prime_submodule(m.lattice().all[-1])
 
 
 def test_min_primes():
@@ -426,7 +426,7 @@ def test_radical_examples():
     m30 = zmod(30)
     assert brute_radical(m30, m30.lattice().zero) == encset(m30, [0])
     assert m30.prime_radical().is_zero
-    assert brute_radical(m12, m12.lattice().top) == frozenset(m12.elements)
+    assert brute_radical(m12, m12.lattice().all[-1]) == frozenset(m12.elements)
 
 
 def test_radical_idempotent_and_inflationary():
@@ -789,7 +789,7 @@ def _random_small_module(draw):
 @given(_random_small_module())
 def test_random_instances_generate_consistent_lattices(m):
     lat = m.lattice()
-    assert lat.zero.is_zero and lat.top.is_whole
+    assert lat.zero.is_zero and lat.all[-1].is_whole
     for s in lat.all:
         assert span(m, s.gens) == s.elements
     for x in m.elements:

@@ -24,6 +24,8 @@ SPECS = {
     "z2xz4": {"ring": [2, 4], "module": [{"d": 2, "c": 0}, {"d": 4, "c": 1}]},
     "f2_squared": {"ring": [2], "module": [{"d": 2, "c": 0}, {"d": 2, "c": 0}]},
     "z4_z2": {"ring": [4], "module": [{"d": 4, "c": 0}, {"d": 2, "c": 0}]},
+    "z2_z6_z4": {"ring": [12],
+                 "module": [{"d": 2, "c": 0}, {"d": 6, "c": 0}, {"d": 4, "c": 0}]},
     "mixed": {"ring": [2, 3],
               "module": [{"d": 2, "c": 0}, {"d": 2, "c": 0}, {"d": 3, "c": 1}]},
     "z12_gens_list": {"ring": [12], "module": [{"d": 12, "c": 0}],
@@ -81,6 +83,12 @@ DIGESTS = [
      "d43c2ba3e537ffc422c368372a187461e8ccce84c1699e793d62942037df1dfa"),
     ("mixed", ["graph", "--star"],
      "178c9e73565d0764e55b017b74de70283a75f8b35acf051aae2c2fc0dc9dc00c"),
+    # AG has 53 vertices: colon classes of 10 and 15 members that are cliques,
+    # of 11 and 15 that are stable sets, and two single vertices
+    ("z2_z6_z4", ["graph"],
+     "42a84ae38c73620d2132e95414ced158c16285191902d45ac086d2c06eefe1b4"),
+    ("z2_z6_z4", ["graph", "--star"],
+     "ec97512f757b90ab77f259559b4bc336e8613f8bb61ec33cf197733ac4bfa033"),
 ]
 
 # The default-corpus suite report with every predicate, as canonical JSON.

@@ -94,9 +94,9 @@ def test_lemma_2_6_decomposable_instances():
 def test_thm_2_10_saturated_sets():
     r = run("thm_2_10", zmod(4))
     assert r.status == PASS and r.witness["pairs_checked"] >= 1
-    big = zmod(72)  # above the predicate's scale cap
-    r = run("thm_2_10", big)
-    assert r.status == SKIPPED and r.witness["cap"] == 64
+    # past |M|, |R| = 64 too: U(Z_81) is cyclic, U(Z_72) is not
+    assert run("thm_2_10", zmod(81)).status == PASS
+    assert run("thm_2_10", zmod(72)).status == NOT_MET
 
 
 def _tuple_factorizations(m):
@@ -154,7 +154,7 @@ def test_saturated_sets_are_named_by_one_member():
                 for k in lattice.all:
                     if n.mask & ~k.mask:
                         outside |= k.mask
-                assert sat == lattice.top.mask & ~outside, (m, z, x)
+                assert sat == lattice.all[-1].mask & ~outside, (m, z, x)
                 saturated += 1
     assert saturated == 43
 
