@@ -8,23 +8,44 @@ iff their product vanishes.  AG(M)* keeps only proper submodules whose colon
 differs from the annihilator, with both ends of the defining partner
 condition filtered the same way.
 
-NK = (N:M)(K:M)M, so whether N and K are adjacent depends only on their two
-colon classes (``Submodule.cls``), and AG and AG* read the module's one
-zero-product table over them (``Module.kills``).  Each vertex's adjacency is
-the union of the classes its class kills, as a bitmask.  Every colon class is
-a class of twins (same open or same closed neighbourhood), and the graph
-keeps each vertex's class.  The report and DOT writers take each vertex's
-edge row from one neighbour list per class (``later_neighbors``).
-A graph runs one breadth-first search over bitmasks, a level at a time, from
-the first vertex of each class, and connectivity, diameter and girth all
-read those searches.  The clique solver is a pivoting maximal-clique search
+NK = (N:M)(K:M)M depends only on the colon classes of N and K
+(``Submodule.cls``), so a graph keeps each vertex's class and the module's
+zero-product table over the classes (``Module.kills``), which AG and AG*
+share, and no per-vertex adjacency.  A class that kills itself is a clique
+of true twins, any other a stable set of false twins.  The degrees come from
+the class sizes, and the other invariants from one quotient graph that keeps
+min(s, 3) of the s members of each stable class and min(s, max(3, h)) of
+each self-killing one, h the number of stable classes.  This is exact:
+
+- A shortest path holds at most one vertex of a class (it could be
+  shortcut), and a shortest cycle at most 3, all 3 only in a triangle (three
+  twins on a cycle are pairwise adjacent; two false twins and two common
+  neighbours make a 4-cycle).  So the quotient keeps every distance, the
+  girth and connectivity, and as twins share an eccentricity, one
+  breadth-first search over bitmasks from the first kept vertex of each
+  class serves all three.
+- Dropping a false twin changes neither ω nor χ: a clique holds at most one
+  vertex of a stable class, and the dropped twin can take a kept twin's
+  colour.
+- Self-killing classes kill each other: with a, d and e the annihilator and
+  colon divisors on a component, a | d^2 and a | e^2 give
+  v_p(d) + v_p(e) >= v_p(a) for every prime p, so a | de.  So the
+  self-killing vertices form a clique, and a self-killing class of more than
+  h members lies in every maximum clique.  Give each stable class one colour
+  of its members; then some member of the class has a colour that no other
+  vertex has.  So each member dropped lowers ω and χ by exactly 1, and both
+  are the quotient's plus the self-killing vertices left out.  (A twin
+  blow-up of an arbitrary graph need not have this property.)
+
+The clique solver is a pivoting maximal-clique search
 whose pivot scan stops at the first vertex that leaves at most one branch.
 The chromatic solver is one backtracking colouring search over vertices in
 descending-degree order, each vertex taking the least colour class it has no
 neighbour in; it is run for k colours from the clique lower bound up until
 it succeeds, which it does by k = the greedy count, since its first descent
 is the greedy colouring.  Both searches keep explicit stacks, so their depth
-is not bounded by the recursion limit.
+is not bounded by the recursion limit.  The report and DOT writers take each
+vertex's edge row from one neighbour list per class (``later_neighbors``).
 
 Degenerate conventions, pinned once here: the empty graph has clique and
 chromatic number 0, no girth, no diameter, shape flag {"empty"} only; girth
@@ -46,35 +67,29 @@ from .finmod import Module, Submodule
 
 @dataclass(frozen=True)
 class AnnGraph:
-    """A graph on submodule vertices, with adjacency bitmasks by vertex
-    index and the twin class of each vertex (its colon class)."""
+    """A graph on submodule vertices: the colon class of each vertex and the
+    zero-product table over the classes.  Distinct vertices are adjacent iff
+    their classes kill each other."""
 
     module: Module
     kind: str  # "AG" or "AG_star"
     vertices: tuple[Submodule, ...]
-    adj: tuple[int, ...]
     cls: tuple[int, ...]
+    kills: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i] >> j & 1)
-
     @cached_property
-    def searches(self) -> list[tuple[int | None, int | None]]:
-        """(eccentricity, first cycle) of one ``_search`` from the first
-        vertex of each twin class.
-
-        Twins share an eccentricity, and a twin off a cycle can take the
-        place of one on it, so some searched vertex lies on a shortest cycle.
-        """
-        first = {}
+    def adj(self) -> tuple[int, ...]:
+        """Adjacency bitmasks by vertex index, built on first read; nothing
+        in the package reads them."""
+        members = {}
         for v, a in enumerate(self.cls):
-            first.setdefault(a, v)
-        full = (1 << self.n) - 1
-        return [_search(self.adj, v, full) for v in first.values()]
+            members[a] = members.get(a, 0) | 1 << v
+        nbrs = {a: sum(m for b, m in members.items() if self.kills[a] >> b & 1) for a in members}
+        return tuple(nbrs[a] & ~(1 << v) for v, a in enumerate(self.cls))
 
 
 def build_AG(module: Module) -> AnnGraph:
@@ -93,26 +108,13 @@ def build_AG_star(module: Module) -> AnnGraph:
 
 
 def _annihilating_graph(module: Module, kind: str, cands, partners) -> AnnGraph:
-    """The graph on the candidates that annihilate some partner (partners is
-    a subset of cands), distinct vertices adjacent iff their product vanishes.
-
-    A colon class is all vertices or none, and each of its vertices is
-    adjacent to every vertex of each class it kills (``Module.kills``),
-    itself excepted.
-    """
+    """The graph on the candidates whose class kills the class of some
+    partner (partners is a subset of cands); a colon class is all vertices
+    or none."""
     kills = module.kills()
     partner_classes = sum({1 << s.cls for s in partners})
     verts = tuple(s for s in cands if kills[s.cls] & partner_classes)
-    cls = tuple(s.cls for s in verts)
-    members = [0] * len(kills)
-    for v, a in enumerate(cls):
-        members[a] |= 1 << v
-    # the classes' vertex masks are disjoint, so their sum is their union
-    nbrs = {
-        a: sum(mask for b, mask in enumerate(members) if kills[a] >> b & 1) for a in set(cls)
-    }
-    adj = tuple(nbrs[a] & ~(1 << v) for v, a in enumerate(cls))
-    return AnnGraph(module, kind, verts, adj, cls)
+    return AnnGraph(module, kind, verts, tuple(s.cls for s in verts), kills)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -130,29 +132,12 @@ class InvariantReport:
     shape: frozenset[str]
 
     @property
-    def is_tree(self) -> bool:
-        return "tree" in self.shape
-
-    @property
-    def is_star(self) -> bool:
-        return "star" in self.shape
-
-    @property
-    def is_path4(self) -> bool:
-        return "path_4" in self.shape
-
-    @property
     def triangle_free(self) -> bool:
         return self.clique_number <= 2
 
     def to_dict(self) -> dict:
         return {
-            "girth": self.girth,
-            "diameter": self.diameter,
-            "connected": self.connected,
-            "bipartite": self.bipartite,
-            "clique_number": self.clique_number,
-            "chromatic_number": self.chromatic_number,
+            **vars(self),
             "degree_sequence": list(self.degree_sequence),
             "shape": sorted(self.shape),
         }
@@ -161,25 +146,17 @@ class InvariantReport:
 def invariants(g: AnnGraph) -> InvariantReport:
     n = g.n
     if n == 0:
-        return InvariantReport(
-            girth=None,
-            diameter=None,
-            connected=True,
-            bipartite=True,
-            clique_number=0,
-            chromatic_number=0,
-            degree_sequence=(),
-            shape=frozenset({"empty"}),
-        )
-    degrees = sorted(a.bit_count() for a in g.adj)
-    edge_count = sum(degrees) // 2
-    girth = _girth(g)
-    diameter = _diameter(g) if n >= 2 else None
+        return InvariantReport(None, None, True, True, 0, 0, (), frozenset({"empty"}))
+    q, first, dropped, degrees = _quotient(g)
+    full = (1 << len(q)) - 1
+    searches = [_search(q, v, full) for v in first]
+    girth = _girth(searches)
+    diameter = _diameter(searches) if n >= 2 else None
     connected = n == 1 or diameter is not None
-    clique, _ = max_clique(g.adj, n)
-    chromatic = chromatic_number(g.adj, n, lower=clique)
-    bipartite = chromatic <= 2
+    clique, _ = max_clique(q, len(q))
+    chromatic = chromatic_number(q, len(q), lower=clique) + dropped
 
+    edge_count = sum(degrees) // 2
     shape = set()
     if connected and edge_count == n - 1:
         shape.add("tree")
@@ -193,17 +170,44 @@ def invariants(g: AnnGraph) -> InvariantReport:
         shape.add("regular")
     if girth is not None:
         shape.add("cycle_present")
-
     return InvariantReport(
-        girth=girth,
-        diameter=diameter,
-        connected=connected,
-        bipartite=bipartite,
-        clique_number=clique,
-        chromatic_number=chromatic,
-        degree_sequence=tuple(degrees),
-        shape=frozenset(shape),
+        girth, diameter, connected, chromatic <= 2, clique + dropped, chromatic,
+        tuple(degrees), frozenset(shape),
     )
+
+
+def _quotient(g: AnnGraph) -> tuple[list[int], list[int], int, list[int]]:
+    """The quotient graph of the module docstring: (its adjacency masks, its
+    first vertex in each class, the self-killing vertices it leaves out, the
+    degree sequence of g, ascending).  A class's kept members are consecutive."""
+    kills = g.kills
+    sizes = {}  # class -> member count, in the order of first members
+    for a in g.cls:
+        sizes[a] = sizes.get(a, 0) + 1
+    loops = {a for a in sizes if kills[a] >> a & 1}
+    cap = max(3, len(sizes) - len(loops))
+    block, first, top, present = {}, [], 0, 0
+    for a, s in sizes.items():
+        k = min(s, cap if a in loops else 3)
+        block[a] = ((1 << k) - 1) << top
+        first.append(top)
+        top += k
+        present |= 1 << a
+    q, degrees = [], []
+    for (a, s), start in zip(sizes.items(), first):
+        nbrs = degree = 0
+        rest = kills[a] & present
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            nbrs |= block[b]
+            degree += sizes[b]
+        degrees += [degree - (a in loops)] * s
+        for v in range(start, block[a].bit_length()):
+            q.append(nbrs & ~(1 << v))
+    degrees.sort()
+    return q, first, sum(sizes[a] - block[a].bit_count() for a in loops), degrees
 
 
 def _search(adj, src: int, full: int) -> tuple[int | None, int | None]:
@@ -239,15 +243,16 @@ def _search(adj, src: int, full: int) -> tuple[int | None, int | None]:
         depth += 1
 
 
-def _diameter(g: AnnGraph) -> int | None:
-    """Largest eccentricity; None if disconnected, 0 on the empty graph."""
-    eccs = [ecc for ecc, _ in g.searches]
+def _diameter(searches) -> int | None:
+    """Largest eccentricity over the (eccentricity, first cycle) searches;
+    None if disconnected, 0 on the empty graph."""
+    eccs = [ecc for ecc, _ in searches]
     return None if None in eccs else max(eccs, default=0)
 
 
-def _girth(g: AnnGraph) -> int | None:
+def _girth(searches) -> int | None:
     """Shortest cycle: the least first cycle over the searches, or None."""
-    return min((cycle for _, cycle in g.searches if cycle is not None), default=None)
+    return min((cycle for _, cycle in searches if cycle is not None), default=None)
 
 
 # -- exact solvers ----------------------------------------------------------------
@@ -365,7 +370,7 @@ def later_neighbors(g: AnnGraph, order: Sequence[int]) -> Iterator[list[int]]:
     twins.  Each class's neighbour positions are sorted once, and a vertex's
     row is the part of its class's list past its own position.
     """
-    kills = g.module.kills()
+    kills = g.kills
     at: dict[int, list[int]] = {}  # class -> its members' positions, ascending
     for k, v in enumerate(order):
         at.setdefault(g.cls[v], []).append(k)

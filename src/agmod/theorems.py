@@ -225,24 +225,19 @@ def _p4_fxs_structure(a: InstanceAnalysis):
     expected = [s, f, n, fn]
     if len(set(expected)) != 4:
         return False, {"reason": "expected vertices are not distinct"}
-    index = {v: i for i, v in enumerate(a.ag.vertices)}
-    if set(expected) != set(index):
+    if set(expected) != set(a.ag.vertices):
         return False, {"reason": "vertex sets differ"}
-    path = [index[x] for x in expected]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            adjacent = a.ag.has_edge(path[i], path[j])
-            if adjacent != (j == i + 1):
-                return False, {"reason": "edges do not trace the expected path"}
-    labels = [a.ag.vertices[i].label for i in path]
-    return True, {"path": labels}
+    for i, j in itertools.combinations(range(4), 2):
+        if m.annihilates(expected[i], expected[j]) != (j == i + 1):
+            return False, {"reason": "edges do not trace the expected path"}
+    return True, {"path": [x.label for x in expected]}
 
 
 def _tree_shape_conclusion(a: InstanceAnalysis):
     """Shared conclusion: star or P4, with both directions of the P4 <-> FxS
     correspondence (including the exact four-vertex structure)."""
-    star = a.inv.is_star
-    p4 = a.inv.is_path4
+    star = "star" in a.inv.shape
+    p4 = "path_4" in a.inv.shape
     if not (star or p4):
         return FAIL, {"shape": sorted(a.inv.shape)}
     if p4 and a.fxs is None:
@@ -261,7 +256,7 @@ def _tree_shape_conclusion(a: InstanceAnalysis):
 def _thm_2_7(a: InstanceAnalysis):
     """A tree graph is a star or the four-vertex path; the path case happens
     exactly for modules splitting as simple x unique-nontrivial."""
-    if not a.inv.is_tree:
+    if "tree" not in a.inv.shape:
         return NOT_MET, {"reason": "graph is not a tree"}
     return _tree_shape_conclusion(a)
 
@@ -285,8 +280,8 @@ def _prop_2_9a(a: InstanceAnalysis):
         return NOT_MET, {"reason": "empty graph"}
     if not a.inv.bipartite:
         return NOT_MET, {"reason": "graph is not bipartite"}
-    star = a.inv.is_star
-    p4 = a.inv.is_path4
+    star = "star" in a.inv.shape
+    p4 = "path_4" in a.inv.shape
     if star or p4:
         return PASS, {"shape": "star" if star else "path_4"}
     return FAIL, {"shape": sorted(a.inv.shape)}
@@ -438,7 +433,7 @@ def _thm_2_12(a: InstanceAnalysis):
         return NOT_MET, {
             "reason": "needs cyclic, rad(0) != 0, nil annihilator, |Min| = 2"
         }
-    if a.inv.girth is not None or a.inv.is_path4:
+    if a.inv.girth is not None or "path_4" in a.inv.shape:
         return PASS, {"girth": a.inv.girth, "shape": sorted(a.inv.shape)}
     return FAIL, {"shape": sorted(a.inv.shape)}
 
@@ -519,15 +514,13 @@ def _thm_2_18(a: InstanceAnalysis):
         witnesses, report = a.module.min_prime_clique_witness()
     except InternalCheckError as exc:
         return FAIL, {"construction": str(exc)}
-    index = {v: i for i, v in enumerate(a.ag.vertices)}
-    ids = []
+    vertices = a.ag.vertices
     for w in witnesses:
-        if w not in index:
+        if w not in vertices:
             return FAIL, {"witness_not_vertex": w.ref()}
-        ids.append(index[w])
-    for i, j in itertools.combinations(ids, 2):
-        if not a.ag.has_edge(i, j):
-            return FAIL, {"non_adjacent_pair": [i, j]}
+    for v, w in itertools.combinations(witnesses, 2):
+        if not a.module.annihilates(v, w):
+            return FAIL, {"non_adjacent_pair": [vertices.index(v), vertices.index(w)]}
     return PASS, {
         "witness": [{"label": w.label, "size": w.size} for w in witnesses],
         **report,
@@ -591,7 +584,7 @@ def _one_min_prime_star(a: InstanceAnalysis, flag: str, reason: str):
         return NOT_MET, {"reason": "empty graph"}
     if not getattr(a.inv, flag):
         return NOT_MET, {"reason": reason}
-    if a.inv.is_star:
+    if "star" in a.inv.shape:
         return PASS, {"order": a.ag.n}
     return FAIL, {"shape": sorted(a.inv.shape)}
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from agmod import aggraph
 from agmod.errors import InternalCheckError
 from agmod.finring import divisors
 from agmod.localization import closure
@@ -526,6 +527,51 @@ def brute_dot(g, write):
         later = sorted(pos[j] for j in range(g.n) if g.adj[v] >> j & 1 and pos[j] > k)
         write("".join(f"  v{k} -- v{b};\n" for b in later))
     write("}\n")
+
+
+def brute_invariants(g):
+    """The invariant report of a graph from its full per-vertex adjacency
+    ``g.adj``: degrees counted per vertex, one ``_search`` from every
+    vertex, and the exact solvers on the whole graph.  The shape flags are
+    read off the definitions: a tree is connected with n - 1 edges, a star a
+    tree with a vertex next to all others, a path a tree of degree at most 2.
+    """
+    n, adj = g.n, list(g.adj)
+    degrees = sorted(a.bit_count() for a in adj)
+    searches = [aggraph._search(adj, v, (1 << n) - 1) for v in range(n)]
+    cycles = [cycle for _, cycle in searches if cycle is not None]
+    eccs = [ecc for ecc, _ in searches]
+    diameter = None if n < 2 or None in eccs else max(eccs)
+    connected = n <= 1 or diameter is not None
+    clique = aggraph.max_clique(adj, n)[0]
+    chromatic = aggraph.chromatic_number(adj, n)
+    edges = sum(degrees) // 2
+    shape = set()
+    if n == 0:
+        shape.add("empty")
+    else:
+        if connected and edges == n - 1:
+            shape.add("tree")
+            if any(a | 1 << v == (1 << n) - 1 for v, a in enumerate(adj)):
+                shape.add("star")
+            if degrees[-1] <= 2:
+                shape.add(f"path_{n}")
+        if edges == n * (n - 1) // 2:
+            shape.add("complete")
+        if len(set(degrees)) == 1:
+            shape.add("regular")
+        if cycles:
+            shape.add("cycle_present")
+    return aggraph.InvariantReport(
+        girth=min(cycles, default=None),
+        diameter=diameter,
+        connected=connected,
+        bipartite=chromatic <= 2,
+        clique_number=clique,
+        chromatic_number=chromatic,
+        degree_sequence=tuple(degrees),
+        shape=frozenset(shape),
+    )
 
 
 def brute_clique_number(adj, n):

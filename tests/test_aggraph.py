@@ -15,6 +15,7 @@ from oracles import (
     brute_diameter,
     brute_dot,
     brute_girth,
+    brute_invariants,
 )
 
 
@@ -47,7 +48,7 @@ def test_ag_z12_is_the_four_vertex_path():
     assert inv.girth is None
     assert inv.diameter == 3
     assert inv.bipartite and inv.connected
-    assert inv.is_tree and inv.is_path4 and not inv.is_star
+    assert {"tree", "path_4"} <= inv.shape and "star" not in inv.shape
     assert inv.clique_number == 2 and inv.chromatic_number == 2
 
 
@@ -86,7 +87,7 @@ def test_ag_z30_invariants():
     for a in triangle:
         for b in triangle:
             if a != b:
-                assert g.has_edge(idx[a], idx[b])
+                assert g.adj[idx[a]] >> idx[b] & 1
 
 
 def test_module_itself_can_be_a_vertex():
@@ -170,7 +171,7 @@ def test_girth_matches_edge_removal_oracle():
     for _ in range(80):
         n = rng.randint(0, 8)
         adj = _random_graph(rng, n, 0.45)
-        assert aggraph._girth(_graph(adj)) == brute_girth(adj, n)
+        assert _traversals(_graph(adj))[0] == brute_girth(adj, n)
 
 
 def test_graphs_match_pairwise_oracle(oracle_modules):
@@ -218,19 +219,29 @@ def test_vertex_ids_increase_in_index_order(oracle_modules):
             assert all(a < b for a, b in zip(ids, ids[1:])), (m, g.kind)
 
 
-def _graph(adj, cls=None):
-    """A graph on the adjacency masks; each vertex is its own class unless
-    ``cls`` gives the classes of twins."""
-    cls = range(len(adj)) if cls is None else cls
-    return aggraph.AnnGraph(None, "AG", tuple(None for _ in adj), tuple(adj), tuple(cls))
+def _graph(kills, cls=None):
+    """A graph on the classes ``cls`` of its vertices with the class table
+    ``kills``; without ``cls`` each vertex is its own class, so ``kills``
+    is the adjacency."""
+    cls = range(len(kills)) if cls is None else cls
+    return aggraph.AnnGraph(None, "AG", tuple(None for _ in cls), tuple(cls), tuple(kills))
 
 
-def _assert_traversals_match(adj, cls=None):
+def _traversals(g):
+    """(girth, diameter) as ``invariants`` reads them off the searches of
+    the quotient graph, without running the solvers."""
+    q, first, _, _ = aggraph._quotient(g)
+    searches = [aggraph._search(q, v, (1 << len(q)) - 1) for v in first]
+    return aggraph._girth(searches), aggraph._diameter(searches)
+
+
+def _assert_traversals_match(adj, g=None):
+    """The traversals of g, by default the graph of singleton classes on
+    ``adj``, against the oracles on its full adjacency ``adj``."""
+    g = _graph(adj) if g is None else g
+    assert g.adj == tuple(adj), adj
     n = len(adj)
-    g = _graph(adj, cls)
-    diameter = brute_diameter(adj, n)
-    assert aggraph._girth(g) == brute_girth(adj, n), adj
-    assert aggraph._diameter(g) == diameter, adj
+    assert _traversals(g) == (brute_girth(adj, n), brute_diameter(adj, n)), adj
 
 
 def test_traversals_match_oracles_on_random_graphs():
@@ -240,12 +251,14 @@ def test_traversals_match_oracles_on_random_graphs():
         _assert_traversals_match(_random_graph(rng, n, rng.choice([0.04, 0.08, 0.15, 0.4])))
 
 
-def _blow_up(rng, k, most=5):
+def _blow_up(rng, k, most=5, linked=None):
     """A random graph on k classes, each class blown up to 1-most twins of
     one another and the vertices shuffled.  Class a is a clique of true
     twins when (a, a) is linked, else a stable set of false twins.  Returns
-    the adjacency, the class of each vertex and the linked pairs a <= b."""
-    linked = {(a, b) for a in range(k) for b in range(a, k) if rng.random() < 0.4}
+    the adjacency, the class of each vertex and the linked pairs a <= b,
+    drawn at random unless given."""
+    if linked is None:
+        linked = {(a, b) for a in range(k) for b in range(a, k) if rng.random() < 0.4}
     cls = [a for a in range(k) for _ in range(rng.randint(1, most))]
     rng.shuffle(cls)
     adj = [0] * len(cls)
@@ -256,12 +269,102 @@ def _blow_up(rng, k, most=5):
     return adj, cls, linked
 
 
+def _kills(k, linked):
+    """The class table of a blow-up: bit b of entry a is set iff the pair
+    of a and b is linked."""
+    kills = [0] * k
+    for a, b in linked:
+        kills[a] |= 1 << b
+        kills[b] |= 1 << a
+    return kills
+
+
 def test_traversals_match_oracles_on_twin_blow_ups():
     rng = random.Random(515)
     for _ in range(150):
-        # the searches run once per twin class
-        adj, cls, _ = _blow_up(rng, rng.randint(1, 6))
-        _assert_traversals_match(adj, cls)
+        # the quotient keeps up to 3 twins of a class and searches once per class
+        k = rng.randint(1, 6)
+        adj, cls, linked = _blow_up(rng, k)
+        _assert_traversals_match(adj, _graph(_kills(k, linked), cls))
+
+
+def test_invariants_match_full_graph_oracle(oracle_modules):
+    # the quotient engine against the solvers and a search from every vertex
+    # on the whole graph, for AG and AG* of every oracle module
+    for m in oracle_modules:
+        for g in (build_AG(m), build_AG_star(m)):
+            assert invariants(g) == brute_invariants(g), (m, g.kind)
+
+
+def test_self_killing_classes_kill_each_other(oracle_modules):
+    # the precondition of the quotient's clique and chromatic numbers, on
+    # every zero-product table
+    for m in oracle_modules:
+        kills = m.kills()
+        loops = [a for a, row in enumerate(kills) if row >> a & 1]
+        assert all(kills[a] >> b & 1 for a in loops for b in loops), m
+
+
+def test_invariants_match_full_graph_oracle_on_twin_blow_ups():
+    # blow-ups whose self-linked classes are pairwise linked, as in a
+    # zero-product table; the quotient cuts self-linked classes of more than
+    # max(3, h) members and stable classes of more than 3
+    rng = random.Random(2727)
+    cut_loops = cut_stable = 0
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        loops = {a for a in range(k) if rng.random() < 0.5}
+        linked = {
+            (a, b) for a in range(k) for b in range(a, k)
+            if a in loops and b in loops or a != b and rng.random() < 0.4
+        }
+        adj, cls, linked = _blow_up(rng, k, most=9, linked=linked)
+        g = _graph(_kills(k, linked), cls)
+        assert g.adj == tuple(adj)
+        assert invariants(g) == brute_invariants(g), (cls, sorted(linked))
+        h = k - len(loops)
+        cut_loops += any(cls.count(a) > max(3, h) for a in loops)
+        cut_stable += any(cls.count(a) > 3 for a in range(k) if a not in loops)
+    assert cut_loops >= 50 and cut_stable >= 50, (cut_loops, cut_stable)
+
+
+def test_quotient_keeps_self_killing_classes_up_to_h():
+    # h pairwise linked stable singletons and a self-killing class of s
+    # members, linked to none or one of them: ω = χ = max(h, s) or
+    # max(h, s + 1), and cutting the class below h would count its dropped
+    # members on top of the stable clique
+    for h in range(4, 7):
+        for s in range(1, h + 3):
+            for extra in (set(), {(0, h)}):
+                linked = {(a, b) for a in range(h) for b in range(a + 1, h)} | {(h, h)} | extra
+                g = _graph(_kills(h + 1, linked), list(range(h)) + [h] * s)
+                inv = invariants(g)
+                assert inv == brute_invariants(g), (h, s, extra)
+                assert inv.clique_number == inv.chromatic_number == max(h, s + len(extra))
+
+
+def test_dense_module_in_closed_form(monkeypatch):
+    # AG(F_2^6) is K_2824: the 2823 proper nonzero subspaces have colon (0)
+    # and kill every subspace, and F_2^6 kills the proper ones.  AG* is
+    # empty, since every proper subspace has the annihilator as its colon.
+    m = Module(Ring([2]), [(2, 0)] * 6)
+    g = build_AG(m)
+    sizes = []
+    solver = aggraph.chromatic_number
+
+    def chromatic_number(adj, n, lower=None):
+        sizes.append(n)
+        return solver(adj, n, lower)
+
+    monkeypatch.setattr(aggraph, "chromatic_number", chromatic_number)
+    inv = invariants(g)
+    assert g.n == 2824 and sizes == [4]  # three proper subspaces and F_2^6
+    assert inv.clique_number == inv.chromatic_number == 2824
+    assert inv.girth == 3 and inv.diameter == 1 and inv.connected
+    assert inv.shape == frozenset({"complete", "regular", "cycle_present"})
+    assert inv.degree_sequence == (2823,) * 2824
+    star = build_AG_star(m)
+    assert star.n == 0 and invariants(star).shape == frozenset({"empty"})
 
 
 def _excl_pivot_nodes(adj, n):
@@ -330,8 +433,7 @@ def test_traversals_on_cycles():
     for n in range(3, 31):
         adj = [(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)]
         _assert_traversals_match(adj)
-        g = _graph(adj)
-        assert aggraph._girth(g) == n and aggraph._diameter(g) == n // 2
+        assert _traversals(_graph(adj)) == (n, n // 2)
 
 
 def test_solvers_have_no_recursion_limit():

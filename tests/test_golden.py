@@ -26,6 +26,8 @@ SPECS = {
     "z4_z2": {"ring": [4], "module": [{"d": 4, "c": 0}, {"d": 2, "c": 0}]},
     "z2_z6_z4": {"ring": [12],
                  "module": [{"d": 2, "c": 0}, {"d": 6, "c": 0}, {"d": 4, "c": 0}]},
+    "z4_z4_z2_z2": {"ring": [4], "module": [{"d": 4, "c": 0}, {"d": 4, "c": 0},
+                                           {"d": 2, "c": 0}, {"d": 2, "c": 0}]},
     "mixed": {"ring": [2, 3],
               "module": [{"d": 2, "c": 0}, {"d": 2, "c": 0}, {"d": 3, "c": 1}]},
     "z12_gens_list": {"ring": [12], "module": [{"d": 12, "c": 0}],
@@ -89,6 +91,14 @@ DIGESTS = [
      "42a84ae38c73620d2132e95414ced158c16285191902d45ac086d2c06eefe1b4"),
     ("z2_z6_z4", ["graph", "--star"],
      "ec97512f757b90ab77f259559b4bc336e8613f8bb61ec33cf197733ac4bfa033"),
+    # reports whose invariants come from quotient graphs that cut classes:
+    # AG of z2_z6_z4 keeps 4 of its self-killing classes of 15 and 10
+    # members and 3 of its stable ones of 15 and 11, and AG of z4_z4_z2_z2
+    # keeps 3 of its self-killing classes of 181 and 66 members
+    ("z2_z6_z4", ["analyze"],
+     "b2a9bc45676fae222eef745a8ba29011b4c142834108a62f6e75c20347a1e2ed"),
+    ("z4_z4_z2_z2", ["analyze"],
+     "c9497885558842010a00b1ef62f7abf1cce571ccc24c3534292ae52a276ee0ac"),
 ]
 
 # The default-corpus suite report with every predicate, as canonical JSON.
