@@ -39,6 +39,7 @@ from .localization import (
 
 _OPTION_KEYS = {"localize_at_min_primes", "localize_gens"}
 RING_DIGIT_CAP = 4300  # Python's default int-to-str limit; reports write |R|
+_RING_ORDER_BOUND = 10**RING_DIGIT_CAP  # the least order with more digits
 
 
 def _is_int(x) -> bool:
@@ -64,7 +65,7 @@ def parse_instance(obj) -> tuple[Module, dict]:
     ):
         raise SpecError("'ring' must be a nonempty list of integers >= 2")
     ring = Ring(ring_spec)
-    if ring.cardinality >= 10**RING_DIGIT_CAP:
+    if ring.cardinality >= _RING_ORDER_BOUND:
         raise ResourceLimitError(
             f"the ring's order has more than {RING_DIGIT_CAP} digits", RING_DIGIT_CAP
         )
@@ -234,6 +235,8 @@ def _write(obj, write, depth: int) -> None:
         write("false")
     elif isinstance(obj, int):
         write(int.__repr__(obj))
+    elif isinstance(obj, _Refs):
+        _write_members(obj, write, depth)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
@@ -286,9 +289,41 @@ def _write_edges(graph: aggraph.AnnGraph, write, depth: int) -> None:
     write("[]" if sep[0] == "[" else outer + "]")
 
 
+class _Refs(tuple):
+    """Submodules a report names by their ``Submodule.ref()`` object
+    {"id", "label", "size"}; ``_write`` renders each from one template."""
+
+
+class _Submodules(_Refs):
+    """Lattice members, whose report objects add their generators ("gens")."""
+
+
+def _write_members(members: _Refs, write, depth: int) -> None:
+    """The members' objects, one row per write, each filled into one
+    template for its kind of row."""
+    inner, key = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    ref = '"id": %d,' + key + '"label": %s,' + key + '"size": %d' + inner + "}"
+    sep = "[" + inner
+    if isinstance(members, _Submodules):
+        row = "{" + key + '"gens": %s,' + key + ref
+        item, coord = "\n" + "  " * (depth + 3), "\n" + "  " * (depth + 4)
+        head, comma, tail = "[" + coord, "," + coord, item + "]"
+        for s in members:
+            gens = ("," + item).join(head + comma.join(map(str, g)) + tail for g in s.gens)
+            gens = "[" + item + gens + key + "]" if gens else "[]"
+            write(sep + row % (gens, s.id, encode_basestring(s.label), s.size))
+            sep = "," + inner
+    else:
+        row = "{" + key + ref
+        for s in members:
+            write(sep + row % (s.id, encode_basestring(s.label), s.size))
+            sep = "," + inner
+    write("[]" if sep[0] == "[" else "\n" + "  " * depth + "]")
+
+
 def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
     return {
-        "vertices": [v.ref() for v in graph.vertices],
+        "vertices": _Refs(graph.vertices),
         "edges": graph,
         "invariants": inv.to_dict(),
     }
@@ -342,15 +377,7 @@ def cmd_analyze(args, cap: int | None) -> int:
         "version": __version__,
         "instance": instance_echo(module),
         "cardinalities": {"ring": module.ring.cardinality, "module": module.size},
-        "submodules": [
-            {
-                "id": s.id,
-                "size": s.size,
-                "gens": [list(g) for g in s.gens],
-                "label": s.label,
-            }
-            for s in lat.all
-        ],
+        "submodules": _Submodules(lat.all),
         "lattice": {
             "count": len(lat),
             "minimal": [s.id for s in module.minimal_submodules()],
@@ -385,7 +412,7 @@ def cmd_analyze(args, cap: int | None) -> int:
     if gen is not None:
         witnesses, wreport = module.min_prime_clique_witness()
         report["clique_witness"] = {
-            "submodules": [w.ref() for w in witnesses],
+            "submodules": _Refs(witnesses),
             **wreport,
         }
     _dump(report, args.out)

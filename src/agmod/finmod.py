@@ -126,16 +126,6 @@ class Module:
         shape = "x".join(f"Z{d}@{c}" for d, c in self.factors)
         return f"[{shape} over {self.ring!r}]"
 
-    # -- carrier arithmetic ----------------------------------------------------
-
-    def add(self, x, y):
-        return tuple(map(operator.mod, map(operator.add, x, y), self._orders))
-
-    def smul(self, r, x):
-        return tuple(
-            (r[c] * a) % d for a, (d, c) in zip(x, self.factors)
-        )
-
     # -- images r*M -------------------------------------------------------------
 
     def times(self, r) -> "Submodule":

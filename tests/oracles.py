@@ -48,6 +48,16 @@ def brute_idempotents(ring):
     return sorted(itertools.product(*per_comp))
 
 
+def add(module, x, y):
+    """x + y in M, coordinate by coordinate."""
+    return tuple((a + b) % d for a, b, (d, _) in zip(x, y, module.factors))
+
+
+def smul(module, r, x):
+    """r*x in M: r acts on a factor Z_d on ring component c as r_c."""
+    return tuple((r[c] * a) % d for a, (d, c) in zip(x, module.factors))
+
+
 def additive_closure(add, zero, seed):
     """Subgroup closure of a finite seed set under a binary addition."""
     closure = set(seed) | {zero}
@@ -141,7 +151,7 @@ def brute_colon(module, sub):
     """{r : r*M <= N} by scanning every scalar against every element."""
     out = set()
     for r in module.ring.elements():
-        if all(module.smul(r, m) in sub.elements for m in module.elements):
+        if all(smul(module, r, m) in sub.elements for m in module.elements):
             out.add(r)
     return frozenset(out)
 
@@ -149,15 +159,15 @@ def brute_colon(module, sub):
 def cyclic_span(module, x):
     """The orbit R*x: the additive span of the projections of x onto the ring
     components, each keeping the coordinates of x on its component."""
-    zero, add = module.zero, module.add
+    zero = module.zero
     out = {zero}
     for comp in range(len(module.ring.moduli)):
         p = tuple(a if c == comp else 0 for a, (_, c) in zip(x, module.factors))
         mults, q = [zero], p
         while q != zero:
             mults.append(q)
-            q = add(q, p)
-        out = {add(s, m) for s in out for m in mults}
+            q = add(module, q, p)
+        out = {add(module, s, m) for s in out for m in mults}
     return frozenset(out)
 
 
@@ -183,12 +193,12 @@ def brute_clique_multipliers(module, e_parts):
     t = ring.one
     pair_multipliers = []
     for i, j in itertools.combinations(range(len(e_parts)), 2):
-        target = module.smul(ring.mul(e_parts[i], e_parts[j]), gen)
+        target = smul(module, ring.mul(e_parts[i], e_parts[j]), gen)
         t_ij = next(
             s
             for s in ring.elements()
             if not any(ideal_contains(colon, s) for colon in colons)
-            and module.smul(s, target) == module.zero
+            and smul(module, s, target) == module.zero
         )
         pair_multipliers.append([i, j, list(t_ij)])
         t = ring.mul(t, t_ij)
@@ -197,7 +207,7 @@ def brute_clique_multipliers(module, e_parts):
 
 def brute_times(module, r):
     """r*M = {r*m}, by applying r to every element."""
-    return frozenset(module.smul(r, m) for m in module.elements)
+    return frozenset(smul(module, r, m) for m in module.elements)
 
 
 def brute_submodule_product(module, n, k):
@@ -207,8 +217,8 @@ def brute_submodule_product(module, n, k):
     ideal_set = additive_closure(
         ring.add, ring.zero, {ring.mul(x, y) for x in cn for y in ck}
     )
-    acted = {module.smul(x, m) for x in ideal_set for m in module.elements}
-    return additive_closure(module.add, module.zero, acted)
+    acted = {smul(module, x, m) for x in ideal_set for m in module.elements}
+    return additive_closure(lambda x, y: add(module, x, y), module.zero, acted)
 
 
 def ideal_act(module, ideal, elems=None):
@@ -217,7 +227,7 @@ def ideal_act(module, ideal, elems=None):
     The span is ``span``, which tests check against ``brute_subgroup_closure``.
     """
     elems = module.elements if elems is None else elems
-    return span(module, {module.smul(r, n) for r in ideal_elements(ideal) for n in elems})
+    return span(module, {smul(module, r, n) for r in ideal_elements(ideal) for n in elems})
 
 
 def brute_is_prime_submodule(module, p):
@@ -226,7 +236,7 @@ def brute_is_prime_submodule(module, p):
         return False
     colon = brute_colon(module, p)
     return not any(
-        r not in colon and m not in p.elements and module.smul(r, m) in p.elements
+        r not in colon and m not in p.elements and smul(module, r, m) in p.elements
         for r in module.ring.elements()
         for m in module.elements
     )
@@ -280,7 +290,7 @@ def brute_zero_divisors(module):
         r
         for r in module.ring.elements()
         if any(
-            m != module.zero and module.smul(r, m) == module.zero
+            m != module.zero and smul(module, r, m) == module.zero
             for m in module.elements
         )
     )
@@ -313,16 +323,16 @@ def verify_action(module):
     ring = module.ring
     probe_m = elems[-1]
     for m in elems:
-        if module.smul(ring.one, m) != m:
+        if smul(module, ring.one, m) != m:
             raise InternalCheckError(f"1*{m} != {m}")
     for r in ring.elements():
         s = ring.mul(r, r)
         for m in elems:
-            if module.smul(r, module.add(m, probe_m)) != module.add(
-                module.smul(r, m), module.smul(r, probe_m)
+            if smul(module, r, add(module, m, probe_m)) != add(
+                module, smul(module, r, m), smul(module, r, probe_m)
             ):
                 raise InternalCheckError("scalar action is not distributive")
-            if module.smul(s, m) != module.smul(r, module.smul(r, m)):
+            if smul(module, s, m) != smul(module, r, smul(module, r, m)):
                 raise InternalCheckError("scalar action is not associative")
         probe_m = elems[hash(r) % len(elems)]
 
@@ -336,7 +346,7 @@ def submodule_closure(module):
     """
     orbits = {}
     for x in module.elements:
-        orbit = frozenset(module.smul(r, x) for r in module.ring.elements())
+        orbit = frozenset(smul(module, r, x) for r in module.ring.elements())
         orbits.setdefault(orbit, x)
     zero = frozenset({module.zero})
     seen, order = {zero}, [zero]
@@ -344,7 +354,7 @@ def submodule_closure(module):
         for orbit, x in orbits.items():
             if x in current:
                 continue
-            bigger = frozenset(module.add(s, m) for s in current for m in orbit)
+            bigger = frozenset(add(module, s, m) for s in current for m in orbit)
             if bigger not in seen:
                 seen.add(bigger)
                 order.append(bigger)
@@ -358,7 +368,7 @@ def span(module, gens):
     for g in gens:
         if g not in out:
             orbit = cyclic_span(module, g)
-            out = {module.add(s, m) for s in out for m in orbit}
+            out = {add(module, s, m) for s in out for m in orbit}
     return frozenset(out)
 
 
@@ -374,7 +384,7 @@ def brute_minimal_gens(module, elems):
             continue
         gens.append(x)
         orbit = cyclic_span(module, x)
-        spanned = {module.add(s, m) for s in spanned for m in orbit}
+        spanned = {add(module, s, m) for s in spanned for m in orbit}
         if len(spanned) == len(elems):
             break
     for g in list(gens):
@@ -391,13 +401,13 @@ def brute_subgroup_closure(module, gens):
     while changed:
         changed = False
         for a, b in itertools.product(list(closure), repeat=2):
-            c = module.add(a, b)
+            c = add(module, a, b)
             if c not in closure:
                 closure.add(c)
                 changed = True
         for r in scalars:
             for a in list(closure):
-                c = module.smul(r, a)
+                c = smul(module, r, a)
                 if c not in closure:
                     closure.add(c)
                     changed = True
@@ -480,7 +490,7 @@ def verify_localization(module, members, loc):
     torsion = {
         m
         for m in module.elements
-        if any(module.smul(x, m) == module.zero for x in members)
+        if any(smul(module, x, m) == module.zero for x in members)
     }
     if torsion != loc.kernel.elements:
         raise InternalCheckError(
@@ -488,7 +498,7 @@ def verify_localization(module, members, loc):
         )
     image = loc.image
     for x in members:
-        if {image.smul(x, m) for m in image.elements} != frozenset(image.elements):
+        if {smul(image, x, m) for m in image.elements} != frozenset(image.elements):
             raise InternalCheckError(f"{x} does not act invertibly on the image")
 
 
@@ -513,6 +523,15 @@ def brute_AG(module, star=False):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return verts, adj
+
+
+def report_submodules(members):
+    """The ``submodules`` entries of an ``analyze`` report, one dict per
+    lattice member, built field by field."""
+    return [
+        {"id": s.id, "size": s.size, "gens": [list(g) for g in s.gens], "label": s.label}
+        for s in members
+    ]
 
 
 def brute_dot(g, write):
@@ -714,7 +733,7 @@ def brute_saturate(module, s_set, seed, fact):
                 members.add(m)
                 queue.append(m)
         for s in s_set:
-            y = module.smul(s, x)
+            y = smul(module, s, x)
             if y not in members:
                 members.add(y)
                 queue.append(y)
@@ -754,10 +773,10 @@ def brute_thm_2_10(module):
             fact = {x: [] for x in m.elements}
             for r in ring.elements():
                 for x in m.elements:
-                    fact[m.smul(r, x)].append((r, x))
+                    fact[smul(m, r, x)].append((r, x))
         seen_orbits = set()
         for seed_elem in m.elements:
-            orbit = frozenset(m.smul(s, seed_elem) for s in s_clo)
+            orbit = frozenset(smul(m, s, seed_elem) for s in s_clo)
             if orbit in seen_orbits:
                 continue
             seen_orbits.add(orbit)

