@@ -43,19 +43,23 @@ nonzero parts, M is cyclic iff every part has one coordinate, simple iff M
 has one coordinate in all and its order is a prime p, and has exactly one
 nontrivial submodule iff that one coordinate has order p^2.  Every prime
 ideal of a finite ring is maximal, so a proper N is prime iff (N : M) is
-maximal, and Z(M) is the union of the associated primes.  Since every ideal
-of the ring is principal, each submodule made from a scalar is one image r*M
-(``times``): a product (N:M)(K:M)M, an idempotent part e*M, and rad(0).  A
-scalar acts on a factor Z_d on component c as r_c, so r*M is the direct sum
-of the gcd(r_c, d)*Z_d, read off the factors without listing M.  The
-primes with colon m_{c,p} are the proper submodules containing m_{c,p}M, so
-rad(0) is the sum of the p*M_{c,p}, the image of the element whose residue
-on c is the squarefree kernel of ann(M)'s divisor there; M is semiprime iff
-it is 0.  A product vanishes iff (N:M)(K:M) lies in ann(M), a divisibility
-test on the divisor tuples of the two colon classes; the module runs it once
-per pair of classes into one zero-product table (``kills``), which
-``annihilates`` and both graphs AG(M) and AG(M)* read.  The exhaustive scans
-for these facts live in tests/oracles.py.
+maximal, and Z(M) is the union of the associated primes.  One table
+(``min_prime_parts``) holds, per associated prime (c, p), the minimal prime
+m_{c,p}M and the idempotent e and part e*M of the (c, p)-primary part; the
+minimal primes, the clique witnesses and the Theorem 2.17 components are all
+read from it.  Since every ideal of the ring is principal, each submodule
+made from a scalar is one image r*M (``times``): a product (N:M)(K:M)M, an
+idempotent part e*M, and rad(0).  A scalar acts on a factor Z_d on component
+c as r_c, so r*M is the direct sum of the gcd(r_c, d)*Z_d, read off the
+factors without listing M.  The primes with colon m_{c,p} are the proper
+submodules containing m_{c,p}M, so rad(0) is the sum of the p*M_{c,p}, the
+image of the element whose residue on c is the squarefree kernel of ann(M)'s
+divisor there; M is semiprime iff it is 0.  A product vanishes iff
+(N:M)(K:M) lies in ann(M), a divisibility test on the divisor tuples of the
+two colon classes; the module runs it once per pair of classes into one
+zero-product table (``kills``), which ``annihilates`` and both graphs AG(M)
+and AG(M)* read.  The exhaustive scans for these facts live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -346,18 +350,30 @@ class Module:
     def primes(self) -> list["Submodule"]:
         return [s for s in self.lattice().all if self.is_prime_submodule(s)]
 
-    @_once
     def min_primes(self) -> list["Submodule"]:
-        """Inclusion-minimal primes: the first prime of each colon class.
+        """Inclusion-minimal primes, in lattice order (see ``min_prime_parts``)."""
+        return [p for p, _, _ in self.min_prime_parts()]
 
-        A prime inside another has the same maximal colon m, and the primes
-        with colon m are the proper submodules containing mM, so the least
-        of them, first in lattice order, is the one minimal prime below them.
+    @_once
+    def min_prime_parts(self) -> list[tuple]:
+        """One row (P, e, eM) per associated prime (c, q), sorted by P's id:
+        P is m_{c,q}M = r*M for r = q on component c and 1 elsewhere, e
+        projects onto the (c, q)-primary part, and eM is that part.
+
+        The P are the minimal primes.  A prime has a maximal colon m and
+        contains mM.  For m = m_{c,q}, mM is M with its (c, q)-part times q,
+        proper iff that part is nonzero, that is iff (c, q) is associated;
+        then (mM : M) = m and mM is prime.  A prime inside mM has a colon m'
+        with m'M <= mM, so m' <= (mM : M) = m, m' = m, and it contains mM.
+        The eM are the primary parts, so they meet pairwise in (0) and their
+        sizes multiply to |M|.
         """
-        first = {}
-        for p in self.primes():
-            first.setdefault(p.cls, p)
-        return list(first.values())
+        rows = []
+        for c, q in self.associated_primes():
+            e = self.ring.part_idempotent({(c, q)})
+            r = tuple(q if k == c else 1 for k in range(len(e)))
+            rows.append((self.times(r), e, self.times(e)))
+        return sorted(rows, key=lambda row: row[0].id)
 
     def prime_radical(self) -> "Submodule":
         """rad(0), the intersection of all prime submodules, as r*M.
@@ -483,72 +499,48 @@ class Module:
 
     # -- minimal-prime components ----------------------------------------------
 
-    def _prime_pair(self, p: "Submodule"):
-        """The (c, q) with (P:M) = m_{c,q}, for a prime submodule P."""
-        divs = self.colon(p).divisors
-        c = next(c for c, d in enumerate(divs) if d != 1)
-        return c, divs[c]
-
-    def component_idempotents(self, e) -> list:
-        """One idempotent per minimal prime P: e times the projection onto
-        the primary part whose maximal ideal is (P:M)."""
-        ring = self.ring
-        return [
-            ring.mul(e, ring.part_idempotent({self._prime_pair(p)}))
-            for p in self.min_primes()
-        ]
-
     def min_prime_clique_witness(self):
         """One nonzero submodule per minimal prime, pairwise products zero.
 
-        Construction: localize away from the minimal-prime colons (the
-        projection onto their primary parts), pull the component idempotents
-        back onto the cyclic generator, and scale by a multiplier t.  Distinct
-        minimal primes sit on distinct primary parts, so their component
-        idempotents are orthogonal and every cross product e_i e_j * gen is
-        already zero.  Each pair multiplier is then the first ring element,
-        in lexicographic order, outside every minimal-prime colon: 1 on each
-        component carrying a minimal prime, 0 elsewhere.  Witness i is
-        R*(t e_i gen), which is the image (t e_i)*M because M = R*gen.  The
-        result is verified before it is returned.  Returns (witnesses, report).
+        Construction: localize away from the minimal-prime colons, the
+        associated primes, and take the component idempotents e_i and parts
+        e_i*M from ``min_prime_parts``.  Distinct parts are orthogonal, so
+        every cross product e_i e_j * gen is already zero.  Each pair
+        multiplier is the first ring element, in lexicographic order, outside
+        every minimal-prime colon: 1 on each component carrying a minimal
+        prime, 0 elsewhere.  The multiplier t is that element when there is a
+        pair and 1 otherwise, so it is 1 on the component of each e_i and
+        t e_i = e_i: witness i, R*(t e_i gen) = (t e_i)*M as M = R*gen, is
+        the part e_i*M.  The result is verified before it is returned.
+        Returns (witnesses, report).
         """
         if not self.is_cyclic():
             raise DomainError("clique witness construction needs a cyclic module")
-        mins = self.min_primes()
-        if not mins:
+        parts = self.min_prime_parts()
+        if not parts:
             return [], {"size": 0}
         ring = self.ring
-        pairs = {self._prime_pair(p) for p in mins}
-        e_total = ring.part_idempotent(pairs)
-        e_parts = self.component_idempotents(e_total)
-
-        carried = {c for c, _ in pairs}
+        associated = self.associated_primes()
+        carried = {c for c, _ in associated}
         s = tuple(int(c in carried) for c in range(len(ring.moduli)))
-        pair_multipliers = [
-            (i, j, s) for i, j in itertools.combinations(range(len(mins)), 2)
-        ]
-        t = s if pair_multipliers else ring.one
+        pairs_of_parts = list(itertools.combinations(range(len(parts)), 2))
+        t = s if pairs_of_parts else ring.one
 
-        witnesses = [self.times(ring.mul(t, e_i)) for e_i in e_parts]
+        witnesses = [part for _, _, part in parts]
         if len(set(witnesses)) != len(witnesses):
             raise InternalCheckError("clique witnesses are not distinct")
         for w in witnesses:
             if w.is_zero:
                 raise InternalCheckError("clique witness is the zero submodule")
-        for i in range(len(witnesses)):
-            for j in range(i + 1, len(witnesses)):
-                if not self.annihilates(witnesses[i], witnesses[j]):
-                    raise InternalCheckError(
-                        f"witness product {i},{j} is nonzero"
-                    )
+        for i, j in pairs_of_parts:
+            if not self.annihilates(witnesses[i], witnesses[j]):
+                raise InternalCheckError(f"witness product {i},{j} is nonzero")
         report = {
             "size": len(witnesses),
-            "localization_idempotent": list(e_total),
-            "component_idempotents": [list(e) for e in e_parts],
+            "localization_idempotent": list(ring.part_idempotent(associated)),
+            "component_idempotents": [list(e) for _, e, _ in parts],
             "multiplier": list(t),
-            "pair_multipliers": [
-                [i, j, list(s)] for i, j, s in pair_multipliers
-            ],
+            "pair_multipliers": [[i, j, list(s)] for i, j in pairs_of_parts],
         }
         return witnesses, report
 

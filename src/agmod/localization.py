@@ -142,18 +142,20 @@ class DecompositionReport:
 def check_product_decomposition(module: Module, loc: LocalizedModule) -> DecompositionReport:
     """Split M_S into components cut out by per-minimal-prime idempotents.
 
-    loc is M localized at S, the minimal-prime complement.  Verifies: the
-    component idempotents are pairwise orthogonal, they sum to the
-    localization idempotent, and the image is their internal direct sum
-    (pairwise trivial intersections, sizes multiplying up).  Any failed check
-    raises, because this split is a proven fact about these modules: a
-    failure means a bug.
+    loc is M localized at S, the minimal-prime complement.  The component
+    idempotents and the components e_i*M are the rows of
+    ``Module.min_prime_parts``.  Verifies: the component idempotents are
+    pairwise orthogonal, they sum to the localization idempotent, and the
+    image is their internal direct sum (pairwise trivial intersections, sizes
+    multiplying up).  Any failed check raises, because this split is a
+    proven fact about these modules: a failure means a bug.
     """
     if module.cyclic_generator() is None:
         raise DomainError("product decomposition check needs a cyclic module")
     ring = module.ring
     e = loc.idem
-    parts = module.component_idempotents(e)
+    table = module.min_prime_parts()
+    parts = [e_i for _, e_i, _ in table]
 
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
@@ -167,7 +169,7 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
     if total != e:
         raise InternalCheckError("component idempotents do not sum to the localization idempotent")
 
-    components = tuple(module.times(e_i) for e_i in parts)
+    components = tuple(part for _, _, part in table)
     size_prod = 1
     for c in components:
         size_prod *= c.size

@@ -503,6 +503,8 @@ def _thm_2_17(a: InstanceAnalysis):
 
 def _thm_2_18(a: InstanceAnalysis):
     """The constructed witnesses form a clique of size |Min| in the graph.
+    The construction raises unless every pair of witnesses annihilates, so
+    a pair that does not is a FAIL under ``construction``.
 
     Scoped to |Min| >= 2: with a single minimal prime the construction
     degenerates to the improper submodule, which is not a vertex."""
@@ -518,9 +520,6 @@ def _thm_2_18(a: InstanceAnalysis):
     for w in witnesses:
         if w not in vertices:
             return FAIL, {"witness_not_vertex": w.ref()}
-    for v, w in itertools.combinations(witnesses, 2):
-        if not a.module.annihilates(v, w):
-            return FAIL, {"non_adjacent_pair": [vertices.index(v), vertices.index(w)]}
     return PASS, {
         "witness": [{"label": w.label, "size": w.size} for w in witnesses],
         **report,

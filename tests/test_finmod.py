@@ -351,6 +351,29 @@ def test_lattice_facts_need_no_element_scan(monkeypatch):
         assert m.annihilator().divisors == ann
 
 
+def test_min_prime_facts_need_no_prime_scan(monkeypatch):
+    # the minimal primes, the clique witness and the Theorem 2.17 split are
+    # read off the table of associated primes, never off a primality test
+    def facts(m):
+        witnesses, report = m.min_prime_clique_witness()
+        rep = check_product_decomposition(m, localize(m, min_prime_complement(m)))
+        return (
+            [p.id for p in m.min_primes()],
+            [w.id for w in witnesses],
+            report,
+            (rep.idem, rep.component_idempotents, [c.id for c in rep.components]),
+        )
+
+    expected = [facts(zmod(n)) for n in (60, 210, 12)]
+
+    def refused(*args):
+        raise AssertionError("primality scan")
+
+    monkeypatch.setattr(Module, "primes", refused)
+    monkeypatch.setattr(Module, "is_prime_submodule", refused)
+    assert [facts(zmod(n)) for n in (60, 210, 12)] == expected
+
+
 def test_colon_monotone_and_contains_annihilator():
     for m in [zmod(12), product_module([2, 8]), zmod(24, 12)]:
         lat = m.lattice()
@@ -569,6 +592,23 @@ def test_min_primes_and_atoms_match_inclusion_scans(oracle_modules):
     for m in oracle_modules:
         assert m.min_primes() == brute_min_primes(m), m
         assert m.minimal_submodules() == brute_minimal_submodules(m), m
+
+
+def test_min_prime_parts_match_scans(oracle_modules):
+    # one row (P, e, eM) per associated prime: the P are the minimal primes
+    # in lattice order, e is idempotent with e*M = eM, and M is the direct
+    # sum of the eM
+    for m in oracle_modules:
+        table = m.min_prime_parts()
+        assert [p for p, _, _ in table] == brute_min_primes(m), m
+        size = 1
+        for _, e, part in table:
+            assert m.ring.mul(e, e) == e, m
+            assert brute_times(m, e) == part.elements, m
+            size *= part.size
+        assert size == m.size, m
+        for (_, _, a), (_, _, b) in itertools.combinations(table, 2):
+            assert a.elements & b.elements == {m.zero}, m
 
 
 def test_scaled_is_isomorphic_to_the_image(oracle_modules):

@@ -302,6 +302,23 @@ def test_thm_2_18_witness_is_a_real_clique():
     assert run("thm_2_18", zmod(4)).status == NOT_MET  # |Min| = 1
 
 
+def test_thm_2_18_fails_when_the_construction_fails(monkeypatch):
+    # the construction raises unless every pair of witnesses annihilates,
+    # and the predicate reports that as a FAIL under "construction"
+    a = InstanceAnalysis(zmod(30))
+    assert a.ag.n  # built before the lookup is patched
+    annihilates = Module.annihilates
+
+    def refusing(self, n, k):
+        return {n.label, k.label} != {"⟨15⟩", "⟨10⟩"} and annihilates(self, n, k)
+
+    monkeypatch.setattr(Module, "annihilates", refusing)
+    r = run_predicate("thm_2_18", a)
+    assert r.status == FAIL
+    assert list(r.witness) == ["construction"]
+    assert r.witness["construction"].endswith("is nonzero")
+
+
 def test_simple_module_degenerate_scope():
     # a simple module has an empty graph yet one minimal prime submodule, so
     # the clique-versus-minimal-prime statements are scoped off it
