@@ -130,14 +130,11 @@ def _parse_options(ring: Ring, options) -> dict:
     return out
 
 
-def instance_echo(module: Module, options: dict | None = None) -> dict:
-    echo = {
+def instance_echo(module: Module) -> dict:
+    return {
         "ring": list(module.ring.moduli),
         "module": [{"d": d, "c": c} for d, c in module.factors],
     }
-    if options:
-        echo["options"] = options
-    return echo
 
 
 def load_spec(path: str) -> tuple[Module, dict]:

@@ -661,24 +661,21 @@ def run_predicate(theorem_id: str, a: InstanceAnalysis) -> PredicateResult:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Instance families and size caps for the generated corpus."""
+    """Size caps for the generated corpus. The families are fixed (see
+    `generate_corpus`), and the report's `families` echo names all four as on."""
 
     max_ring_card: int = 36
     max_module_card: int = 128
-    cyclic: bool = True
-    products: bool = True
-    fxs_fxd: bool = True
-    prime_power_towers: bool = True
 
     def to_dict(self) -> dict:
         return {
             "max_ring_card": self.max_ring_card,
             "max_module_card": self.max_module_card,
             "families": {
-                "cyclic": self.cyclic,
-                "products": self.products,
-                "fxs_fxd": self.fxs_fxd,
-                "prime_power_towers": self.prime_power_towers,
+                "cyclic": True,
+                "products": True,
+                "fxs_fxd": True,
+                "prime_power_towers": True,
             },
         }
 
@@ -688,8 +685,13 @@ _SMALL_PRIMES = (2, 3, 5, 7)
 
 def generate_corpus(spec: CorpusSpec) -> list[Module]:
     """Deterministic instance enumeration: cyclic Z_m over Z_n, product rings
-    with product modules, explicit FxS / FxD shapes, prime-power towers.
-    Duplicates across families keep their first position."""
+    Z_a x Z_b (a <= b <= 16) with product modules, then the FxS shapes
+    Z_p x Z_{q^2}. Duplicates across families keep their first position.
+
+    The FxD shapes Z_p x Z_q (p < q <= 7) and the prime-power towers Z_{p^a}
+    over Z_{p^h} need no loop of their own: the products family holds every
+    Z_p x Z_q as a = p <= b = q, and the cyclic family every Z_{p^a} over
+    Z_{p^h} with p^h <= max_ring_card, each under the same caps."""
     out: dict[str, Module] = {}
 
     def add(moduli, factors):
@@ -701,36 +703,21 @@ def generate_corpus(spec: CorpusSpec) -> list[Module]:
             return
         out.setdefault(instance_id(module), module)
 
-    if spec.cyclic:
-        for n in range(2, spec.max_ring_card + 1):
-            for m in divisors(n):
-                if m > 1:
-                    add([n], [(m, 0)])
-    if spec.products:
-        for a in range(2, 17):
-            for b in range(a, 17):
-                if a * b > spec.max_ring_card:
-                    continue
-                for d1 in divisors(a):
-                    for d2 in divisors(b):
-                        if (d1, d2) != (1, 1):
-                            add([a, b], [(d1, 0), (d2, 1)])
-    if spec.fxs_fxd:
-        for p in _SMALL_PRIMES:
-            for q in _SMALL_PRIMES:
-                add([p, q * q], [(p, 0), (q * q, 1)])
-        for p in _SMALL_PRIMES:
-            for q in _SMALL_PRIMES:
-                if p < q:
-                    add([p, q], [(p, 0), (q, 1)])
-    if spec.prime_power_towers:
-        for p in (2, 3, 5):
-            b = 1
-            while p ** (b + 1) <= spec.max_ring_card:
-                b += 1
-            for height in range(1, b + 1):
-                for a in range(1, height + 1):
-                    add([p**height], [(p**a, 0)])
+    for n in range(2, spec.max_ring_card + 1):
+        for m in divisors(n):
+            if m > 1:
+                add([n], [(m, 0)])
+    for a in range(2, 17):
+        for b in range(a, 17):
+            if a * b > spec.max_ring_card:
+                continue
+            for d1 in divisors(a):
+                for d2 in divisors(b):
+                    if (d1, d2) != (1, 1):
+                        add([a, b], [(d1, 0), (d2, 1)])
+    for p in _SMALL_PRIMES:
+        for q in _SMALL_PRIMES:
+            add([p, q * q], [(p, 0), (q * q, 1)])
     return list(out.values())
 
 

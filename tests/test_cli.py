@@ -44,8 +44,8 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_instance_round_trip():
-    module, options = parse_instance(Z12)
-    echo = cli.instance_echo(module, options)
+    module, _ = parse_instance(Z12)
+    echo = cli.instance_echo(module)
     module2, _ = parse_instance(echo)
     assert module.key == module2.key
 

@@ -391,26 +391,40 @@ def test_generate_corpus_contents(default_corpus):
     assert "Z12|Z4.0" in ids
     assert "Z2xZ4|Z2.0xZ4.1" in ids  # an FxS shape
     assert "Z2xZ3|Z2.0xZ3.1" in ids  # an FxD shape
+    assert "Z5xZ4|Z5.0xZ4.1" in ids  # FxS shapes with p > q^2: no other
+    assert "Z7xZ4|Z7.0xZ4.1" in ids  # family yields them
     for m in modules:
         assert m.ring.cardinality <= spec.max_ring_card
         assert 2 <= m.size <= spec.max_module_card
+    towers = {instance_id(m) for m in generate_corpus(CorpusSpec(max_ring_card=16))}
+    assert towers >= {"Z16|Z2.0", "Z16|Z16.0", "Z9|Z3.0"}
 
 
-def test_generate_corpus_family_flags():
-    only_cyclic = generate_corpus(
-        CorpusSpec(max_ring_card=12, products=False, fxs_fxd=False,
-                   prime_power_towers=False)
-    )
-    assert all(len(m.ring.moduli) == 1 for m in only_cyclic)
-    towers = generate_corpus(
-        CorpusSpec(max_ring_card=16, cyclic=False, products=False, fxs_fxd=False)
-    )
-    assert {instance_id(m) for m in towers} >= {"Z16|Z2.0", "Z16|Z16.0", "Z9|Z3.0"}
-    empty = generate_corpus(
-        CorpusSpec(cyclic=False, products=False, fxs_fxd=False,
-                   prime_power_towers=False)
-    )
-    assert empty == []
+def test_generate_corpus_holds_the_towers_and_fxd_shapes():
+    # the cyclic and products families hold every prime-power tower and
+    # FxD shape that passes the caps, so neither needs a loop of its own
+    for ring_cap in (4, 9, 16, 27, 36, 64, 125):
+        for module_cap in (2, 8, 128):
+            modules = generate_corpus(
+                CorpusSpec(max_ring_card=ring_cap, max_module_card=module_cap)
+            )
+            ids = [instance_id(m) for m in modules]
+            assert len(ids) == len(set(ids))
+            expected = [
+                Module(Ring([p**h]), [(p**a, 0)])
+                for p in (2, 3, 5)
+                for h in range(1, 8)
+                if p**h <= ring_cap
+                for a in range(1, h + 1)
+            ] + [
+                Module(Ring([p, q]), [(p, 0), (q, 1)])
+                for p in (2, 3, 5, 7)
+                for q in (2, 3, 5, 7)
+                if p < q <= ring_cap // p
+            ]
+            for m in expected:
+                if 2 <= m.size <= module_cap:
+                    assert instance_id(m) in ids, (ring_cap, module_cap)
 
 
 def test_corpus_generation_lists_no_element(monkeypatch, default_corpus):
