@@ -7,12 +7,16 @@ component c becomes Z_gcd(d, k_c), and e*x -> x mod gcd(d, k_c) is the
 isomorphism (``Module.scaled``).  Localized modules and the parts of a split
 are therefore ordinary modules over the same ring.
 
-The submodule lattice comes from structure: M is the direct sum of its
-primary parts, one per ring component c and prime p dividing n_c, so Sub(M)
-is the product of the parts' subgroup lattices (Birkhoff 1935).  A part is a
-finite abelian p-group Z_{p^a_1} + ... + Z_{p^a_r}, and each of its subgroups
-has one lower-triangular Hermite normal form (reduced row echelon form when
-every a_i = 1), so each is listed exactly once; the parts' subgroups are then
+The submodule lattice comes from structure.  Every ideal of the ring is
+principal, so every submodule of a cyclic M is (N:M)M, an image r*M: the
+lattice of a cyclic M is {r*M}, one member g_0*Z_d_0 + ... + g_{k-1}*Z_d_{k-1}
+per divisor tuple g_i | d_i, and its masks and colons are read off that
+tuple.  Any other M is the direct sum of its primary parts, one per ring
+component c and prime p dividing n_c, so Sub(M) is the product of the parts'
+subgroup lattices (Birkhoff 1935).  A part is a finite abelian p-group
+Z_{p^a_1} + ... + Z_{p^a_r}, and each of its subgroups has one
+lower-triangular Hermite normal form (reduced row echelon form when every
+a_i = 1), so each is listed exactly once; the parts' subgroups are then
 added up.
 
 Sets of elements are masks (``_Radix``).  The element x of
@@ -26,8 +30,10 @@ while the lattice or its labels are built.  A submodule's ``elements`` are
 decoded from its mask only when read, for the tests and oracles.
 
 The lattice makes every ``Submodule``, each once, and gives it its colon
-ideal (N : M), read off the Hermite forms: the divisor on component c is the
-product over p of the exponents of the (c, p)-part modulo N's subgroup of it.
+ideal (N : M), read off the divisor tuple or the Hermite forms: the divisor
+on component c is the product over p of the exponents of the (c, p)-part
+modulo N's subgroup of it, which on a cyclic M is the product of the
+member's g_i on c.
 Members with one colon form a colon class, numbered once by the lattice.
 Every submodule the module hands out (an image r*M, a product, rad(0), a
 witness) is that lattice member, so submodules of one module compare with
@@ -70,7 +76,7 @@ import math
 import operator
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from .finring import Ideal, Ring, prime_factors, squarefree_kernel
+from .finring import Ideal, Ring, divisors, prime_factors, squarefree_kernel
 
 ELEMENT_CAP = 512
 LATTICE_CAP = 4096
@@ -161,7 +167,51 @@ class Module:
         return lattice
 
     def _enumerate(self, cap: int | None) -> "Lattice":
-        """Enumerate every submodule as a direct sum over the primary parts.
+        """Enumerate every submodule, each once, with its colon divisor tuple.
+
+        A cyclic M has the lattice {r*M}, one member per divisor tuple
+        (``_divisor_sums``); any other M is summed from the Hermite forms of
+        its primary parts (``_hermite_sums``).  Both refuse a lattice of more
+        than ``cap`` submodules before any mask is made, and a module with
+        more than ``ELEMENT_CAP`` elements is refused before either runs.
+        """
+        if self.size > ELEMENT_CAP:
+            raise ResourceLimitError(
+                f"module has {self.size} elements, above the cap of {ELEMENT_CAP}",
+                ELEMENT_CAP,
+            )
+        cap = LATTICE_CAP if cap is None else cap
+        sums = self._divisor_sums(cap) if self.is_cyclic() else self._hermite_sums(cap)
+        return Lattice(self, sums)
+
+    def _divisor_sums(self, cap: int) -> list[tuple]:
+        """The (mask, colon divisors) pair of every submodule of a cyclic M.
+
+        Every ideal of the ring is principal, so every submodule of a cyclic
+        M is (N:M)M, an image r*M, which is the direct sum of the g_i*Z_d_i
+        with g_i = gcd(r_c, d_i) (``times``).  So the members are the sums
+        g_0*Z_d_0 + ... + g_{k-1}*Z_d_{k-1}, one per tuple of divisors
+        g_i | d_i, and distinct tuples give distinct members.  A member's
+        mask is the carry-free product of the progressions of its factors,
+        and r*M <= N iff g_i | r_c on each factor, so its colon divisor on
+        component c is the lcm of the g_i there: their product, since M
+        cyclic means the factors on one component have coprime orders.
+        """
+        choices = [divisors(d) for d in self._orders]
+        if math.prod(map(len, choices)) > cap:
+            raise ResourceLimitError(f"more than {cap} submodules (lattice cap)", cap)
+        sums = [(1, (1,) * len(self.ring.moduli))]
+        for (d, c), w, gs in zip(self.factors, self._radix().weights, choices):
+            sums = [
+                (mask * _multiples(d, g, w), divs[:c] + (divs[c] * g,) + divs[c + 1:])
+                for mask, divs in sums
+                for g in gs
+            ]
+        return sums
+
+    def _hermite_sums(self, cap: int) -> list[tuple]:
+        """The (mask, colon divisors) pair of every submodule, summed over
+        the primary parts.
 
         M is the direct sum of its primary parts (see ``_primary_parts``), so
         every submodule is the sum of one subgroup of each part, and each such
@@ -174,15 +224,10 @@ class Module:
         the product of the exponents of the (c, p)-part quotients, 1 where n_c
         has no part at p.  A part may have at most ``cap`` divided by the
         counts of the parts before it, which is exactly the condition that the
-        whole lattice has at most ``cap`` submodules.  A module with more than
-        ``ELEMENT_CAP`` elements is refused first, before any mask is made.
+        whole lattice has at most ``cap`` submodules.  The pipeline runs this
+        on non-cyclic modules only; on cyclic ones it is the tests' reference
+        for ``_divisor_sums``.
         """
-        if self.size > ELEMENT_CAP:
-            raise ResourceLimitError(
-                f"module has {self.size} elements, above the cap of {ELEMENT_CAP}",
-                ELEMENT_CAP,
-            )
-        cap = LATTICE_CAP if cap is None else cap
         span = self._radix().span
         sums = [(1, (1,) * len(self.ring.moduli))]
         room = cap
@@ -195,7 +240,7 @@ class Module:
                 for mask, divs in sums
                 for part, gens, e in subgroups
             ]
-        return Lattice(self, sums)
+        return sums
 
     @_once
     def _radix(self) -> "_Radix":

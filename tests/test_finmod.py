@@ -6,9 +6,10 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from agmod import finmod
 from agmod.aggraph import build_AG, build_AG_star
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from agmod.finmod import Module
+from agmod.finmod import LATTICE_CAP, Lattice, Module
 from agmod.finring import Ring, divisors
 from agmod.localization import (
     check_product_decomposition,
@@ -136,6 +137,67 @@ MIXED_EXPONENT_PARTS = [
 @pytest.mark.parametrize("moduli, factors", MIXED_EXPONENT_PARTS)
 def test_lattice_matches_closure_oracle_mixed_exponents(moduli, factors):
     _assert_lattice_matches_closure(Module(Ring(moduli), factors))
+
+
+# Cyclic shapes with several factors: Z_2+Z_3 over Z_6, Z_3+Z_4 and Z_4+Z_3
+# over Z_12, a Z_1 factor, the zero module (no factors, and one Z_1), and
+# Z_a+Z_b over Z_a x Z_b, with equal orders on two components among them.
+CYCLIC_SHAPES = [
+    ([6], [(2, 0), (3, 0)]),
+    ([12], [(3, 0), (4, 0)]),
+    ([12], [(4, 0), (3, 0)]),
+    ([12], [(1, 0), (4, 0)]),
+    ([6], []),
+    ([6], [(1, 0)]),
+    ([4, 6], [(4, 0), (6, 1)]),
+    ([2, 2], [(2, 0), (2, 1)]),
+    ([6, 10], [(2, 0), (5, 1), (3, 0), (2, 1)]),
+]
+
+
+def _lattice_rows(lattice):
+    return [(s.id, s.mask, s.cls, s.colon.divisors) for s in lattice.all]
+
+
+def test_divisor_sums_match_hermite_sums(oracle_modules):
+    # oracle_modules holds every default-corpus module and both parts of
+    # each of its nontrivial decompositions
+    shapes = [Module(Ring(r), f) for r, f in CYCLIC_SHAPES]
+    cyclic = [m for m in oracle_modules + shapes if m.is_cyclic()]
+    assert len(cyclic) > len(shapes)
+    for m in cyclic:
+        hermite = Lattice(m, m._hermite_sums(LATTICE_CAP))
+        assert _lattice_rows(m.lattice()) == _lattice_rows(hermite), m
+
+
+def test_cyclic_lattice_skips_hermite_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Hermite forms")
+
+    monkeypatch.setattr(Module, "_subgroups", refuse)
+    for r, f in CYCLIC_SHAPES + [([30], [(30, 0)]), ([2, 4], [(2, 0), (4, 1)])]:
+        m = Module(Ring(r), f)
+        assert len(m.lattice()) == math.prod(len(divisors(d)) for d, _ in f)
+    for r, f in NON_CYCLIC:
+        with pytest.raises(AssertionError, match="Hermite forms"):
+            Module(Ring(r), f).lattice()
+
+
+def test_cyclic_lattice_cap_builds_no_mask(monkeypatch):
+    calls = []
+    multiples = finmod._multiples
+    monkeypatch.setattr(
+        finmod, "_multiples", lambda *args: calls.append(args) or multiples(*args)
+    )
+    # Z_30 has tau(30) = 8 submodules, Z_2+Z_3 over Z_6 has 2 * 2
+    for m, cap in [(zmod(30), 7), (Module(Ring([6]), [(2, 0), (3, 0)]), 3)]:
+        with pytest.raises(ResourceLimitError) as err:
+            m.lattice(cap=cap)
+        assert str(err.value) == f"more than {cap} submodules (lattice cap)"
+        assert err.value.limit == cap
+    assert calls == []
+    assert len(zmod(30).lattice(cap=8)) == 8
+    assert len(calls) == 8
 
 
 def _p_group(p, lam):
