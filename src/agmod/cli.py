@@ -556,10 +556,8 @@ def main(argv=None) -> int:
         return 3
     except (SpecError, StructuralError, DomainError) as exc:
         print(f"agmod: {exc}", file=sys.stderr)
-        details = getattr(exc, "details", None)
-        if details:
-            for d in details:
-                print(f"agmod:   {d}", file=sys.stderr)
+        for d in exc.details:
+            print(f"agmod:   {d}", file=sys.stderr)
         return 64
     except AgmodError as exc:
         print(f"agmod: internal error (this is a bug): {exc}", file=sys.stderr)

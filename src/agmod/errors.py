@@ -2,15 +2,15 @@
 
 
 class AgmodError(Exception):
-    """Base class for all package errors."""
-
-
-class StructuralError(AgmodError):
-    """Malformed or mismatched algebraic data (bad moduli, wrong component counts)."""
+    """Base class for all package errors; ``details`` lists any offending fields."""
 
     def __init__(self, message, details=None):
         super().__init__(message)
         self.details = list(details or [])
+
+
+class StructuralError(AgmodError):
+    """Malformed or mismatched algebraic data (bad moduli, wrong component counts)."""
 
 
 class DomainError(AgmodError):
@@ -31,7 +31,3 @@ class InternalCheckError(AgmodError):
 
 class SpecError(AgmodError):
     """Invalid instance specification; ``details`` lists every offending field."""
-
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = list(details or [])

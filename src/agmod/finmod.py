@@ -16,8 +16,9 @@ component c and prime p dividing n_c, so Sub(M) is the product of the parts'
 subgroup lattices (Birkhoff 1935).  A part is a finite abelian p-group
 Z_{p^a_1} + ... + Z_{p^a_r}, and each of its subgroups has one
 lower-triangular Hermite normal form (reduced row echelon form when every
-a_i = 1), so each is listed exactly once; the parts' subgroups are then
-added up.
+a_i = 1), so each is listed exactly once; a form is grown row by row, each
+row tested against the mask of the subgroup the rows before it span, and
+the parts' subgroups are then added up.
 
 Sets of elements are masks (``_Radix``).  The element x of
 Z_{d_0} + ... + Z_{d_{k-1}} has the mixed-radix index sum x_i * w_i, with
@@ -33,7 +34,8 @@ The lattice makes every ``Submodule``, each once, and gives it its colon
 ideal (N : M), read off the divisor tuple or the Hermite forms: the divisor
 on component c is the product over p of the exponents of the (c, p)-part
 modulo N's subgroup of it, which on a cyclic M is the product of the
-member's g_i on c.
+member's g_i on c.  That exponent is the least p^j whose image p^j times
+the part has its mask inside the subgroup's.
 Members with one colon form a colon class, numbered once by the lattice.
 Every submodule the module hands out (an image r*M, a product, rad(0), a
 witness) is that lattice member, so submodules of one module compare with
@@ -283,56 +285,60 @@ class Module:
         (x_1..x_{i-1}, h_i, 0..0) with h_i = p^{b_i}, b_i <= a_i and
         0 <= x_j < h_j.  The rows span a lattice containing K iff, for every
         i, p^{a_i} / h_i * (x_1..x_{i-1}) lies in the span of the rows before
-        row i.  The forms are grown one row at a time; every form on the
-        first i coordinates extends to at least one full form (the next row
+        row i.  Those rows span exactly the subgroup in the form's mask, so
+        this is a test of one bit.  The forms are grown one row at a time,
+        each as its heads, generators and mask; every form on the first i
+        coordinates extends to at least one full form (the next row
         p^{a_i} e_i always qualifies), so a level holding more than ``limit``
         forms means the part has more than ``limit`` subgroups and M more
-        than ``cap`` submodules.  This is found before any mask is built.
+        than ``cap`` submodules, and the search stops there.
 
-        The exponent of Z^r / L is the least p^j with p^j e_i in L for every
-        i.  It lies between the largest head and the largest order p^{a_i},
-        and can exceed the head: the rows (2), (1, 2) in Z_4^2 leave Z_4.
+        The exponent of Z^r / L is the least p^j with p^j times the part in
+        L: the least j whose image mask lies in the form's mask.
         """
         orders = [q for _, q, _ in coords]
         radix = self._radix()
         span = radix.span
-        # a row's index in M: entry v on part coordinate (i, q, step) is the
-        # digit v mod q * step of factor i (a diagonal p^{a_i} is 0 there)
+        # the index in M of a part vector: entry v on part coordinate
+        # (i, q, step) is the digit v mod q * step of factor i
         scales = [step * radix.weights[i] for i, _, step in coords]
         forms = [((), (), 1)]
-        for order in orders:
+        for order, scale in zip(orders, scales):
             grown = []
-            for rows, gens, mask in forms:
-                heads = [row[-1] for row in rows]
-                for x in itertools.product(*(range(h) for h in heads)):
+            for heads, gens, mask in forms:
+                for x in itertools.product(*map(range, heads)):
+                    base = sum(map(operator.mul, x, scales))
                     h = 1
                     while order % h == 0:
-                        if _in_span([order // h * v for v in x], rows, heads):
+                        m = order // h
+                        if mask >> sum(m * v % q * s for v, q, s in zip(x, orders, scales)) & 1:
                             if len(grown) >= limit:
                                 raise ResourceLimitError(
                                     f"more than {cap} submodules (lattice cap)", cap
                                 )
-                            row = x + (h,)
                             if h < order:
                                 # the row has order order / h over the rows before it
-                                y = sum(map(operator.mul, map(operator.mod, row, orders), scales))
-                                gen = (y, order // h)
-                                grown.append((rows + (row,), gens + (gen,), span(mask, [gen])))
+                                gen = (base + h * scale, m)
+                                grown.append((heads + (h,), gens + (gen,), span(mask, [gen])))
                             else:  # the row lies in the span of the rows before it
-                                grown.append((rows + (row,), gens, mask))
+                                grown.append((heads + (h,), gens, mask))
                         h *= p
             forms = grown  # each with its mask, grown along its rows one at a time
-        subgroups = []
-        for rows, gens, mask in forms:
-            heads = [row[-1] for row in rows]
-            exponent = max(heads)
-            while exponent < max(orders) and not all(
-                _in_span([exponent * (i == j) for j in range(len(rows))], rows, heads)
-                for i in range(len(rows))
-            ):
-                exponent *= p
-            subgroups.append((mask, gens, exponent))
-        return subgroups
+        powers = [1]
+        while powers[-1] < max(orders):
+            powers.append(powers[-1] * p)
+        # (p^j, the mask of p^j times the part), down to (p^a, (0))
+        images = [
+            (e, math.prod(
+                _multiples(radix.orders[i], step * min(e, q), radix.weights[i])
+                for i, q, step in coords
+            ))
+            for e in powers
+        ]
+        return [
+            (mask, gens, next(e for e, image in images if image & ~mask == 0))
+            for _, gens, mask in forms
+        ]
 
     # -- colon ideals and products ----------------------------------------------
 
@@ -588,20 +594,6 @@ class Module:
             "pair_multipliers": [[i, j, list(s)] for i, j in pairs_of_parts],
         }
         return witnesses, report
-
-
-def _in_span(y, rows, heads) -> bool:
-    """Whether the integer vector y lies in the span of lower-triangular rows
-    with diagonal entries heads, by triangular division from the last row."""
-    y = list(y)
-    for j in range(len(rows) - 1, -1, -1):
-        q, r = divmod(y[j], heads[j])
-        if r:
-            return False
-        if q:
-            for k in range(j):
-                y[k] -= q * rows[j][k]
-    return True
 
 
 def _multiples(d: int, g: int, w: int) -> int:

@@ -123,14 +123,22 @@ def test_lattice_matches_closure_oracle_non_cyclic(moduli, factors):
     _assert_lattice_matches_closure(Module(Ring(moduli), factors))
 
 
-# One-part modules with several factors and mixed exponents:
-# Z_8+Z_4+Z_2 over Z_8, Z_4^3 over Z_4, Z_9+Z_3 over Z_9, F_2^4 and F_3^3.
+# Parts with several coordinates and mixed exponents: Z_8+Z_4+Z_2 over Z_8,
+# Z_4^3 over Z_4, Z_9+Z_3 over Z_9, F_2^4, F_3^3, Z_25+Z_5 over Z_25, F_5^2
+# and F_7^2; then Z_4+Z_3+Z_2 over Z_12 (a 2-part on factors 0 and 2 with a
+# 3-part factor between them) and Z_10+Z_5+Z_2 over Z_10 (two two-coordinate
+# parts sharing the Z_10 digit, at steps 5 and 2).
 MIXED_EXPONENT_PARTS = [
     ([8], [(8, 0), (4, 0), (2, 0)]),
     ([4], [(4, 0)] * 3),
     ([9], [(9, 0), (3, 0)]),
     ([2], [(2, 0)] * 4),
     ([3], [(3, 0)] * 3),
+    ([25], [(25, 0), (5, 0)]),
+    ([5], [(5, 0)] * 2),
+    ([7], [(7, 0)] * 2),
+    ([12], [(4, 0), (3, 0), (2, 0)]),
+    ([10], [(10, 0), (5, 0), (2, 0)]),
 ]
 
 
@@ -368,19 +376,11 @@ def test_colon_examples():
 
 
 def test_colon_matches_brute_force(oracle_modules):
-    # the last five have parts with several coordinates, where the colon
+    # the mixed-exponent parts have several coordinates, where the colon
     # exponent can exceed every Hermite head: rows (2), (1, 2) in Z_4^2
     # leave the quotient Z_4
-    extra = [
-        zmod(12),
-        zmod(18),
-        product_module([2, 4]),
-        zmod(12, 4),
-        Module(Ring([8]), [(8, 0), (4, 0), (2, 0)]),
-        Module(Ring([4]), [(4, 0)] * 3),
-        Module(Ring([9]), [(9, 0), (3, 0)]),
-        Module(Ring([2]), [(2, 0)] * 4),
-        Module(Ring([3]), [(3, 0)] * 3),
+    extra = [zmod(12), zmod(18), product_module([2, 4]), zmod(12, 4)] + [
+        Module(Ring(moduli), factors) for moduli, factors in MIXED_EXPONENT_PARTS
     ]
     for m in list(oracle_modules) + extra:
         for s in m.lattice().all:
