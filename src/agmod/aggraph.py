@@ -9,10 +9,14 @@ differs from the annihilator, with both ends of the defining partner
 condition filtered the same way.
 
 NK = (N:M)(K:M)M depends only on the colon classes of N and K
-(``Submodule.cls``), so a graph keeps each vertex's class and the module's
-zero-product table over the classes (``Module.kills``), which AG and AG*
-share, and no per-vertex adjacency.  A class that kills itself is a clique
-of true twins, any other a stable set of false twins.  The degrees come from
+(``Submodule.cls``), so a graph keeps the number of its vertices in each
+class and the module's zero-product table over the classes
+(``Module.kills``), which AG and AG* share, and no per-vertex adjacency.
+Both come from the module's class table (``Module.class_table``), so a graph
+and its invariants are built without the submodule lattice; the vertices
+themselves, and each one's class, are read from the lattice only when asked
+for.  A class that kills itself is a clique of true twins, any other a
+stable set of false twins.  The degrees come from
 the class sizes, and the other invariants from one quotient graph that keeps
 min(s, 3) of the s members of each stable class and min(s, max(3, h)) of
 each self-killing one, h the number of stable classes.  This is exact:
@@ -67,19 +71,30 @@ from .finmod import Module, Submodule
 
 @dataclass(frozen=True)
 class AnnGraph:
-    """A graph on submodule vertices: the colon class of each vertex and the
-    zero-product table over the classes.  Distinct vertices are adjacent iff
-    their classes kill each other."""
+    """A graph on submodule vertices: the (class, vertex count) pairs of its
+    colon classes, ascending, and the zero-product table over the classes.
+    Distinct vertices are adjacent iff their classes kill each other."""
 
     module: Module
     kind: str  # "AG" or "AG_star"
-    vertices: tuple[Submodule, ...]
-    cls: tuple[int, ...]
+    sizes: tuple[tuple[int, int], ...]
     kills: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return sum(size for _, size in self.sizes)
+
+    @cached_property
+    def vertices(self) -> tuple[Submodule, ...]:
+        """The nonzero members of the vertex classes, in lattice order; the
+        first read enumerates the lattice if nothing has yet."""
+        classes = {a for a, _ in self.sizes}
+        return tuple(s for s in self.module.lattice().all if s.cls in classes and not s.is_zero)
+
+    @cached_property
+    def cls(self) -> tuple[int, ...]:
+        """The colon class of each vertex."""
+        return tuple(s.cls for s in self.vertices)
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
@@ -93,28 +108,34 @@ class AnnGraph:
 
 
 def build_AG(module: Module) -> AnnGraph:
-    """AG(M) from the full submodule lattice."""
-    nonzero = [s for s in module.lattice().all if not s.is_zero]
-    proper = [s for s in nonzero if not s.is_whole]
-    return _annihilating_graph(module, "AG", nonzero, proper)
+    """AG(M) on the nonzero submodules, with the proper ones as partners,
+    counted per colon class (``Module.class_table``): class 0, that of (0),
+    loses (0), and M is alone in the last class."""
+    cands = [count for _, count in module.class_table()]
+    cands[0] -= 1
+    partners = cands.copy()
+    partners[-1] -= 1  # M; when M = (0) that leaves its one class below 0
+    return _annihilating_graph(module, "AG", cands, partners)
 
 
 def build_AG_star(module: Module) -> AnnGraph:
     """AG(M)*: proper submodules with colon different from the annihilator,
-    that is outside the colon class of (0)."""
-    lattice = module.lattice()
-    cands = [s for s in lattice.all if not s.is_whole and s.cls != lattice.zero.cls]
+    that is outside the colon class of (0) and the class of M."""
+    cands = [count for _, count in module.class_table()]
+    cands[0] = cands[-1] = 0
     return _annihilating_graph(module, "AG_star", cands, cands)
 
 
 def _annihilating_graph(module: Module, kind: str, cands, partners) -> AnnGraph:
     """The graph on the candidates whose class kills the class of some
-    partner (partners is a subset of cands); a colon class is all vertices
-    or none."""
+    partner, from the candidate and partner counts per class (partners no
+    more than cands); a colon class is all vertices or none."""
     kills = module.kills()
-    partner_classes = sum({1 << s.cls for s in partners})
-    verts = tuple(s for s in cands if kills[s.cls] & partner_classes)
-    return AnnGraph(module, kind, verts, tuple(s.cls for s in verts), kills)
+    partner_classes = sum(1 << a for a, count in enumerate(partners) if count > 0)
+    sizes = tuple(
+        (a, count) for a, count in enumerate(cands) if count > 0 and kills[a] & partner_classes
+    )
+    return AnnGraph(module, kind, sizes, kills)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -181,9 +202,7 @@ def _quotient(g: AnnGraph) -> tuple[list[int], list[int], int, list[int]]:
     first vertex in each class, the self-killing vertices it leaves out, the
     degree sequence of g, ascending).  A class's kept members are consecutive."""
     kills = g.kills
-    sizes = {}  # class -> member count, in the order of first members
-    for a in g.cls:
-        sizes[a] = sizes.get(a, 0) + 1
+    sizes = dict(g.sizes)
     loops = {a for a in sizes if kills[a] >> a & 1}
     cap = max(3, len(sizes) - len(loops))
     block, first, top, present = {}, [], 0, 0

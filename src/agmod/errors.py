@@ -24,6 +24,11 @@ class ResourceLimitError(AgmodError):
         super().__init__(message)
         self.limit = limit
 
+    def __reduce__(self):
+        """Rebuild from (message, limit), then restore ``details``, so the
+        error crosses a process boundary; ``args`` stays (message,)."""
+        return type(self), (*self.args, self.limit), {"details": self.details}
+
 
 class InternalCheckError(AgmodError):
     """A verified postcondition failed.  This is a bug, never a valid outcome."""

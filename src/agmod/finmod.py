@@ -36,7 +36,10 @@ on component c is the product over p of the exponents of the (c, p)-part
 modulo N's subgroup of it, which on a cyclic M is the product of the
 member's g_i on c.  That exponent is the least p^j whose image p^j times
 the part has its mask inside the subgroup's.
-Members with one colon form a colon class, numbered once by the lattice.
+Members with one colon form a colon class.  A class is one exponent choice
+per primary part, so the classes and their member counts come from the
+parts alone (``class_table``), and that one numbering serves the lattice,
+the zero-product table and both graphs, which need no lattice to be built.
 Every submodule the module hands out (an image r*M, a product, rad(0), a
 witness) is that lattice member, so submodules of one module compare with
 ``is`` or ``==``; across modules, compare their ``elements``.  A member's
@@ -64,7 +67,8 @@ submodules containing m_{c,p}M, so rad(0) is the sum of the p*M_{c,p}, the
 image of the element whose residue on c is the squarefree kernel of ann(M)'s
 divisor there; M is semiprime iff it is 0.  A product vanishes iff
 (N:M)(K:M) lies in ann(M), a divisibility test on the divisor tuples of the
-two colon classes; the module runs it once per pair of classes into one
+two colon classes that holds iff it holds on every primary part; the module
+builds it for all pairs of classes at once, part by part, into one
 zero-product table (``kills``), which ``annihilates`` and both graphs AG(M)
 and AG(M)* read.  The exhaustive scans for these facts live in
 tests/oracles.py.
@@ -72,6 +76,7 @@ tests/oracles.py.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -165,28 +170,74 @@ class Module:
             lattice = self._facts["lattice"] = self._enumerate(cap)
             return lattice
         if cap is not None and len(lattice) > cap:
-            raise ResourceLimitError(f"more than {cap} submodules (lattice cap)", cap)
+            raise _over_cap(cap)
         return lattice
 
     def _enumerate(self, cap: int | None) -> "Lattice":
         """Enumerate every submodule, each once, with its colon divisor tuple.
 
-        A cyclic M has the lattice {r*M}, one member per divisor tuple
-        (``_divisor_sums``); any other M is summed from the Hermite forms of
-        its primary parts (``_hermite_sums``).  Both refuse a lattice of more
-        than ``cap`` submodules before any mask is made, and a module with
-        more than ``ELEMENT_CAP`` elements is refused before either runs.
+        The caps are checked first, by ``class_table``, before any mask is
+        made.  A cyclic M has the lattice {r*M}, one member per divisor
+        tuple (``_divisor_sums``); any other M is summed from the Hermite
+        forms of its primary parts (``_hermite_sums``).
         """
+        cap = LATTICE_CAP if cap is None else cap
+        self.class_table(cap)
+        sums = self._divisor_sums() if self.is_cyclic() else self._hermite_sums(cap)
+        return Lattice(self, sums)
+
+    def class_table(self, cap: int | None = None) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The colon classes as (colon divisor tuple, member count) pairs,
+        counted from the primary parts alone on the first call.
+
+        A submodule is a sum of one subgroup per (c, p)-part, and its colon
+        divisor on c is the product over p of the part quotients' exponents
+        (``_hermite_sums``).  So a class is one exponent choice per part, and
+        its count is the product of the parts' counts of subgroups with those
+        exponents.  Z_{p^a} has one subgroup p^j Z_{p^a} per exponent p^j; a
+        part of more coordinates is counted off its Hermite forms
+        (``_subgroups``).  Each part's exponents run from its largest order
+        down to 1, so class 0 is that of (0), with colon ann(M), and the last
+        is that of M, alone in it.
+
+        The caps are those of enumerating the lattice, checked before any
+        member's mask is made: more than ``ELEMENT_CAP`` elements, then more
+        than ``cap`` submodules, where a part's Hermite search stops too.  A
+        later call holds its cap against the total.
+        """
+        table = self._facts.get("class_table")
+        if table is not None:
+            if cap is not None and sum(count for _, count in table) > cap:
+                raise _over_cap(cap)
+            return table
         if self.size > ELEMENT_CAP:
             raise ResourceLimitError(
                 f"module has {self.size} elements, above the cap of {ELEMENT_CAP}",
                 ELEMENT_CAP,
             )
         cap = LATTICE_CAP if cap is None else cap
-        sums = self._divisor_sums(cap) if self.is_cyclic() else self._hermite_sums(cap)
-        return Lattice(self, sums)
+        table = [((1,) * len(self.ring.moduli), 1)]
+        room = cap  # as in _hermite_sums: the parts' counts multiply to at most cap
+        for part in self._primary_parts():
+            c, p, coords = part
+            if len(coords) == 1:
+                choices = [(e, 1) for e in _exponents(coords[0][1], p)]
+            else:
+                counts = collections.Counter(e for _, _, e in self._subgroups(part, room, cap))
+                choices = sorted(counts.items(), reverse=True)
+            total = sum(k for _, k in choices)
+            if total > room:
+                raise _over_cap(cap)
+            room //= total
+            table = [
+                (divs[:c] + (divs[c] * e,) + divs[c + 1:], count * k)
+                for divs, count in table
+                for e, k in choices
+            ]
+        table = self._facts["class_table"] = tuple(table)
+        return table
 
-    def _divisor_sums(self, cap: int) -> list[tuple]:
+    def _divisor_sums(self) -> list[tuple]:
         """The (mask, colon divisors) pair of every submodule of a cyclic M.
 
         Every ideal of the ring is principal, so every submodule of a cyclic
@@ -200,8 +251,6 @@ class Module:
         cyclic means the factors on one component have coprime orders.
         """
         choices = [divisors(d) for d in self._orders]
-        if math.prod(map(len, choices)) > cap:
-            raise ResourceLimitError(f"more than {cap} submodules (lattice cap)", cap)
         sums = [(1, (1,) * len(self.ring.moduli))]
         for (d, c), w, gs in zip(self.factors, self._radix().weights, choices):
             sums = [
@@ -233,8 +282,9 @@ class Module:
         span = self._radix().span
         sums = [(1, (1,) * len(self.ring.moduli))]
         room = cap
-        for c, p, coords in self._primary_parts():
-            subgroups = self._subgroups(p, coords, room, cap)
+        for part in self._primary_parts():
+            c = part[0]
+            subgroups = self._subgroups(part, room, cap)
             room //= len(subgroups)
             sums = [
                 # 0 + T is T, made by _subgroups already
@@ -273,11 +323,14 @@ class Module:
                     parts.append((c, p, coords))
         return parts
 
-    def _subgroups(self, p, coords, limit: int, cap: int) -> list[tuple]:
-        """Every subgroup of one primary part, each once, by Hermite normal form,
-        as (mask, generators, exponent) triples: the generators are the
-        (index in M, order) pairs of its rows that add to the rows before
-        them, and the exponent is that of the part over the subgroup.
+    def _subgroups(self, part, limit: int, cap: int) -> list[tuple]:
+        """Every subgroup of the primary part (c, p, coordinates), each once,
+        by Hermite normal form, as (mask, generators, exponent) triples: the
+        generators are the (index in M, order) pairs of its rows that add to
+        the rows before them, and the exponent is that of the part over the
+        subgroup.  The forms are kept per part, so ``class_table`` and
+        ``_hermite_sums`` list a part once between them; ``class_table``
+        holds a later call's cap against their number.
 
         In part coordinates the part is Z^r / K with K the sum of the
         p^{a_i} Z, so its subgroups are the lattices L with K <= L <= Z^r.
@@ -296,6 +349,10 @@ class Module:
         The exponent of Z^r / L is the least p^j with p^j times the part in
         L: the least j whose image mask lies in the form's mask.
         """
+        c, p, coords = part
+        kept = self._facts.setdefault("subgroups", {})
+        if (c, p) in kept:
+            return kept[c, p]
         orders = [q for _, q, _ in coords]
         radix = self._radix()
         span = radix.span
@@ -313,9 +370,7 @@ class Module:
                         m = order // h
                         if mask >> sum(m * v % q * s for v, q, s in zip(x, orders, scales)) & 1:
                             if len(grown) >= limit:
-                                raise ResourceLimitError(
-                                    f"more than {cap} submodules (lattice cap)", cap
-                                )
+                                raise _over_cap(cap)
                             if h < order:
                                 # the row has order order / h over the rows before it
                                 gen = (base + h * scale, m)
@@ -324,9 +379,7 @@ class Module:
                                 grown.append((heads + (h,), gens, mask))
                         h *= p
             forms = grown  # each with its mask, grown along its rows one at a time
-        powers = [1]
-        while powers[-1] < max(orders):
-            powers.append(powers[-1] * p)
+        powers = _exponents(max(orders), p)[::-1]
         # (p^j, the mask of p^j times the part), down to (p^a, (0))
         images = [
             (e, math.prod(
@@ -335,10 +388,11 @@ class Module:
             ))
             for e in powers
         ]
-        return [
+        kept[c, p] = [
             (mask, gens, next(e for e, image in images if image & ~mask == 0))
             for _, gens, mask in forms
         ]
+        return kept[c, p]
 
     # -- colon ideals and products ----------------------------------------------
 
@@ -356,21 +410,30 @@ class Module:
 
     @_once
     def kills(self) -> tuple[int, ...]:
-        """The zero-product table over the lattice's colon classes: bit b of
-        entry a is set iff NK = (0) for N of class a and K of class b.
+        """The zero-product table over the colon classes of ``class_table``:
+        bit b of entry a is set iff NK = (0) for N of class a and K of
+        class b.
 
         IM = 0 iff I lies in ann(M), whose divisors are a, and (N:M)(K:M)
         has divisors gcd(d_c * e_c, n_c) with a_c | n_c, so NK = (0) iff
-        a_c | d_c * e_c on every component c.
+        a_c | d_c * e_c on every component c: iff on every (c, p)-part, of
+        largest order p^k, the exponents p^i and p^j that N's and K's classes
+        choose there have i + j >= k.  The table is therefore the tensor
+        product of the parts' own tables, built one part at a time in the
+        numbering of ``class_table``: the part's choices go p^k, ..., p, 1,
+        so choices t and u kill iff t + u <= k.  Row a of the classes so far
+        becomes the rows a*(k+1) + t, with bit b*(k+1) + u set iff bit b of
+        row a is and u <= k - t: row a with its bits spread k + 1 apart,
+        times the mask of those u.  The spread bits lie further apart than
+        the mask is long, so the product carries nowhere.
         """
-        ann = self.annihilator().divisors
-        colons = [ideal.divisors for ideal in self.lattice().colons]
-        table = [0] * len(colons)
-        for a, b in itertools.combinations_with_replacement(range(len(colons)), 2):
-            if all(d * e % n == 0 for n, d, e in zip(ann, colons[a], colons[b])):
-                table[a] |= 1 << b
-                table[b] |= 1 << a
-        return tuple(table)
+        rows = [1]
+        for _, p, coords in self._primary_parts():
+            choices = len(_exponents(max(q for _, q, _ in coords), p))
+            gap = "0" * (choices - 1)
+            spread = [int(gap.join(format(row, "b")), 2) for row in rows]
+            rows = [r * ((1 << choices - t) - 1) for r in spread for t in range(choices)]
+        return tuple(rows)
 
     def annihilates(self, n: "Submodule", k: "Submodule") -> bool:
         """NK = (0), looked up in the zero-product table (``kills``)."""
@@ -399,7 +462,11 @@ class Module:
 
     @_once
     def primes(self) -> list["Submodule"]:
-        return [s for s in self.lattice().all if self.is_prime_submodule(s)]
+        """The prime submodules in lattice order: the proper members with a
+        maximal colon (``is_prime_submodule``), tested once per colon class."""
+        lattice = self.lattice()
+        maximal = [colon.is_maximal() for colon in lattice.colons]
+        return [s for s in lattice.all if maximal[s.cls] and not s.is_whole]
 
     def min_primes(self) -> list["Submodule"]:
         """Inclusion-minimal primes, in lattice order (see ``min_prime_parts``)."""
@@ -594,6 +661,20 @@ class Module:
             "pair_multipliers": [[i, j, list(s)] for i, j in pairs_of_parts],
         }
         return witnesses, report
+
+
+def _exponents(q: int, p: int) -> list[int]:
+    """The powers of p dividing q = p^a, from p^a down to 1."""
+    powers = [q]
+    while q > 1:
+        q //= p
+        powers.append(q)
+    return powers
+
+
+def _over_cap(cap: int) -> ResourceLimitError:
+    """The error of a lattice of more than ``cap`` submodules."""
+    return ResourceLimitError(f"more than {cap} submodules (lattice cap)", cap)
 
 
 def _multiples(d: int, g: int, w: int) -> int:
@@ -801,25 +882,24 @@ class Lattice:
     once, and found by mask.  Among members of one size, the lowest index in
     just one of two masks puts its member first, so the key is the size and
     the mask read with its bits reversed, descending.  Members with one
-    colon ideal form a colon class; the classes are numbered in lattice
-    order, so class 0 is that of (0), whose colon is ann(M), and ``colons``
-    holds one Ideal per class.  The lattice also memoizes the members
-    derived from others: each cyclic member R*x by the index of x, and each
-    join by the pair of member ids."""
+    colon ideal form a colon class, numbered as in ``Module.class_table``,
+    so class 0 is that of (0), whose colon is ann(M), and ``colons`` holds
+    one Ideal per class.  The lattice also memoizes the members derived
+    from others: each cyclic member R*x by the index of x, and each join by
+    the pair of member ids."""
 
     def __init__(self, module: Module, sums):
         self.module = module
         self.radix = module._radix()
         width = f"0{module.size}b"
         sums = sorted(sums, key=lambda t: (t[0].bit_count(), -int(format(t[0], width)[::-1], 2)))
-        classes: dict = {}  # colon divisor tuple -> class number
-        colons, subs = [], []
+        table = module.class_table()
+        classes = {divs: a for a, (divs, _) in enumerate(table)}
+        self.colons = colons = tuple(Ideal(module.ring, divs) for divs, _ in table)
+        subs = []
         for i, (mask, divs) in enumerate(sums):
-            cls = classes.setdefault(divs, len(colons))
-            if cls == len(colons):
-                colons.append(Ideal(module.ring, divs))
+            cls = classes[divs]
             subs.append(Submodule(module, mask, i, cls, colons[cls]))
-        self.colons = tuple(colons)
         self.all = tuple(subs)
         self._by_mask = {s.mask: s for s in subs}
         self._cyclics: dict = {}

@@ -1,9 +1,14 @@
 import io
 import random
+import time
+from collections import Counter
+
+import pytest
 
 from agmod import aggraph
 from agmod.aggraph import build_AG, build_AG_star, invariants, to_dot
-from agmod.finmod import Module
+from agmod.errors import ResourceLimitError
+from agmod.finmod import Lattice, Module
 from agmod.finring import Ring
 
 from helpers import NON_CYCLIC, edges, product_module, zmod
@@ -222,9 +227,12 @@ def test_vertex_ids_increase_in_index_order(oracle_modules):
 def _graph(kills, cls=None):
     """A graph on the classes ``cls`` of its vertices with the class table
     ``kills``; without ``cls`` each vertex is its own class, so ``kills``
-    is the adjacency."""
-    cls = range(len(kills)) if cls is None else cls
-    return aggraph.AnnGraph(None, "AG", tuple(None for _ in cls), tuple(cls), tuple(kills))
+    is the adjacency.  It has no module to read its vertices from, so the
+    vertex classes are set in place of the ones a lattice would give."""
+    cls = tuple(range(len(kills)) if cls is None else cls)
+    g = aggraph.AnnGraph(None, "AG", tuple(sorted(Counter(cls).items())), tuple(kills))
+    g.__dict__["cls"] = cls
+    return g
 
 
 def _traversals(g):
@@ -294,6 +302,64 @@ def test_invariants_match_full_graph_oracle(oracle_modules):
     for m in oracle_modules:
         for g in (build_AG(m), build_AG_star(m)):
             assert invariants(g) == brute_invariants(g), (m, g.kind)
+
+
+def test_graphs_and_invariants_need_no_lattice(oracle_modules, monkeypatch):
+    # AG, AG* and their invariants come from the class table and the
+    # zero-product table: with the lattice and both ways of listing its
+    # members refused, they count the classes of the graphs read off the
+    # lattice, and their invariants are those of the full graphs
+    modules = oracle_modules + [zmod(n) for n in range(2, 513)]
+    fresh = [Module(m.ring, m.factors) for m in modules]
+
+    def refused(*args):
+        raise AssertionError("the lattice was enumerated")
+
+    with monkeypatch.context() as patch:
+        for name in ("_divisor_sums", "_hermite_sums"):
+            patch.setattr(Module, name, refused)
+        patch.setattr(Lattice, "__init__", refused)
+        graphs = [(build_AG(m), build_AG_star(m)) for m in fresh]
+        reports = [(invariants(ag), invariants(star)) for ag, star in graphs]
+    for m, pair, report in zip(modules, graphs, reports):
+        for g, inv, want in zip(pair, report, (build_AG(m), build_AG_star(m))):
+            assert g.sizes == tuple(sorted(Counter(want.cls).items())), (m, g.kind)
+            assert g.n == len(g.vertices) and g.cls == want.cls, (m, g.kind)
+            assert inv == brute_invariants(want), (m, g.kind)
+
+
+def test_graphs_past_the_caps_raise_as_the_lattice_would(monkeypatch):
+    # with no lattice built, both builders refuse what enumerating refuses,
+    # with its message and limit, and fast; F_2^8 has far more than 4096
+    # subspaces
+    shapes = [([1024], [(1024, 0)]), ([2], [(2, 0)] * 8)]
+    expected = []
+    for ring, factors in shapes:
+        with pytest.raises(ResourceLimitError) as err:
+            Module(Ring(ring), factors).lattice()
+        expected.append((str(err.value), err.value.limit))
+    assert expected == [
+        ("module has 1024 elements, above the cap of 512", 512),
+        ("more than 4096 submodules (lattice cap)", 4096),
+    ]
+
+    def refused(*args):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(Lattice, "__init__", refused)
+    for build in (build_AG, build_AG_star):
+        for (ring, factors), want in zip(shapes, expected):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError) as err:
+                build(Module(Ring(ring), factors))
+            assert time.perf_counter() - start < 2
+            assert (str(err.value), err.value.limit) == want
+    # a graph's class table holds a lattice cap given later, as a lattice would
+    m = zmod(12)
+    assert build_AG(m).n == 4
+    with pytest.raises(ResourceLimitError) as err:
+        m.lattice(cap=3)
+    assert (str(err.value), err.value.limit) == ("more than 3 submodules (lattice cap)", 3)
 
 
 def test_self_killing_classes_kill_each_other(oracle_modules):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from agmod import finmod
 from agmod.aggraph import build_AG, build_AG_star
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
 from agmod.finmod import LATTICE_CAP, Lattice, Module
-from agmod.finring import Ring, divisors
+from agmod.finring import Ideal, Ring, divisors
 from agmod.localization import (
     check_product_decomposition,
     image_submodule,
@@ -229,6 +230,7 @@ def _p_group(p, lam):
 )
 def test_lattice_size_matches_subgroup_count(p, lam, count):
     assert subgroup_count(p, lam) == count
+    assert sum(n for _, n in _p_group(p, lam).class_table()) == count
     assert len(_p_group(p, lam).lattice()) == count
 
 
@@ -501,6 +503,21 @@ def test_min_primes():
     assert [p.size for p in simple.min_primes()] == [1]
 
 
+def test_primes_test_maximality_once_per_class(oracle_modules, monkeypatch):
+    # primes() asks each colon class, not each member, whether it is maximal,
+    # and lists the members is_prime_submodule accepts, in lattice order
+    calls = []
+    is_maximal = Ideal.is_maximal
+    monkeypatch.setattr(Ideal, "is_maximal", lambda self: calls.append(self) or is_maximal(self))
+    for m in oracle_modules:
+        m = Module(m.ring, m.factors)
+        lattice = m.lattice()
+        calls.clear()
+        primes = m.primes()
+        assert len(calls) <= len(lattice.colons), m
+        assert primes == [s for s in lattice.all if m.is_prime_submodule(s)], m
+
+
 def test_prime_colon_is_prime_ideal():
     for m in [zmod(12), zmod(30), product_module([2, 4]), zmod(18, 6)]:
         for p in m.primes():
@@ -598,6 +615,25 @@ def test_colon_classes_are_numbered_once(oracle_modules):
             assert classes.setdefault(s.colon.divisors, s.cls) == s.cls, (m, s)
         assert sorted(classes.values()) == list(range(len(lattice.colons))), m
         assert lattice.zero.cls == 0 and lattice.colons[0] == m.annihilator(), m
+
+
+def test_class_table_counts_the_lattice_classes(oracle_modules):
+    # the table is counted off the primary parts of a module with no
+    # lattice; it holds each class's colon under the lattice's class
+    # number, and as many members, and M is alone in the last class
+    for m in oracle_modules:
+        table = Module(m.ring, m.factors).class_table()
+        lattice = m.lattice()
+        assert [divs for divs, _ in table] == [c.divisors for c in lattice.colons], m
+        sizes = Counter(s.cls for s in lattice.all)
+        assert [count for _, count in table] == [sizes[a] for a in range(len(table))], m
+        assert lattice.all[-1].cls == len(table) - 1 and table[-1][1] == 1, m
+        for part in m._primary_parts():
+            _, p, coords = part
+            if len(coords) > 1:
+                lam = [len(divisors(q)) - 1 for _, q, _ in coords]
+                forms = m._subgroups(part, LATTICE_CAP, LATTICE_CAP)
+                assert len(forms) == subgroup_count(p, lam), (m, part)
 
 
 def test_module_facts_match_scan_oracles(oracle_modules):
