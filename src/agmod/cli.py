@@ -47,8 +47,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def parse_instance(obj) -> tuple[Module, dict]:
-    """Validate a spec object into a module plus normalized options."""
+def parse_instance(obj, cap: int | None = None) -> tuple[Module, dict]:
+    """Validate a spec object into a module plus normalized options; the
+    module's lattice cap is ``cap`` (``finmod.LATTICE_CAP`` when None)."""
     if not isinstance(obj, dict):
         raise SpecError("instance spec must be a JSON object")
     unknown = sorted(set(obj) - {"ring", "module", "options"})
@@ -99,7 +100,7 @@ def parse_instance(obj) -> tuple[Module, dict]:
         raise SpecError("'module' needs at least one factor")
 
     options = _parse_options(ring, obj.get("options", {}))
-    return Module(ring, factors), options
+    return Module(ring, factors, cap), options
 
 
 def _parse_options(ring: Ring, options) -> dict:
@@ -137,7 +138,7 @@ def instance_echo(module: Module) -> dict:
     }
 
 
-def load_spec(path: str) -> tuple[Module, dict]:
+def load_spec(path: str, cap: int | None = None) -> tuple[Module, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -149,7 +150,7 @@ def load_spec(path: str) -> tuple[Module, dict]:
         )
     except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, too long an int
         raise SpecError(f"cannot decode spec file {path}: {exc}")
-    return parse_instance(obj)
+    return parse_instance(obj, cap)
 
 
 def parse_gens(ring: Ring, text: str):
@@ -363,11 +364,11 @@ def _localization_dict(
 
 
 def cmd_analyze(args, cap: int | None) -> int:
-    module, options = load_spec(args.spec)
+    module, options = load_spec(args.spec, cap)
     if args.localize_at_min_primes:
         options = dict(options, localize_at_min_primes=True)
     a = theorems.InstanceAnalysis(module)
-    lat = module.lattice(cap)
+    lat = module.lattice()
     gen = module.cyclic_generator()
     report = {
         "schema": 1,
@@ -417,17 +418,16 @@ def cmd_analyze(args, cap: int | None) -> int:
 
 
 def cmd_graph(args, cap: int | None) -> int:
-    module, _ = load_spec(args.spec)
-    module.lattice(cap)
+    module, _ = load_spec(args.spec, cap)
     graph = aggraph.build_AG_star(module) if args.star else aggraph.build_AG(module)
     _output(args.dot, lambda write: aggraph.to_dot(graph, write))
     return 0
 
 
 def cmd_localize(args, cap: int | None) -> int:
-    module, _ = load_spec(args.spec)
+    module, _ = load_spec(args.spec, cap)
     gens = None if args.at_min_primes else parse_gens(module.ring, args.gens)
-    module.lattice(cap)  # the caps hold before S is walked
+    module.class_table()  # the caps hold before S is walked
     if gens is None:
         s = min_prime_complement(module)
     else:

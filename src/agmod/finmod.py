@@ -5,7 +5,9 @@ component; scalars act componentwise through their tags.  An idempotent image
 e*M is again such a module: e keeps a part k_c of each n_c, a factor Z_d on
 component c becomes Z_gcd(d, k_c), and e*x -> x mod gcd(d, k_c) is the
 isomorphism (``Module.scaled``).  Localized modules and the parts of a split
-are therefore ordinary modules over the same ring.
+are therefore ordinary modules over the same ring, and they keep M's lattice
+cap, the most submodules a lattice may have, which a module is given once,
+when it is made.
 
 The submodule lattice comes from structure.  Every ideal of the ring is
 principal, so every submodule of a cyclic M is (N:M)M, an image r*M: the
@@ -107,8 +109,11 @@ def _once(method):
 class Module:
     """A finite module over a Ring: a direct sum of cyclic factors Z_d."""
 
-    def __init__(self, ring: Ring, factors):
+    def __init__(self, ring: Ring, factors, cap: int | None = None):
         self.ring = ring
+        # the most submodules its lattice may have, for M and every module
+        # made from it (``scaled``)
+        self.cap = LATTICE_CAP if cap is None else cap
         self.factors = tuple((int(d), int(c)) for d, c in factors)
         bad = []
         for i, (d, c) in enumerate(self.factors):
@@ -158,37 +163,24 @@ class Module:
             mask *= _multiples(d, math.gcd(r[c], d), w)
         return lattice.member(mask)
 
-    def lattice(self, cap: int | None = None) -> "Lattice":
-        """Every submodule, enumerated on the first call (see ``_enumerate``).
-
-        A ``cap`` holds for every call: a later call whose cap is below the
-        size of the lattice already built raises as enumerating would have.
-        """
-        try:
-            lattice = self._facts["lattice"]
-        except KeyError:
-            lattice = self._facts["lattice"] = self._enumerate(cap)
-            return lattice
-        if cap is not None and len(lattice) > cap:
-            raise _over_cap(cap)
-        return lattice
-
-    def _enumerate(self, cap: int | None) -> "Lattice":
-        """Enumerate every submodule, each once, with its colon divisor tuple.
+    @_once
+    def lattice(self) -> "Lattice":
+        """Every submodule, each once, with its colon divisor tuple,
+        enumerated on the first call.
 
         The caps are checked first, by ``class_table``, before any mask is
         made.  A cyclic M has the lattice {r*M}, one member per divisor
         tuple (``_divisor_sums``); any other M is summed from the Hermite
         forms of its primary parts (``_hermite_sums``).
         """
-        cap = LATTICE_CAP if cap is None else cap
-        self.class_table(cap)
-        sums = self._divisor_sums() if self.is_cyclic() else self._hermite_sums(cap)
+        self.class_table()
+        sums = self._divisor_sums() if self.is_cyclic() else self._hermite_sums()
         return Lattice(self, sums)
 
-    def class_table(self, cap: int | None = None) -> tuple[tuple[tuple[int, ...], int], ...]:
+    @_once
+    def class_table(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The colon classes as (colon divisor tuple, member count) pairs,
-        counted from the primary parts alone on the first call.
+        counted from the primary parts alone.
 
         A submodule is a sum of one subgroup per (c, p)-part, and its colon
         divisor on c is the product over p of the part quotients' exponents
@@ -202,40 +194,35 @@ class Module:
 
         The caps are those of enumerating the lattice, checked before any
         member's mask is made: more than ``ELEMENT_CAP`` elements, then more
-        than ``cap`` submodules, where a part's Hermite search stops too.  A
-        later call holds its cap against the total.
+        than ``cap`` submodules.  A part may have at most ``cap`` divided by
+        the counts of the parts before it, which is exactly the condition
+        that the whole lattice has at most ``cap`` submodules, and a part's
+        Hermite search stops at that limit too.
         """
-        table = self._facts.get("class_table")
-        if table is not None:
-            if cap is not None and sum(count for _, count in table) > cap:
-                raise _over_cap(cap)
-            return table
         if self.size > ELEMENT_CAP:
             raise ResourceLimitError(
                 f"module has {self.size} elements, above the cap of {ELEMENT_CAP}",
                 ELEMENT_CAP,
             )
-        cap = LATTICE_CAP if cap is None else cap
         table = [((1,) * len(self.ring.moduli), 1)]
-        room = cap  # as in _hermite_sums: the parts' counts multiply to at most cap
+        room = self.cap  # the parts' counts multiply to at most the cap
         for part in self._primary_parts():
             c, p, coords = part
             if len(coords) == 1:
                 choices = [(e, 1) for e in _exponents(coords[0][1], p)]
             else:
-                counts = collections.Counter(e for _, _, e in self._subgroups(part, room, cap))
+                counts = collections.Counter(e for _, _, e in self._subgroups(part, room))
                 choices = sorted(counts.items(), reverse=True)
             total = sum(k for _, k in choices)
             if total > room:
-                raise _over_cap(cap)
+                raise _over_cap(self.cap)
             room //= total
             table = [
                 (divs[:c] + (divs[c] * e,) + divs[c + 1:], count * k)
                 for divs, count in table
                 for e, k in choices
             ]
-        table = self._facts["class_table"] = tuple(table)
-        return table
+        return tuple(table)
 
     def _divisor_sums(self) -> list[tuple]:
         """The (mask, colon divisors) pair of every submodule of a cyclic M.
@@ -260,7 +247,7 @@ class Module:
             ]
         return sums
 
-    def _hermite_sums(self, cap: int) -> list[tuple]:
+    def _hermite_sums(self) -> list[tuple]:
         """The (mask, colon divisors) pair of every submodule, summed over
         the primary parts.
 
@@ -273,19 +260,15 @@ class Module:
         Next to each sum goes its colon divisor tuple: r*M <= N iff r carries
         every part into N's subgroup of it, so on component c the divisor is
         the product of the exponents of the (c, p)-part quotients, 1 where n_c
-        has no part at p.  A part may have at most ``cap`` divided by the
-        counts of the parts before it, which is exactly the condition that the
-        whole lattice has at most ``cap`` submodules.  The pipeline runs this
-        on non-cyclic modules only; on cyclic ones it is the tests' reference
-        for ``_divisor_sums``.
+        has no part at p.  ``lattice`` runs this once ``class_table`` has
+        held the parts to the cap, and on non-cyclic modules only; on cyclic
+        ones it is the tests' reference for ``_divisor_sums``.
         """
         span = self._radix().span
         sums = [(1, (1,) * len(self.ring.moduli))]
-        room = cap
         for part in self._primary_parts():
             c = part[0]
-            subgroups = self._subgroups(part, room, cap)
-            room //= len(subgroups)
+            subgroups = self._subgroups(part, self.cap)
             sums = [
                 # 0 + T is T, made by _subgroups already
                 (part if mask == 1 else span(mask, gens), divs[:c] + (divs[c] * e,) + divs[c + 1:])
@@ -323,14 +306,13 @@ class Module:
                     parts.append((c, p, coords))
         return parts
 
-    def _subgroups(self, part, limit: int, cap: int) -> list[tuple]:
+    def _subgroups(self, part, limit: int) -> list[tuple]:
         """Every subgroup of the primary part (c, p, coordinates), each once,
         by Hermite normal form, as (mask, generators, exponent) triples: the
         generators are the (index in M, order) pairs of its rows that add to
         the rows before them, and the exponent is that of the part over the
         subgroup.  The forms are kept per part, so ``class_table`` and
-        ``_hermite_sums`` list a part once between them; ``class_table``
-        holds a later call's cap against their number.
+        ``_hermite_sums`` list a part once between them.
 
         In part coordinates the part is Z^r / K with K the sum of the
         p^{a_i} Z, so its subgroups are the lattices L with K <= L <= Z^r.
@@ -344,7 +326,8 @@ class Module:
         coordinates extends to at least one full form (the next row
         p^{a_i} e_i always qualifies), so a level holding more than ``limit``
         forms means the part has more than ``limit`` subgroups and M more
-        than ``cap`` submodules, and the search stops there.
+        than ``cap`` submodules, and the search stops there with the lattice
+        cap's error.
 
         The exponent of Z^r / L is the least p^j with p^j times the part in
         L: the least j whose image mask lies in the form's mask.
@@ -370,7 +353,7 @@ class Module:
                         m = order // h
                         if mask >> sum(m * v % q * s for v, q, s in zip(x, orders, scales)) & 1:
                             if len(grown) >= limit:
-                                raise _over_cap(cap)
+                                raise _over_cap(self.cap)
                             if h < order:
                                 # the row has order order / h over the rows before it
                                 gen = (base + h * scale, m)
@@ -591,6 +574,7 @@ class Module:
         d' = gcd(d, k_c), and e*x -> x mod d' is an isomorphism onto it.
         When no factor changes, e acts as the identity and M itself is
         returned, so its lattice and every other computed fact carry over.
+        The image keeps M's lattice cap.
         """
         moduli = self.ring.moduli
         factors = tuple(
@@ -599,7 +583,7 @@ class Module:
         )
         if factors == self.factors:
             return self
-        return Module(self.ring, factors)
+        return Module(self.ring, factors, self.cap)
 
     def nontrivial_decompositions(self):
         """(e, eM, (1-e)M) with both parts nonzero, one per unordered pair."""

@@ -762,9 +762,9 @@ class SuiteReport:
 def _evaluate_instance(args) -> list[PredicateResult]:
     """One instance's rows, on a module built and freed here: all skipped past the cap."""
     ring, factors, theorem_ids, cap = args
-    module = Module(ring, factors)
+    module = Module(ring, factors, cap)
     try:
-        module.lattice(cap=cap)
+        module.lattice()
     except ResourceLimitError as exc:
         iid = instance_id(module)
         return [
@@ -789,8 +789,8 @@ def run_suite(
     Only the ring and factors of the modules passed in are read: each
     instance's module is built afresh and freed with its analysis, in a pool
     of min(jobs, instances, CPUs) workers or, when that is one, in this
-    process.  Each lattice is enumerated under ``cap`` (``finmod.LATTICE_CAP``
-    when None), which travels with its instance.
+    process.  Each instance's module is built with ``cap`` as its lattice
+    cap (``finmod.LATTICE_CAP`` when None), which travels with the instance.
     """
     if theorem_ids is None:
         ids = THEOREM_IDS

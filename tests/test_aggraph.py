@@ -354,12 +354,12 @@ def test_graphs_past_the_caps_raise_as_the_lattice_would(monkeypatch):
                 build(Module(Ring(ring), factors))
             assert time.perf_counter() - start < 2
             assert (str(err.value), err.value.limit) == want
-    # a graph's class table holds a lattice cap given later, as a lattice would
-    m = zmod(12)
-    assert build_AG(m).n == 4
-    with pytest.raises(ResourceLimitError) as err:
-        m.lattice(cap=3)
-    assert (str(err.value), err.value.limit) == ("more than 3 submodules (lattice cap)", 3)
+    assert build_AG(zmod(12)).n == 4
+    # a module's own cap holds for its graphs as for its lattice
+    for build in (build_AG, build_AG_star):
+        with pytest.raises(ResourceLimitError) as err:
+            build(Module(Ring([12]), [(12, 0)], cap=3))
+        assert (str(err.value), err.value.limit) == ("more than 3 submodules (lattice cap)", 3)
 
 
 def test_self_killing_classes_kill_each_other(oracle_modules):

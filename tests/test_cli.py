@@ -359,6 +359,59 @@ def test_multiplicative_set_walk_is_capped(capsys, spec_file):
     assert json.loads(out)["localization"]["mult_set"]["size"] == 100000
 
 
+def test_lattice_cap_fires_before_the_multiplicative_set_is_walked(
+    capsys, spec_file, monkeypatch
+):
+    # Z_2 has two submodules; with a cap of 1 the run stops at the lattice,
+    # before the walk of 800000 units would reach its own cap
+    spec = spec_file({"ring": [2000000], "module": [{"d": 2, "c": 0}]})
+    monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "1")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "localize", spec, "--gens", "3,7,11,13,17,19,23")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and "more than 1 submodules (lattice cap)" in err
+    assert "multiplicative set" not in err
+
+
+def test_a_cap_above_the_default_holds_for_the_whole_run(capsys, spec_file, monkeypatch):
+    # Z_2^3 + Z_8^2 over Z_8 has exactly 4162 submodules, more than the
+    # default cap: every lattice and class table the run reads keeps its cap
+    spec = spec_file({
+        "ring": [8],
+        "module": [{"d": 2, "c": 0}] * 3 + [{"d": 8, "c": 0}] * 2,
+    })
+    monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "4162")
+    assert run_cli(capsys, "localize", spec, "--at-min-primes")[0] == 0
+    monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "4161")
+    code, _, err = run_cli(capsys, "localize", spec, "--at-min-primes")
+    assert code == 3 and "more than 4161 submodules (lattice cap)" in err
+
+
+def test_localized_image_keeps_the_runs_cap(capsys, spec_file, monkeypatch):
+    # Z_2^5 + Z_4 + Z_3 over Z_12 has 10552 submodules; S = {1, 9} keeps its
+    # 2-part Z_2^5 + Z_4, with 5276, more than the default cap, which the
+    # image must not fall back to
+    spec = spec_file({
+        "ring": [12],
+        "module": [{"d": 2, "c": 0}] * 5 + [{"d": 4, "c": 0}, {"d": 3, "c": 0}],
+    })
+    monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "11000")
+    code, out, _ = run_cli(capsys, "localize", spec, "--gens", "9")
+    assert code == 0
+    loc = json.loads(out)["localization"]
+    assert (loc["image_size"], loc["kernel_size"]) == (128, 3)
+    # the analyze report lists every submodule and both graphs' edges, some
+    # 3 GB of text, so it is kept here and not written
+    reports = []
+    monkeypatch.setattr(cli, "_dump", lambda report, out: reports.append(report))
+    assert run_cli(capsys, "analyze", spec, "--localize-gens", "9")[0] == 0
+    assert reports[0]["localization"] == loc
+    monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "10551")
+    for argv in (["localize", spec, "--gens", "9"], ["analyze", spec, "--localize-gens", "9"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and "more than 10551 submodules (lattice cap)" in err, argv
+
+
 def _subprocess_env() -> dict:
     """The environment with this checkout's agmod first on PYTHONPATH."""
     env = dict(os.environ)

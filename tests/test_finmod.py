@@ -85,12 +85,12 @@ def test_lattice_caps():
         zmod(1024).lattice()
     assert err.value.limit == 512
     with pytest.raises(ResourceLimitError) as err:
-        zmod(12).lattice(cap=3)
+        Module(Ring([12]), [(12, 0)], cap=3).lattice()
     assert err.value.limit == 3
     # Z_30 has three primary parts of two subgroups each: 8 submodules
-    assert len(zmod(30).lattice(cap=8)) == 8
+    assert len(Module(Ring([30]), [(30, 0)], cap=8).lattice()) == 8
     with pytest.raises(ResourceLimitError) as err:
-        zmod(30).lattice(cap=7)
+        Module(Ring([30]), [(30, 0)], cap=7).lattice()
     assert str(err.value) == "more than 7 submodules (lattice cap)"
     assert err.value.limit == 7
 
@@ -175,7 +175,7 @@ def test_divisor_sums_match_hermite_sums(oracle_modules):
     cyclic = [m for m in oracle_modules + shapes if m.is_cyclic()]
     assert len(cyclic) > len(shapes)
     for m in cyclic:
-        hermite = Lattice(m, m._hermite_sums(LATTICE_CAP))
+        hermite = Lattice(m, m._hermite_sums())
         assert _lattice_rows(m.lattice()) == _lattice_rows(hermite), m
 
 
@@ -199,19 +199,19 @@ def test_cyclic_lattice_cap_builds_no_mask(monkeypatch):
         finmod, "_multiples", lambda *args: calls.append(args) or multiples(*args)
     )
     # Z_30 has tau(30) = 8 submodules, Z_2+Z_3 over Z_6 has 2 * 2
-    for m, cap in [(zmod(30), 7), (Module(Ring([6]), [(2, 0), (3, 0)]), 3)]:
+    for ring, factors, cap in [([30], [(30, 0)], 7), ([6], [(2, 0), (3, 0)], 3)]:
         with pytest.raises(ResourceLimitError) as err:
-            m.lattice(cap=cap)
+            Module(Ring(ring), factors, cap=cap).lattice()
         assert str(err.value) == f"more than {cap} submodules (lattice cap)"
         assert err.value.limit == cap
     assert calls == []
-    assert len(zmod(30).lattice(cap=8)) == 8
+    assert len(Module(Ring([30]), [(30, 0)], cap=8).lattice()) == 8
     assert len(calls) == 8
 
 
-def _p_group(p, lam):
+def _p_group(p, lam, cap=None):
     """The abelian p-group of type lam, as a module over Z_{p^max(lam)}."""
-    return Module(Ring([p ** max(lam)]), [(p**a, 0) for a in lam])
+    return Module(Ring([p ** max(lam)]), [(p**a, 0) for a in lam], cap)
 
 
 @pytest.mark.parametrize(
@@ -245,9 +245,9 @@ def test_lattice_size_is_product_of_part_counts():
 
 def test_lattice_cap_on_one_part_module():
     # F_2^4 has 67 subspaces
-    assert len(_p_group(2, (1,) * 4).lattice(cap=67)) == 67
+    assert len(_p_group(2, (1,) * 4, cap=67).lattice()) == 67
     with pytest.raises(ResourceLimitError) as err:
-        _p_group(2, (1,) * 4).lattice(cap=66)
+        _p_group(2, (1,) * 4, cap=66).lattice()
     assert str(err.value) == "more than 66 submodules (lattice cap)"
     assert err.value.limit == 66
 
@@ -632,7 +632,7 @@ def test_class_table_counts_the_lattice_classes(oracle_modules):
             _, p, coords = part
             if len(coords) > 1:
                 lam = [len(divisors(q)) - 1 for _, q, _ in coords]
-                forms = m._subgroups(part, LATTICE_CAP, LATTICE_CAP)
+                forms = m._subgroups(part, LATTICE_CAP)
                 assert len(forms) == subgroup_count(p, lam), (m, part)
 
 

@@ -259,6 +259,18 @@ def test_localized_image_is_first_class():
     assert inner.image.size == img.size
 
 
+def test_images_and_parts_keep_the_lattice_cap():
+    # Z_2^5 + Z_4 + Z_3 over Z_12 has 10552 submodules; e = 9 keeps its
+    # 2-part, whose 5276 are more than the default cap
+    m = Module(Ring([12]), [(2, 0)] * 5 + [(4, 0), (3, 0)], cap=11000)
+    image = m.scaled((9,))
+    assert (image.cap, image.size) == (11000, 128)
+    assert aggraph.build_AG(image).n > 0
+    assert sum(count for _, count in image.class_table()) == 5276
+    parts = [part for _, left, right in m.nontrivial_decompositions() for part in (left, right)]
+    assert parts and all(part.cap == 11000 for part in parts)
+
+
 def test_localization_never_lists_the_ring(tmp_path, monkeypatch):
     # the CLI localizations and every corpus predicate work from the primes
     # S avoids
