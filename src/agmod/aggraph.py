@@ -402,11 +402,14 @@ def later_neighbors(g: AnnGraph, order: Sequence[int]) -> Iterator[list[int]]:
 def to_dot(g: AnnGraph, write) -> None:
     """Write deterministic DOT text: the vertices in canonical
     submodule-encoding order, then each vertex's edges to later vertices,
-    one ascending row per vertex."""
-    order = sorted(range(g.n), key=lambda i: g.vertices[i].encoding)
+    one ascending row per vertex.  A vertex's key is its mask's bits from
+    bit 0 up, 0 written as 2: that orders masks as their ascending index
+    tuples, as a string and a tuple both end at the highest set bit."""
+    verts = g.vertices
+    order = sorted(range(g.n), key=lambda i: format(verts[i].mask, "b")[::-1].replace("0", "2"))
     write(f"graph {g.kind} {{\n")
     for k, v in enumerate(order):
-        write(f'  v{k} [label="{g.vertices[v].label}"];\n')
+        write(f'  v{k} [label="{verts[v].label}"];\n')
     tails = [f"v{b};\n" for b in range(g.n)]
     for k, row in enumerate(later_neighbors(g, order)):
         if row:

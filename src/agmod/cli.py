@@ -342,7 +342,7 @@ def _localization_dict(
         },
         "idempotent": list(loc.idem),
         "image_size": loc.image.size,
-        "kernel_size": loc.kernel.size,
+        "kernel_size": module.size // loc.image.size,  # M = eM (+) (1-e)M
         "zero_divisor_free": zero_divisor_free(module, s),
         "invariants_before": inv_before.to_dict(),
         "invariants_after": inv_after.to_dict(),

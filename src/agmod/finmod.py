@@ -16,11 +16,12 @@ per divisor tuple g_i | d_i, and its masks and colons are read off that
 tuple.  Any other M is the direct sum of its primary parts, one per ring
 component c and prime p dividing n_c, so Sub(M) is the product of the parts'
 subgroup lattices (Birkhoff 1935).  A part is a finite abelian p-group
-Z_{p^a_1} + ... + Z_{p^a_r}, and each of its subgroups has one
-lower-triangular Hermite normal form (reduced row echelon form when every
-a_i = 1), so each is listed exactly once; a form is grown row by row, each
-row tested against the mask of the subgroup the rows before it span, and
-the parts' subgroups are then added up.
+Z_{p^a_1} + ... + Z_{p^a_r}, whose subgroups are counted in closed form
+(``subgroup_count``), and each of them has one lower-triangular Hermite
+normal form (reduced row echelon form when every a_i = 1), so each is listed
+exactly once; a form is grown row by row, each row tested against the mask
+of the subgroup the rows before it span, and the parts' subgroups are then
+added up.
 
 Sets of elements are masks (``_Radix``).  The element x of
 Z_{d_0} + ... + Z_{d_{k-1}} has the mixed-radix index sum x_i * w_i, with
@@ -78,7 +79,6 @@ tests/oracles.py.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -186,18 +186,16 @@ class Module:
         divisor on c is the product over p of the part quotients' exponents
         (``_hermite_sums``).  So a class is one exponent choice per part, and
         its count is the product of the parts' counts of subgroups with those
-        exponents.  Z_{p^a} has one subgroup p^j Z_{p^a} per exponent p^j; a
-        part of more coordinates is counted off its Hermite forms
-        (``_subgroups``).  Each part's exponents run from its largest order
-        down to 1, so class 0 is that of (0), with colon ann(M), and the last
-        is that of M, alone in it.
+        exponents.  Z_{p^a} has one subgroup p^j Z_{p^a} per exponent p^j; in
+        a part P of type lam, those of exponent at most p^j contain p^j P, so
+        ``subgroup_count`` of min(lam, j) less that of min(lam, j - 1) have
+        exponent p^j.  Each part's exponents run from its largest order down
+        to 1, so class 0 is that of (0), with colon ann(M), and the last is
+        that of M, alone in it.
 
         The caps are those of enumerating the lattice, checked before any
         member's mask is made: more than ``ELEMENT_CAP`` elements, then more
-        than ``cap`` submodules.  A part may have at most ``cap`` divided by
-        the counts of the parts before it, which is exactly the condition
-        that the whole lattice has at most ``cap`` submodules, and a part's
-        Hermite search stops at that limit too.
+        than ``cap`` submodules, the exact sum of the counts.
         """
         if self.size > ELEMENT_CAP:
             raise ResourceLimitError(
@@ -205,23 +203,22 @@ class Module:
                 ELEMENT_CAP,
             )
         table = [((1,) * len(self.ring.moduli), 1)]
-        room = self.cap  # the parts' counts multiply to at most the cap
-        for part in self._primary_parts():
-            c, p, coords = part
+        for c, p, coords in self._primary_parts():
             if len(coords) == 1:
                 choices = [(e, 1) for e in _exponents(coords[0][1], p)]
             else:
-                counts = collections.Counter(e for _, _, e in self._subgroups(part, room))
-                choices = sorted(counts.items(), reverse=True)
-            total = sum(k for _, k in choices)
-            if total > room:
-                raise _over_cap(self.cap)
-            room //= total
+                lam = [len(_exponents(q, p)) - 1 for _, q, _ in coords]
+                top = max(lam)
+                at_most = [0] + [subgroup_count(p, [min(a, j) for a in lam])
+                                 for j in range(top + 1)]
+                choices = [(p**j, at_most[j + 1] - at_most[j]) for j in range(top, -1, -1)]
             table = [
                 (divs[:c] + (divs[c] * e,) + divs[c + 1:], count * k)
                 for divs, count in table
                 for e, k in choices
             ]
+        if sum(count for _, count in table) > self.cap:
+            raise ResourceLimitError(f"more than {self.cap} submodules (lattice cap)", self.cap)
         return tuple(table)
 
     def _divisor_sums(self) -> list[tuple]:
@@ -261,14 +258,14 @@ class Module:
         every part into N's subgroup of it, so on component c the divisor is
         the product of the exponents of the (c, p)-part quotients, 1 where n_c
         has no part at p.  ``lattice`` runs this once ``class_table`` has
-        held the parts to the cap, and on non-cyclic modules only; on cyclic
+        held the count to the cap, and on non-cyclic modules only; on cyclic
         ones it is the tests' reference for ``_divisor_sums``.
         """
         span = self._radix().span
         sums = [(1, (1,) * len(self.ring.moduli))]
         for part in self._primary_parts():
             c = part[0]
-            subgroups = self._subgroups(part, self.cap)
+            subgroups = self._subgroups(part)
             sums = [
                 # 0 + T is T, made by _subgroups already
                 (part if mask == 1 else span(mask, gens), divs[:c] + (divs[c] * e,) + divs[c + 1:])
@@ -306,13 +303,12 @@ class Module:
                     parts.append((c, p, coords))
         return parts
 
-    def _subgroups(self, part, limit: int) -> list[tuple]:
+    def _subgroups(self, part) -> list[tuple]:
         """Every subgroup of the primary part (c, p, coordinates), each once,
         by Hermite normal form, as (mask, generators, exponent) triples: the
         generators are the (index in M, order) pairs of its rows that add to
         the rows before them, and the exponent is that of the part over the
-        subgroup.  The forms are kept per part, so ``class_table`` and
-        ``_hermite_sums`` list a part once between them.
+        subgroup.
 
         In part coordinates the part is Z^r / K with K the sum of the
         p^{a_i} Z, so its subgroups are the lattices L with K <= L <= Z^r.
@@ -322,20 +318,12 @@ class Module:
         i, p^{a_i} / h_i * (x_1..x_{i-1}) lies in the span of the rows before
         row i.  Those rows span exactly the subgroup in the form's mask, so
         this is a test of one bit.  The forms are grown one row at a time,
-        each as its heads, generators and mask; every form on the first i
-        coordinates extends to at least one full form (the next row
-        p^{a_i} e_i always qualifies), so a level holding more than ``limit``
-        forms means the part has more than ``limit`` subgroups and M more
-        than ``cap`` submodules, and the search stops there with the lattice
-        cap's error.
+        each as its heads, generators and mask.
 
         The exponent of Z^r / L is the least p^j with p^j times the part in
         L: the least j whose image mask lies in the form's mask.
         """
-        c, p, coords = part
-        kept = self._facts.setdefault("subgroups", {})
-        if (c, p) in kept:
-            return kept[c, p]
+        _, p, coords = part
         orders = [q for _, q, _ in coords]
         radix = self._radix()
         span = radix.span
@@ -352,8 +340,6 @@ class Module:
                     while order % h == 0:
                         m = order // h
                         if mask >> sum(m * v % q * s for v, q, s in zip(x, orders, scales)) & 1:
-                            if len(grown) >= limit:
-                                raise _over_cap(self.cap)
                             if h < order:
                                 # the row has order order / h over the rows before it
                                 gen = (base + h * scale, m)
@@ -371,11 +357,10 @@ class Module:
             ))
             for e in powers
         ]
-        kept[c, p] = [
+        return [
             (mask, gens, next(e for e, image in images if image & ~mask == 0))
             for _, gens, mask in forms
         ]
-        return kept[c, p]
 
     # -- colon ideals and products ----------------------------------------------
 
@@ -656,9 +641,33 @@ def _exponents(q: int, p: int) -> list[int]:
     return powers
 
 
-def _over_cap(cap: int) -> ResourceLimitError:
-    """The error of a lattice of more than ``cap`` submodules."""
-    return ResourceLimitError(f"more than {cap} submodules (lattice cap)", cap)
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    """The number of k-dimensional subspaces of F_q^n, for 0 <= k <= n."""
+    top = math.prod(q ** (n - i) - 1 for i in range(k))
+    return top // math.prod(q ** (i + 1) - 1 for i in range(k))
+
+
+def subgroup_count(p: int, lam) -> int:
+    """The number of subgroups of the abelian p-group of type lam, the sum
+    of the Z_{p^a} over the exponents a in lam, in closed form.
+
+    It is the Birkhoff-Delsarte sum over the types mu within lam of the
+    product over i >= 1 of p^(mu'_{i+1} (lam'_i - mu'_i)) times
+    [lam'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p, with lam', mu' the conjugate
+    partitions (Butler, Subgroup Lattices and Symmetric Functions, 1994,
+    ch. 1).  Factor i reads only mu'_i and mu'_{i+1}, so the conjugates
+    lam'_i >= mu'_i >= mu'_{i+1} are chosen from i = a down, keeping per
+    value of the last one the sum of the products so far.
+    """
+    sums = {0: 1}  # mu'_{a+1} = 0
+    for i in range(max(lam, default=0), 0, -1):
+        top = sum(a >= i for a in lam)  # lam'_i
+        grown = dict.fromkeys(range(top + 1), 0)
+        for u, total in sums.items():
+            for v in range(u, top + 1):
+                grown[v] += total * p ** (u * (top - v)) * _gaussian_binomial(top - u, v - u, p)
+        sums = grown
+    return sum(sums.values())
 
 
 def _multiples(d: int, g: int, w: int) -> int:

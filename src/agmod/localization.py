@@ -21,6 +21,7 @@ a value, not an error, because several structural statements pivot on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .finmod import Module, Submodule
@@ -93,23 +94,28 @@ def zero_divisor_free(module: Module, s: MultSet) -> bool:
 
 @dataclass(frozen=True)
 class LocalizedModule:
-    """The image e*M together with the data that produced it."""
+    """The image e*M of a module M together with the data that produced it."""
 
+    module: Module
     mult_set: MultSet
     idem: tuple
     image: Module
-    kernel: Submodule
+
+    @cached_property
+    def kernel(self) -> Submodule:
+        """The kernel (1-e)*M, e*m = 0 iff m = (1-e)*m, made on first read,
+        when it enumerates M's lattice; |M| / |e*M| is its size."""
+        ring = self.module.ring
+        kernel = self.module.times(ring.sub(ring.one, self.idem))
+        if self.image.size * kernel.size != self.module.size:
+            raise InternalCheckError("localization image and kernel sizes do not multiply out")
+        return kernel
 
 
 def localize(module: Module, s: MultSet) -> LocalizedModule:
-    """e*M for the localization idempotent of S, with its kernel (1-e)*M:
-    e*m = 0 iff m = (1-e)*m."""
+    """e*M for the localization idempotent of S, with its kernel (1-e)*M."""
     e = s.ring.part_idempotent(s.avoided)
-    image = module.scaled(e)
-    kernel = module.times(module.ring.sub(module.ring.one, e))
-    if image.size * kernel.size != module.size:
-        raise InternalCheckError("localization image and kernel sizes do not multiply out")
-    return LocalizedModule(s, e, image, kernel)
+    return LocalizedModule(module, s, e, module.scaled(e))
 
 
 def min_prime_complement(module: Module) -> MultSet:

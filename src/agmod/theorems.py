@@ -17,7 +17,9 @@ invariants against the minimal-prime count are restricted to non-simple
 modules, because a simple module has an empty graph (clique and chromatic
 number 0) while still owning one minimal prime submodule; the clique-witness
 construction likewise only produces an actual graph clique when there are at
-least two minimal primes.
+least two minimal primes.  The predicates count the minimal primes as the
+associated primes, one per nonzero primary part (``Module.min_prime_parts``),
+and test rad(0) = 0 as ``Module.is_semiprime``, so neither needs a lattice.
 
 Theorem 2.13 and Corollaries 2.14-2.16 localize at an S that misses Z(M).
 On a finite module such an S acts bijectively, so S^-1 M is M itself and
@@ -413,7 +415,7 @@ def _thm_2_11(a: InstanceAnalysis):
     """Cyclic, nil annihilator, at least three minimal primes: the graph has
     a cycle."""
     m = a.module
-    if not m.is_cyclic() or not m.annihilator().is_nil() or len(m.min_primes()) < 3:
+    if not m.is_cyclic() or not m.annihilator().is_nil() or len(m.associated_primes()) < 3:
         return NOT_MET, {"reason": "needs cyclic, nil annihilator, |Min| >= 3"}
     if a.inv.girth is not None:
         return PASS, {"girth": a.inv.girth}
@@ -426,9 +428,9 @@ def _thm_2_12(a: InstanceAnalysis):
     m = a.module
     if (
         not m.is_cyclic()
-        or m.prime_radical().is_zero
+        or m.is_semiprime()
         or not m.annihilator().is_nil()
-        or len(m.min_primes()) != 2
+        or len(m.associated_primes()) != 2
     ):
         return NOT_MET, {
             "reason": "needs cyclic, rad(0) != 0, nil annihilator, |Min| = 2"
@@ -510,7 +512,7 @@ def _thm_2_18(a: InstanceAnalysis):
     degenerates to the improper submodule, which is not a vertex."""
     if not a.module.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
-    if len(a.module.min_primes()) < 2:
+    if len(a.module.associated_primes()) < 2:
         return NOT_MET, {"reason": "needs |Min| >= 2"}
     try:
         witnesses, report = a.module.min_prime_clique_witness()
@@ -536,7 +538,7 @@ def _cor_2_19(a: InstanceAnalysis):
         return NOT_MET, {"reason": "not cyclic"}
     if "simple" in a.module.classify():
         return NOT_MET, {"reason": "simple module (empty graph)"}
-    n = len(a.module.min_primes())
+    n = len(a.module.associated_primes())
     if a.inv.clique_number < n:
         return FAIL, {"clique_number": a.inv.clique_number, "min_primes": n}
     if n >= 3 and a.inv.girth != 3:
@@ -552,11 +554,11 @@ def _thm_2_20(a: InstanceAnalysis):
     """Cyclic with zero prime radical: chromatic = clique = |Min|.
 
     Scoped to non-simple modules, as for the clique bound."""
-    if not a.module.is_cyclic() or not a.module.prime_radical().is_zero:
+    if not a.module.is_cyclic() or not a.module.is_semiprime():
         return NOT_MET, {"reason": "needs cyclic with rad(0) = 0"}
     if "simple" in a.module.classify():
         return NOT_MET, {"reason": "simple module (empty graph)"}
-    n = len(a.module.min_primes())
+    n = len(a.module.associated_primes())
     if a.inv.chromatic_number == a.inv.clique_number == n:
         return PASS, {"value": n}
     return FAIL, {
@@ -577,7 +579,7 @@ def _thm_2_21(a: InstanceAnalysis):
 def _one_min_prime_star(a: InstanceAnalysis, flag: str, reason: str):
     """Nil annihilator, one minimal prime and the graph flag ``flag``: a star.
     Empty graphs are out of scope (a star needs a centre)."""
-    if not a.module.annihilator().is_nil() or len(a.module.min_primes()) != 1:
+    if not a.module.annihilator().is_nil() or len(a.module.associated_primes()) != 1:
         return NOT_MET, {"reason": "needs nil annihilator and |Min| = 1"}
     if a.ag.n == 0:
         return NOT_MET, {"reason": "empty graph"}

@@ -414,47 +414,6 @@ def brute_subgroup_closure(module, gens):
     return frozenset(closure)
 
 
-def _conjugate(parts, length):
-    """The conjugate partition, padded with zeros to ``length`` parts."""
-    return [sum(1 for a in parts if a > i) for i in range(length)]
-
-
-def _gaussian_binomial(n, k, q):
-    """The number of k-dimensional subspaces of F_q^n."""
-    if not 0 <= k <= n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
-def subgroup_count(p, lam):
-    """The number of subgroups of the abelian p-group of type lam.
-
-    A closed formula, not an enumeration: the Birkhoff-Delsarte sum over the
-    types mu contained in lam of alpha_lam(mu; p), the product over i >= 1 of
-    p^(mu'_{i+1} (lam'_i - mu'_i)) * [lam'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p
-    with lam', mu' the conjugate partitions (Butler, Subgroup Lattices and
-    Symmetric Functions, 1994, ch. 1).
-    """
-    lam = sorted(lam, reverse=True)
-    width = (lam[0] if lam else 0) + 1
-    lc = _conjugate(lam, width)
-    total = 0
-    for mu in itertools.product(*(range(a + 1) for a in lam)):
-        if any(a < b for a, b in zip(mu, mu[1:])):
-            continue
-        mc = _conjugate(mu, width)
-        term = 1
-        for i in range(width - 1):
-            term *= p ** (mc[i + 1] * (lc[i] - mc[i]))
-            term *= _gaussian_binomial(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
-        total += term
-    return total
-
-
 def idempotent_power(ring, r):
     """The unique idempotent in {r, r^2, r^3, ...}, by walking the powers.
 

@@ -163,6 +163,21 @@ def test_localize_command(capsys, spec_file):
     assert loc["comparison"]["clique_before"] == loc["comparison"]["clique_after"]
 
 
+def test_localize_enumerates_no_lattice_of_the_source(capsys, spec_file, monkeypatch):
+    # the kernel (1-e)M is reported by its size |M| / |eM|, so localizing
+    # Z_4+Z_2+Z_6+Z_3 over Z_4 x Z_6 lists none of its 96 submodules
+    calls = []
+    lattice = Module.lattice
+    monkeypatch.setattr(Module, "lattice", lambda self: calls.append(self.factors) or lattice(self))
+    factors = [(4, 0), (2, 0), (6, 1), (3, 1)]
+    spec = spec_file({"ring": [4, 6], "module": [{"d": d, "c": c} for d, c in factors]})
+    code, out, _ = run_cli(capsys, "localize", spec, "--gens", "1:3")
+    assert code == 0
+    loc = json.loads(out)["localization"]
+    assert (loc["image_size"], loc["kernel_size"]) == (16, 9)
+    assert tuple(factors) not in calls
+
+
 def test_localize_with_zero(capsys, spec_file):
     path = spec_file(Z12)
     code, out, _ = run_cli(capsys, "localize", path, "--gens", "0")

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agmod import finmod
-from agmod.aggraph import build_AG, build_AG_star
+from agmod.aggraph import build_AG, build_AG_star, invariants
 from agmod.errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from agmod.finmod import LATTICE_CAP, Lattice, Module
+from agmod.finmod import LATTICE_CAP, Lattice, Module, subgroup_count
 from agmod.finring import Ideal, Ring, divisors
 from agmod.localization import (
     check_product_decomposition,
@@ -48,7 +48,6 @@ from oracles import (
     omega,
     smul,
     span,
-    subgroup_count,
     submodule_closure,
     verify_action,
 )
@@ -632,8 +631,53 @@ def test_class_table_counts_the_lattice_classes(oracle_modules):
             _, p, coords = part
             if len(coords) > 1:
                 lam = [len(divisors(q)) - 1 for _, q, _ in coords]
-                forms = m._subgroups(part, LATTICE_CAP)
+                forms = m._subgroups(part)
                 assert len(forms) == subgroup_count(p, lam), (m, part)
+
+
+def test_class_table_runs_no_hermite_search(monkeypatch):
+    # the parts are counted in closed form, so the table, both graphs and
+    # their invariants, and the cap refusals list no Hermite form; the
+    # tables are the lattices' class counts
+    def refuse(*args):
+        raise AssertionError("Hermite forms")
+
+    shapes = NON_CYCLIC + MIXED_EXPONENT_PARTS
+    with monkeypatch.context() as patch:
+        patch.setattr(Module, "_subgroups", refuse)
+        tables = []
+        for moduli, factors in shapes:
+            m = Module(Ring(moduli), factors)
+            tables.append(m.class_table())
+            for g in (build_AG(m), build_AG_star(m)):
+                invariants(g)
+        # F_2^8 has 417199 subspaces and F_2^4 has 67
+        for m, cap in [(_p_group(2, (1,) * 8), LATTICE_CAP), (_p_group(2, (1,) * 4, 66), 66)]:
+            with pytest.raises(ResourceLimitError) as err:
+                m.class_table()
+            assert str(err.value) == f"more than {cap} submodules (lattice cap)"
+            assert err.value.limit == cap
+    for (moduli, factors), table in zip(shapes, tables):
+        sizes = Counter(s.cls for s in Module(Ring(moduli), factors).lattice().all)
+        assert [count for _, count in table] == [sizes[a] for a in range(len(table))], factors
+
+
+def test_subgroup_count_matches_the_hermite_forms():
+    # every type of order at most 256 over p = 2, 3, 5, 7 whose count the
+    # lattice cap admits: the closed form counts the forms the search lists.
+    # Of the 66 + 18 + 6 + 3 types, six of order 2^6 to 2^8 have more than
+    # 4096 subgroups.  The sweep takes about 0.5 s.
+    checked = 0
+    for p, most in [(2, 8), (3, 5), (5, 3), (7, 2)]:  # p^most <= 256
+        for r in range(1, most + 1):
+            for lam in itertools.combinations_with_replacement(range(most, 0, -1), r):
+                if sum(lam) > most or subgroup_count(p, lam) > LATTICE_CAP:
+                    continue
+                m = _p_group(p, lam)
+                forms = m._subgroups(m._primary_parts()[0])
+                assert len(forms) == subgroup_count(p, lam), (p, lam)
+                checked += 1
+    assert checked == 66 + 18 + 6 + 3 - 6
 
 
 def test_module_facts_match_scan_oracles(oracle_modules):

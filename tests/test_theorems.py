@@ -346,6 +346,26 @@ def test_cor_2_19_and_thm_2_20():
     assert run("thm_2_20", zmod(12)).status == NOT_MET  # rad(0) != 0
 
 
+def test_min_prime_predicates_need_no_lattice(default_corpus, monkeypatch):
+    # |Min(M)| and rad(0) = 0 are read off the primary parts: with the
+    # lattice refused, these predicates give the rows they give with it
+    _, modules = default_corpus
+    ids = ("thm_2_11", "thm_2_12", "cor_2_19", "thm_2_20", "thm_2_22", "cor_2_23")
+
+    def rows():
+        analyses = [InstanceAnalysis(Module(m.ring, m.factors)) for m in modules]
+        return [run_predicate(tid, a) for a in analyses for tid in ids]
+
+    want = rows()
+
+    def refused(*args):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(Module, "lattice", refused)
+    assert rows() == want
+    assert len(want) == 6 * 319
+
+
 def test_thm_2_21_everywhere():
     for m in [zmod(5), zmod(12), zmod(30), product_module([2, 4])]:
         assert run("thm_2_21", m).status == PASS
