@@ -355,10 +355,10 @@ def _localization_dict(
         },
     }
     if include_components and module.is_cyclic():
-        rep = check_product_decomposition(module, loc)
+        parts = check_product_decomposition(module, loc)
         out["components"] = {
-            "idempotents": [list(e) for e in rep.component_idempotents],
-            "sizes": rep.sizes(),
+            "idempotents": [list(e) for _, e, _ in parts],
+            "sizes": [part.size for _, _, part in parts],
         }
     return out
 

@@ -92,15 +92,16 @@ LATTICE_CAP = 4096
 
 
 def _once(method):
-    """Compute a module fact on the first call and return it on every later one."""
+    """Compute a module fact on the first call and return it on every later
+    one.  Facts are memoized by name alone, so a fact takes no argument."""
     name = method.__name__
 
     @functools.wraps(method)
-    def memoized(self, *args, **kwargs):
+    def memoized(self):
         try:
             return self._facts[name]
         except KeyError:
-            value = self._facts[name] = method(self, *args, **kwargs)
+            value = self._facts[name] = method(self)
             return value
 
     return memoized
@@ -136,13 +137,6 @@ class Module:
         nothing that only needs the structure of M (its size, parts, colons,
         images or lattice) lists them."""
         return tuple(itertools.product(*(range(d) for d, _ in self.factors)))
-
-    # -- identity ------------------------------------------------------------
-
-    @property
-    def key(self):
-        """Value identity: the ring and the factors pin the module."""
-        return (self.ring.moduli, self.factors)
 
     def __repr__(self):
         shape = "x".join(f"Z{d}@{c}" for d, c in self.factors)
@@ -570,7 +564,8 @@ class Module:
             return self
         return Module(self.ring, factors, self.cap)
 
-    def nontrivial_decompositions(self):
+    @_once
+    def nontrivial_decompositions(self) -> list[tuple]:
         """(e, eM, (1-e)M) with both parts nonzero, one per unordered pair."""
         out = []
         for e in self.ring.idempotents():

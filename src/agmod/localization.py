@@ -11,8 +11,9 @@ cyclic factors, one Z_d' per factor Z_d of M (``Module.scaled``), so the
 localized module is an ordinary finite module instead of a quotient of formal
 fractions.
 The defining properties of the fraction module (every s acts invertibly on
-e*M, and the kernel of m -> e*m is the S-torsion) are checked by exhaustive
-scans in tests/oracles.py.
+e*M, and the kernel (1-e)*M of m -> e*m is the S-torsion) are checked by
+exhaustive scans in tests/oracles.py.  M = e*M (+) (1-e)*M, so the kernel's
+size is |M| / |e*M| and no command builds the kernel itself.
 
 A multiplicative set containing 0 localizes to the zero module; that case is
 a value, not an error, because several structural statements pivot on it.
@@ -20,8 +21,8 @@ a value, not an error, because several structural statements pivot on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .finmod import Module, Submodule
@@ -94,28 +95,17 @@ def zero_divisor_free(module: Module, s: MultSet) -> bool:
 
 @dataclass(frozen=True)
 class LocalizedModule:
-    """The image e*M of a module M together with the data that produced it."""
+    """The image e*M of a module under the localization idempotent e of S."""
 
-    module: Module
     mult_set: MultSet
     idem: tuple
     image: Module
 
-    @cached_property
-    def kernel(self) -> Submodule:
-        """The kernel (1-e)*M, e*m = 0 iff m = (1-e)*m, made on first read,
-        when it enumerates M's lattice; |M| / |e*M| is its size."""
-        ring = self.module.ring
-        kernel = self.module.times(ring.sub(ring.one, self.idem))
-        if self.image.size * kernel.size != self.module.size:
-            raise InternalCheckError("localization image and kernel sizes do not multiply out")
-        return kernel
-
 
 def localize(module: Module, s: MultSet) -> LocalizedModule:
-    """e*M for the localization idempotent of S, with its kernel (1-e)*M."""
+    """e*M for the localization idempotent e of S."""
     e = s.ring.part_idempotent(s.avoided)
-    return LocalizedModule(module, s, e, module.scaled(e))
+    return LocalizedModule(s, e, module.scaled(e))
 
 
 def min_prime_complement(module: Module) -> MultSet:
@@ -133,33 +123,21 @@ def min_prime_complement(module: Module) -> MultSet:
     return MultSet(module.ring, avoided, size, size)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """The direct-sum split of a localized cyclic module into the images e_i*M."""
+def check_product_decomposition(module: Module, loc: LocalizedModule) -> list[tuple]:
+    """Verify the split of M_S into components cut out by per-minimal-prime
+    idempotents, and return its rows.
 
-    idem: tuple
-    component_idempotents: tuple
-    components: tuple
-
-    def sizes(self) -> list[int]:
-        return [c.size for c in self.components]
-
-
-def check_product_decomposition(module: Module, loc: LocalizedModule) -> DecompositionReport:
-    """Split M_S into components cut out by per-minimal-prime idempotents.
-
-    loc is M localized at S, the minimal-prime complement.  The component
-    idempotents and the components e_i*M are the rows of
-    ``Module.min_prime_parts``.  Verifies: the component idempotents are
-    pairwise orthogonal, they sum to the localization idempotent, and the
-    image is their internal direct sum (pairwise trivial intersections, sizes
-    multiplying up).  Any failed check raises, because this split is a
-    proven fact about these modules: a failure means a bug.
+    loc is M localized at S, the minimal-prime complement.  The rows are
+    those of ``Module.min_prime_parts``, (P, e_i, e_i*M) per minimal prime.
+    Verifies: the component idempotents are pairwise orthogonal, they sum to
+    the localization idempotent, and the image is the internal direct sum of
+    the components (sizes multiplying up, pairwise trivial intersections).
+    Any failed check raises, because this split is a proven fact about these
+    modules: a failure means a bug.
     """
     if module.cyclic_generator() is None:
         raise DomainError("product decomposition check needs a cyclic module")
     ring = module.ring
-    e = loc.idem
     table = module.min_prime_parts()
     parts = [e_i for _, e_i, _ in table]
 
@@ -172,14 +150,11 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
     total = ring.zero
     for e_i in parts:
         total = ring.add(total, e_i)
-    if total != e:
+    if total != loc.idem:
         raise InternalCheckError("component idempotents do not sum to the localization idempotent")
 
-    components = tuple(part for _, _, part in table)
-    size_prod = 1
-    for c in components:
-        size_prod *= c.size
-    if size_prod != loc.image.size:
+    components = [part for _, _, part in table]
+    if math.prod(c.size for c in components) != loc.image.size:
         raise InternalCheckError("component sizes do not multiply to the image size")
     for i in range(len(components)):
         for j in range(i + 1, len(components)):
@@ -187,11 +162,7 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> Decompo
                 raise InternalCheckError(
                     f"components {i} and {j} overlap beyond zero"
                 )
-    return DecompositionReport(
-        idem=e,
-        component_idempotents=tuple(parts),
-        components=components,
-    )
+    return table
 
 
 def image_submodule(loc: LocalizedModule, sub: Submodule) -> Submodule:

@@ -65,10 +65,10 @@ def instance_id(module: Module) -> str:
 class InstanceAnalysis:
     """Lazily computed views of one module instance.
 
-    It caches only facts the module does not cache itself (its id, graphs,
-    invariants, decompositions, the FxS split and localizations) and lives
-    as long as its caller keeps it: the suite builds each instance's module
-    and analysis, here or in a worker, and drops both with the instance.
+    It caches only what the module does not (its id, graphs, invariants,
+    the FxS split and the minimal-prime localization) and lives as long as
+    its caller keeps it: the suite builds each instance's module and
+    analysis, here or in a worker, and drops both with the instance.
     """
 
     def __init__(self, module: Module):
@@ -96,14 +96,10 @@ class InstanceAnalysis:
         return aggraph.invariants(self.ag_star)
 
     @cached_property
-    def decompositions(self):
-        return self.module.nontrivial_decompositions()
-
-    @cached_property
     def fxs(self):
         """(e, F, S) with M = F (+) S, F = eM simple and S having a unique
         nontrivial submodule, taken from the decompositions; or None."""
-        for e, left, right in self.decompositions:
+        for e, left, right in self.module.nontrivial_decompositions():
             cl, cr = left.classify(), right.classify()
             if "simple" in cl and "unique_nontrivial_submodule" in cr:
                 return e, left, right
@@ -178,10 +174,10 @@ def _lemma_2_6(a: InstanceAnalysis):
     or (simple, unique-nontrivial): a simple part next to a prime part with
     several independent minimal submodules does admit triangles.
     """
-    if not a.decompositions:
+    if not a.module.nontrivial_decompositions():
         return NOT_MET, {"reason": "no nontrivial idempotent decomposition"}
     details = []
-    for e, left, right in a.decompositions:
+    for e, left, right in a.module.nontrivial_decompositions():
         lhs, rhs = _part_labels(left), _part_labels(right)
         details.append({"e": list(e), "left": lhs, "right": rhs})
         if a.inv.triangle_free:
@@ -493,13 +489,13 @@ def _thm_2_17(a: InstanceAnalysis):
     if not a.module.is_cyclic():
         return NOT_MET, {"reason": "not cyclic"}
     try:
-        rep = check_product_decomposition(a.module, a.loc_min)
+        parts = check_product_decomposition(a.module, a.loc_min)
     except InternalCheckError as exc:
         return FAIL, {"check": str(exc)}
     return PASS, {
-        "idempotent": list(rep.idem),
-        "component_idempotents": [list(e) for e in rep.component_idempotents],
-        "component_sizes": rep.sizes(),
+        "idempotent": list(a.loc_min.idem),
+        "component_idempotents": [list(e) for _, e, _ in parts],
+        "component_sizes": [part.size for _, _, part in parts],
     }
 
 
@@ -761,12 +757,17 @@ class SuiteReport:
         }
 
 
+# instances per pool task: with one a task, passing the work and the rows
+# between processes costs more than a second worker saves
+POOL_CHUNK = 16
+
+
 def _evaluate_instance(args) -> list[PredicateResult]:
     """One instance's rows, on a module built and freed here: all skipped past the cap."""
     ring, factors, theorem_ids, cap = args
     module = Module(ring, factors, cap)
     try:
-        module.lattice()
+        module.class_table()  # raises the caps that enumerating the lattice would
     except ResourceLimitError as exc:
         iid = instance_id(module)
         return [
@@ -790,9 +791,10 @@ def run_suite(
 
     Only the ring and factors of the modules passed in are read: each
     instance's module is built afresh and freed with its analysis, in a pool
-    of min(jobs, instances, CPUs) workers or, when that is one, in this
-    process.  Each instance's module is built with ``cap`` as its lattice
-    cap (``finmod.LATTICE_CAP`` when None), which travels with the instance.
+    of min(jobs, instances, CPUs) workers, ``POOL_CHUNK`` instances a task,
+    or, when that is one, in this process.  Each instance's module is built
+    with ``cap`` as its lattice cap (``finmod.LATTICE_CAP`` when None), which
+    travels with the instance.
     """
     if theorem_ids is None:
         ids = THEOREM_IDS
@@ -813,6 +815,6 @@ def run_suite(
     import concurrent.futures  # only a pool needs it; importing agmod stays lean
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for results in pool.map(_evaluate_instance, payload):
+        for results in pool.map(_evaluate_instance, payload, chunksize=POOL_CHUNK):
             report.results.extend(results)
     return report

@@ -6,7 +6,7 @@ from agmod.finmod import Module
 from agmod.finring import Ring
 from agmod.localization import localize, mult_closure
 
-from helpers import NON_CYCLIC
+from helpers import NON_CYCLIC, key
 
 hypothesis.settings.register_profile(
     "agmod", max_examples=40, deadline=None
@@ -49,12 +49,12 @@ def oracle_modules(structured_modules):
     generator, each module once."""
     found = {}
     for m in structured_modules:
-        found.setdefault(m.key, m)
+        found.setdefault(key(m), m)
         for _, left, right in m.nontrivial_decompositions():
-            found.setdefault(left.key, left)
-            found.setdefault(right.key, right)
+            found.setdefault(key(left), left)
+            found.setdefault(key(right), right)
         for g in m.ring.elements():
             image = localize(m, mult_closure(m.ring, [g])).image
             if image is not m:
-                found.setdefault(image.key, image)
+                found.setdefault(key(image), image)
     return list(found.values())

@@ -14,6 +14,18 @@ NON_CYCLIC = [
 ]
 
 
+def key(m):
+    """Value identity of a module: the ring and the factors pin it."""
+    return (m.ring.moduli, m.factors)
+
+
+def kernel(module, loc):
+    """The kernel (1-e)M of m -> e*m for the idempotent e of a localization
+    of module, as a member of its lattice."""
+    ring = module.ring
+    return module.times(ring.sub(ring.one, loc.idem))
+
+
 def zmod(n, m=None):
     """Z_m as a module over Z_n (defaults to the full ring)."""
     return Module(Ring([n]), [(m if m is not None else n, 0)])

@@ -16,6 +16,8 @@ from agmod.finring import divisors
 from agmod.localization import closure
 from agmod.theorems import FAIL, NOT_MET, PASS
 
+from helpers import kernel
+
 # brute_thm_2_10 scans |R| x |M|; it refuses modules or rings past this size
 BRUTE_THM_2_10_CAP = 64
 
@@ -435,9 +437,10 @@ def verify_localization(module, members, loc):
     """Check that loc is the localization of module at the multiplicative
     set with these members, by full scans.
 
-    S contains 1 and is closed under products; the kernel of m -> e*m is the
-    S-torsion {m : s*m = 0 for some s in S}; and every s in S acts
-    invertibly on the image.  Raises InternalCheckError on the first failure.
+    S contains 1 and is closed under products; the kernel (1-e)M of
+    m -> e*m is the S-torsion {m : s*m = 0 for some s in S}, and its size
+    times the image's is |M|; and every s in S acts invertibly on the image.
+    Raises InternalCheckError on the first failure.
     """
     ring = module.ring
     if ring.one not in members:
@@ -451,11 +454,14 @@ def verify_localization(module, members, loc):
         for m in module.elements
         if any(smul(module, x, m) == module.zero for x in members)
     }
-    if torsion != loc.kernel.elements:
+    ker = kernel(module, loc)
+    if torsion != ker.elements:
         raise InternalCheckError(
             "kernel of the idempotent differs from the S-torsion elements"
         )
     image = loc.image
+    if image.size * ker.size != module.size:
+        raise InternalCheckError("localization image and kernel sizes do not multiply out")
     for x in members:
         if {smul(image, x, m) for m in image.elements} != frozenset(image.elements):
             raise InternalCheckError(f"{x} does not act invertibly on the image")

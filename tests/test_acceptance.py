@@ -14,7 +14,7 @@ from agmod.finring import Ring
 from agmod.localization import check_product_decomposition, zero_divisor_free
 from agmod.theorems import FAIL, PASS, SKIPPED, InstanceAnalysis, instance_id
 
-from helpers import encset, zmod
+from helpers import encset, kernel, zmod
 from oracles import (
     brute_chromatic_number,
     brute_clique_number,
@@ -142,7 +142,7 @@ def test_criterion_5_localization_monotone(corpus_analyses, corpus_report):
             applicable += 1
             # S avoids Z(M), so it acts bijectively on the finite carrier: the
             # image is M itself and cl/chi cannot move
-            assert loc.image is a.module and loc.kernel.is_zero, instance_id(a.module)
+            assert loc.image is a.module and kernel(a.module, loc).is_zero, instance_id(a.module)
         assert applicable > 0
         for tid in ("thm_2_13", "cor_2_15"):
             assert corpus_report.counts[tid][FAIL] == 0, tid
@@ -158,10 +158,10 @@ def test_criterion_6_product_decomposition(corpus_analyses):
             check_product_decomposition(a.module, a.loc_min)  # raises on any failed check
         assert cyclic > 0
         z12 = InstanceAnalysis(zmod(12))
-        rep = check_product_decomposition(z12.module, z12.loc_min)
-        assert set(rep.component_idempotents) == {(9,), (4,)}
+        parts = check_product_decomposition(z12.module, z12.loc_min)
+        assert {e for _, e, _ in parts} == {(9,), (4,)}
         assert (9 + 4) % 12 == 1
-        assert rep.idem == (1,)
+        assert z12.loc_min.idem == (1,)
 
 
 def test_criterion_7_structural_oracles(corpus_analyses):

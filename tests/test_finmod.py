@@ -22,7 +22,7 @@ from agmod.localization import (
 from agmod.theorems import InstanceAnalysis
 
 import oracles
-from helpers import NON_CYCLIC, encset, product_module, sub_by_label, zmod
+from helpers import NON_CYCLIC, encset, key, product_module, sub_by_label, zmod
 from oracles import (
     add,
     brute_classify,
@@ -92,6 +92,19 @@ def test_lattice_caps():
         Module(Ring([30]), [(30, 0)], cap=7).lattice()
     assert str(err.value) == "more than 7 submodules (lattice cap)"
     assert err.value.limit == 7
+
+
+def test_memoized_facts_take_no_argument():
+    # a fact is memoized by its name alone, so an argument could only be
+    # dropped on every later call: each memoized method refuses one, before
+    # and after its fact is cached
+    m = zmod(12)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            m.lattice(5)
+        with pytest.raises(TypeError):
+            m.class_table(cap=3)
+        assert len(m.lattice()) == 6 and len(m.class_table()) == 6
 
 
 def test_lattice_cap_fires_during_enumeration():
@@ -285,11 +298,11 @@ def test_generators_regenerate_and_are_minimal():
 
 
 def test_labels_match_set_oracle(oracle_modules):
-    shapes = {Module(Ring(r), f).key for r, f in NON_CYCLIC}
-    assert shapes <= {m.key for m in oracle_modules}
+    shapes = {key(Module(Ring(r), f)) for r, f in NON_CYCLIC}
+    assert shapes <= {key(m) for m in oracle_modules}
     for m in oracle_modules:
         for s in m.lattice().all:
-            assert s.gens == brute_minimal_gens(m, s.elements), (m.key, s.id)
+            assert s.gens == brute_minimal_gens(m, s.elements), (key(m), s.id)
 
 
 def test_labels_are_built_once():
@@ -328,10 +341,10 @@ def test_mask_layer_matches_set_oracles(oracle_modules):
     # element sets the set oracles build, in (size, sorted elements) order
     found = {}
     for m in oracle_modules:
-        found.setdefault(m.key, m)
+        found.setdefault(key(m), m)
         for _, left, right in m.nontrivial_decompositions():
-            found.setdefault(left.key, left)
-            found.setdefault(right.key, right)
+            found.setdefault(key(left), left)
+            found.setdefault(key(right), right)
     z1 = Module(Ring([6, 4]), [(2, 0), (1, 1), (4, 1), (3, 0)])  # a Z_1 factor
     zero = Module(Ring([6]), [(1, 0)])
     z8_cubed = _p_group(2, (3, 3, 3))  # |M| = 512, the element cap
@@ -419,12 +432,13 @@ def test_min_prime_facts_need_no_prime_scan(monkeypatch):
     # read off the table of associated primes, never off a primality test
     def facts(m):
         witnesses, report = m.min_prime_clique_witness()
-        rep = check_product_decomposition(m, localize(m, min_prime_complement(m)))
+        loc = localize(m, min_prime_complement(m))
+        parts = check_product_decomposition(m, loc)
         return (
             [p.id for p in m.min_primes()],
             [w.id for w in witnesses],
             report,
-            (rep.idem, rep.component_idempotents, [c.id for c in rep.components]),
+            (loc.idem, [e for _, e, _ in parts], [c.id for _, _, c in parts]),
         )
 
     expected = [facts(zmod(n)) for n in (60, 210, 12)]
@@ -699,8 +713,8 @@ def test_handed_out_submodules_are_lattice_members(oracle_modules):
 
     def check(m, s):
         assert s is m.lattice().all[s.id], (m, s)
-        if (m.key, s.id) not in scanned:
-            scanned.add((m.key, s.id))
+        if (key(m), s.id) not in scanned:
+            scanned.add((key(m), s.id))
             assert ideal_elements(s.colon) == brute_colon(m, s), (m, s)
 
     for m in oracle_modules:
@@ -714,7 +728,7 @@ def test_handed_out_submodules_are_lattice_members(oracle_modules):
             for w in m.min_prime_clique_witness()[0]:
                 check(m, w)
             loc = localize(m, min_prime_complement(m))
-            for c in check_product_decomposition(m, loc).components:
+            for _, _, c in check_product_decomposition(m, loc):
                 check(m, c)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from agmod import aggraph, theorems
 from agmod.cli import main
-from agmod.errors import DomainError
+from agmod.errors import DomainError, InternalCheckError
 from agmod.finmod import Module
 from agmod.finring import Ring
 from agmod.finring import prime_factors
@@ -20,7 +20,7 @@ from agmod.localization import (
     zero_divisor_free,
 )
 
-from helpers import NON_CYCLIC, product_module, zmod
+from helpers import NON_CYCLIC, kernel, product_module, zmod
 from oracles import brute_zero_divisors, idempotent_power, smul, verify_localization
 
 
@@ -52,14 +52,14 @@ def test_localize_z12_at_powers_of_three():
     assert loc.idem == (9,)
     assert loc.image.size == 4
     assert loc.image.factors == ((4, 0),)
-    assert loc.kernel.elements == frozenset({(0,), (4,), (8,)})
-    assert loc.image.size * loc.kernel.size == m.size
+    assert kernel(m, loc).elements == frozenset({(0,), (4,), (8,)})
+    assert loc.image.size * kernel(m, loc).size == m.size
 
 
 def test_localize_at_units_is_identity():
     m = zmod(12)
     loc = localize(m, mult_closure(m.ring, [(5,), (7,), (11,)]))
-    assert loc.image.size == m.size and loc.kernel.is_zero
+    assert loc.image.size == m.size and kernel(m, loc).is_zero
     # an idempotent acting as the identity reuses the module and its facts
     assert loc.image is m
     assert localize(m, min_prime_complement(m)).image is m
@@ -68,7 +68,7 @@ def test_localize_at_units_is_identity():
 def test_localize_trivial_set():
     m = product_module([2, 4])
     loc = localize(m, mult_closure(m.ring, []))
-    assert loc.image.size == m.size and loc.kernel.is_zero
+    assert loc.image.size == m.size and kernel(m, loc).is_zero
 
 
 def test_localize_with_zero_gives_zero_module():
@@ -211,39 +211,77 @@ def test_zero_divisor_complement_preserves_invariants_when_semiprime():
 
 
 def _decompose(m):
-    return check_product_decomposition(m, localize(m, min_prime_complement(m)))
+    """The localization idempotent of m at its minimal-prime complement, and
+    the component idempotents and sizes of its verified split."""
+    loc = localize(m, min_prime_complement(m))
+    parts = check_product_decomposition(m, loc)
+    return loc.idem, [e for _, e, _ in parts], [c.size for _, _, c in parts]
 
 
 def test_product_decomposition_z12():
-    rep = _decompose(zmod(12))
-    assert set(rep.component_idempotents) == {(4,), (9,)}
-    assert rep.idem == (1,)
-    assert sorted(rep.sizes()) == [3, 4]
+    idem, idems, sizes = _decompose(zmod(12))
+    assert set(idems) == {(4,), (9,)}
+    assert idem == (1,)
+    assert sorted(sizes) == [3, 4]
     total = (4 + 9) % 12
     assert total == 1
 
 
 def test_product_decomposition_z30_and_single_prime():
-    assert sorted(_decompose(zmod(30)).sizes()) == [2, 3, 5]
-    rep = _decompose(zmod(8))
-    assert len(rep.components) == 1
-    assert rep.component_idempotents[0] == rep.idem
+    assert sorted(_decompose(zmod(30))[2]) == [2, 3, 5]
+    idem, idems, _ = _decompose(zmod(8))
+    assert idems == [idem]
 
 
 def test_product_decomposition_every_small_cyclic():
     for n in range(2, 40):
         m = zmod(n)
         loc = localize(m, min_prime_complement(m))
-        sizes = check_product_decomposition(m, loc).sizes()
+        parts = check_product_decomposition(m, loc)
+        assert parts is m.min_prime_parts()  # the module's own verified table
         prod = 1
-        for x in sizes:
-            prod *= x
+        for _, _, c in parts:
+            prod *= c.size
         assert prod == loc.image.size
 
 
 def test_product_decomposition_needs_cyclic():
     with pytest.raises(DomainError):
         _decompose(Module(Ring([2]), [(2, 0), (2, 0)]))
+
+
+def test_product_decomposition_refuses_a_wrong_localization():
+    # Z_12 localized at the powers of 3 keeps only its 2-part, e = 9, while
+    # the components of both minimal primes sum to 1
+    m = zmod(12)
+    loc = localize(m, mult_closure(m.ring, [(3,)]))
+    assert loc.idem == (9,)
+    with pytest.raises(InternalCheckError) as exc:
+        check_product_decomposition(m, loc)
+    assert str(exc.value) == "component idempotents do not sum to the localization idempotent"
+
+
+@pytest.mark.parametrize("n, edit, message", [
+    # the first idempotent made 1, which 9 and 4 do not annihilate
+    (12, lambda m, rows: [(rows[0][0], m.ring.one, rows[0][2])] + rows[1:],
+     "component idempotents 0 and 1 are not orthogonal"),
+    # the second component made (0), so the sizes multiply to 3 or 4, not 12
+    (12, lambda m, rows: [rows[0], (rows[1][0], rows[1][1], m.lattice().zero)],
+     "component sizes do not multiply to the image size"),
+    # Z_4's 2M given twice, under e = 1 and e = 0: orthogonal, summing to 1,
+    # and 2 * 2 = |Z_4|, but 2M meets itself beyond zero
+    (4, lambda m, rows: [(rows[0][0], m.ring.one, m.times((2,))),
+                         (rows[0][0], m.ring.zero, m.times((2,)))],
+     "components 0 and 1 overlap beyond zero"),
+], ids=["not_orthogonal", "wrong_sizes", "repeated_part"])
+def test_product_decomposition_refuses_a_wrong_table(monkeypatch, n, edit, message):
+    m = zmod(n)
+    loc = localize(m, min_prime_complement(m))
+    real = Module.min_prime_parts
+    monkeypatch.setattr(Module, "min_prime_parts", lambda mod: edit(mod, list(real(mod))))
+    with pytest.raises(InternalCheckError) as exc:
+        check_product_decomposition(m, loc)
+    assert str(exc.value) == message
 
 
 def test_localized_image_is_first_class():

@@ -19,6 +19,7 @@ from agmod.theorems import (
     FAIL,
     NOT_MET,
     PASS,
+    POOL_CHUNK,
     SKIPPED,
     THEOREM_IDS,
     CorpusSpec,
@@ -295,6 +296,29 @@ def test_thm_2_17_decomposition_predicate():
     assert run("thm_2_17", Module(Ring([2]), [(2, 0), (2, 0)])).status == NOT_MET
 
 
+def test_thm_2_17_fails_when_a_check_fails(monkeypatch):
+    # a failed check of the split is a FAIL under "check", with its message:
+    # at the powers of 3, Z_12's idempotent is 9, but its components sum to 1
+    real = theorems.localize
+    monkeypatch.setattr(
+        theorems, "localize",
+        lambda module, s: real(module, localization.mult_closure(module.ring, [(3,)])),
+    )
+    r = run("thm_2_17", zmod(12))
+    assert r.status == FAIL
+    assert r.witness == {
+        "check": "component idempotents do not sum to the localization idempotent"
+    }
+    monkeypatch.undo()
+    parts = Module.min_prime_parts
+    monkeypatch.setattr(
+        Module, "min_prime_parts", lambda m: [(p, m.ring.one, c) for p, _, c in parts(m)]
+    )
+    r = run("thm_2_17", zmod(12))
+    assert r.status == FAIL
+    assert r.witness == {"check": "component idempotents 0 and 1 are not orthogonal"}
+
+
 def test_thm_2_18_witness_is_a_real_clique():
     r = run("thm_2_18", zmod(30))
     assert r.status == PASS
@@ -364,6 +388,29 @@ def test_min_prime_predicates_need_no_lattice(default_corpus, monkeypatch):
     monkeypatch.setattr(Module, "lattice", refused)
     assert rows() == want
     assert len(want) == 6 * 319
+
+
+def test_only_the_member_predicates_enumerate_the_lattice(default_corpus, monkeypatch):
+    # the suite fires the caps from the class table, so over the default
+    # corpus a predicate builds a lattice only when it reads members
+    _, modules = default_corpus
+    built = []
+    init = Lattice.__init__
+    monkeypatch.setattr(
+        Lattice, "__init__",
+        lambda self, module, sums: built.append(module) or init(self, module, sums),
+    )
+    lattice_free = set()
+    for tid in THEOREM_IDS:
+        built.clear()
+        assert not run_suite(modules, theorem_ids=[tid]).violations
+        if not built:
+            lattice_free.add(tid)
+    assert lattice_free == {
+        "lemma_2_6", "prop_2_9a", "prop_2_9b", "thm_2_11", "thm_2_12", "thm_2_13",
+        "cor_2_14", "cor_2_15", "cor_2_16", "cor_2_19", "thm_2_20", "thm_2_21",
+        "thm_2_22", "cor_2_23",
+    }
 
 
 def test_thm_2_21_everywhere():
@@ -543,7 +590,7 @@ def test_run_suite_leaves_the_callers_modules_unenumerated(monkeypatch):
         lambda self, module, sums: enumerated.append(module) or init(self, module, sums),
     )
     module = zmod(12)
-    assert not run_suite([module], theorem_ids=["cor_2_19"]).violations
+    assert not run_suite([module], theorem_ids=["prop_2_5"]).violations
     assert enumerated and all(m is not module for m in enumerated)
     enumerated.clear()
     assert len(module.lattice()) == 6
@@ -612,6 +659,7 @@ class _InlinePool:
     process, so no worker is ever started."""
 
     sizes = []
+    chunks = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -622,7 +670,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, items)
 
 
@@ -634,10 +683,12 @@ class _InlinePool:
 ])
 def test_pool_size_is_bounded(monkeypatch, cpus, modules, pool):
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "chunks", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     corpus = [zmod(n) for n in (6, 12, 30)[:modules]]
     ids = ["thm_2_21", "cor_2_19"]
     report = run_suite(corpus, theorem_ids=ids, jobs=100000)
     assert _InlinePool.sizes == ([] if pool is None else [pool])
+    assert _InlinePool.chunks == ([] if pool is None else [POOL_CHUNK])
     assert report.to_dict() == run_suite(corpus, theorem_ids=ids).to_dict()
