@@ -10,12 +10,12 @@ cap, the most submodules a lattice may have, which a module is given once,
 when it is made.
 
 The submodule lattice comes from structure.  Every ideal of the ring is
-principal, so every submodule of a cyclic M is (N:M)M, an image r*M: the
-lattice of a cyclic M is {r*M}, one member g_0*Z_d_0 + ... + g_{k-1}*Z_d_{k-1}
-per divisor tuple g_i | d_i, and its masks and colons are read off that
-tuple.  Any other M is the direct sum of its primary parts, one per ring
-component c and prime p dividing n_c, so Sub(M) is the product of the parts'
-subgroup lattices (Birkhoff 1935).  A part is a finite abelian p-group
+principal, so every submodule N of a cyclic M is (N:M)M, an image r*M, and
+the only member of its colon class: the lattice of a cyclic M is read off
+its class table (below), one image r*M per class with r the class's colon
+divisor tuple.  Any other M is the direct sum of its primary parts, one per
+ring component c and prime p dividing n_c, so Sub(M) is the product of the
+parts' subgroup lattices (Birkhoff 1935).  A part is a finite abelian p-group
 Z_{p^a_1} + ... + Z_{p^a_r}, whose subgroups are counted in closed form
 (``subgroup_count``), and each of them has one lower-triangular Hermite
 normal form (reduced row echelon form when every a_i = 1), so each is listed
@@ -34,11 +34,10 @@ while the lattice or its labels are built.  A submodule's ``elements`` are
 decoded from its mask only when read, for the tests and oracles.
 
 The lattice makes every ``Submodule``, each once, and gives it its colon
-ideal (N : M), read off the divisor tuple or the Hermite forms: the divisor
+ideal (N : M), read off the class table or the Hermite forms: the divisor
 on component c is the product over p of the exponents of the (c, p)-part
-modulo N's subgroup of it, which on a cyclic M is the product of the
-member's g_i on c.  That exponent is the least p^j whose image p^j times
-the part has its mask inside the subgroup's.
+modulo N's subgroup of it.  That exponent is the least p^j whose image p^j
+times the part has its mask inside the subgroup's.
 Members with one colon form a colon class.  A class is one exponent choice
 per primary part, so the classes and their member counts come from the
 parts alone (``class_table``), and that one numbering serves the lattice,
@@ -85,7 +84,7 @@ import math
 import operator
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from .finring import Ideal, Ring, divisors, prime_factors, squarefree_kernel
+from .finring import Ideal, Ring, prime_factors, squarefree_kernel
 
 ELEMENT_CAP = 512
 LATTICE_CAP = 4096
@@ -145,17 +144,19 @@ class Module:
     # -- images r*M -------------------------------------------------------------
 
     def times(self, r) -> "Submodule":
-        """The lattice member r*M, read off the factors: r acts on a factor
-        Z_d on component c as r_c, whose image is gcd(r_c, d)*Z_d.  At weight
-        w its mask is the progression (2^(d w) - 1) / (2^(g w) - 1), and a
-        sum of sets on disjoint digits is the carry-free product of their
-        masks.  The first call enumerates the lattice, under its caps, if
-        nothing has yet."""
-        lattice = self.lattice()
+        """The lattice member r*M, with the mask of ``_image``.  The first call
+        enumerates the lattice, under its caps, if nothing has yet."""
+        return self.lattice().member(self._image(r))
+
+    def _image(self, r) -> int:
+        """The mask of r*M, read off the factors: r acts on a factor Z_d on
+        component c as r_c, whose image is gcd(r_c, d)*Z_d.  At weight w its
+        mask is the progression (2^(d w) - 1) / (2^(g w) - 1), and a sum of
+        sets on disjoint digits is the carry-free product of their masks."""
         mask = 1
-        for (d, c), w in zip(self.factors, lattice.radix.weights):
+        for (d, c), w in zip(self.factors, self._radix().weights):
             mask *= _multiples(d, math.gcd(r[c], d), w)
-        return lattice.member(mask)
+        return mask
 
     @_once
     def lattice(self) -> "Lattice":
@@ -163,13 +164,17 @@ class Module:
         enumerated on the first call.
 
         The caps are checked first, by ``class_table``, before any mask is
-        made.  A cyclic M has the lattice {r*M}, one member per divisor
-        tuple (``_divisor_sums``); any other M is summed from the Hermite
-        forms of its primary parts (``_hermite_sums``).
+        made.  A cyclic M is read off that table.  Every ideal of the ring
+        is principal, so every submodule N of a cyclic M is (N:M)M: N is the
+        one member of its colon class, and the class whose colon has the
+        divisor tuple divs holds exactly divs*M (``_image``).  Any other M is
+        summed from the Hermite forms of its primary parts
+        (``_hermite_sums``).
         """
-        self.class_table()
-        sums = self._divisor_sums() if self.is_cyclic() else self._hermite_sums()
-        return Lattice(self, sums)
+        table = self.class_table()
+        if self.is_cyclic():
+            return Lattice(self, [(self._image(divs), divs) for divs, _ in table])
+        return Lattice(self, self._hermite_sums())
 
     @_once
     def class_table(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -199,6 +204,7 @@ class Module:
         table = [((1,) * len(self.ring.moduli), 1)]
         for c, p, coords in self._primary_parts():
             if len(coords) == 1:
+                # subgroup_count here too: 50 squarefree Z_n in 6.5-7.8 ms, not 4.6-5.3 (2-core x86)
                 choices = [(e, 1) for e in _exponents(coords[0][1], p)]
             else:
                 lam = [len(_exponents(q, p)) - 1 for _, q, _ in coords]
@@ -215,29 +221,6 @@ class Module:
             raise ResourceLimitError(f"more than {self.cap} submodules (lattice cap)", self.cap)
         return tuple(table)
 
-    def _divisor_sums(self) -> list[tuple]:
-        """The (mask, colon divisors) pair of every submodule of a cyclic M.
-
-        Every ideal of the ring is principal, so every submodule of a cyclic
-        M is (N:M)M, an image r*M, which is the direct sum of the g_i*Z_d_i
-        with g_i = gcd(r_c, d_i) (``times``).  So the members are the sums
-        g_0*Z_d_0 + ... + g_{k-1}*Z_d_{k-1}, one per tuple of divisors
-        g_i | d_i, and distinct tuples give distinct members.  A member's
-        mask is the carry-free product of the progressions of its factors,
-        and r*M <= N iff g_i | r_c on each factor, so its colon divisor on
-        component c is the lcm of the g_i there: their product, since M
-        cyclic means the factors on one component have coprime orders.
-        """
-        choices = [divisors(d) for d in self._orders]
-        sums = [(1, (1,) * len(self.ring.moduli))]
-        for (d, c), w, gs in zip(self.factors, self._radix().weights, choices):
-            sums = [
-                (mask * _multiples(d, g, w), divs[:c] + (divs[c] * g,) + divs[c + 1:])
-                for mask, divs in sums
-                for g in gs
-            ]
-        return sums
-
     def _hermite_sums(self) -> list[tuple]:
         """The (mask, colon divisors) pair of every submodule, summed over
         the primary parts.
@@ -253,7 +236,7 @@ class Module:
         the product of the exponents of the (c, p)-part quotients, 1 where n_c
         has no part at p.  ``lattice`` runs this once ``class_table`` has
         held the count to the cap, and on non-cyclic modules only; on cyclic
-        ones it is the tests' reference for ``_divisor_sums``.
+        ones it is the tests' reference for the lattice read off the table.
         """
         span = self._radix().span
         sums = [(1, (1,) * len(self.ring.moduli))]

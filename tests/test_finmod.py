@@ -180,7 +180,7 @@ def _lattice_rows(lattice):
     return [(s.id, s.mask, s.cls, s.colon.divisors) for s in lattice.all]
 
 
-def test_divisor_sums_match_hermite_sums(oracle_modules):
+def test_cyclic_lattice_matches_hermite_sums(oracle_modules):
     # oracle_modules holds every default-corpus module and both parts of
     # each of its nontrivial decompositions
     shapes = [Module(Ring(r), f) for r, f in CYCLIC_SHAPES]
@@ -189,6 +189,19 @@ def test_divisor_sums_match_hermite_sums(oracle_modules):
     for m in cyclic:
         hermite = Lattice(m, m._hermite_sums())
         assert _lattice_rows(m.lattice()) == _lattice_rows(hermite), m
+
+
+def test_each_cyclic_submodule_is_its_colon_times_the_module(oracle_modules):
+    # a cyclic lattice is read off its class table because every submodule
+    # N of a cyclic M is (N:M)M: each colon class has one member, and the
+    # image of the class's divisor tuple is that member.  The members here
+    # come from the Hermite forms, not from the table
+    shapes = [Module(Ring(r), f) for r, f in CYCLIC_SHAPES]
+    cyclic = [m for m in oracle_modules + shapes if m.is_cyclic()]
+    for m in cyclic:
+        assert all(count == 1 for _, count in m.class_table()), m
+        for s in Lattice(m, m._hermite_sums()).all:
+            assert m._image(s.colon.divisors) == s.mask, (m, s)
 
 
 def test_cyclic_lattice_skips_hermite_forms(monkeypatch):
@@ -636,7 +649,8 @@ def test_class_table_counts_the_lattice_classes(oracle_modules):
     # number, and as many members, and M is alone in the last class
     for m in oracle_modules:
         table = Module(m.ring, m.factors).class_table()
-        lattice = m.lattice()
+        # a cyclic m.lattice() is read off the table itself
+        lattice = Lattice(m, m._hermite_sums())
         assert [divs for divs, _ in table] == [c.divisors for c in lattice.colons], m
         sizes = Counter(s.cls for s in lattice.all)
         assert [count for _, count in table] == [sizes[a] for a in range(len(table))], m
