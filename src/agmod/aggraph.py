@@ -41,6 +41,13 @@ each self-killing one, h the number of stable classes.  This is exact:
   are the quotient's plus the self-killing vertices left out.  (A twin
   blow-up of an arbitrary graph need not have this property.)
 
+So a graph is fixed up to isomorphism by its type, the pair of its class
+sizes and the zero-product table, and ``invariants`` computes each type's
+report once per process: ``type_invariants`` is an LRU cache of the last 512
+types, keyed by the pair alone, so it keeps no module alive.  Types repeat a
+lot (17 among the 638 graphs of the default corpus), and
+``type_invariants.cache_info()`` gives the hits and misses.
+
 The clique solver is a pivoting maximal-clique search
 whose pivot scan stops at the first vertex that leaves at most one branch.
 The chromatic solver is one backtracking colouring search over vertices in
@@ -63,7 +70,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 from .finmod import Module, Submodule
@@ -165,10 +172,35 @@ class InvariantReport:
 
 
 def invariants(g: AnnGraph) -> InvariantReport:
-    n = g.n
+    """The invariant report of g, looked up by g's type in
+    ``type_invariants``: the type fixes g up to isomorphism, so graphs of
+    one type share one report.  The cache keeps the last 512 types (its
+    docstring bounds their bytes), and ``type_invariants.cache_info()``
+    gives its hits and misses."""
+    return type_invariants(tuple(g.sizes), tuple(g.kills))
+
+
+@lru_cache(maxsize=512)
+def type_invariants(sizes: tuple, kills: tuple) -> InvariantReport:
+    """The invariant report of the graph of type (sizes, kills), as
+    ``AnnGraph`` holds them, memoized by that pair.
+
+    The key is exact: the body reads nothing but the pair.  It holds no
+    module, lattice or graph, so the cache keeps none alive.  The cache
+    keeps the last 512 types, more than twice the most distinct types
+    measured in one batch (247, over the graphs of 2213 non-cyclic
+    modules).  An entry is its key and its report, which is immutable, so
+    its callers share it.  Under ``ELEMENT_CAP`` a module has at most 512
+    colon classes, so the key holds at most 512 pairs and 512 masks of 512
+    bits; under the default lattice cap the degree sequence holds at most
+    4096 entries.  So an entry takes under 0.2 MB and a full cache under
+    100 MB.  AG of Z_2^9 over itself (nine components, 512 classes) takes
+    87 kB, AG(F_2^6) (2824 vertices) 24 kB.
+    """
+    n = sum(size for _, size in sizes)
     if n == 0:
         return InvariantReport(None, None, True, True, 0, 0, (), frozenset({"empty"}))
-    q, first, dropped, degrees = _quotient(g)
+    q, first, dropped, degrees = _quotient(sizes, kills)
     full = (1 << len(q)) - 1
     searches = [_search(q, v, full) for v in first]
     girth = _girth(searches)
@@ -197,12 +229,12 @@ def invariants(g: AnnGraph) -> InvariantReport:
     )
 
 
-def _quotient(g: AnnGraph) -> tuple[list[int], list[int], int, list[int]]:
-    """The quotient graph of the module docstring: (its adjacency masks, its
-    first vertex in each class, the self-killing vertices it leaves out, the
-    degree sequence of g, ascending).  A class's kept members are consecutive."""
-    kills = g.kills
-    sizes = dict(g.sizes)
+def _quotient(sizes, kills) -> tuple[list[int], list[int], int, list[int]]:
+    """The quotient graph of the module docstring, for the graph of type
+    (sizes, kills): (its adjacency masks, its first vertex in each class,
+    the self-killing vertices it leaves out, the degree sequence of the
+    graph, ascending).  A class's kept members are consecutive."""
+    sizes = dict(sizes)
     loops = {a for a in sizes if kills[a] >> a & 1}
     cap = max(3, len(sizes) - len(loops))
     block, first, top, present = {}, [], 0, 0

@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from agmod import theorems
+from agmod import aggraph, theorems
 from agmod.finmod import Module
 from agmod.finring import Ring
 from agmod.localization import localize, mult_closure
@@ -12,6 +12,13 @@ hypothesis.settings.register_profile(
     "agmod", max_examples=40, deadline=None
 )
 hypothesis.settings.load_profile("agmod")
+
+
+@pytest.fixture(autouse=True)
+def fresh_type_cache():
+    """Each test starts with no graph type's invariants computed, so none
+    passes or fails on what an earlier test left in the process."""
+    aggraph.type_invariants.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -238,7 +238,7 @@ def _graph(kills, cls=None):
 def _traversals(g):
     """(girth, diameter) as ``invariants`` reads them off the searches of
     the quotient graph, without running the solvers."""
-    q, first, _, _ = aggraph._quotient(g)
+    q, first, _, _ = aggraph._quotient(g.sizes, g.kills)
     searches = [aggraph._search(q, v, (1 << len(q)) - 1) for v in first]
     return aggraph._girth(searches), aggraph._diameter(searches)
 
@@ -302,6 +302,44 @@ def test_invariants_match_full_graph_oracle(oracle_modules):
     for m in oracle_modules:
         for g in (build_AG(m), build_AG_star(m)):
             assert invariants(g) == brute_invariants(g), (m, g.kind)
+
+
+def test_graphs_of_one_type_share_one_report():
+    # Z_pq over itself has one type for all primes p < q, so AG of Z_119
+    # and Z_6 reads the report of Z_77; Z_70, with three primes, does not
+    info = aggraph.type_invariants.cache_info
+    first = invariants(build_AG(zmod(77)))
+    hits, misses = info().hits, info().misses
+    for n in (119, 6):
+        assert invariants(build_AG(zmod(n))) is first, n
+    assert (info().hits, info().misses) == (hits + 2, misses)
+    assert invariants(build_AG(zmod(70))).clique_number == 3
+    assert (info().hits, info().misses) == (hits + 2, misses + 1)
+
+
+def test_graphs_built_with_lists_have_the_report_of_tuples():
+    # the type is keyed by tuples of the graph's fields, so a graph built
+    # with lists reads the same report instead of raising on the key
+    for r, f in NON_CYCLIC:
+        m = Module(Ring(r), f)
+        for g in (build_AG(m), build_AG_star(m)):
+            listed = aggraph.AnnGraph(m, g.kind, list(g.sizes), list(g.kills))
+            assert invariants(listed) is invariants(g), (m, g.kind)
+            assert invariants(listed) == brute_invariants(g), (m, g.kind)
+
+
+def test_graphs_of_one_type_have_one_oracle_report(oracle_modules):
+    # the fact the type cache rests on, checked with the full-graph oracle
+    # and not with the cache: graphs of equal (sizes, kills) have equal
+    # invariants, whatever their modules
+    reports, repeats = {}, 0
+    for m in oracle_modules:
+        for g in (build_AG(m), build_AG_star(m)):
+            want = brute_invariants(g)
+            seen = reports.setdefault((g.sizes, g.kills), want)
+            repeats += seen is not want
+            assert seen == want, (m, g.kind)
+    assert repeats > len(reports)
 
 
 def test_graphs_and_invariants_need_no_lattice(oracle_modules, monkeypatch):

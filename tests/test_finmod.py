@@ -645,16 +645,19 @@ def test_colon_classes_are_numbered_once(oracle_modules):
 
 def test_class_table_counts_the_lattice_classes(oracle_modules):
     # the table is counted off the primary parts of a module with no
-    # lattice; it holds each class's colon under the lattice's class
-    # number, and as many members, and M is alone in the last class
+    # lattice; its rows are the colon divisor tuples that the Hermite
+    # listing pairs with its members, each once and with as many members;
+    # (0) is in the first class and M alone in the last.  The listing's
+    # tuples come from the Hermite forms' exponents, not from the table
     for m in oracle_modules:
         table = Module(m.ring, m.factors).class_table()
-        # a cyclic m.lattice() is read off the table itself
-        lattice = Lattice(m, m._hermite_sums())
-        assert [divs for divs, _ in table] == [c.divisors for c in lattice.colons], m
-        sizes = Counter(s.cls for s in lattice.all)
-        assert [count for _, count in table] == [sizes[a] for a in range(len(table))], m
-        assert lattice.all[-1].cls == len(table) - 1 and table[-1][1] == 1, m
+        sums = m._hermite_sums()
+        rows = dict(table)
+        assert len(rows) == len(table), m
+        assert rows == Counter(divs for _, divs in sums), m
+        colon = dict(sums)
+        assert colon[1] == table[0][0] and colon[(1 << m.size) - 1] == table[-1][0], m
+        assert table[-1][1] == 1, m
         for part in m._primary_parts():
             _, p, coords = part
             if len(coords) > 1:
