@@ -508,23 +508,9 @@ class Module:
 
     @_once
     def classify(self) -> tuple[str, ...]:
-        """Overlapping labels in fixed order; ('other',) when none apply.
-
-        M has exactly two submodules (simple) iff it is Z_p, and exactly
-        three iff it is Z_{p^2}: one part coordinate, of order p or p^2.  It
-        is a prime module iff (0) is prime, that is iff ann(M) is maximal.
-        """
-        orders = [(p, q) for _, p, coords in self._primary_parts() for _, q, _ in coords]
-        labels = []
-        if len(orders) == 1:
-            p, q = orders[0]
-            if q == p:
-                labels.append("simple")
-            if q == p * p:
-                labels.append("unique_nontrivial_submodule")
-        if self.annihilator().is_maximal():
-            labels.append("prime_module")
-        return tuple(labels) if labels else ("other",)
+        """Overlapping labels in fixed order; ('other',) when none apply,
+        read off the primary parts (``_labels``)."""
+        return _labels(self._primary_parts())
 
     # -- idempotent decompositions ------------------------------------------------
 
@@ -549,16 +535,26 @@ class Module:
 
     @_once
     def nontrivial_decompositions(self) -> list[tuple]:
-        """(e, eM, (1-e)M) with both parts nonzero, one per unordered pair."""
+        """(e, eM, (1-e)M) with both parts nonzero, one per unordered pair
+        {e, 1-e}, in the order of e < 1-e.
+
+        The pairs are the ring's splits, listed once per ring
+        (``Ring.splits``).  e keeps the (c, q)-part of M iff q does not
+        divide e_c, and 1-e keeps the others, so both sides are nonzero iff
+        each keeps a part of M; only then are they built (``scaled``).  A
+        side has the parts it keeps with their orders, so its labels are
+        read off them, not off a part table of its own.
+        """
+        parts = self._primary_parts()
         out = []
-        for e in self.ring.idempotents():
-            if e in (self.ring.zero, self.ring.one):
-                continue
-            comp = self.ring.sub(self.ring.one, e)
-            if e > comp:
-                continue
-            left, right = self.scaled(e), self.scaled(comp)
-            if left.size > 1 and right.size > 1:
+        for e, comp in self.ring.splits():
+            kept, dropped = [], []
+            for part in parts:
+                (kept if e[part[0]] % part[1] else dropped).append(part)
+            if kept and dropped:
+                left, right = self.scaled(e), self.scaled(comp)
+                left._facts["classify"] = _labels(kept)
+                right._facts["classify"] = _labels(dropped)
                 out.append((e, left, right))
         return out
 
@@ -608,6 +604,27 @@ class Module:
             "pair_multipliers": [[i, j, list(s)] for i, j in pairs_of_parts],
         }
         return witnesses, report
+
+
+def _labels(parts) -> tuple[str, ...]:
+    """The labels of a module with these primary parts, in fixed order.
+
+    M has exactly two submodules (simple) iff it is Z_p, and exactly three
+    iff it is Z_{p^2}: one part coordinate, of order p or p^2.  It is a
+    prime module iff (0) is prime, that is iff ann(M) is maximal: iff M has
+    one primary part, (c, p), and p kills it, every coordinate of order p.
+    """
+    labels = []
+    if len(parts) == 1:
+        _, p, coords = parts[0]
+        orders = [q for _, q, _ in coords]
+        if orders == [p]:
+            labels.append("simple")
+        if orders == [p * p]:
+            labels.append("unique_nontrivial_submodule")
+        if orders == [p] * len(orders):
+            labels.append("prime_module")
+    return tuple(labels) if labels else ("other",)
 
 
 def _exponents(q: int, p: int) -> list[int]:

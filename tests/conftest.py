@@ -3,7 +3,7 @@ import pytest
 
 from agmod import aggraph, theorems
 from agmod.finmod import Module
-from agmod.finring import Ring
+from agmod.finring import Ring, ring_table
 from agmod.localization import localize, mult_closure
 
 from helpers import NON_CYCLIC, key
@@ -19,6 +19,13 @@ def fresh_type_cache():
     """Each test starts with no graph type's invariants computed, so none
     passes or fails on what an earlier test left in the process."""
     aggraph.type_invariants.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_ring_tables():
+    """Each test starts with no ring's idempotents solved, so none passes or
+    fails on a ring table an earlier test left in the process."""
+    ring_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,22 @@ def brute_idempotents(ring):
     return sorted(itertools.product(*per_comp))
 
 
+def brute_decompositions(module):
+    """(e, eM, (1-e)M) with both parts nonzero, one per unordered pair
+    {e, 1-e}: every idempotent of the residue scan with e < 1-e, both sides
+    by ``Module.scaled``, then the size filter."""
+    ring = module.ring
+    out = []
+    for e in brute_idempotents(ring):
+        comp = ring.sub(ring.one, e)
+        if e in (ring.zero, ring.one) or e > comp:
+            continue
+        left, right = module.scaled(e), module.scaled(comp)
+        if left.size > 1 and right.size > 1:
+            out.append((e, left, right))
+    return out
+
+
 def add(module, x, y):
     """x + y in M, coordinate by coordinate."""
     return tuple((a + b) % d for a, b, (d, _) in zip(x, y, module.factors))

@@ -17,7 +17,7 @@ from agmod import aggraph, cli, theorems
 from agmod.cli import main, parse_gens, parse_instance
 from agmod.errors import ResourceLimitError
 from agmod.finmod import Module, Submodule
-from agmod.finring import Ring, prime_factors
+from agmod.finring import Ring, prime_factors, ring_table
 from agmod.localization import MULT_SET_CAP
 
 from helpers import NON_CYCLIC, edges, key
@@ -502,6 +502,8 @@ def test_one_analyze_factors_each_modulus_once(monkeypatch, capsys, spec_file):
             monkeypatch.setattr(module, "prime_factors", counted)
     spec = spec_file({"ring": [n], "module": [{"d": 1, "c": 0}]})
     for extra in ([], ["--localize-at-min-primes"]):
+        # the ring's table is built from the primes the ring factored
+        ring_table.cache_clear()
         calls.clear()
         assert run_cli(capsys, "analyze", spec, *extra)[0] == 0
         assert calls.count(n) == 1, extra

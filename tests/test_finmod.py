@@ -29,6 +29,7 @@ from oracles import (
     brute_clique_multipliers,
     brute_colon,
     brute_cyclic_generator,
+    brute_decompositions,
     brute_is_prime_submodule,
     brute_is_semiprime,
     brute_min_primes,
@@ -721,6 +722,24 @@ def test_module_facts_match_scan_oracles(oracle_modules):
                        for p in (left, right)]
         for part in parts:
             assert part.classify() == brute_classify(part), part
+
+
+def test_decompositions_match_the_oracle(oracle_modules, default_corpus):
+    # the same splits as scaling by every idempotent, in the same order, with
+    # the labels read off M's parts equal to those of the side's own parts;
+    # the oracle modules include every default-corpus module
+    for m in oracle_modules:
+        rows = m.nontrivial_decompositions()
+        expected = brute_decompositions(m)
+        assert [(e, l.factors, r.factors) for e, l, r in rows] == [
+            (e, l.factors, r.factors) for e, l, r in expected
+        ], m
+        for (_, left, right), (_, l, r) in zip(rows, expected):
+            assert (left.classify(), right.classify()) == (l.classify(), r.classify()), m
+            assert left.cap == right.cap == m.cap
+    _, modules = default_corpus
+    assert {key(m) for m in modules} <= {key(m) for m in oracle_modules}
+    assert sum(len(m.nontrivial_decompositions()) for m in modules) == 250
 
 
 def test_handed_out_submodules_are_lattice_members(oracle_modules):

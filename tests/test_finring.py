@@ -1,8 +1,19 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from agmod.errors import ResourceLimitError, StructuralError
-from agmod.finring import Ideal, Ring, divisors, prime_factors, squarefree_kernel
+from agmod.finring import (
+    Ideal,
+    Ring,
+    RingTable,
+    divisors,
+    prime_factors,
+    ring_table,
+    squarefree_kernel,
+)
 
 from oracles import (
     brute_idempotents,
@@ -77,9 +88,72 @@ def test_idempotents_match_residue_scan(default_corpus):
     rings = {m.ring for m in modules} | {Ring([n]) for n in range(2, 400)}
     rings |= {Ring([a, b]) for a in range(2, 40) for b in range(2, 40)}
     for ring in rings | {Ring([4, 9, 5])}:
-        assert ring.idempotents() == brute_idempotents(ring), ring
+        scanned = brute_idempotents(ring)
+        assert ring.idempotents() == scanned, ring
+        # an idempotent is 1 on the (c, q)-parts where q does not divide
+        # its residue and 0 on the others, so the scan names each part set
+        pairs = [(c, q) for c, n in enumerate(ring.moduli) for q in prime_factors(n)]
+        by_parts = {frozenset((c, q) for c, q in pairs if e[c] % q): e for e in scanned}
+        assert len(by_parts) == 2 ** len(pairs), ring
+        for k in range(len(pairs) + 1):
+            for kept in itertools.combinations(pairs, k):
+                assert ring.part_idempotent(kept) == by_parts[frozenset(kept)], (ring, kept)
     # eight primary parts, no residue scan
     assert len(Ring([9699690]).idempotents()) == 2**8
+
+
+def test_idempotents_are_a_fresh_list():
+    ring = Ring([12])
+    idems = ring.idempotents()
+    idems.append((5,))
+    idems[0] = (7,)
+    idems.sort(reverse=True)
+    assert ring.idempotents() == [(0,), (1,), (4,), (9,)]
+    assert Ring([12]).idempotents() == [(0,), (1,), (4,), (9,)]
+
+
+def test_rings_of_one_modulus_tuple_share_one_table():
+    Ring([12]).idempotents()
+    Ring([12]).part_idempotent([(0, 2)])
+    Ring([12]).splits()
+    info = ring_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    ring = Ring([12])
+    assert ring_table(ring.moduli, ring.primes) is ring_table((12,), ((2, 3),))
+
+
+def test_part_idempotent_builds_no_idempotent_list(monkeypatch):
+    # the product of the 24 primes below 90: 2^24 idempotents, none listed;
+    # reading the list fails at once instead of building it
+    def unlisted(table):
+        raise AssertionError("the idempotents were listed")
+
+    monkeypatch.setattr(RingTable, "idempotents", unlisted)
+    monkeypatch.setattr(RingTable, "splits", unlisted)
+    primes = [q for q in range(2, 90) if prime_factors(q) == [q]]
+    assert len(primes) == 24
+    ring = Ring([math.prod(primes)])
+    for k in range(len(primes) + 1):
+        kept = [(0, q) for q in primes[:k]]
+        e = ring.part_idempotent(kept)
+        assert ring.mul(e, e) == e
+        assert [e[0] % q for q in primes] == [1] * k + [0] * (len(primes) - k)
+    assert ring.part_idempotent([]) == ring.zero
+    assert ring.part_idempotent([(0, q) for q in primes]) == ring.one
+    assert ring.part_idempotent([(0, 97), (0, 2)]) == ring.part_idempotent([(0, 2)])
+    assert len(ring_table(ring.moduli, ring.primes).parts) == 24
+
+
+def test_splits_pair_each_idempotent_with_its_complement():
+    for moduli in [(12,), (30,), (4, 9), (8, 3), (2, 2, 2), (7,)]:
+        ring = Ring(moduli)
+        idems = ring.idempotents()
+        splits = ring.splits()
+        assert [e for e, _ in splits] == [
+            e for e in idems if ring.zero != e < ring.sub(ring.one, e)
+        ]
+        assert [comp for _, comp in splits] == [ring.sub(ring.one, e) for e, _ in splits]
+        assert len(splits) == len(idems) // 2 - 1
 
 
 def test_idempotents_closed_under_complement_and_product():

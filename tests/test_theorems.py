@@ -13,7 +13,7 @@ import pytest
 from agmod import localization, theorems
 from agmod.errors import ResourceLimitError
 from agmod.finmod import Lattice, Module
-from agmod.finring import Ring, divisors
+from agmod.finring import Ring, divisors, ring_table
 from agmod.localization import closure
 from agmod.theorems import (
     FAIL,
@@ -608,11 +608,16 @@ def test_serial_run_suite_asks_for_no_cpu_count(monkeypatch):
     assert run_suite([zmod(6)], theorem_ids=ids, jobs=4).results
 
 
-def test_run_suite_parallel_matches_sequential():
-    corpus = generate_corpus(CorpusSpec(max_ring_card=8))
-    seq = run_suite(corpus, theorem_ids=["thm_2_21", "cor_2_19"]).to_dict()
-    par = run_suite(corpus, theorem_ids=["thm_2_21", "cor_2_19"], jobs=2).to_dict()
+def test_run_suite_parallel_matches_sequential(default_corpus):
+    # every predicate on the default corpus: first with no ring table or graph
+    # type solved in this process, then in a pool, then again here with both
+    # caches warm
+    spec, corpus = default_corpus
+    seq = run_suite(corpus, corpus_spec=spec).to_dict()
+    par = run_suite(corpus, corpus_spec=spec, jobs=2).to_dict()
     assert seq == par
+    assert ring_table.cache_info().hits > 0
+    assert run_suite(corpus, corpus_spec=spec).to_dict() == seq
 
 
 def test_lattice_cap_reaches_spawned_workers():
