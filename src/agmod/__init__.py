@@ -11,6 +11,7 @@ instance corpora.
 
 __version__ = "0.1.0"
 
+from . import aggraph, finring
 from .aggraph import AnnGraph, InvariantReport, build_AG, build_AG_star, invariants, to_dot
 from .errors import (
     AgmodError,
@@ -39,7 +40,12 @@ from .theorems import (
     run_suite,
 )
 
+# The process-wide caches, each an LRU cache keyed by tuples of integers:
+# the invariants of each graph type and the idempotents of each ring.
+CACHES = (aggraph.type_invariants, finring.ring_table)
+
 __all__ = [
+    "CACHES",
     "AgmodError",
     "AnnGraph",
     "CorpusSpec",

@@ -13,11 +13,12 @@ NK = (N:M)(K:M)M depends only on the colon classes of N and K
 class and the module's zero-product table over the classes
 (``Module.kills``), which AG and AG* share, and no per-vertex adjacency.
 Both come from the module's class table (``Module.class_table``), so a graph
-and its invariants are built without the submodule lattice; the vertices
-themselves, and each one's class, are read from the lattice only when asked
-for.  A class that kills itself is a clique of true twins, any other a
-stable set of false twins.  The degrees come from
-the class sizes, and the other invariants from one quotient graph that keeps
+and its invariants are built without the submodule lattice.  A member is a
+vertex iff its class is a vertex class (``AnnGraph.__contains__``); the
+vertices themselves, and each one's class, are read from the lattice only
+when asked for.  A class that kills itself is a clique of true twins, any
+other a stable set of false twins.  The degrees come from the class sizes,
+and the other invariants from one quotient graph that keeps
 min(s, 3) of the s members of each stable class and min(s, max(3, h)) of
 each self-killing one, h the number of stable classes.  This is exact:
 
@@ -91,12 +92,21 @@ class AnnGraph:
     def n(self) -> int:
         return sum(size for _, size in self.sizes)
 
+    def __contains__(self, sub: Submodule) -> bool:
+        """Whether sub is a vertex: a nonzero member of this graph's module
+        whose colon class is a vertex class.  No lattice is enumerated."""
+        return sub.module is self.module and not sub.is_zero and self._classes >> sub.cls & 1 == 1
+
+    @cached_property
+    def _classes(self) -> int:
+        """The vertex classes, as a bitmask."""
+        return sum(1 << a for a, _ in self.sizes)
+
     @cached_property
     def vertices(self) -> tuple[Submodule, ...]:
-        """The nonzero members of the vertex classes, in lattice order; the
-        first read enumerates the lattice if nothing has yet."""
-        classes = {a for a, _ in self.sizes}
-        return tuple(s for s in self.module.lattice().all if s.cls in classes and not s.is_zero)
+        """The members that are vertices, in lattice order; the first read
+        enumerates the lattice if nothing has yet."""
+        return tuple(filter(self.__contains__, self.module.lattice().all))
 
     @cached_property
     def cls(self) -> tuple[int, ...]:

@@ -333,7 +333,7 @@ def _localization_dict(
     """Localize at S and compare the invariants of AG before and after."""
     module = a.module
     loc = localize(module, s)
-    inv_before, inv_after = a.inv, a.localized(loc).inv
+    inv_before, inv_after = a.inv, aggraph.invariants(aggraph.build_AG(loc.image))
     out = {
         "mult_set": {
             "generator_count": s.generator_count,
@@ -369,6 +369,7 @@ def cmd_analyze(args, cap: int | None) -> int:
         options = dict(options, localize_at_min_primes=True)
     a = theorems.InstanceAnalysis(module)
     lat = module.lattice()
+    star = aggraph.build_AG_star(module)
     gen = module.cyclic_generator()
     report = {
         "schema": 1,
@@ -391,7 +392,7 @@ def cmd_analyze(args, cap: int | None) -> int:
         },
         "graphs": {
             "AG": _graph_dict(a.ag, a.inv),
-            "AG_star": _graph_dict(a.ag_star, a.inv_star),
+            "AG_star": _graph_dict(star, aggraph.invariants(star)),
         },
     }
     if options.get("localize_at_min_primes"):

@@ -84,7 +84,7 @@ import math
 import operator
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from .finring import Ideal, Ring, prime_factors, squarefree_kernel
+from .finring import Ideal, Ring, squarefree_kernel
 
 ELEMENT_CAP = 512
 LATTICE_CAP = 4096
@@ -487,9 +487,11 @@ class Module:
         """Atoms of the lattice: the submodules of prime order.
 
         A simple module here is R/m for a maximal ideal m, a field of prime
-        order, and a group of prime order has no other nonzero subgroup.
+        order, and a group of prime order has no other nonzero subgroup.  A
+        member's order divides |M|, so a prime order is a prime of some part.
         """
-        return [s for s in self.lattice().all if prime_factors(s.size) == [s.size]]
+        primes = {p for _, p, _ in self._primary_parts()}
+        return [s for s in self.lattice().all if s.size in primes]
 
     @_once
     def cyclic_generator(self):

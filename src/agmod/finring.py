@@ -9,8 +9,8 @@ integer arithmetic.  Every idempotent is the projection onto a set of
 (c, q)-primary parts, one per component c and prime q | n_c: the sum of
 those parts' own idempotents, which are pairwise orthogonal.  Each part's
 idempotent is solved by CRT once per ring modulus tuple and process, in
-that ring's ``RingTable`` (``ring_table``), which also lists every
-idempotent and every split of 1 into two, each only when first asked for;
+that ring's ``RingTable`` (``ring_table``), which also lists every split of
+1 into two, only when first asked for;
 localizing at S is the projection onto the parts whose maximal ideal S
 avoids (``Ring.part_idempotent``).
 """
@@ -146,20 +146,10 @@ class Ring:
                 out[c] = (out[c] + x) % self.moduli[c]
         return tuple(out)
 
-    def idempotents(self) -> list[tuple[int, ...]]:
-        """All e with e*e = e, sorted, as a fresh list: one per set of
-        (c, q)-primary parts, from the ring's table; always contains 0 and 1."""
-        return list(ring_table(self.moduli, self.primes).idempotents())
-
     def splits(self) -> tuple[tuple, ...]:
         """Every split 1 = e + (1-e) into nonzero idempotents, as the pair
         (e, 1-e) with e < 1-e, in the order of e, from the ring's table."""
         return ring_table(self.moduli, self.primes).splits()
-
-    # -- ideals ---------------------------------------------------------------
-
-    def ideal(self, divs) -> "Ideal":
-        return Ideal(self, tuple(int(d) for d in divs))
 
 
 # Modulus tuples whose tables ``ring_table`` keeps.  The default corpus has
@@ -177,8 +167,8 @@ class RingTable:
     idempotent that is 1 on that part and 0 elsewhere: x = 1 mod the q-power
     part of n_c and 0 mod the rest, one CRT solve each.  These k idempotents
     are pairwise orthogonal and sum to 1, so every idempotent is the sum of
-    those of one set of parts.  ``idempotents`` (2^k tuples) and ``splits``
-    (2^(k-1) - 1 pairs) are built from them on the first call and kept.
+    those of one set of parts.  ``splits`` (2^(k-1) - 1 pairs) are built
+    from them on the first call and kept.
     """
 
     def __init__(self, moduli: tuple[int, ...], primes: tuple[tuple[int, ...], ...]):
@@ -191,28 +181,20 @@ class RingTable:
                     kept *= q
                 dropped = n // kept
                 self.parts[c, q] = dropped * pow(dropped, -1, kept) % n
-        self._idempotents = self._splits = None
+        self._splits = None
 
-    def idempotents(self) -> tuple[tuple[int, ...], ...]:
-        """Every idempotent, sorted: the subset sums of the parts' idempotents."""
-        if self._idempotents is None:
+    def splits(self) -> tuple[tuple, ...]:
+        """(e, 1-e) for each nonzero idempotent e with e < 1-e, in sorted
+        order; the idempotents are the subset sums of the parts' ones."""
+        if self._splits is None:
             idems = [(0,) * len(self.moduli)]
             for (c, _), x in self.parts.items():
                 n = self.moduli[c]
                 for e in idems[:]:
                     idems.append(e[:c] + ((e[c] + x) % n,) + e[c + 1:])
-            self._idempotents = tuple(sorted(idems))
-        return self._idempotents
-
-    def splits(self) -> tuple[tuple, ...]:
-        """(e, 1-e) for each nonzero idempotent e with e < 1-e, in sorted order."""
-        if self._splits is None:
             rows = []
-            for e in self.idempotents()[1:]:
-                comp = []
-                for x, n in zip(e, self.moduli):
-                    comp.append((1 - x) % n)
-                comp = tuple(comp)
+            for e in sorted(idems)[1:]:
+                comp = tuple((1 - x) % n for x, n in zip(e, self.moduli))
                 if e < comp:
                     rows.append((e, comp))
             self._splits = tuple(rows)
@@ -228,10 +210,9 @@ def ring_table(moduli: tuple[int, ...], primes: tuple[tuple[int, ...], ...]) -> 
 
     The key is two tuples of integers, so an entry keeps no object of a
     caller alive.  An entry holds the ring's k part idempotents, and its
-    2^k idempotents and 2^(k-1) - 1 splits only once they have been asked
-    for.  One pass of the default corpus (319 instances, every predicate)
-    makes 72 entries, 0.5 kB each with both lists built, and 1305 hits;
-    eight parts (Z_9699690) take 16 kB.
+    2^(k-1) - 1 splits only once they have been asked for.  One pass of the default corpus (319 instances, every predicate)
+    makes 72 entries, 1.1 kB each with the splits built (a deep
+    ``sys.getsizeof``), and 1183 hits; eight parts (Z_9699690) take 29 kB.
     """
     return RingTable(moduli, primes)
 
@@ -258,12 +239,6 @@ class Ideal:
 
     def __repr__(self):
         return "(" + ",".join(str(d) for d in self.divisors) + ")"
-
-    def is_zero(self) -> bool:
-        return self.divisors == self.ring.moduli
-
-    def is_whole(self) -> bool:
-        return all(d == 1 for d in self.divisors)
 
     def is_maximal(self) -> bool:
         """One component divisor is a prime and every other divisor is 1."""

@@ -20,6 +20,9 @@ construction likewise only produces an actual graph clique when there are at
 least two minimal primes.  The predicates count the minimal primes as the
 associated primes, one per nonzero primary part (``Module.min_prime_parts``),
 and test rad(0) = 0 as ``Module.is_semiprime``, so neither needs a lattice.
+Whether a member is a vertex is its class's bit in AG (``AnnGraph``'s ``in``),
+and Lemma 2.4 reads its idempotents off the same parts; the member scans
+these replace are oracles in tests/oracles.py.
 
 Theorem 2.13 and Corollaries 2.14-2.16 localize at an S that misses Z(M).
 On a finite module such an S acts bijectively, so S^-1 M is M itself and
@@ -63,12 +66,13 @@ def instance_id(module: Module) -> str:
 
 
 class InstanceAnalysis:
-    """Lazily computed views of one module instance.
+    """Lazily computed views of one module instance, for the predicates.
 
-    It caches only what the module does not (its id, graphs, invariants,
-    the FxS split and the minimal-prime localization) and lives as long as
-    its caller keeps it: the suite builds each instance's module and
-    analysis, here or in a worker, and drops both with the instance.
+    It caches only what the module does not and some predicate reads (its
+    id, AG and its invariants, the FxS split and the minimal-prime
+    localization) and lives as long as its caller keeps it: the suite builds
+    each instance's module and analysis, here or in a worker, and drops both
+    with the instance.  No predicate reads AG*.
     """
 
     def __init__(self, module: Module):
@@ -84,16 +88,8 @@ class InstanceAnalysis:
         return aggraph.build_AG(self.module)
 
     @cached_property
-    def ag_star(self) -> aggraph.AnnGraph:
-        return aggraph.build_AG_star(self.module)
-
-    @cached_property
     def inv(self) -> aggraph.InvariantReport:
         return aggraph.invariants(self.ag)
-
-    @cached_property
-    def inv_star(self) -> aggraph.InvariantReport:
-        return aggraph.invariants(self.ag_star)
 
     @cached_property
     def fxs(self):
@@ -112,41 +108,45 @@ class InstanceAnalysis:
         """M localized at the minimal-prime complement."""
         return localize(self.module, min_prime_complement(self.module))
 
-    def localized(self, loc) -> "InstanceAnalysis":
-        """The analysis of loc.image: this one when the image is M itself."""
-        return self if loc.image is self.module else InstanceAnalysis(loc.image)
-
 
 # -- predicates -------------------------------------------------------------------
 
 
 def _prop_2_5(a: InstanceAnalysis):
     """Every nonzero proper submodule is a graph vertex (finite instances
-    always satisfy the finiteness/Artinian hypotheses by construction)."""
-    vertices = set(a.ag.vertices)
-    missing = [
-        s.ref()
-        for s in a.module.lattice().all
-        if not s.is_zero and not s.is_whole and s not in vertices
-    ]
-    if missing:
-        return FAIL, {"non_vertices": missing}
-    return PASS, {"proper_nonzero": max(len(a.module.lattice()) - 2, 0)}
+    always satisfy the finiteness/Artinian hypotheses by construction).
+
+    A colon class is all vertices or none, and M is alone in the last
+    class, so this holds iff the other vertex classes of AG hold all |L| - 2
+    nonzero proper members, counted in the class table; the lattice is
+    enumerated only on a FAIL, to list the members that are not vertices."""
+    table = a.module.class_table()
+    proper = max(sum(count for _, count in table) - 2, 0)
+    if sum(size for cls, size in a.ag.sizes if cls != len(table) - 1) == proper:
+        return PASS, {"proper_nonzero": proper}
+    return FAIL, {"non_vertices": [
+        s.ref() for s in a.module.lattice().all
+        if not s.is_zero and not s.is_whole and s not in a.ag
+    ]}
 
 
 def _lemma_2_4(a: InstanceAnalysis):
     """With a nil annihilator, each minimal submodule squares to zero or is
-    cut out by an idempotent."""
+    cut out by an idempotent.
+
+    A nil annihilator puts every (c, q)-part of R into M, so an idempotent
+    e, the projection onto a set of parts, is fixed by eM.  An N cut out by
+    some e is then a primary part, and e is that part's idempotent, read off
+    the row of ``Module.min_prime_parts`` whose part is N."""
     m = a.module
     if not m.annihilator().is_nil():
         return NOT_MET, {"reason": "annihilator is not nil"}
     branches = []
-    idempotents = m.ring.idempotents()
     for n in m.minimal_submodules():
         if m.annihilates(n, n):
             branches.append({"submodule": n.ref(), "branch": "square_zero"})
             continue
-        e = next((e for e in idempotents if m.times(e) is n), None)
+        e = next((e for _, e, part in m.min_prime_parts() if part is n), None)
         if e is None:
             return FAIL, {"submodule": n.ref()}
         branches.append(
@@ -223,7 +223,7 @@ def _p4_fxs_structure(a: InstanceAnalysis):
     expected = [s, f, n, fn]
     if len(set(expected)) != 4:
         return False, {"reason": "expected vertices are not distinct"}
-    if set(expected) != set(a.ag.vertices):
+    if a.ag.n != 4 or not all(x in a.ag for x in expected):
         return False, {"reason": "vertex sets differ"}
     for i, j in itertools.combinations(range(4), 2):
         if m.annihilates(expected[i], expected[j]) != (j == i + 1):
@@ -514,9 +514,8 @@ def _thm_2_18(a: InstanceAnalysis):
         witnesses, report = a.module.min_prime_clique_witness()
     except InternalCheckError as exc:
         return FAIL, {"construction": str(exc)}
-    vertices = a.ag.vertices
     for w in witnesses:
-        if w not in vertices:
+        if w not in a.ag:
             return FAIL, {"witness_not_vertex": w.ref()}
     return PASS, {
         "witness": [{"label": w.label, "size": w.size} for w in witnesses],

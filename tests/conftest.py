@@ -1,9 +1,10 @@
 import hypothesis
 import pytest
 
-from agmod import aggraph, theorems
+import agmod
+from agmod import theorems
 from agmod.finmod import Module
-from agmod.finring import Ring, ring_table
+from agmod.finring import Ring
 from agmod.localization import localize, mult_closure
 
 from helpers import NON_CYCLIC, key
@@ -15,17 +16,11 @@ hypothesis.settings.load_profile("agmod")
 
 
 @pytest.fixture(autouse=True)
-def fresh_type_cache():
-    """Each test starts with no graph type's invariants computed, so none
-    passes or fails on what an earlier test left in the process."""
-    aggraph.type_invariants.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def fresh_ring_tables():
-    """Each test starts with no ring's idempotents solved, so none passes or
-    fails on a ring table an earlier test left in the process."""
-    ring_table.cache_clear()
+def fresh_caches():
+    """Each test starts with every process-wide cache empty (``agmod.CACHES``),
+    so none passes or fails on what an earlier test left in the process."""
+    for cache in agmod.CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

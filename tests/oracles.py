@@ -12,7 +12,7 @@ import math
 
 from agmod import aggraph
 from agmod.errors import InternalCheckError
-from agmod.finring import divisors
+from agmod.finring import Ideal, divisors
 from agmod.localization import closure
 from agmod.theorems import FAIL, NOT_MET, PASS
 
@@ -25,7 +25,7 @@ BRUTE_THM_2_10_CAP = 64
 def ideals(ring):
     """Every ideal of the ring, one per tuple of component divisors."""
     return [
-        ring.ideal(divs)
+        Ideal(ring, divs)
         for divs in itertools.product(*(divisors(n) for n in ring.moduli))
     ]
 
@@ -106,7 +106,7 @@ def ideal_radical(ideal):
             x = ring.mul(x, x)
         if ideal_contains(ideal, x):
             divs = [math.gcd(d, a) for d, a in zip(divs, r)]
-    return ring.ideal(divs)
+    return Ideal(ring, tuple(divs))
 
 
 def brute_ideal_product(ring, i, j):
@@ -152,7 +152,7 @@ def is_nilpotent(ring, r):
 
 def is_prime_ideal(ring, ideal):
     """Exhaustive primality test: I proper and rs in I => r in I or s in I."""
-    if ideal.is_whole():
+    if all(d == 1 for d in ideal.divisors):
         return False
     for r in ring.elements():
         if ideal_contains(ideal, r):
@@ -504,6 +504,35 @@ def brute_AG(module, star=False):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return verts, adj
+
+
+def brute_prop_2_5(module):
+    """Proposition 2.5's (status, witness) by the member scan: every nonzero
+    proper lattice member against the vertices of ``brute_AG``."""
+    vertices = brute_AG(module)[0]
+    lattice = module.lattice()
+    missing = [s.ref() for s in lattice.all if not s.is_zero and not s.is_whole and s not in vertices]
+    if missing:
+        return FAIL, {"non_vertices": missing}
+    return PASS, {"proper_nonzero": max(len(lattice) - 2, 0)}
+
+
+def brute_lemma_2_4(module):
+    """Lemma 2.4's (status, witness) by scanning: the atoms of
+    ``brute_minimal_submodules``, each squaring to zero or cut out by the
+    first idempotent of the residue scan whose image it is."""
+    if not module.annihilator().is_nil():
+        return NOT_MET, {"reason": "annihilator is not nil"}
+    branches = []
+    for n in brute_minimal_submodules(module):
+        if module.annihilates(n, n):
+            branches.append({"submodule": n.ref(), "branch": "square_zero"})
+            continue
+        e = next((e for e in brute_idempotents(module.ring) if module.times(e) is n), None)
+        if e is None:
+            return FAIL, {"submodule": n.ref()}
+        branches.append({"submodule": n.ref(), "branch": "idempotent", "e": list(e)})
+    return PASS, {"minimal_submodules": branches}
 
 
 def report_submodules(members):

@@ -196,6 +196,23 @@ def test_graphs_match_pairwise_oracle(oracle_modules):
                 assert adj[u] | 1 << u == adj[v] | 1 << v or adj[u] == adj[v], (m, star)
 
 
+def test_membership_is_the_vertex_list(oracle_modules):
+    # x in g agrees with the vertex list and with the pairwise oracle on
+    # every member, and a member of another module, even an equal one, is
+    # never a vertex
+    vertices = 0
+    for m in oracle_modules:
+        twin = Module(m.ring, m.factors)
+        for star, build in ((False, build_AG), (True, build_AG_star)):
+            g = build(m)
+            listed, scanned = set(g.vertices), set(brute_AG(m, star)[0])
+            for s, t in zip(m.lattice().all, twin.lattice().all):
+                assert (s in g) == (s in listed) == (s in scanned), (m, star, s)
+                assert t not in g, (m, star, t)
+            vertices += len(listed)
+    assert vertices > 1000
+
+
 def test_ag_star_shares_the_zero_product_table_of_ag(monkeypatch):
     # once AG is built, AG* reads the module's classes and zero-product
     # table and asks the module for nothing else, not even its annihilator

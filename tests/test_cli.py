@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agmod
@@ -640,6 +640,65 @@ _JSON = st.recursive(
     | st.dictionaries(_TEXT, inner, max_size=5),
     max_leaves=30,
 )
+
+
+# Instance specs, malformed or not: arbitrary JSON values, well-formed specs,
+# and objects whose ring, module and options fields take every shape.  Ring
+# integers stay small, so a well-formed spec is analyzed in milliseconds.
+_SMALL = st.integers(-2, 13)
+_JUNK = (st.none() | st.booleans() | _TEXT | st.integers(-(2**80), 2**80)
+         | st.lists(_TEXT, max_size=2) | st.dictionaries(_TEXT, _SMALL, max_size=2))
+_GENS = st.text("0123456789:,- x", max_size=8)
+_OPTIONS = st.dictionaries(
+    st.sampled_from(["localize_at_min_primes", "localize_gens", "bogus"]),
+    st.booleans() | _GENS | st.lists(_SMALL | st.lists(_SMALL, max_size=3), max_size=3) | _JUNK,
+    max_size=2,
+)
+_WELL_FORMED = st.lists(st.integers(2, 13), min_size=1, max_size=3).flatmap(
+    lambda ring: st.fixed_dictionaries(
+        {"ring": st.just(ring), "module": st.lists(
+            st.sampled_from([{"d": d, "c": c} for c, n in enumerate(ring)
+                             for d in range(1, n + 1) if n % d == 0]),
+            min_size=1, max_size=3,
+        )},
+        optional={"options": _OPTIONS},
+    )
+)
+_SPEC = _JSON | _WELL_FORMED | st.fixed_dictionaries(
+    {
+        "ring": st.lists(_SMALL, max_size=3) | _JUNK,
+        "module": st.lists(
+            st.dictionaries(st.sampled_from(["d", "c", "e"]), _SMALL | _JUNK, max_size=3)
+            | _JUNK, max_size=3,
+        ) | _JUNK,
+    },
+    optional={"options": _OPTIONS | _JUNK, "extra": _JUNK},
+)
+
+
+def test_every_spec_exits_0_3_or_64(capsys, tmp_path, monkeypatch):
+    # a malformed spec is a usage error (64) with a message, never a
+    # traceback; a well-formed one runs (0) or meets a cap (3)
+    monkeypatch.setenv("AGMOD_MAX_SUBMODULES", "64")
+    spec, out = str(tmp_path / "spec.json"), str(tmp_path / "out")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SPEC, _GENS, st.sampled_from([
+        ["analyze", "--out", out],
+        ["analyze", "--out", out, "--localize-gens", "GENS"],
+        ["graph", "--dot", out],
+        ["graph", "--star", "--dot", out],
+        ["localize", "--at-min-primes", "--out", out],
+    ]))
+    def check(obj, gens, argv):
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code = main([argv[0], spec] + [gens if a == "GENS" else a for a in argv[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 3, 64), (obj, argv, err)
+        assert (code == 0) == (err == ""), (obj, argv, err)
+
+    check()
 
 
 def _dumped(obj) -> str:

@@ -30,6 +30,7 @@ from oracles import (
     brute_colon,
     brute_cyclic_generator,
     brute_decompositions,
+    brute_idempotents,
     brute_is_prime_submodule,
     brute_is_semiprime,
     brute_min_primes,
@@ -329,7 +330,7 @@ def _scalars(ring, rng):
     """Every scalar of a small ring, else the idempotents and some seeded ones."""
     if ring.cardinality <= 64:
         return list(ring.elements())
-    return ring.idempotents() + [
+    return brute_idempotents(ring) + [
         tuple(rng.randrange(n) for n in ring.moduli) for _ in range(16)
     ]
 
@@ -396,11 +397,11 @@ def test_cyclic_members_are_the_spans(oracle_modules):
 
 def test_colon_examples():
     m = zmod(12)
-    assert m.colon(sub_by_label(m, "⟨6⟩")) == m.ring.ideal([6])
-    assert m.colon(m.lattice().all[-1]) == m.ring.ideal([1])
+    assert m.colon(sub_by_label(m, "⟨6⟩")).divisors == (6,)
+    assert m.colon(m.lattice().all[-1]).divisors == (1,)
     p = product_module([2, 4])
     z2x0 = p.lattice().find({(0, 0), (1, 0)})
-    assert p.colon(z2x0) == p.ring.ideal([1, 4])
+    assert p.colon(z2x0).divisors == (1, 4)
 
 
 def test_colon_matches_brute_force(oracle_modules):
@@ -477,10 +478,10 @@ def test_colon_monotone_and_contains_annihilator():
 
 
 def test_annihilator_examples():
-    assert zmod(12).annihilator().is_zero()
-    assert zmod(12, 4).annihilator() == Ring([12]).ideal([4])
+    assert zmod(12).annihilator().divisors == (12,)
+    assert zmod(12, 4).annihilator() == Ideal(Ring([12]), (4,))
     zero_module = Module(Ring([5]), [(1, 0)])
-    assert zero_module.annihilator().is_whole()
+    assert zero_module.annihilator().divisors == (1,)
 
 
 def test_product_examples():
@@ -754,7 +755,7 @@ def test_handed_out_submodules_are_lattice_members(oracle_modules):
             assert ideal_elements(s.colon) == brute_colon(m, s), (m, s)
 
     for m in oracle_modules:
-        for e in m.ring.idempotents():
+        for e in brute_idempotents(m.ring):
             check(m, m.times(e))
             loc = localize(m, mult_closure(m.ring, [e]))
             for n in m.lattice().all:
@@ -808,7 +809,7 @@ def test_scaled_is_isomorphic_to_the_image(oracle_modules):
     # the module operations
     pairs = 0
     for m in oracle_modules:
-        for e in m.ring.idempotents():
+        for e in brute_idempotents(m.ring):
             img = m.scaled(e)
 
             def reduce(x):
@@ -863,7 +864,7 @@ def test_minimal_squares_zero_or_idempotent_image():
             squares_zero = m.product(n, n).is_zero
             image = any(
                 {smul(m, e, x) for x in m.elements} == n.elements
-                for e in m.ring.idempotents()
+                for e in brute_idempotents(m.ring)
             )
             assert squares_zero or image
 

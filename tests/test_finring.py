@@ -76,11 +76,17 @@ def test_nilpotent_agrees_with_power_iteration():
             assert is_nilpotent(ring, r) == (naive or r == ring.zero)
 
 
+def split_idempotents(ring):
+    """0, 1 and both sides of every split, sorted: each idempotent once."""
+    return sorted({ring.zero, ring.one}.union(*ring.splits()))
+
+
 def test_idempotent_examples():
-    z12 = Ring([12])
-    assert z12.idempotents() == [(0,), (1,), (4,), (9,)]
-    assert Ring([7]).idempotents() == [(0,), (1,)]
-    assert Ring([2, 3]).idempotents() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert brute_idempotents(Ring([12])) == [(0,), (1,), (4,), (9,)]
+    assert Ring([12]).splits() == (((4,), (9,)),)
+    assert Ring([7]).splits() == ()
+    assert Ring([2, 3]).splits() == (((0, 1), (1, 0)),)
+    assert split_idempotents(Ring([2, 3])) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_idempotents_match_residue_scan(default_corpus):
@@ -89,7 +95,7 @@ def test_idempotents_match_residue_scan(default_corpus):
     rings |= {Ring([a, b]) for a in range(2, 40) for b in range(2, 40)}
     for ring in rings | {Ring([4, 9, 5])}:
         scanned = brute_idempotents(ring)
-        assert ring.idempotents() == scanned, ring
+        assert split_idempotents(ring) == scanned, ring
         # an idempotent is 1 on the (c, q)-parts where q does not divide
         # its residue and 0 on the others, so the scan names each part set
         pairs = [(c, q) for c, n in enumerate(ring.moduli) for q in prime_factors(n)]
@@ -99,21 +105,11 @@ def test_idempotents_match_residue_scan(default_corpus):
             for kept in itertools.combinations(pairs, k):
                 assert ring.part_idempotent(kept) == by_parts[frozenset(kept)], (ring, kept)
     # eight primary parts, no residue scan
-    assert len(Ring([9699690]).idempotents()) == 2**8
-
-
-def test_idempotents_are_a_fresh_list():
-    ring = Ring([12])
-    idems = ring.idempotents()
-    idems.append((5,))
-    idems[0] = (7,)
-    idems.sort(reverse=True)
-    assert ring.idempotents() == [(0,), (1,), (4,), (9,)]
-    assert Ring([12]).idempotents() == [(0,), (1,), (4,), (9,)]
+    assert len(Ring([9699690]).splits()) == 2**7 - 1
 
 
 def test_rings_of_one_modulus_tuple_share_one_table():
-    Ring([12]).idempotents()
+    Ring([12]).part_idempotent([(0, 3)])
     Ring([12]).part_idempotent([(0, 2)])
     Ring([12]).splits()
     info = ring_table.cache_info()
@@ -124,11 +120,10 @@ def test_rings_of_one_modulus_tuple_share_one_table():
 
 def test_part_idempotent_builds_no_idempotent_list(monkeypatch):
     # the product of the 24 primes below 90: 2^24 idempotents, none listed;
-    # reading the list fails at once instead of building it
+    # listing the splits fails at once instead of building them
     def unlisted(table):
         raise AssertionError("the idempotents were listed")
 
-    monkeypatch.setattr(RingTable, "idempotents", unlisted)
     monkeypatch.setattr(RingTable, "splits", unlisted)
     primes = [q for q in range(2, 90) if prime_factors(q) == [q]]
     assert len(primes) == 24
@@ -147,7 +142,7 @@ def test_part_idempotent_builds_no_idempotent_list(monkeypatch):
 def test_splits_pair_each_idempotent_with_its_complement():
     for moduli in [(12,), (30,), (4, 9), (8, 3), (2, 2, 2), (7,)]:
         ring = Ring(moduli)
-        idems = ring.idempotents()
+        idems = brute_idempotents(ring)
         splits = ring.splits()
         assert [e for e, _ in splits] == [
             e for e in idems if ring.zero != e < ring.sub(ring.one, e)
@@ -159,7 +154,7 @@ def test_splits_pair_each_idempotent_with_its_complement():
 def test_idempotents_closed_under_complement_and_product():
     for moduli in [(12,), (30,), (4, 9), (8, 3)]:
         ring = Ring(moduli)
-        idems = set(ring.idempotents())
+        idems = set(split_idempotents(ring))
         for e in idems:
             assert ring.sub(ring.one, e) in idems
             for f in idems:
@@ -194,30 +189,31 @@ def test_ideal_enumeration_counts():
 
 def test_ideal_membership_and_products():
     z12 = Ring([12])
-    two, three, six = z12.ideal([2]), z12.ideal([3]), z12.ideal([6])
-    assert two.product(six).is_zero()
+    two, three, six = Ideal(z12, (2,)), Ideal(z12, (3,)), Ideal(z12, (6,))
+    assert two.product(six).divisors == (12,)
     assert two.product(three) == six
-    assert Ring([30]).ideal([6]).product(Ring([30]).ideal([10])).is_zero()
+    z30 = Ring([30])
+    assert Ideal(z30, (6,)).product(Ideal(z30, (10,))).divisors == (30,)
     assert ideal_contains(six, (6,)) and not ideal_contains(six, (3,))
 
 
 def test_ideal_validation():
     with pytest.raises(StructuralError):
-        Ring([12]).ideal([5])
+        Ideal(Ring([12]), (5,))
 
 
 def test_ideal_radical():
     z12 = Ring([12])
-    assert ideal_radical(z12.ideal([4])) == z12.ideal([2])
-    assert ideal_radical(z12.ideal([12])) == z12.ideal([6])
-    assert ideal_radical(z12.ideal([1])) == z12.ideal([1])
+    assert ideal_radical(Ideal(z12, (4,))) == Ideal(z12, (2,))
+    assert ideal_radical(Ideal(z12, (12,))) == Ideal(z12, (6,))
+    assert ideal_radical(Ideal(z12, (1,))) == Ideal(z12, (1,))
 
 
 def test_nil_ideals():
     z12 = Ring([12])
-    assert z12.ideal([6]).is_nil()
-    assert not z12.ideal([2]).is_nil()
-    assert z12.ideal([12]).is_nil()
+    assert Ideal(z12, (6,)).is_nil()
+    assert not Ideal(z12, (2,)).is_nil()
+    assert Ideal(z12, (12,)).is_nil()
     # nil means contained in the nilradical and every element nilpotent
     for ideal in ideals(z12):
         assert ideal.is_nil() == all(is_nilpotent(z12, r) for r in ideal_elements(ideal))
@@ -225,10 +221,10 @@ def test_nil_ideals():
 
 def test_prime_ideal_detection():
     z12 = Ring([12])
-    assert is_prime_ideal(z12, z12.ideal([2]))
-    assert is_prime_ideal(z12, z12.ideal([3]))
-    assert not is_prime_ideal(z12, z12.ideal([4]))
-    assert not is_prime_ideal(z12, z12.ideal([1]))
+    assert is_prime_ideal(z12, Ideal(z12, (2,)))
+    assert is_prime_ideal(z12, Ideal(z12, (3,)))
+    assert not is_prime_ideal(z12, Ideal(z12, (4,)))
+    assert not is_prime_ideal(z12, Ideal(z12, (1,)))
 
 
 def test_divisor_helpers():

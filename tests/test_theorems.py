@@ -31,7 +31,7 @@ from agmod.theorems import (
 )
 
 from helpers import product_module, zmod
-from oracles import brute_saturate, brute_thm_2_10, smul
+from oracles import brute_lemma_2_4, brute_prop_2_5, brute_saturate, brute_thm_2_10, smul
 
 
 def run(theorem_id, module):
@@ -83,6 +83,70 @@ def test_lemma_2_4_branches():
     assert branches["⟨6⟩"] == "square_zero"
     assert branches["⟨4⟩"] == "idempotent"
     assert run("lemma_2_4", zmod(12, 4)).status == NOT_MET  # Ann not nil
+
+
+def test_lemma_2_4_matches_the_idempotent_scan(oracle_modules):
+    # the part idempotent is the first idempotent e of the residue scan
+    # with eM = N, on every module with a nil annihilator
+    cut_out = 0
+    for m in oracle_modules:
+        r = run("lemma_2_4", m)
+        assert (r.status, r.witness) == brute_lemma_2_4(m), m
+        if r.status == PASS:
+            cut_out += sum("e" in b for b in r.witness["minimal_submodules"])
+    assert cut_out > 100
+
+
+def test_prop_2_5_enumerates_no_lattice_on_a_pass(default_corpus, monkeypatch):
+    # the rows of the member scan, from the class counts alone
+    _, modules = default_corpus
+    want = [brute_prop_2_5(Module(m.ring, m.factors)) for m in modules]
+    assert {status for status, _ in want} == {PASS}
+
+    def refused(self):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(Module, "lattice", refused)
+    rows = [run("prop_2_5", Module(m.ring, m.factors)) for m in modules]
+    assert [(r.status, r.witness) for r in rows] == want
+    assert len(rows) == 319
+
+
+def _dropping(a, cls):
+    """a with AG replaced by the graph that leaves out the vertex class cls."""
+    a.__dict__["ag"] = dataclasses.replace(
+        a.ag, sizes=tuple(pair for pair in a.ag.sizes if pair[0] != cls)
+    )
+    return a
+
+
+@pytest.mark.parametrize("module", [
+    zmod(30), zmod(36, 18), Module(Ring([4, 6]), [(4, 0), (2, 0), (6, 1), (3, 1)]),
+], ids=["Z30", "Z18_over_Z36", "mixed"])
+def test_prop_2_5_lists_the_members_of_a_dropped_class(module):
+    # each vertex class left out of AG: its nonzero proper members, and
+    # only those, are reported, and leaving out M alone is no FAIL
+    fails = 0
+    for cls, _ in InstanceAnalysis(module).ag.sizes:
+        r = run_predicate("prop_2_5", _dropping(InstanceAnalysis(module), cls))
+        members = [
+            s.ref() for s in module.lattice().all
+            if s.cls == cls and not s.is_zero and not s.is_whole
+        ]
+        if members:
+            fails += 1
+            assert (r.status, r.witness) == (FAIL, {"non_vertices": members}), cls
+        else:
+            assert r.status == PASS, cls
+    assert fails > 1
+
+
+def test_thm_2_18_fails_on_a_witness_outside_the_graph():
+    witnesses, _ = zmod(30).min_prime_clique_witness()
+    for w in witnesses:
+        m = zmod(30)
+        r = run_predicate("thm_2_18", _dropping(InstanceAnalysis(m), w.cls))
+        assert (r.status, r.witness) == (FAIL, {"witness_not_vertex": w.ref()})
 
 
 def test_lemma_2_6_decomposable_instances():
@@ -407,7 +471,7 @@ def test_only_the_member_predicates_enumerate_the_lattice(default_corpus, monkey
         if not built:
             lattice_free.add(tid)
     assert lattice_free == {
-        "lemma_2_6", "prop_2_9a", "prop_2_9b", "thm_2_11", "thm_2_12", "thm_2_13",
+        "prop_2_5", "lemma_2_6", "prop_2_9a", "prop_2_9b", "thm_2_11", "thm_2_12", "thm_2_13",
         "cor_2_14", "cor_2_15", "cor_2_16", "cor_2_19", "thm_2_20", "thm_2_21",
         "thm_2_22", "cor_2_23",
     }
@@ -590,7 +654,7 @@ def test_run_suite_leaves_the_callers_modules_unenumerated(monkeypatch):
         lambda self, module, sums: enumerated.append(module) or init(self, module, sums),
     )
     module = zmod(12)
-    assert not run_suite([module], theorem_ids=["prop_2_5"]).violations
+    assert not run_suite([module], theorem_ids=["thm_2_17"]).violations
     assert enumerated and all(m is not module for m in enumerated)
     enumerated.clear()
     assert len(module.lattice()) == 6
