@@ -327,13 +327,12 @@ def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
     }
 
 
-def _localization_dict(
-    a: theorems.InstanceAnalysis, s, include_components: bool
-) -> dict:
-    """Localize at S and compare the invariants of AG before and after."""
-    module = a.module
+def _localization_dict(module: Module, s, include_components: bool) -> dict:
+    """Localize at S and compare the invariants of AG before and after; a
+    graph type already seen is a lookup (``aggraph.invariants``)."""
     loc = localize(module, s)
-    inv_before, inv_after = a.inv, aggraph.invariants(aggraph.build_AG(loc.image))
+    inv_before = aggraph.invariants(aggraph.build_AG(module))
+    inv_after = aggraph.invariants(aggraph.build_AG(loc.image))
     out = {
         "mult_set": {
             "generator_count": s.generator_count,
@@ -367,9 +366,9 @@ def cmd_analyze(args, cap: int | None) -> int:
     module, options = load_spec(args.spec, cap)
     if args.localize_at_min_primes:
         options = dict(options, localize_at_min_primes=True)
-    a = theorems.InstanceAnalysis(module)
     lat = module.lattice()
     star = aggraph.build_AG_star(module)
+    ag = aggraph.build_AG(module)
     gen = module.cyclic_generator()
     report = {
         "schema": 1,
@@ -391,13 +390,13 @@ def cmd_analyze(args, cap: int | None) -> int:
             "classification": list(module.classify()),
         },
         "graphs": {
-            "AG": _graph_dict(a.ag, a.inv),
+            "AG": _graph_dict(ag, aggraph.invariants(ag)),
             "AG_star": _graph_dict(star, aggraph.invariants(star)),
         },
     }
     if options.get("localize_at_min_primes"):
         report["localization"] = _localization_dict(
-            a, min_prime_complement(module), include_components=True
+            module, min_prime_complement(module), include_components=True
         )
     elif args.localize_gens is not None or options.get("localize_gens"):
         gens = (
@@ -406,7 +405,7 @@ def cmd_analyze(args, cap: int | None) -> int:
             else options["localize_gens"]
         )
         report["localization"] = _localization_dict(
-            a, mult_closure(module.ring, gens), include_components=False
+            module, mult_closure(module.ring, gens), include_components=False
         )
     if gen is not None:
         witnesses, wreport = module.min_prime_clique_witness()
@@ -437,9 +436,7 @@ def cmd_localize(args, cap: int | None) -> int:
         "schema": 1,
         "version": __version__,
         "instance": instance_echo(module),
-        "localization": _localization_dict(
-            theorems.InstanceAnalysis(module), s, args.at_min_primes
-        ),
+        "localization": _localization_dict(module, s, args.at_min_primes),
     }
     _dump(report, args.out)
     return 0

@@ -4,10 +4,11 @@ A module is an ordered list of cyclic factors Z_d, each tagged with a ring
 component; scalars act componentwise through their tags.  An idempotent image
 e*M is again such a module: e keeps a part k_c of each n_c, a factor Z_d on
 component c becomes Z_gcd(d, k_c), and e*x -> x mod gcd(d, k_c) is the
-isomorphism (``Module.scaled``).  Localized modules and the parts of a split
-are therefore ordinary modules over the same ring, and they keep M's lattice
-cap, the most submodules a lattice may have, which a module is given once,
-when it is made.
+isomorphism (``Module.scaled``).  A localized module is therefore an ordinary
+module over the same ring, and it keeps M's lattice cap, the most submodules
+a lattice may have, which a module is given once, when it is made.  A split
+M = eM (+) (1-e)M builds no module: each side is the sum of the primary parts
+of M that it keeps, so a split row holds the labels of its two sides.
 
 The submodule lattice comes from structure.  Every ideal of the ring is
 principal, so every submodule N of a cyclic M is (N:M)M, an image r*M, and
@@ -524,7 +525,9 @@ class Module:
         d' = gcd(d, k_c), and e*x -> x mod d' is an isomorphism onto it.
         When no factor changes, e acts as the identity and M itself is
         returned, so its lattice and every other computed fact carry over.
-        The image keeps M's lattice cap.
+        The image keeps M's lattice cap.  Localization builds the image;
+        a split of M reads its sides' labels off M's parts instead
+        (``nontrivial_decompositions``).
         """
         moduli = self.ring.moduli
         factors = tuple(
@@ -537,27 +540,24 @@ class Module:
 
     @_once
     def nontrivial_decompositions(self) -> list[tuple]:
-        """(e, eM, (1-e)M) with both parts nonzero, one per unordered pair
-        {e, 1-e}, in the order of e < 1-e.
+        """(e, labels of eM, labels of (1-e)M) with both sides nonzero, one
+        per unordered pair {e, 1-e}, in the order of e < 1-e.
 
         The pairs are the ring's splits, listed once per ring
         (``Ring.splits``).  e keeps the (c, q)-part of M iff q does not
         divide e_c, and 1-e keeps the others, so both sides are nonzero iff
-        each keeps a part of M; only then are they built (``scaled``).  A
-        side has the parts it keeps with their orders, so its labels are
-        read off them, not off a part table of its own.
+        each keeps a part of M.  A side is the sum of the parts it keeps,
+        with their orders, so its labels are read off them (``_labels``) and
+        no module is built for it.
         """
         parts = self._primary_parts()
         out = []
-        for e, comp in self.ring.splits():
+        for e, _ in self.ring.splits():
             kept, dropped = [], []
             for part in parts:
                 (kept if e[part[0]] % part[1] else dropped).append(part)
             if kept and dropped:
-                left, right = self.scaled(e), self.scaled(comp)
-                left._facts["classify"] = _labels(kept)
-                right._facts["classify"] = _labels(dropped)
-                out.append((e, left, right))
+                out.append((e, _labels(kept), _labels(dropped)))
         return out
 
     # -- minimal-prime components ----------------------------------------------

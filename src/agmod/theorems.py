@@ -69,10 +69,11 @@ class InstanceAnalysis:
     """Lazily computed views of one module instance, for the predicates.
 
     It caches only what the module does not and some predicate reads (its
-    id, AG and its invariants, the FxS split and the minimal-prime
-    localization) and lives as long as its caller keeps it: the suite builds
-    each instance's module and analysis, here or in a worker, and drops both
-    with the instance.  No predicate reads AG*.
+    id, AG and its invariants, the idempotent of an FxS split and the
+    minimal-prime localization) and lives as long as its caller keeps it:
+    the suite builds each instance's module and analysis, here or in a
+    worker, and drops both with the instance.  No predicate reads AG* or
+    builds a split side: a split row holds its two sides' labels.
     """
 
     def __init__(self, module: Module):
@@ -93,14 +94,14 @@ class InstanceAnalysis:
 
     @cached_property
     def fxs(self):
-        """(e, F, S) with M = F (+) S, F = eM simple and S having a unique
-        nontrivial submodule, taken from the decompositions; or None."""
+        """The idempotent e with M = eM (+) (1-e)M, eM simple and (1-e)M
+        having a unique nontrivial submodule, or None; read off the labels
+        of the split rows, which build no module."""
         for e, left, right in self.module.nontrivial_decompositions():
-            cl, cr = left.classify(), right.classify()
-            if "simple" in cl and "unique_nontrivial_submodule" in cr:
-                return e, left, right
-            if "simple" in cr and "unique_nontrivial_submodule" in cl:
-                return self.module.ring.sub(self.module.ring.one, e), right, left
+            if "simple" in left and "unique_nontrivial_submodule" in right:
+                return e
+            if "simple" in right and "unique_nontrivial_submodule" in left:
+                return self.module.ring.sub(self.module.ring.one, e)
         return None
 
     @cached_property
@@ -155,8 +156,7 @@ def _lemma_2_4(a: InstanceAnalysis):
     return PASS, {"minimal_submodules": branches}
 
 
-def _part_labels(part: Module):
-    labels = part.classify()
+def _part_labels(labels: tuple[str, ...]):
     return {
         "prime": "prime_module" in labels,
         "simple": "simple" in labels,
@@ -209,7 +209,7 @@ def _p4_fxs_structure(a: InstanceAnalysis):
     """Check AG is the four-vertex path (0)xS - Fx(0) - (0)xN - FxN, with
     F = eM, S = (1-e)M and N the one nonzero submodule of M strictly in S."""
     m = a.module
-    e = a.fxs[0]
+    e = a.fxs
     f = m.times(e)
     s = m.times(m.ring.sub(m.ring.one, e))
     inside = [
@@ -247,7 +247,7 @@ def _tree_shape_conclusion(a: InstanceAnalysis):
         ok, detail = _p4_fxs_structure(a)
         if not ok:
             return FAIL, detail
-        return PASS, {"shape": "path_4", "fxs_idempotent": list(a.fxs[0]), **detail}
+        return PASS, {"shape": "path_4", "fxs_idempotent": list(a.fxs), **detail}
     return PASS, {"shape": "star"}
 
 

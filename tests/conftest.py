@@ -8,6 +8,7 @@ from agmod.finring import Ring
 from agmod.localization import localize, mult_closure
 
 from helpers import NON_CYCLIC, key
+from oracles import brute_decompositions
 
 hypothesis.settings.register_profile(
     "agmod", max_examples=40, deadline=None
@@ -53,13 +54,14 @@ def structured_modules(default_corpus):
 
 @pytest.fixture(scope="session")
 def oracle_modules(structured_modules):
-    """The structured modules, both parts of each of their nontrivial
-    decompositions and their proper images under localization at one
-    generator, each module once."""
+    """The structured modules, both sides of each of their nontrivial
+    decompositions (built by the oracle, since a split row holds labels)
+    and their proper images under localization at one generator, each
+    module once."""
     found = {}
     for m in structured_modules:
         found.setdefault(key(m), m)
-        for _, left, right in m.nontrivial_decompositions():
+        for _, left, right in brute_decompositions(m):
             found.setdefault(key(left), left)
             found.setdefault(key(right), right)
         for g in m.ring.elements():

@@ -19,7 +19,7 @@ from agmod.localization import (
     min_prime_complement,
     mult_closure,
 )
-from agmod.theorems import InstanceAnalysis
+from agmod.theorems import InstanceAnalysis, run_predicate
 
 import oracles
 from helpers import NON_CYCLIC, encset, key, product_module, sub_by_label, zmod
@@ -128,7 +128,7 @@ def test_lattice_matches_closure_oracle_on_corpus(default_corpus):
     _, modules = default_corpus
     for m in modules:
         _assert_lattice_matches_closure(m)
-        for _, left, right in m.nontrivial_decompositions():
+        for _, left, right in brute_decompositions(m):
             _assert_lattice_matches_closure(left)
             _assert_lattice_matches_closure(right)
 
@@ -357,7 +357,7 @@ def test_mask_layer_matches_set_oracles(oracle_modules):
     found = {}
     for m in oracle_modules:
         found.setdefault(key(m), m)
-        for _, left, right in m.nontrivial_decompositions():
+        for _, left, right in brute_decompositions(m):
             found.setdefault(key(left), left)
             found.setdefault(key(right), right)
     z1 = Module(Ring([6, 4]), [(2, 0), (1, 1), (4, 1), (3, 0)])  # a Z_1 factor
@@ -714,30 +714,30 @@ def test_subgroup_count_matches_the_hermite_forms():
 
 
 def test_module_facts_match_scan_oracles(oracle_modules):
-    # rad(0) and the labels of M and of both parts of each split
+    # rad(0) and the labels of M and of both sides of each split, built by
+    # scaling (the split rows' labels are checked with the decompositions)
     for m in oracle_modules:
         rad = m.prime_radical()
         assert rad is m.lattice().find(brute_radical(m, m.lattice().zero)), m
         assert rad.is_zero == m.is_semiprime(), m
-        parts = [m] + [p for _, left, right in m.nontrivial_decompositions()
-                       for p in (left, right)]
+        parts = [m] + [side for _, left, right in brute_decompositions(m)
+                       for side in (left, right)]
         for part in parts:
             assert part.classify() == brute_classify(part), part
 
 
 def test_decompositions_match_the_oracle(oracle_modules, default_corpus):
     # the same splits as scaling by every idempotent, in the same order, with
-    # the labels read off M's parts equal to those of the side's own parts;
-    # the oracle modules include every default-corpus module
+    # the labels read off M's parts equal to those the lattice scan gives the
+    # scaled sides, which keep M's cap; the oracle modules include every
+    # default-corpus module
     for m in oracle_modules:
         rows = m.nontrivial_decompositions()
         expected = brute_decompositions(m)
-        assert [(e, l.factors, r.factors) for e, l, r in rows] == [
-            (e, l.factors, r.factors) for e, l, r in expected
-        ], m
+        assert [e for e, _, _ in rows] == [e for e, _, _ in expected], m
         for (_, left, right), (_, l, r) in zip(rows, expected):
-            assert (left.classify(), right.classify()) == (l.classify(), r.classify()), m
-            assert left.cap == right.cap == m.cap
+            assert (left, right) == (brute_classify(l), brute_classify(r)), m
+            assert l.cap == r.cap == m.cap
     _, modules = default_corpus
     assert {key(m) for m in modules} <= {key(m) for m in oracle_modules}
     assert sum(len(m.nontrivial_decompositions()) for m in modules) == 250
@@ -893,7 +893,7 @@ def test_decomposition_submodules_split_componentwise():
     for m in [zmod(12), product_module([2, 4]), zmod(36)]:
         k = len(m.factors)
         gens = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        for e, left, right in m.nontrivial_decompositions():
+        for e, _, _ in m.nontrivial_decompositions():
             comp = m.ring.sub(m.ring.one, e)
             for s in m.lattice().all:
                 part1 = {smul(m, e, x) for x in s.elements}
@@ -955,14 +955,21 @@ def test_product_ring_lattice_is_componentwise():
 
 
 def test_detect_fxs():
-    m = zmod(12)
-    e, f_part, s_part = InstanceAnalysis(m).fxs
-    assert e == (4,)
-    assert f_part.factors == ((3, 0),) and s_part.factors == ((4, 0),)
-    assert "simple" in f_part.classify()
-    assert "unique_nontrivial_submodule" in s_part.classify()
-    assert f_part.size * s_part.size == m.size
-    assert InstanceAnalysis(product_module([2, 4])).fxs is not None
+    # Z_12 = Z_3 + Z_4 is found on the split's e; Z_2 x Z_4 on its 1 - e,
+    # since e = (0, 1) < 1 - e keeps the Z_4 side
+    for m, fxs, f_factors, s_factors in [
+        (zmod(12), (4,), ((3, 0),), ((4, 0),)),
+        (product_module([2, 4]), (1, 0), ((2, 0), (1, 1)), ((1, 0), (4, 1))),
+    ]:
+        a = InstanceAnalysis(m)
+        assert a.fxs == fxs, m
+        f_part, s_part = m.scaled(fxs), m.scaled(m.ring.sub(m.ring.one, fxs))
+        assert (f_part.factors, s_part.factors) == (f_factors, s_factors), m
+        assert brute_classify(f_part) == ("simple", "prime_module"), m
+        assert brute_classify(s_part) == ("unique_nontrivial_submodule",), m
+        assert f_part.size * s_part.size == m.size
+        r = run_predicate("thm_2_7", a)
+        assert r.witness["fxs_idempotent"] == list(fxs), m
     assert InstanceAnalysis(zmod(30)).fxs is None
     assert InstanceAnalysis(zmod(7)).fxs is None
 

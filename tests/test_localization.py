@@ -21,7 +21,13 @@ from agmod.localization import (
 )
 
 from helpers import NON_CYCLIC, kernel, product_module, zmod
-from oracles import brute_zero_divisors, idempotent_power, smul, verify_localization
+from oracles import (
+    brute_decompositions,
+    brute_zero_divisors,
+    idempotent_power,
+    smul,
+    verify_localization,
+)
 
 
 def test_mult_closure_examples():
@@ -305,7 +311,7 @@ def test_images_and_parts_keep_the_lattice_cap():
     assert (image.cap, image.size) == (11000, 128)
     assert aggraph.build_AG(image).n > 0
     assert sum(count for _, count in image.class_table()) == 5276
-    parts = [part for _, left, right in m.nontrivial_decompositions() for part in (left, right)]
+    parts = [side for _, left, right in brute_decompositions(m) for side in (left, right)]
     assert parts and all(part.cap == 11000 for part in parts)
 
 

@@ -112,6 +112,30 @@ def test_prop_2_5_enumerates_no_lattice_on_a_pass(default_corpus, monkeypatch):
     assert len(rows) == 319
 
 
+def test_split_predicates_build_no_side(default_corpus, monkeypatch):
+    # Lemma 2.6 and Theorems 2.7/2.8 read each split side's labels off M's
+    # primary parts: with scaling refused, every row is the one it was
+    _, modules = default_corpus
+    ids = ("lemma_2_6", "thm_2_7", "thm_2_8")
+
+    def rows():
+        out = []
+        for m in modules:
+            a = InstanceAnalysis(Module(m.ring, m.factors))
+            out += [(r.status, r.witness) for r in (run_predicate(t, a) for t in ids)]
+        return out
+
+    want = rows()
+    assert {status for status, _ in want} >= {PASS, NOT_MET}
+
+    def refused(self, e):
+        raise AssertionError("a split side was built")
+
+    monkeypatch.setattr(Module, "scaled", refused)
+    assert rows() == want
+    assert len(want) == 3 * 319
+
+
 def _dropping(a, cls):
     """a with AG replaced by the graph that leaves out the vertex class cls."""
     a.__dict__["ag"] = dataclasses.replace(
@@ -570,7 +594,7 @@ def test_corpus_generation_lists_no_element(monkeypatch, default_corpus):
     _, modules = default_corpus
     for m in [*modules, *wide[:200]]:
         for _, left, right in m.nontrivial_decompositions():
-            assert left.classify() and right.classify()
+            assert left and right
 
 
 def test_corpus_is_deterministic():
