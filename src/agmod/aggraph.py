@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from .finmod import Module, Submodule
+from .finmod import Module, Submodule, _order_key
 
 
 @dataclass(frozen=True)
@@ -442,13 +442,11 @@ def later_neighbors(g: AnnGraph, order: Sequence[int]) -> Iterator[list[int]]:
 
 
 def to_dot(g: AnnGraph, write) -> None:
-    """Write deterministic DOT text: the vertices in canonical
-    submodule-encoding order, then each vertex's edges to later vertices,
-    one ascending row per vertex.  A vertex's key is its mask's bits from
-    bit 0 up, 0 written as 2: that orders masks as their ascending index
-    tuples, as a string and a tuple both end at the highest set bit."""
+    """Write deterministic DOT text: the vertices in the order of the
+    encoding part of ``finmod._order_key``, then each vertex's edges to
+    later vertices, one ascending row per vertex."""
     verts = g.vertices
-    order = sorted(range(g.n), key=lambda i: format(verts[i].mask, "b")[::-1].replace("0", "2"))
+    order = sorted(range(g.n), key=lambda i: _order_key(verts[i].mask)[1])
     write(f"graph {g.kind} {{\n")
     for k, v in enumerate(order):
         write(f'  v{k} [label="{verts[v].label}"];\n')

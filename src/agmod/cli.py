@@ -357,7 +357,7 @@ def _localization_dict(module: Module, s, include_components: bool) -> dict:
         parts = check_product_decomposition(module, loc)
         out["components"] = {
             "idempotents": [list(e) for _, e, _ in parts],
-            "sizes": [part.size for _, _, part in parts],
+            "sizes": [part.bit_count() for _, _, part in parts],
         }
     return out
 

@@ -58,23 +58,23 @@ has one coordinate in all and its order is a prime p, and has exactly one
 nontrivial submodule iff that one coordinate has order p^2.  Every prime
 ideal of a finite ring is maximal, so a proper N is prime iff (N : M) is
 maximal, and Z(M) is the union of the associated primes.  One table
-(``min_prime_parts``) holds, per associated prime (c, p), the minimal prime
-m_{c,p}M and the idempotent e and part e*M of the (c, p)-primary part; the
-minimal primes, the clique witnesses and the Theorem 2.17 components are all
-read from it.  Since every ideal of the ring is principal, each submodule
-made from a scalar is one image r*M (``times``): a product (N:M)(K:M)M, an
-idempotent part e*M, and rad(0).  A scalar acts on a factor Z_d on component
-c as r_c, so r*M is the direct sum of the gcd(r_c, d)*Z_d, read off the
-factors without listing M.  The primes with colon m_{c,p} are the proper
-submodules containing m_{c,p}M, so rad(0) is the sum of the p*M_{c,p}, the
-image of the element whose residue on c is the squarefree kernel of ann(M)'s
-divisor there; M is semiprime iff it is 0.  A product vanishes iff
-(N:M)(K:M) lies in ann(M), a divisibility test on the divisor tuples of the
-two colon classes that holds iff it holds on every primary part; the module
-builds it for all pairs of classes at once, part by part, into one
-zero-product table (``kills``), which ``annihilates`` and both graphs AG(M)
-and AG(M)* read.  The exhaustive scans for these facts live in
-tests/oracles.py.
+(``min_prime_parts``) holds, per associated prime (c, p), the masks of the
+minimal prime m_{c,p}M and of the (c, p)-primary part e*M, with its
+idempotent e, in member order (``_order_key``): it makes no member, and
+``_check_split`` verifies that its parts split M.  Since every ideal of the
+ring is principal, each submodule made from a scalar is one image r*M
+(``times``): a product (N:M)(K:M)M, an idempotent part e*M, and rad(0).  A
+scalar acts on a factor Z_d on component c as r_c, so r*M is the direct sum
+of the gcd(r_c, d)*Z_d, read off the factors without listing M.  The primes
+with colon m_{c,p} are the proper submodules containing m_{c,p}M, so rad(0)
+is the sum of the p*M_{c,p}, the image of the element whose residue on c is
+the squarefree kernel of ann(M)'s divisor there; M is semiprime iff it is 0.
+A product vanishes iff (N:M)(K:M) lies in ann(M), a divisibility test on the
+divisor tuples of the two colon classes that holds iff it holds on every
+primary part; the module builds it for all pairs of classes at once, part by
+part, into one zero-product table (``kills``), which ``annihilates`` and
+both graphs AG(M) and AG(M)* read.  The exhaustive scans for these facts
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -415,29 +415,32 @@ class Module:
         return [s for s in lattice.all if maximal[s.cls] and not s.is_whole]
 
     def min_primes(self) -> list["Submodule"]:
-        """Inclusion-minimal primes, in lattice order (see ``min_prime_parts``)."""
-        return [p for p, _, _ in self.min_prime_parts()]
+        """Inclusion-minimal primes in lattice order, at ``min_prime_parts``' P masks."""
+        member = self.lattice().member
+        return [member(p) for p, _, _ in self.min_prime_parts()]
 
     @_once
     def min_prime_parts(self) -> list[tuple]:
-        """One row (P, e, eM) per associated prime (c, q), sorted by P's id:
-        P is m_{c,q}M = r*M for r = q on component c and 1 elsewhere, e
-        projects onto the (c, q)-primary part, and eM is that part.
+        """One row (mask of P, e, mask of eM) per associated prime (c, q), in
+        the member order of P (``_order_key``): P is m_{c,q}M = r*M for r = q
+        on component c and 1 elsewhere, e projects onto the (c, q)-primary
+        part, and eM is that part.  The masks come from ``_image``, under the
+        lattice's caps, so no member is made and no lattice enumerated.
 
         The P are the minimal primes.  A prime has a maximal colon m and
         contains mM.  For m = m_{c,q}, mM is M with its (c, q)-part times q,
         proper iff that part is nonzero, that is iff (c, q) is associated;
         then (mM : M) = m and mM is prime.  A prime inside mM has a colon m'
         with m'M <= mM, so m' <= (mM : M) = m, m' = m, and it contains mM.
-        The eM are the primary parts, so they meet pairwise in (0) and their
-        sizes multiply to |M|.
+        The eM are the primary parts, so they split M (``_check_split``).
         """
+        self.class_table()
         rows = []
         for c, q in self.associated_primes():
             e = self.ring.part_idempotent({(c, q)})
-            r = tuple(q if k == c else 1 for k in range(len(e)))
-            rows.append((self.times(r), e, self.times(e)))
-        return sorted(rows, key=lambda row: row[0].id)
+            r = self.ring.one[:c] + (q,) + self.ring.one[c + 1:]
+            rows.append((self._image(r), e, self._image(e)))
+        return sorted(rows, key=lambda row: _order_key(row[0]))
 
     def prime_radical(self) -> "Submodule":
         """rad(0), the intersection of all prime submodules, as r*M.
@@ -574,12 +577,14 @@ class Module:
         prime, 0 elsewhere.  The multiplier t is that element when there is a
         pair and 1 otherwise, so it is 1 on the component of each e_i and
         t e_i = e_i: witness i, R*(t e_i gen) = (t e_i)*M as M = R*gen, is
-        the part e_i*M.  The result is verified before it is returned.
+        the member at the mask of e_i*M.  The parts are checked to split M
+        (``_check_split``) and the witnesses to annihilate pairwise.
         Returns (witnesses, report).
         """
         if not self.is_cyclic():
             raise DomainError("clique witness construction needs a cyclic module")
         parts = self.min_prime_parts()
+        _check_split(self, parts)
         if not parts:
             return [], {"size": 0}
         ring = self.ring
@@ -588,13 +593,8 @@ class Module:
         s = tuple(int(c in carried) for c in range(len(ring.moduli)))
         pairs_of_parts = list(itertools.combinations(range(len(parts)), 2))
         t = s if pairs_of_parts else ring.one
-
-        witnesses = [part for _, _, part in parts]
-        if len(set(witnesses)) != len(witnesses):
-            raise InternalCheckError("clique witnesses are not distinct")
-        for w in witnesses:
-            if w.is_zero:
-                raise InternalCheckError("clique witness is the zero submodule")
+        member = self.lattice().member
+        witnesses = [member(part) for _, _, part in parts]
         for i, j in pairs_of_parts:
             if not self.annihilates(witnesses[i], witnesses[j]):
                 raise InternalCheckError(f"witness product {i},{j} is nonzero")
@@ -606,6 +606,26 @@ class Module:
             "pair_multipliers": [[i, j, list(s)] for i, j in pairs_of_parts],
         }
         return witnesses, report
+
+
+def _check_split(module: Module, rows) -> None:
+    """Raise unless the parts eM of ``min_prime_parts`` rows split M: sizes
+    multiplying to |M|, each nonzero, meeting pairwise in (0)."""
+    parts = list(map(operator.itemgetter(2), rows))
+    if math.prod(map(int.bit_count, parts)) != module.size:
+        raise InternalCheckError("component sizes do not multiply to the image size")
+    if 1 in parts:
+        raise InternalCheckError(f"component {parts.index(1)} is the zero submodule")
+    for (i, a), (j, b) in itertools.combinations(enumerate(parts), 2):
+        if a & b != 1:
+            raise InternalCheckError(f"components {i} and {j} overlap beyond zero")
+
+
+def _order_key(mask: int) -> tuple[int, str]:
+    """The lattice order: a member's size, then its encoding part, the mask's
+    bits from bit 0 up with 0 written as 2, which orders masks as ascending
+    index tuples, as a string and a tuple both end at the highest set bit."""
+    return mask.bit_count(), format(mask, "b")[::-1].replace("0", "2")
 
 
 def _labels(parts) -> tuple[str, ...]:
@@ -868,21 +888,17 @@ def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
 
 
 class Lattice:
-    """All submodules, sorted by (size, canonical encoding), each made here
-    once, and found by mask.  Among members of one size, the lowest index in
-    just one of two masks puts its member first, so the key is the size and
-    the mask read with its bits reversed, descending.  Members with one
-    colon ideal form a colon class, numbered as in ``Module.class_table``,
-    so class 0 is that of (0), whose colon is ann(M), and ``colons`` holds
-    one Ideal per class.  The lattice also memoizes the members derived
-    from others: each cyclic member R*x by the index of x, and each join by
-    the pair of member ids."""
+    """All submodules, sorted by ``_order_key`` (size, then encoding), each
+    made here once, and found by mask.  Members with one colon ideal form a
+    colon class, numbered as in ``Module.class_table``, so class 0 is that
+    of (0), whose colon is ann(M), and ``colons`` holds one Ideal per class.
+    The lattice also memoizes the members derived from others: each cyclic
+    member R*x by the index of x, and each join by the pair of member ids."""
 
     def __init__(self, module: Module, sums):
         self.module = module
         self.radix = module._radix()
-        width = f"0{module.size}b"
-        sums = sorted(sums, key=lambda t: (t[0].bit_count(), -int(format(t[0], width)[::-1], 2)))
+        sums = sorted(sums, key=lambda t: _order_key(t[0]))
         table = module.class_table()
         classes = {divs: a for a, (divs, _) in enumerate(table)}
         self.colons = colons = tuple(Ideal(module.ring, divs) for divs, _ in table)

@@ -21,11 +21,12 @@ a value, not an error, because several structural statements pivot on it.
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError
-from .finmod import Module, Submodule
+from .finmod import Module, Submodule, _check_split
 from .finring import Ring
 
 
@@ -128,40 +129,23 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> list[tu
     idempotents, and return its rows.
 
     loc is M localized at S, the minimal-prime complement.  The rows are
-    those of ``Module.min_prime_parts``, (P, e_i, e_i*M) per minimal prime.
-    Verifies: the component idempotents are pairwise orthogonal, they sum to
-    the localization idempotent, and the image is the internal direct sum of
-    the components (sizes multiplying up, pairwise trivial intersections).
-    Any failed check raises, because this split is a proven fact about these
-    modules: a failure means a bug.
+    those of ``Module.min_prime_parts``, (mask of P, e_i, mask of e_i*M) per
+    minimal prime, so no lattice is enumerated.  Verifies that the e_i are
+    pairwise orthogonal and sum to the localization idempotent, and that
+    the components split M (``_check_split``, as for the clique witnesses).
+    A failed check raises: the split is a proven fact, so it means a bug.
     """
     if module.cyclic_generator() is None:
         raise DomainError("product decomposition check needs a cyclic module")
     ring = module.ring
     table = module.min_prime_parts()
     parts = [e_i for _, e_i, _ in table]
-
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if ring.mul(parts[i], parts[j]) != ring.zero:
-                raise InternalCheckError(
-                    f"component idempotents {i} and {j} are not orthogonal"
-                )
-    total = ring.zero
-    for e_i in parts:
-        total = ring.add(total, e_i)
-    if total != loc.idem:
+    for (i, a), (j, b) in itertools.combinations(enumerate(parts), 2):
+        if ring.mul(a, b) != ring.zero:
+            raise InternalCheckError(f"component idempotents {i} and {j} are not orthogonal")
+    if functools.reduce(ring.add, parts, ring.zero) != loc.idem:
         raise InternalCheckError("component idempotents do not sum to the localization idempotent")
-
-    components = [part for _, _, part in table]
-    if math.prod(c.size for c in components) != loc.image.size:
-        raise InternalCheckError("component sizes do not multiply to the image size")
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            if components[i].mask & components[j].mask != 1:
-                raise InternalCheckError(
-                    f"components {i} and {j} overlap beyond zero"
-                )
+    _check_split(module, table)
     return table
 
 

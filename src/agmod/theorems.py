@@ -22,7 +22,8 @@ associated primes, one per nonzero primary part (``Module.min_prime_parts``),
 and test rad(0) = 0 as ``Module.is_semiprime``, so neither needs a lattice.
 Whether a member is a vertex is its class's bit in AG (``AnnGraph``'s ``in``),
 and Lemma 2.4 reads its idempotents off the same parts; the member scans
-these replace are oracles in tests/oracles.py.
+these replace are oracles in tests/oracles.py.  Those parts are masks, so
+Theorem 2.17 builds no lattice; Theorem 2.18 makes their members.
 
 Theorem 2.13 and Corollaries 2.14-2.16 localize at an S that misses Z(M).
 On a finite module such an S acts bijectively, so S^-1 M is M itself and
@@ -138,7 +139,7 @@ def _lemma_2_4(a: InstanceAnalysis):
     A nil annihilator puts every (c, q)-part of R into M, so an idempotent
     e, the projection onto a set of parts, is fixed by eM.  An N cut out by
     some e is then a primary part, and e is that part's idempotent, read off
-    the row of ``Module.min_prime_parts`` whose part is N."""
+    the row of ``Module.min_prime_parts`` whose part mask is N's."""
     m = a.module
     if not m.annihilator().is_nil():
         return NOT_MET, {"reason": "annihilator is not nil"}
@@ -147,7 +148,7 @@ def _lemma_2_4(a: InstanceAnalysis):
         if m.annihilates(n, n):
             branches.append({"submodule": n.ref(), "branch": "square_zero"})
             continue
-        e = next((e for _, e, part in m.min_prime_parts() if part is n), None)
+        e = next((e for _, e, part in m.min_prime_parts() if part == n.mask), None)
         if e is None:
             return FAIL, {"submodule": n.ref()}
         branches.append(
@@ -495,7 +496,7 @@ def _thm_2_17(a: InstanceAnalysis):
     return PASS, {
         "idempotent": list(a.loc_min.idem),
         "component_idempotents": [list(e) for _, e, _ in parts],
-        "component_sizes": [part.size for _, _, part in parts],
+        "component_sizes": [part.bit_count() for _, _, part in parts],
     }
 
 

@@ -453,7 +453,7 @@ def test_min_prime_facts_need_no_prime_scan(monkeypatch):
             [p.id for p in m.min_primes()],
             [w.id for w in witnesses],
             report,
-            (loc.idem, [e for _, e, _ in parts], [c.id for _, _, c in parts]),
+            (loc.idem, [e for _, e, _ in parts], [c for _, _, c in parts]),
         )
 
     expected = [facts(zmod(n)) for n in (60, 210, 12)]
@@ -764,9 +764,11 @@ def test_handed_out_submodules_are_lattice_members(oracle_modules):
         if m.is_cyclic():
             for w in m.min_prime_clique_witness()[0]:
                 check(m, w)
+            for p in m.min_primes():
+                check(m, p)
             loc = localize(m, min_prime_complement(m))
             for _, _, c in check_product_decomposition(m, loc):
-                check(m, c)
+                check(m, m.lattice().member(c))
 
 
 def test_min_primes_are_maximal_ideals_times_module(oracle_modules):
@@ -788,20 +790,49 @@ def test_min_primes_and_atoms_match_inclusion_scans(oracle_modules):
 
 
 def test_min_prime_parts_match_scans(oracle_modules):
-    # one row (P, e, eM) per associated prime: the P are the minimal primes
-    # in lattice order, e is idempotent with e*M = eM, and M is the direct
-    # sum of the eM
+    # one row (mask of P, e, mask of eM) per associated prime: the P are the
+    # minimal primes in lattice order, e is idempotent with e*M = eM, and M
+    # is the direct sum of the eM
     for m in oracle_modules:
         table = m.min_prime_parts()
-        assert [p for p, _, _ in table] == brute_min_primes(m), m
+        member = m.lattice().member
+        assert [member(p) for p, _, _ in table] == brute_min_primes(m), m
+        parts = [member(part).elements for _, _, part in table]
         size = 1
-        for _, e, part in table:
+        for (_, e, _), part in zip(table, parts):
             assert m.ring.mul(e, e) == e, m
-            assert brute_times(m, e) == part.elements, m
-            size *= part.size
+            assert brute_times(m, e) == part, m
+            size *= len(part)
         assert size == m.size, m
-        for (_, _, a), (_, _, b) in itertools.combinations(table, 2):
-            assert a.elements & b.elements == {m.zero}, m
+        for a, b in itertools.combinations(parts, 2):
+            assert a & b == {m.zero}, m
+
+
+def _old_order(module):
+    """The member order key the lattice once sorted by: the size, then the
+    mask read with its bits reversed, descending."""
+    width = f"0{module.size}b"
+    return lambda mask: (mask.bit_count(), -int(format(mask, width)[::-1], 2))
+
+
+def test_one_member_order(oracle_modules):
+    # the lattice and the minimal-prime table share one order: the lattice
+    # keeps the order of the old reversed-int key, and the table's rows, read
+    # off the factors as masks, come in the order of their P members' ids,
+    # each mask that of the image times(r) or times(e)
+    shapes = [Module(Ring(moduli), factors)
+              for moduli, factors in NON_CYCLIC + MIXED_EXPONENT_PARTS]
+    for m in [*oracle_modules, *shapes]:
+        lat = m.lattice()
+        masks = [s.mask for s in lat.all]
+        assert masks == sorted(masks, key=_old_order(m)), m
+        rows = []
+        for c, q in m.associated_primes():
+            e = m.ring.part_idempotent({(c, q)})
+            r = tuple(q if k == c else 1 for k in range(len(e)))
+            rows.append((m.times(r).mask, e, m.times(e).mask))
+        rows.sort(key=lambda row: lat.member(row[0]).id)
+        assert m.min_prime_parts() == rows, m
 
 
 def test_scaled_is_isomorphic_to_the_image(oracle_modules):

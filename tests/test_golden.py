@@ -16,6 +16,7 @@ import pytest
 
 from agmod import theorems
 from agmod.cli import main
+from agmod.finmod import Lattice
 
 SPECS = {
     "z12": {"ring": [12], "module": [{"d": 12, "c": 0}]},
@@ -107,6 +108,10 @@ CORPUS_DIGEST = "8adebf4d1f9695017e8eac989b92ef49337b84b0a486622bd36189ba724c11f
 # The max-ring-16 suite report under a lattice cap of 4 (210 skips).
 CAPPED_CORPUS_DIGEST = "7cc2fdf278b570e1de2c004281d88a0a78d92477b7d5f02c2c6952ec42423243"
 
+# The wide suite report (max-ring 400, max-module 512: 3250 instances, no
+# violation and no skip), as canonical JSON.
+WIDE_CORPUS_DIGEST = "8d8a2278048ce73e64e307567bfdef66c4347d8614cf63ed5f1f31d91b6af0c6"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -136,6 +141,25 @@ def test_cli_output_digest(tmp_path, name, argv, digest):
     assert sha256(data) == digest
 
 
+@pytest.mark.parametrize("name", ["z12", "z30", "z2xz4"])
+def test_localize_at_min_primes_builds_no_lattice(tmp_path, monkeypatch, name):
+    # the split of a cyclic M is read off its parts as masks, and both
+    # graphs off the class table, so the report keeps its bytes with the
+    # lattice refused
+    (digest,) = [d for n, argv, d in DIGESTS
+                 if n == name and argv == ["localize", "--at-min-primes"]]
+
+    def refused(self, module, sums):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(Lattice, "__init__", refused)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPECS[name]))
+    out = tmp_path / "out"
+    assert main(["localize", str(spec), "--at-min-primes", "--out", str(out)]) == 0
+    assert sha256(blank_version(out.read_bytes())) == digest
+
+
 def test_corpus_report_digest(corpus_report):
     data = json.dumps(corpus_report.to_dict(), sort_keys=True, ensure_ascii=False)
     assert sha256(data.encode()) == CORPUS_DIGEST
@@ -147,3 +171,12 @@ def test_capped_corpus_report_digest():
     assert len(report.skips) == 210
     data = json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False)
     assert sha256(data.encode()) == CAPPED_CORPUS_DIGEST
+
+
+def test_wide_corpus_report_digest():
+    spec = theorems.CorpusSpec(max_ring_card=400, max_module_card=512)
+    report = theorems.run_suite(theorems.generate_corpus(spec), corpus_spec=spec)
+    assert len(report.results) == 3250 * 21
+    assert not report.violations and not report.skips
+    data = json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False)
+    assert sha256(data.encode()) == WIDE_CORPUS_DIGEST

@@ -221,7 +221,7 @@ def _decompose(m):
     the component idempotents and sizes of its verified split."""
     loc = localize(m, min_prime_complement(m))
     parts = check_product_decomposition(m, loc)
-    return loc.idem, [e for _, e, _ in parts], [c.size for _, _, c in parts]
+    return loc.idem, [e for _, e, _ in parts], [c.bit_count() for _, _, c in parts]
 
 
 def test_product_decomposition_z12():
@@ -247,7 +247,7 @@ def test_product_decomposition_every_small_cyclic():
         assert parts is m.min_prime_parts()  # the module's own verified table
         prod = 1
         for _, _, c in parts:
-            prod *= c.size
+            prod *= c.bit_count()
         assert prod == loc.image.size
 
 
@@ -267,19 +267,27 @@ def test_product_decomposition_refuses_a_wrong_localization():
     assert str(exc.value) == "component idempotents do not sum to the localization idempotent"
 
 
-@pytest.mark.parametrize("n, edit, message", [
+WRONG_TABLES = [
     # the first idempotent made 1, which 9 and 4 do not annihilate
     (12, lambda m, rows: [(rows[0][0], m.ring.one, rows[0][2])] + rows[1:],
      "component idempotents 0 and 1 are not orthogonal"),
     # the second component made (0), so the sizes multiply to 3 or 4, not 12
-    (12, lambda m, rows: [rows[0], (rows[1][0], rows[1][1], m.lattice().zero)],
+    (12, lambda m, rows: [rows[0], (rows[1][0], rows[1][1], 1)],
      "component sizes do not multiply to the image size"),
+    # a third component (0) under e = 0: orthogonal, summing to 1, and the
+    # sizes still multiply to 12
+    (12, lambda m, rows: rows + [(rows[0][0], m.ring.zero, 1)],
+     "component 2 is the zero submodule"),
     # Z_4's 2M given twice, under e = 1 and e = 0: orthogonal, summing to 1,
     # and 2 * 2 = |Z_4|, but 2M meets itself beyond zero
-    (4, lambda m, rows: [(rows[0][0], m.ring.one, m.times((2,))),
-                         (rows[0][0], m.ring.zero, m.times((2,)))],
+    (4, lambda m, rows: [(rows[0][0], m.ring.one, m.times((2,)).mask),
+                         (rows[0][0], m.ring.zero, m.times((2,)).mask)],
      "components 0 and 1 overlap beyond zero"),
-], ids=["not_orthogonal", "wrong_sizes", "repeated_part"])
+]
+WRONG_TABLE_IDS = ["not_orthogonal", "wrong_sizes", "zero_part", "repeated_part"]
+
+
+@pytest.mark.parametrize("n, edit, message", WRONG_TABLES, ids=WRONG_TABLE_IDS)
 def test_product_decomposition_refuses_a_wrong_table(monkeypatch, n, edit, message):
     m = zmod(n)
     loc = localize(m, min_prime_complement(m))
@@ -287,6 +295,18 @@ def test_product_decomposition_refuses_a_wrong_table(monkeypatch, n, edit, messa
     monkeypatch.setattr(Module, "min_prime_parts", lambda mod: edit(mod, list(real(mod))))
     with pytest.raises(InternalCheckError) as exc:
         check_product_decomposition(m, loc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, edit, message", WRONG_TABLES[1:], ids=WRONG_TABLE_IDS[1:])
+def test_clique_witness_refuses_a_wrong_split(monkeypatch, n, edit, message):
+    # the witness goes through the same check of the split as Theorem 2.17;
+    # it checks no idempotent, so the first table passes it
+    m = zmod(n)
+    real = Module.min_prime_parts
+    monkeypatch.setattr(Module, "min_prime_parts", lambda mod: edit(mod, list(real(mod))))
+    with pytest.raises(InternalCheckError) as exc:
+        m.min_prime_clique_witness()
     assert str(exc.value) == message
 
 

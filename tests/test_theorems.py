@@ -112,6 +112,25 @@ def test_prop_2_5_enumerates_no_lattice_on_a_pass(default_corpus, monkeypatch):
     assert len(rows) == 319
 
 
+def test_thm_2_17_enumerates_no_lattice(default_corpus, monkeypatch):
+    # the split's rows hold masks read off the factors: with the lattice
+    # refused, every row is the one it was
+    _, modules = default_corpus
+
+    def rows():
+        return [run("thm_2_17", Module(m.ring, m.factors)) for m in modules]
+
+    want = rows()
+    assert {r.status for r in want} == {PASS}
+
+    def refused(self, module, sums):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(Lattice, "__init__", refused)
+    assert rows() == want
+    assert len(want) == 319
+
+
 def test_split_predicates_build_no_side(default_corpus, monkeypatch):
     # Lemma 2.6 and Theorems 2.7/2.8 read each split side's labels off M's
     # primary parts: with scaling refused, every row is the one it was
@@ -496,7 +515,7 @@ def test_only_the_member_predicates_enumerate_the_lattice(default_corpus, monkey
             lattice_free.add(tid)
     assert lattice_free == {
         "prop_2_5", "lemma_2_6", "prop_2_9a", "prop_2_9b", "thm_2_11", "thm_2_12", "thm_2_13",
-        "cor_2_14", "cor_2_15", "cor_2_16", "cor_2_19", "thm_2_20", "thm_2_21",
+        "cor_2_14", "cor_2_15", "cor_2_16", "thm_2_17", "cor_2_19", "thm_2_20", "thm_2_21",
         "thm_2_22", "cor_2_23",
     }
 
@@ -678,7 +697,7 @@ def test_run_suite_leaves_the_callers_modules_unenumerated(monkeypatch):
         lambda self, module, sums: enumerated.append(module) or init(self, module, sums),
     )
     module = zmod(12)
-    assert not run_suite([module], theorem_ids=["thm_2_17"]).violations
+    assert not run_suite([module], theorem_ids=["thm_2_18"]).violations
     assert enumerated and all(m is not module for m in enumerated)
     enumerated.clear()
     assert len(module.lattice()) == 6
