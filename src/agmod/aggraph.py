@@ -46,8 +46,8 @@ So a graph is fixed up to isomorphism by its type, the pair of its class
 sizes and the zero-product table, and ``invariants`` computes each type's
 report once per process: ``type_invariants`` is an LRU cache of the last 512
 types, keyed by the pair alone, so it keeps no module alive.  Types repeat a
-lot (17 among the 638 graphs of the default corpus), and
-``type_invariants.cache_info()`` gives the hits and misses.
+lot (a default-corpus pass builds only AG: 319 graphs of 17 types, 302 cache
+hits), and ``type_invariants.cache_info()`` gives the hits and misses.
 
 The clique solver is a pivoting maximal-clique search
 whose pivot scan stops at the first vertex that leaves at most one branch.

@@ -7,7 +7,7 @@ for byte for a given input and package version.
 
 Exit codes: 0 ok, 2 theorem violation, 3 resource cap hit (or corpus skips,
 unless --skips-ok), 64 usage or spec errors, including an output path that
-cannot be written.
+cannot be written, 70 a failed internal check (always a bug).
 """
 
 from __future__ import annotations
@@ -176,33 +176,39 @@ def parse_gens(ring: Ring, text: str):
 
 
 def _output(path: str | None, emit) -> None:
-    """Run ``emit(write)`` on stdout, or on the file at ``path``.
-
-    The file is opened before anything is written.  A path that cannot be
-    opened or written is a usage error, and so is a stdout that cannot be
-    written, such as a pipe its reader closed.  The stdout descriptor is then
-    pointed at os.devnull, so the flush at interpreter exit prints nothing.
-    """
+    """Run ``emit(write)`` on the file at ``path``, or on stdout, opened
+    before anything is written.  The stdout descriptor gets a UTF-8 writer
+    of its own, as the file does, so the bytes are the same whatever the
+    locale; an in-process stdout without one (a test's capture) takes text.
+    A path or stdout that cannot be written, such as a pipe its reader
+    closed, is a usage error; the stdout descriptor is then pointed at
+    os.devnull, so the flush at interpreter exit prints nothing."""
+    fd = None if path else _stdout_fd()
     try:
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
+        if not path:
+            sys.stdout.flush()
+        if path or fd is not None:
+            with open(path or fd, "w", encoding="utf-8", closefd=fd is None) as fh:
                 emit(fh.write)
         else:
             emit(sys.stdout.write)
             sys.stdout.flush()
     except OSError as exc:
-        if not path:
-            _silence_stdout()
+        if fd is not None:
+            _silence_stdout(fd)
         raise SpecError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
 
 
-def _silence_stdout() -> None:
-    """Point the stdout descriptor at os.devnull; an in-process stdout without
-    a descriptor (a test's capture buffer, say) is left alone."""
+def _stdout_fd() -> int | None:
+    """The stdout descriptor, or None for an in-process stdout without one."""
     try:
-        fd = sys.stdout.fileno()
+        return sys.stdout.fileno()
     except (OSError, ValueError):
-        return
+        return None
+
+
+def _silence_stdout(fd: int) -> None:
+    """Point the stdout descriptor ``fd`` at os.devnull."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)

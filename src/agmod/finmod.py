@@ -54,8 +54,8 @@ Facts about M itself come from the table of primary parts and need no
 lattice: ann(M) is the lcm of the factor orders per component, the
 associated primes are the maximal ideals m_{c,p} = {r : p | r_c} of the
 nonzero parts, M is cyclic iff every part has one coordinate, simple iff M
-has one coordinate in all and its order is a prime p, and has exactly one
-nontrivial submodule iff that one coordinate has order p^2.  Every prime
+has one coordinate in all and its exponent is 1 (M = Z_p), and has exactly
+one nontrivial submodule iff that exponent is 2.  Every prime
 ideal of a finite ring is maximal, so a proper N is prime iff (N : M) is
 maximal, and Z(M) is the union of the associated primes.  One table
 (``min_prime_parts``) holds, per associated prime (c, p), the masks of the
@@ -68,7 +68,8 @@ scalar acts on a factor Z_d on component c as r_c, so r*M is the direct sum
 of the gcd(r_c, d)*Z_d, read off the factors without listing M.  The primes
 with colon m_{c,p} are the proper submodules containing m_{c,p}M, so rad(0)
 is the sum of the p*M_{c,p}, the image of the element whose residue on c is
-the squarefree kernel of ann(M)'s divisor there; M is semiprime iff it is 0.
+the product of the primes of the parts on c; M is semiprime iff it is 0, iff
+every part coordinate has exponent 1, so no modulus is factored again.
 A product vanishes iff (N:M)(K:M) lies in ann(M), a divisibility test on the
 divisor tuples of the two colon classes that holds iff it holds on every
 primary part; the module builds it for all pairs of classes at once, part by
@@ -85,7 +86,7 @@ import math
 import operator
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError, StructuralError
-from .finring import Ideal, Ring, squarefree_kernel
+from .finring import Ideal, Ring
 
 ELEMENT_CAP = 512
 LATTICE_CAP = 4096
@@ -206,9 +207,9 @@ class Module:
         for c, p, coords in self._primary_parts():
             if len(coords) == 1:
                 # subgroup_count here too: 50 squarefree Z_n in 6.5-7.8 ms, not 4.6-5.3 (2-core x86)
-                choices = [(e, 1) for e in _exponents(coords[0][1], p)]
+                choices = [(p**j, 1) for j in range(coords[0][3], -1, -1)]
             else:
-                lam = [len(_exponents(q, p)) - 1 for _, q, _ in coords]
+                lam = [a for _, _, _, a in coords]
                 top = max(lam)
                 at_most = [0] + [subgroup_count(p, [min(a, j) for a in lam])
                                  for j in range(top + 1)]
@@ -263,9 +264,10 @@ class Module:
 
         The (c, p)-part is the sum of the p-parts of the factors Z_d on
         component c with p | d.  Each such factor gives one part coordinate
-        (i, p^a, d / p^a): its index, the order p^a of its p-part, and the
-        step that carries Z_{p^a} onto that p-part of Z_d.  A part is the
-        triple (c, p, coordinates).
+        (i, p^a, d / p^a, a): its index, the order p^a of its p-part, the
+        step that carries Z_{p^a} onto that p-part of Z_d, and the exponent
+        a >= 1.  A part, Z_{p^a_1} + ... + Z_{p^a_r}, is the triple (c, p,
+        coordinates), and every fact about M's exponents is read off it.
         """
         parts = []
         for c, primes in enumerate(self.ring.primes):
@@ -273,10 +275,11 @@ class Module:
                 coords = []
                 for i, (d, dc) in enumerate(self.factors):
                     if dc == c and d % p == 0:
-                        q = p
+                        q, a = p, 1
                         while d % (q * p) == 0:
                             q *= p
-                        coords.append((i, q, d // q))
+                            a += 1
+                        coords.append((i, q, d // q, a))
                 if coords:
                     parts.append((c, p, coords))
         return parts
@@ -302,12 +305,12 @@ class Module:
         L: the least j whose image mask lies in the form's mask.
         """
         _, p, coords = part
-        orders = [q for _, q, _ in coords]
+        orders = [q for _, q, _, _ in coords]
         radix = self._radix()
         span = radix.span
         # the index in M of a part vector: entry v on part coordinate
-        # (i, q, step) is the digit v mod q * step of factor i
-        scales = [step * radix.weights[i] for i, _, step in coords]
+        # (i, q, step, a) is the digit v mod q * step of factor i
+        scales = [step * radix.weights[i] for i, _, step, _ in coords]
         forms = [((), (), 1)]
         for order, scale in zip(orders, scales):
             grown = []
@@ -326,14 +329,13 @@ class Module:
                                 grown.append((heads + (h,), gens, mask))
                         h *= p
             forms = grown  # each with its mask, grown along its rows one at a time
-        powers = _exponents(max(orders), p)[::-1]
-        # (p^j, the mask of p^j times the part), down to (p^a, (0))
+        # (p^j, the mask of p^j times the part), from (1, the part) up to (p^a, (0))
         images = [
             (e, math.prod(
                 _multiples(radix.orders[i], step * min(e, q), radix.weights[i])
-                for i, q, step in coords
+                for i, q, step, _ in coords
             ))
-            for e in powers
+            for e in [p**j for j in range(max([a for _, _, _, a in coords]) + 1)]
         ]
         return [
             (mask, gens, next(e for e, image in images if image & ~mask == 0))
@@ -363,8 +365,8 @@ class Module:
         IM = 0 iff I lies in ann(M), whose divisors are a, and (N:M)(K:M)
         has divisors gcd(d_c * e_c, n_c) with a_c | n_c, so NK = (0) iff
         a_c | d_c * e_c on every component c: iff on every (c, p)-part, of
-        largest order p^k, the exponents p^i and p^j that N's and K's classes
-        choose there have i + j >= k.  The table is therefore the tensor
+        largest coordinate exponent k, the exponents p^i and p^j that N's
+        and K's classes choose there have i + j >= k.  The table is the tensor
         product of the parts' own tables, built one part at a time in the
         numbering of ``class_table``: the part's choices go p^k, ..., p, 1,
         so choices t and u kill iff t + u <= k.  Row a of the classes so far
@@ -374,8 +376,8 @@ class Module:
         the mask is long, so the product carries nowhere.
         """
         rows = [1]
-        for _, p, coords in self._primary_parts():
-            choices = len(_exponents(max(q for _, q, _ in coords), p))
+        for _, _, coords in self._primary_parts():
+            choices = max([a for _, _, _, a in coords]) + 1
             gap = "0" * (choices - 1)
             spread = [int(gap.join(format(row, "b")), 2) for row in rows]
             rows = [r * ((1 << choices - t) - 1) for r in spread for t in range(choices)]
@@ -448,22 +450,22 @@ class Module:
         The primes with colon m_{c,q} are the proper submodules containing
         m_{c,q}M, so they meet in m_{c,q}M, and over the associated (c, q)
         these meet in the sum of the q*M_{c,q}.  That is r*M for r_c the
-        squarefree kernel of the annihilator divisor on component c.
+        product of the primes of the parts on component c.
         """
-        return self.times(
-            tuple(squarefree_kernel(d) for d in self.annihilator().divisors)
-        )
+        r = [1] * len(self.ring.moduli)
+        for c, q, _ in self._primary_parts():
+            r[c] *= q
+        return self.times(tuple(r))
 
     @_once
     def is_semiprime(self) -> bool:
         """I^2 K = 0 implies I K = 0 for all ideals I, submodules K.
 
         This holds iff every annihilator divisor is squarefree, that is iff M
-        is a module over the product of fields R/ann(M) (semisimple).
+        is a module over the product of fields R/ann(M) (semisimple), and iff
+        every part coordinate has exponent 1.
         """
-        return all(
-            squarefree_kernel(d) == d for d in self.annihilator().divisors
-        )
+        return all(a == 1 for _, _, coords in self._primary_parts() for _, _, _, a in coords)
 
     def associated_primes(self) -> list:
         """Ass(M) as pairs (c, q): the maximal ideals m_{c,q} = {r : q | r_c}
@@ -632,30 +634,20 @@ def _labels(parts) -> tuple[str, ...]:
     """The labels of a module with these primary parts, in fixed order.
 
     M has exactly two submodules (simple) iff it is Z_p, and exactly three
-    iff it is Z_{p^2}: one part coordinate, of order p or p^2.  It is a
+    iff it is Z_{p^2}: one part coordinate, of exponent 1 or 2.  It is a
     prime module iff (0) is prime, that is iff ann(M) is maximal: iff M has
-    one primary part, (c, p), and p kills it, every coordinate of order p.
+    one primary part, (c, p), and p kills it, every coordinate of exponent 1.
     """
     labels = []
     if len(parts) == 1:
-        _, p, coords = parts[0]
-        orders = [q for _, q, _ in coords]
-        if orders == [p]:
+        exponents = [a for _, _, _, a in parts[0][2]]
+        if exponents == [1]:
             labels.append("simple")
-        if orders == [p * p]:
+        if exponents == [2]:
             labels.append("unique_nontrivial_submodule")
-        if orders == [p] * len(orders):
+        if exponents == [1] * len(exponents):
             labels.append("prime_module")
     return tuple(labels) if labels else ("other",)
-
-
-def _exponents(q: int, p: int) -> list[int]:
-    """The powers of p dividing q = p^a, from p^a down to 1."""
-    powers = [q]
-    while q > 1:
-        q //= p
-        powers.append(q)
-    return powers
 
 
 def _gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -4,7 +4,8 @@ Elements are residue tuples with componentwise arithmetic.  Ideals are stored
 as divisor tuples, one divisor d_i | n_i per component, where d_i = n_i
 encodes the zero component and d_i = 1 the full component; membership is a
 componentwise divisibility test.  In this shape ideal products reduce to
-gcd(d*d', n) and nilpotence to squarefree kernels, so everything stays exact
+gcd(d*d', n), and nilpotence and maximality to tests against each modulus's
+primes, factored once per ring (``Ring.primes``), so everything stays exact
 integer arithmetic.  Every idempotent is the projection onto a set of
 (c, q)-primary parts, one per component c and prime q | n_c: the sum of
 those parts' own idempotents, which are pairwise orthogonal.  Each part's
@@ -63,7 +64,8 @@ def prime_factors(n: int) -> list[int]:
 
 
 def squarefree_kernel(n: int) -> int:
-    """Product of the distinct primes dividing n (1 for n = 1)."""
+    """Product of the distinct primes dividing n (1 for n = 1); the package
+    reads ``Ring.primes``, and only perfbench/capture.py calls this."""
     return math.prod(prime_factors(n))
 
 
@@ -97,11 +99,6 @@ class Ring:
         factored once per ring, and the ring's table (``ring_table``) is
         keyed by these and the moduli."""
         return tuple(tuple(prime_factors(n)) for n in self.moduli)
-
-    @functools.cached_property
-    def nil_divisors(self) -> tuple[int, ...]:
-        """The nilradical in divisor form: the squarefree kernel of each modulus."""
-        return tuple(math.prod(ps) for ps in self.primes)
 
     # -- element arithmetic -------------------------------------------------
 
@@ -210,9 +207,10 @@ def ring_table(moduli: tuple[int, ...], primes: tuple[tuple[int, ...], ...]) -> 
 
     The key is two tuples of integers, so an entry keeps no object of a
     caller alive.  An entry holds the ring's k part idempotents, and its
-    2^(k-1) - 1 splits only once they have been asked for.  One pass of the default corpus (319 instances, every predicate)
-    makes 72 entries, 1.1 kB each with the splits built (a deep
-    ``sys.getsizeof``), and 1183 hits; eight parts (Z_9699690) take 29 kB.
+    2^(k-1) - 1 splits only once they have been asked for.  One pass of
+    the default corpus (319 instances, every predicate) makes 72 entries,
+    1.1 kB each with the splits built (a deep ``sys.getsizeof``), and 1183
+    hits; eight parts (Z_9699690) take 29 kB.
     """
     return RingTable(moduli, primes)
 
@@ -241,9 +239,9 @@ class Ideal:
         return "(" + ",".join(str(d) for d in self.divisors) + ")"
 
     def is_maximal(self) -> bool:
-        """One component divisor is a prime and every other divisor is 1."""
-        proper = [d for d in self.divisors if d != 1]
-        return len(proper) == 1 and prime_factors(proper[0]) == proper
+        """One divisor, on component c, is one of n_c's primes, the rest 1."""
+        proper = [c for c, d in enumerate(self.divisors) if d != 1]
+        return len(proper) == 1 and self.divisors[proper[0]] in self.ring.primes[proper[0]]
 
     def product(self, other: "Ideal") -> "Ideal":
         """Componentwise d*d' reduced by gcd with n; equals the set product."""
@@ -258,5 +256,6 @@ class Ideal:
         )
 
     def is_nil(self) -> bool:
-        """True iff every element is nilpotent, i.e. I lies in the nilradical."""
-        return all(d % k == 0 for d, k in zip(self.divisors, self.ring.nil_divisors))
+        """True iff every element is nilpotent, i.e. I lies in the nilradical:
+        each divisor is a multiple of every prime of its modulus."""
+        return all(d % p == 0 for d, ps in zip(self.divisors, self.ring.primes) for p in ps)

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 import agmod
 from agmod import aggraph, cli, theorems
 from agmod.cli import main, parse_gens, parse_instance
-from agmod.errors import ResourceLimitError
+from agmod.errors import InternalCheckError, ResourceLimitError
 from agmod.finmod import Module, Submodule
 from agmod.finring import Ring, prime_factors, ring_table
 from agmod.localization import MULT_SET_CAP
 
 from helpers import NON_CYCLIC, edges, key
 from oracles import report_submodules
+from test_golden import SPECS as GOLDEN_SPECS
 
 
 @pytest.fixture()
@@ -509,6 +510,34 @@ def test_one_analyze_factors_each_modulus_once(monkeypatch, capsys, spec_file):
         assert calls.count(n) == 1, extra
 
 
+def test_only_the_ring_and_the_unit_group_factor(monkeypatch, capsys, spec_file):
+    # each modulus is factored by Ring.primes, and every later prime fact
+    # (semiprimality, rad(0), a maximal colon) is read off the part table or
+    # the ring's primes; the one other factorization is of phi(n_c), for a
+    # generator of the unit group.  The corpus is generated afresh, so no
+    # ring has its primes yet
+    callers = set()
+
+    def recorded(k):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a generator expression
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+        return prime_factors(k)
+
+    for name, module in list(sys.modules.items()):
+        imported = getattr(module, "prime_factors", None) is prime_factors
+        if name.split(".")[0] == "agmod" and imported:
+            monkeypatch.setattr(module, "prime_factors", recorded)
+    report = theorems.run_suite(theorems.generate_corpus(theorems.CorpusSpec()))
+    assert not report.violations and not report.skips
+    for name, obj in GOLDEN_SPECS.items():
+        spec = spec_file(obj, f"{name}.json")
+        for extra in ([], ["--localize-at-min-primes"]):
+            assert run_cli(capsys, "analyze", spec, *extra)[0] == 0, (name, extra)
+    assert callers == {"primes", "_unit_generator"}
+
+
 def test_import_agmod_leaves_the_process_pool_unloaded():
     # only run_suite's pool branch needs concurrent.futures
     code = "import sys, agmod; print('concurrent.futures' in sys.modules)"
@@ -610,6 +639,38 @@ def test_unwritable_stdout_without_a_descriptor_exits_64(capsys, spec_file, monk
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["analyze", spec_file(Z12)]) == 64
     assert capsys.readouterr().err == "agmod: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "SPEC"], "--out"),
+    (["graph", "SPEC"], "--dot"),
+    (["corpus", "--max-ring", "12"], "--out"),
+], ids=["analyze", "graph", "corpus"])
+def test_stdout_gets_the_output_file_bytes_under_an_ascii_locale(tmp_path, argv, flag):
+    # every report names members by labels such as ⟨2⟩, which ASCII cannot
+    # encode; stdout still gets the UTF-8 bytes that the output file gets
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(Z12))
+    target = tmp_path / "output"
+    cmd = [sys.executable, "-m", "agmod.cli", *[str(spec) if a == "SPEC" else a for a in argv]]
+    env = {**_subprocess_env(), "PYTHONIOENCODING": "ascii"}
+    piped = subprocess.run(cmd, capture_output=True, timeout=60, env=env)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    written = subprocess.run(cmd + [flag, str(target)], capture_output=True, timeout=60, env=env)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert piped.stdout == target.read_bytes()
+    assert "⟨".encode() in piped.stdout
+
+
+def test_failed_internal_check_exits_70_without_a_traceback(capsys, spec_file, monkeypatch):
+    def broken(*args):
+        raise InternalCheckError("component sizes do not multiply to the image size")
+
+    monkeypatch.setattr(cli, "check_product_decomposition", broken)
+    code, out, err = run_cli(capsys, "localize", spec_file(Z12), "--at-min-primes")
+    assert (code, out) == (70, "")
+    assert err == ("agmod: internal error (this is a bug): "
+                   "component sizes do not multiply to the image size\n")
 
 
 @pytest.mark.parametrize("argv", [

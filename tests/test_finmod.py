@@ -662,8 +662,9 @@ def test_class_table_counts_the_lattice_classes(oracle_modules):
         assert table[-1][1] == 1, m
         for part in m._primary_parts():
             _, p, coords = part
+            lam = [len(divisors(q)) - 1 for _, q, _, _ in coords]
+            assert [a for *_, a in coords] == lam, m  # the exponent of each order p^a
             if len(coords) > 1:
-                lam = [len(divisors(q)) - 1 for _, q, _ in coords]
                 forms = m._subgroups(part)
                 assert len(forms) == subgroup_count(p, lam), (m, part)
 

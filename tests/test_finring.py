@@ -238,6 +238,7 @@ def test_factoring_is_exact_or_refused():
     # both primes lie near the trial-division bound, so this factors exactly;
     # the Mersenne prime 2^61 - 1 has no factor below it and is refused
     assert prime_factors(999983 * 1000003) == [999983, 1000003]
+    assert prime_factors(999983**2 * 1000003) == [999983, 1000003]
     assert squarefree_kernel(999983**2 * 1000003) == 999983 * 1000003
     with pytest.raises(ResourceLimitError, match="2305843009213693951"):
         prime_factors(2**61 - 1)
