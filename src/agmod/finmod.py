@@ -46,9 +46,14 @@ the zero-product table and both graphs, which need no lattice to be built.
 Every submodule the module hands out (an image r*M, a product, rad(0), a
 witness) is that lattice member, so submodules of one module compare with
 ``is`` or ``==``; across modules, compare their ``elements``.  A member's
-generators are found among members as well: every span on the way is a
-cyclic member R*x or a join, and the lattice memoizes both, R*x by the index
-of x and a join by the pair of member ids.
+generators, its label, are read off its mask: they are its Hermite rows in
+digit order, each the least element outside the rows before it, and the
+span of the rows found so far is a prefix of the mask (``_minimal_gens``).
+They are irredundant, not always fewest: Z_2 + Z_3 over Z_6 is labelled
+⟨(0,1), (1,0)⟩, though (1,1) generates it.  Only when a row is dependent on
+the others does a span become a lattice member, a cyclic member R*x or a
+join, which the lattice memoizes, R*x by the index of x and a join by the
+pair of member ids.
 
 Facts about M itself come from the table of primary parts and need no
 lattice: ann(M) is the lcm of the factor orders per component, the
@@ -777,7 +782,7 @@ class _Radix:
 class Submodule:
     """A member of its module's lattice: a closed set of elements, held as a
     mask over their indices (see ``_Radix``), with its id, its colon class
-    and ideal, and a minimal generator list.  The lattice makes each
+    and ideal, and an irredundant generator list.  The lattice makes each
     submodule once, so two members of one module are equal iff they are the
     same object.
     """
@@ -819,7 +824,8 @@ class Submodule:
 
     @property
     def gens(self) -> tuple:
-        """Minimal generators, found on first use (see ``_minimal_gens``)."""
+        """Irredundant generators, none in the span of the others, though
+        not always the fewest; found on first use (see ``_minimal_gens``)."""
         if self._gens is None:
             self._gens = _minimal_gens(self.module.lattice(), self)
         return self._gens
@@ -855,28 +861,57 @@ def _fmt_elem(x) -> str:
 
 
 def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
-    """Greedy lexicographically-least generators, then drop redundant ones.
+    """Greedy lexicographically-least generators, then drop redundant ones:
+    an irredundant list, no generator in the span of the others, though not
+    always one of least size.
 
-    The next generator is the least element of the submodule outside the
-    span so far: the lowest bit of one mask minus the other.  Generators
-    are found as indices and only those kept are decoded.  Every span along
-    the way is a lattice member: the span of x is the cyclic member R*x, and
-    adding a generator is a join (``Lattice.join``).
+    The next generator is the least element of S = ``sub`` outside the span
+    so far.  Write S_j for the members of S whose digits before j are 0:
+    the bits below d_j * w_j of S's mask.  The span starts as S_k = (0), k
+    the number of digits, and stays some S_{j+1}.  An element of S outside
+    it has a nonzero digit before j + 1, and the later its first nonzero
+    digit, the lower its index, so the next generator x leads at the last
+    digit j at which S_j outgrows S_{j+1}.  S_j / S_{j+1} is the cyclic
+    group of the digits j of S_j, so x's leading digit h is the least of
+    them and S_j = S_{j+1} + Z*x.  And x is component-pure: for c the
+    component of digit j, e_c x lies in S and outside S_{j+1}, and keeps
+    x's digits up to j and zeroes some later ones, so e_c x <= x and e_c x
+    is x.  So R*x = Z*x and the next span is S_j, a prefix of S's mask: no
+    join is made.  These are S's Hermite rows in digit order (H. Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, sec. 2.4).
+
+    Row x has order o = d_j / h over the rows before it; when every row has
+    o*x = 0, S is the direct sum of the Z*x and no row is redundant.
+    Otherwise one forward pass drops the redundant rows, with the spans of
+    ``Lattice.cyclic`` and ``Lattice.join``; a generator not redundant in a
+    set is not redundant in any subset of it, so one pass leaves none.  The
+    last row is never redundant: no other row has a nonzero digit where it
+    leads.  Generators are found as indices, each decoded once by the radix.
     """
+    radix = lattice.radix
+    orders, mask = radix.orders, sub.mask
     gens = []
-    span = lattice.zero
-    while span is not sub:
-        rest = sub.mask & ~span.mask
-        x = (rest & -rest).bit_length() - 1
-        gens.append(x)
-        span = lattice.join(span, lattice.cyclic(x))
-    # a generator not redundant in a set is not redundant in any subset of
-    # it, so one forward pass leaves no redundant generator
-    for g in list(gens):
-        rest = [lattice.cyclic(h) for h in gens if h != g]
-        if functools.reduce(lattice.join, rest, lattice.zero) is sub:
-            gens.remove(g)
-    return tuple(map(lattice.radix.element, gens))
+    independent = True
+    span = 1
+    for j in range(len(orders) - 1, -1, -1):
+        if span == mask:
+            break
+        prefix = mask & ((1 << orders[j] * radix.weights[j]) - 1)
+        if prefix != span:
+            rest = prefix & ~span
+            x = (rest & -rest).bit_length() - 1
+            gens.append(x)
+            if independent:
+                digits = radix.element(x)
+                o = orders[j] // digits[j]
+                independent = not any(map(operator.mod, map(o.__mul__, digits), orders))
+            span = prefix
+    if not independent:
+        for g in gens[:-1]:
+            rest = [lattice.cyclic(h) for h in gens if h != g]
+            if functools.reduce(lattice.join, rest, lattice.zero) is sub:
+                gens.remove(g)
+    return tuple(map(radix.element, gens))
 
 
 class Lattice:
@@ -885,7 +920,10 @@ class Lattice:
     colon class, numbered as in ``Module.class_table``, so class 0 is that
     of (0), whose colon is ann(M), and ``colons`` holds one Ideal per class.
     The lattice also memoizes the members derived from others: each cyclic
-    member R*x by the index of x, and each join by the pair of member ids."""
+    member R*x by the index of x, and each join by the pair of member ids.
+    They serve two readers: labels, only to drop a dependent row
+    (``_minimal_gens``), and the join F + N in the four-vertex-path check
+    of Theorems 2.7 and 2.8 (``theorems._p4_fxs_structure``)."""
 
     def __init__(self, module: Module, sums):
         self.module = module

@@ -7,6 +7,7 @@ be checked against an unrelated code path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -409,6 +410,24 @@ def brute_minimal_gens(module, elems):
         if span(module, [h for h in gens if h != g]) == elems:
             gens.remove(g)
     return tuple(gens)
+
+
+def join_greedy_gens(lattice, sub):
+    """The greedy lexicographically-least generators of a member, then one
+    forward pass dropping redundant ones, every span a lattice member: the
+    cyclic member R*x of each generator x, joined to the span so far."""
+    gens = []
+    spanned = lattice.zero
+    while spanned is not sub:
+        rest = sub.mask & ~spanned.mask
+        x = (rest & -rest).bit_length() - 1
+        gens.append(x)
+        spanned = lattice.join(spanned, lattice.cyclic(x))
+    for g in list(gens):
+        others = [lattice.cyclic(h) for h in gens if h != g]
+        if functools.reduce(lattice.join, others, lattice.zero) is sub:
+            gens.remove(g)
+    return tuple(map(lattice.radix.element, gens))
 
 
 def brute_subgroup_closure(module, gens):

@@ -47,6 +47,7 @@ from oracles import (
     ideal_radical,
     ideals,
     is_prime_ideal,
+    join_greedy_gens,
     omega,
     smul,
     span,
@@ -318,6 +319,50 @@ def test_labels_match_set_oracle(oracle_modules):
     for m in oracle_modules:
         for s in m.lattice().all:
             assert s.gens == brute_minimal_gens(m, s.elements), (key(m), s.id)
+
+
+# past the oracle modules: dense 2-groups, mixed exponents at 2 and at 3,
+# two primes on one component, and two components interleaved
+_LABEL_SHAPES = [
+    ([8], [(8, 0)] * 3),
+    ([2], [(2, 0)] * 5),
+    ([4], [(4, 0), (4, 0), (2, 0), (2, 0)]),
+    ([9], [(9, 0), (3, 0), (9, 0)]),
+    ([6], [(6, 0), (6, 0), (2, 0)]),
+    ([4, 6], [(2, 1), (4, 0), (3, 1), (2, 0)]),
+]
+
+
+def test_labels_match_the_join_greedy(oracle_modules):
+    # the prefix spans give the generators that growing each span by joins does
+    for m in [*oracle_modules, *(Module(Ring(r), f) for r, f in _LABEL_SHAPES)]:
+        lattice = m.lattice()
+        for s in lattice.all:
+            assert s.gens == join_greedy_gens(lattice, s), (key(m), s.id)
+
+
+def test_independent_rows_make_no_span(default_corpus, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a label built a span")
+
+    _, corpus = default_corpus
+    modules = [Module(m.ring, m.factors) for m in corpus]  # no label built yet
+    modules += [_p_group(3, (1,) * 4), _p_group(2, (1,) * 4)]
+    with monkeypatch.context() as patch:
+        patch.setattr(Lattice, "join", refuse)
+        patch.setattr(Lattice, "cyclic", refuse)
+        for m in modules:
+            for s in m.lattice().all:
+                assert s.label
+    # R(1,1) in Z_2 + Z_4 has the rows (0,2) = 2(1,1) and (1,1): the join
+    # check drops the first
+    joins = []
+    join = Lattice.join
+    monkeypatch.setattr(Lattice, "join", lambda lat, a, b: joins.append(1) or join(lat, a, b))
+    m = Module(Ring([4]), [(2, 0), (4, 0)])
+    s = m.lattice().find(cyclic_span(m, (1, 1)))
+    assert s.label == "⟨(1,1)⟩"
+    assert joins
 
 
 def test_labels_are_built_once():
@@ -1069,6 +1114,31 @@ def test_random_instances_generate_consistent_lattices(m):
         assert span(m, s.gens) == s.elements
     for x in m.elements:
         assert cyclic_span(m, x) in {s.elements for s in lat.all}
+
+
+@st.composite
+def _composite_module(draw):
+    """At most 64 elements on one or two components, a composite order on
+    component 0, one order on any other and up to two more, in any order."""
+    moduli = [draw(st.sampled_from([4, 6, 8, 9, 12])) for _ in range(draw(st.integers(1, 2)))]
+    composite = [d for d in divisors(moduli[0]) if len(divisors(d)) > 2]
+    factors = [(draw(st.sampled_from(composite)), 0)]
+    if len(moduli) == 2:
+        room = 64 // factors[0][0]
+        factors.append((draw(st.sampled_from([d for d in divisors(moduli[1]) if 1 < d <= room])), 1))
+    for _ in range(draw(st.integers(0, 2))):
+        room = 64 // math.prod(d for d, _ in factors)
+        fits = [(d, c) for c, n in enumerate(moduli) for d in divisors(n) if 1 < d <= room]
+        if not fits:
+            break
+        factors.append(draw(st.sampled_from(fits)))
+    return Module(Ring(moduli), draw(st.permutations(factors)))
+
+
+@given(_composite_module())
+def test_random_composite_modules_label_like_the_set_oracle(m):
+    for s in m.lattice().all:
+        assert s.gens == brute_minimal_gens(m, s.elements), (key(m), s.id)
 
 
 @given(_random_small_module())
