@@ -182,14 +182,28 @@ def _output(path: str | None, emit) -> None:
     locale; an in-process stdout without one (a test's capture) takes text.
     A path or stdout that cannot be written, such as a pipe its reader
     closed, is a usage error; the stdout descriptor is then pointed at
-    os.devnull, so the flush at interpreter exit prints nothing."""
+    os.devnull, so the flush at interpreter exit prints nothing.
+
+    The file is written over in place, with no O_TRUNC: cutting a report to
+    size zero costs more than writing a light one.  After the last write,
+    whether ``emit`` returns or raises, a longer file is cut at the written
+    end (os.devnull and FIFOs have no size), so a failed write leaves a
+    prefix of the new output and no byte of the old file."""
     fd = None if path else _stdout_fd()
     try:
         if not path:
             sys.stdout.flush()
         if path or fd is not None:
-            with open(path or fd, "w", encoding="utf-8", closefd=fd is None) as fh:
-                emit(fh.write)
+            # the opener drops O_TRUNC; open() closes its descriptor if wrapping it fails
+            with open(path or fd, "w", encoding="utf-8", closefd=fd is None,
+                      opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+                try:
+                    emit(fh.write)
+                    fh.flush()
+                finally:
+                    size = path and os.fstat(fh.fileno()).st_size
+                    if size and size > (end := os.lseek(fh.fileno(), 0, os.SEEK_CUR)):
+                        os.ftruncate(fh.fileno(), end)
         else:
             emit(sys.stdout.write)
             sys.stdout.flush()

@@ -2,8 +2,10 @@ import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -673,18 +675,99 @@ def test_failed_internal_check_exits_70_without_a_traceback(capsys, spec_file, m
                    "component sizes do not multiply to the image size\n")
 
 
-@pytest.mark.parametrize("argv", [
+# every command that writes an output file, each with its output flag last
+OUTPUT_ARGVS = [
     ["analyze", "SPEC", "--out"],
     ["graph", "SPEC", "--dot"],
     ["localize", "SPEC", "--at-min-primes", "--out"],
     ["corpus", "--max-ring", "4", "--theorems", "thm_2_21", "--out"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS, ids=lambda argv: argv[0])
 def test_unwritable_output_exits_64(capsys, spec_file, tmp_path, argv):
     target = tmp_path / "no" / "such" / "dir" / "r.json"
     argv = [spec_file(Z12) if a == "SPEC" else a for a in argv] + [str(target)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 64 and out == ""
     assert err == f"agmod: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("old_size", [lambda n: 3 * n + 1000, lambda n: n // 2],
+                         ids=["longer", "shorter"])
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS, ids=lambda argv: argv[0])
+def test_existing_output_is_overwritten_in_place(capsys, spec_file, tmp_path, argv, old_size):
+    argv = [spec_file(Z12) if a == "SPEC" else a for a in argv]
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    assert run_cli(capsys, *argv, str(fresh)) == (0, "", "")
+    report = fresh.read_bytes()
+    target.write_bytes(b"#" * old_size(len(report)))
+    target.chmod(0o640)
+    before = target.stat()
+    assert run_cli(capsys, *argv, str(target)) == (0, "", "")
+    after = target.stat()
+    assert target.read_bytes() == report
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_output_through_a_symlink_rewrites_its_target(capsys, spec_file, tmp_path):
+    spec, fresh = spec_file(Z12), tmp_path / "fresh.json"
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_bytes(b"#" * 100_000)
+    link.symlink_to(real)
+    assert run_cli(capsys, "analyze", spec, "--out", str(fresh)) == (0, "", "")
+    assert run_cli(capsys, "analyze", spec, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull)
+                    or not stat.S_ISCHR(os.stat(os.devnull).st_mode),
+                    reason="os.devnull is not a character device")
+def test_output_to_devnull_exits_0(capsys, spec_file):
+    assert run_cli(capsys, "analyze", spec_file(Z12), "--out", os.devnull) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_output_to_a_fifo_gets_the_whole_report(capsys, spec_file, tmp_path):
+    # a FIFO cannot seek, so the writer must not ask it for a position to cut at
+    spec, fresh, fifo = spec_file(Z12), tmp_path / "fresh.json", tmp_path / "fifo"
+    assert run_cli(capsys, "analyze", spec, "--out", str(fresh)) == (0, "", "")
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(capsys, "analyze", spec, "--out", str(fifo)) == (0, "", "")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [fresh.read_bytes()]
+
+
+def test_a_failed_write_leaves_a_prefix_of_the_new_report(capsys, spec_file, tmp_path,
+                                                          monkeypatch):
+    spec, fresh, target = spec_file(Z12), tmp_path / "fresh.json", tmp_path / "r.json"
+    assert run_cli(capsys, "analyze", spec, "--out", str(fresh)) == (0, "", "")
+    report = fresh.read_bytes()
+    target.write_bytes(b"#" * (2 * len(report)))
+    write_members = cli._write_members
+
+    def one_row_then_a_full_disk(members, write, depth):
+        rows = []
+
+        def write_one(text):
+            if rows:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            rows.append(text)
+            write(text)
+
+        write_members(members, write_one, depth)
+
+    monkeypatch.setattr(cli, "_write_members", one_row_then_a_full_disk)
+    code, out, err = run_cli(capsys, "analyze", spec, "--out", str(target))
+    assert (code, out) == (64, "")
+    assert err == f"agmod: cannot write {target}: No space left on device\n"
+    left = target.read_bytes()
+    assert left and report.startswith(left) and b"#" not in left
 
 
 # JSON values of the shapes reports hold: str keys and strings with non-ASCII,
