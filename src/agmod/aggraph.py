@@ -57,7 +57,7 @@ neighbour in; it is run for k colours from the clique lower bound up until
 it succeeds, which it does by k = the greedy count, since its first descent
 is the greedy colouring.  Both searches keep explicit stacks, so their depth
 is not bounded by the recursion limit.  The report and DOT writers take each
-vertex's edge row from one neighbour list per class (``later_neighbors``).
+vertex's edge row as a slice of one list of tails per class (``later_neighbors``).
 
 Degenerate conventions, pinned once here: the empty graph has clique and
 chromatic number 0, no girth, no diameter, shape flag {"empty"} only; girth
@@ -422,23 +422,25 @@ def chromatic_number(adj, n: int, lower: int | None = None) -> int:
 # -- edge rows and DOT export ------------------------------------------------------
 
 
-def later_neighbors(g: AnnGraph, order: Sequence[int]) -> Iterator[list[int]]:
+def later_neighbors(g: AnnGraph, order: Sequence[int], tails: Sequence) -> Iterator[list]:
     """Each vertex's row, for the vertices of ``order`` in turn: the
-    ascending positions in ``order`` of its neighbours placed after it.
+    ``tails`` at the ascending positions in ``order`` of its neighbours
+    placed after it (with ``range(len(order))``, the positions themselves).
 
     A vertex's neighbours are the vertices of the classes its class kills
     (``Module.kills``), itself excepted, so the members of a colon class are
-    twins.  Each class's neighbour positions are sorted once, and a vertex's
-    row is the part of its class's list past its own position.
+    twins.  Each class's neighbour positions are sorted once, and with them
+    its list of their tails, which references each vertex's one tail; a
+    vertex's row is the slice of its class's list past its own position.
     """
     kills = g.kills
     at: dict[int, list[int]] = {}  # class -> its members' positions, ascending
     for k, v in enumerate(order):
         at.setdefault(g.cls[v], []).append(k)
-    rows = {a: sorted(chain.from_iterable(at[b] for b in at if kills[a] >> b & 1)) for a in at}
-    for k, v in enumerate(order):
-        row = rows[g.cls[v]]
-        yield row[bisect_right(row, k):]
+    pos = {a: sorted(chain.from_iterable(at[b] for b in at if kills[a] >> b & 1)) for a in at}
+    rows = {a: list(map(tails.__getitem__, p)) for a, p in pos.items()}
+    for k, a in enumerate(map(g.cls.__getitem__, order)):
+        yield rows[a][bisect_right(pos[a], k):]
 
 
 def to_dot(g: AnnGraph, write) -> None:
@@ -451,8 +453,8 @@ def to_dot(g: AnnGraph, write) -> None:
     for k, v in enumerate(order):
         write(f'  v{k} [label="{verts[v].label}"];\n')
     tails = [f"v{b};\n" for b in range(g.n)]
-    for k, row in enumerate(later_neighbors(g, order)):
+    for k, row in enumerate(later_neighbors(g, order, tails)):
         if row:
             head = f"  v{k} -- "
-            write(head + head.join(map(tails.__getitem__, row)))
+            write(head + head.join(row))
     write("}\n")

@@ -137,6 +137,16 @@ class Module:
 
         self._facts: dict = {}
 
+    def __enter__(self) -> "Module":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # drop the memoized facts, on return or on a raise: the lattice and
+        # its members hold the module, so with them kept a dropped module
+        # waits for the cycle collector, and without them reference counting
+        # frees it, its lattice and its members at once
+        self._facts.clear()
+
     @functools.cached_property
     def elements(self) -> tuple:
         """Every element in index order (see ``_Radix``), listed on first use;
@@ -303,8 +313,13 @@ class Module:
         0 <= x_j < h_j.  The rows span a lattice containing K iff, for every
         i, p^{a_i} / h_i * (x_1..x_{i-1}) lies in the span of the rows before
         row i.  Those rows span exactly the subgroup in the form's mask, so
-        this is a test of one bit.  The forms are grown one row at a time,
-        each as its heads, generators and mask.
+        this is a test of one bit.  At h_i = p^{a_i} it asks whether x itself
+        lies in that span, which holds only at x = 0: the box of a reduced
+        form meets its lattice only in 0.  For if x = sum c_j row_j with some
+        c_j != 0, take the last such j: the rows are lower triangular, so
+        x_j = c_j h_j, outside 0 <= x_j < h_j.  So that row is kept at x = 0
+        alone, untested.  The forms are grown one row at a time, each as its
+        heads, generators and mask.
 
         The exponent of Z^r / L is the least p^j with p^j times the part in
         L: the least j whose image mask lies in the form's mask.
@@ -323,16 +338,15 @@ class Module:
                 for x in itertools.product(*map(range, heads)):
                     base = sum(map(operator.mul, x, scales))
                     h = 1
-                    while order % h == 0:
+                    while h < order:
                         m = order // h
                         if mask >> sum(m * v % q * s for v, q, s in zip(x, orders, scales)) & 1:
-                            if h < order:
-                                # the row has order order / h over the rows before it
-                                gen = (base + h * scale, m)
-                                grown.append((heads + (h,), gens + (gen,), span(mask, [gen])))
-                            else:  # the row lies in the span of the rows before it
-                                grown.append((heads + (h,), gens, mask))
+                            # the row has order m over the rows before it
+                            gen = (base + h * scale, m)
+                            grown.append((heads + (h,), gens + (gen,), span(mask, [gen])))
                         h *= p
+                    if not base:  # h = order: the row is in the span before it iff x = 0
+                        grown.append((heads + (order,), gens, mask))
             forms = grown  # each with its mask, grown along its rows one at a time
         # (p^j, the mask of p^j times the part), from (1, the part) up to (p^a, (0))
         images = [
@@ -702,10 +716,13 @@ class _Radix:
     ((m & lo) << s) | ((m & hi) >> (block - s)), where lo holds the indices
     whose digit i is below d_i - t and hi the rest.  These masks are made
     once per (i, t), on first use, and |M| <= ELEMENT_CAP keeps every mask
-    that short.
+    that short.  ``prefixes[i]`` holds the indices whose digits before i are
+    0.  Each element's tuple is decoded once per module, on first use, and
+    with it its text in a label (``texts``): a digit alone, or the digits in
+    parentheses.
     """
 
-    __slots__ = ("weights", "orders", "_full", "_rotations", "_decoded")
+    __slots__ = ("weights", "orders", "prefixes", "texts", "_full", "_rotations", "_decoded")
 
     def __init__(self, orders):
         self.orders = tuple(orders)
@@ -716,8 +733,10 @@ class _Radix:
             size //= d
             weights.append(size)
         self.weights = tuple(weights)
+        self.prefixes = tuple((1 << d * w) - 1 for d, w in zip(self.orders, self.weights))
         self._rotations: dict = {}
         self._decoded: dict = {}
+        self.texts: dict = {}  # index -> text of each element decoded so far
 
     def mask(self, elems) -> int:
         """The mask of a set of element tuples."""
@@ -727,7 +746,7 @@ class _Radix:
         return out
 
     def element(self, i: int) -> tuple:
-        """The element tuple at index i, decoded once."""
+        """The element tuple at index i, decoded once, with its text."""
         x = self._decoded.get(i)
         if x is None:
             digits, y = [], i
@@ -735,6 +754,7 @@ class _Radix:
                 t, y = divmod(y, w)
                 digits.append(t)
             x = self._decoded[i] = tuple(digits)
+            self.texts[i] = str(x[0]) if len(x) == 1 else "(" + ",".join(map(str, x)) + ")"
         return x
 
     def multiple(self, y: int, k: int) -> int:
@@ -825,9 +845,9 @@ class Submodule:
     @property
     def gens(self) -> tuple:
         """Irredundant generators, none in the span of the others, though
-        not always the fewest; found on first use (see ``_minimal_gens``)."""
+        not always the fewest; found with the label (``_minimal_gens``)."""
         if self._gens is None:
-            self._gens = _minimal_gens(self.module.lattice(), self)
+            self._gens, self._label = _minimal_gens(self.module.lattice(), self)
         return self._gens
 
     def __repr__(self):
@@ -843,10 +863,9 @@ class Submodule:
 
     @property
     def label(self) -> str:
-        """The generators as text, built on first use."""
+        """The generators as text, found with them (``_minimal_gens``)."""
         if self._label is None:
-            gens = ", ".join(map(_fmt_elem, self.gens))
-            self._label = "⟨" + (gens or "0") + "⟩"
+            self._gens, self._label = _minimal_gens(self.module.lattice(), self)
         return self._label
 
     def ref(self) -> dict:
@@ -854,13 +873,7 @@ class Submodule:
         return {"id": self.id, "label": self.label, "size": self.size}
 
 
-def _fmt_elem(x) -> str:
-    if len(x) == 1:
-        return str(x[0])
-    return "(" + ",".join(str(a) for a in x) + ")"
-
-
-def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
+def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple[tuple, str]:
     """Greedy lexicographically-least generators, then drop redundant ones:
     an irredundant list, no generator in the span of the others, though not
     always one of least size.
@@ -886,7 +899,8 @@ def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
     ``Lattice.cyclic`` and ``Lattice.join``; a generator not redundant in a
     set is not redundant in any subset of it, so one pass leaves none.  The
     last row is never redundant: no other row has a nonzero digit where it
-    leads.  Generators are found as indices, each decoded once by the radix.
+    leads.  Generators are found as indices, and the radix decodes each and
+    writes it as text once.  Returns the generators and the label.
     """
     radix = lattice.radix
     orders, mask = radix.orders, sub.mask
@@ -896,7 +910,7 @@ def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
     for j in range(len(orders) - 1, -1, -1):
         if span == mask:
             break
-        prefix = mask & ((1 << orders[j] * radix.weights[j]) - 1)
+        prefix = mask & radix.prefixes[j]
         if prefix != span:
             rest = prefix & ~span
             x = (rest & -rest).bit_length() - 1
@@ -911,7 +925,8 @@ def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple:
             rest = [lattice.cyclic(h) for h in gens if h != g]
             if functools.reduce(lattice.join, rest, lattice.zero) is sub:
                 gens.remove(g)
-    return tuple(map(radix.element, gens))
+    elems = tuple(map(radix.element, gens))  # fills radix.texts at gens
+    return elems, "⟨" + (", ".join(map(radix.texts.__getitem__, gens)) or "0") + "⟩"
 
 
 class Lattice:

@@ -774,10 +774,9 @@ def _evaluate_instance(args) -> list[PredicateResult]:
             PredicateResult(tid, iid, SKIPPED, {"reason": str(exc), "cap": exc.limit})
             for tid in theorem_ids
         ]
-    analysis = InstanceAnalysis(module)
-    rows = [run_predicate(tid, analysis) for tid in theorem_ids]
-    module._facts.clear()  # its lattice members hold the module: free both on return
-    return rows
+    with module:  # freed on return (Module.__exit__)
+        analysis = InstanceAnalysis(module)
+        return [run_predicate(tid, analysis) for tid in theorem_ids]
 
 
 def run_suite(

@@ -10,9 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from agmod import aggraph
 from agmod.errors import InternalCheckError
+from agmod.finmod import _multiples
 from agmod.finring import Ideal, divisors
 from agmod.localization import closure
 from agmod.theorems import FAIL, NOT_MET, PASS
@@ -428,6 +430,45 @@ def join_greedy_gens(lattice, sub):
         if functools.reduce(lattice.join, others, lattice.zero) is sub:
             gens.remove(g)
     return tuple(map(lattice.radix.element, gens))
+
+
+def unpruned_subgroups(module, part):
+    """``Module._subgroups`` without its pruning: every row of a Hermite form
+    is tested against the mask of the rows before it, the row of head
+    p^{a_i} too, at every x of its box (the search before the box argument
+    of the ``_subgroups`` docstring was used).  Same triples, same order."""
+    _, p, coords = part
+    orders = [q for _, q, _, _ in coords]
+    radix = module._radix()
+    scales = [step * radix.weights[i] for i, _, step, _ in coords]
+    forms = [((), (), 1)]
+    for order, scale in zip(orders, scales):
+        grown = []
+        for heads, gens, mask in forms:
+            for x in itertools.product(*map(range, heads)):
+                base = sum(map(operator.mul, x, scales))
+                h = 1
+                while order % h == 0:
+                    m = order // h
+                    if mask >> sum(m * v % q * s for v, q, s in zip(x, orders, scales)) & 1:
+                        if h < order:
+                            gen = (base + h * scale, m)
+                            grown.append((heads + (h,), gens + (gen,), radix.span(mask, [gen])))
+                        else:
+                            grown.append((heads + (h,), gens, mask))
+                    h *= p
+        forms = grown
+    images = [
+        (e, math.prod(
+            _multiples(radix.orders[i], step * min(e, q), radix.weights[i])
+            for i, q, step, _ in coords
+        ))
+        for e in [p**j for j in range(max(a for _, _, _, a in coords) + 1)]
+    ]
+    return [
+        (mask, gens, next(e for e, image in images if image & ~mask == 0))
+        for _, gens, mask in forms
+    ]
 
 
 def brute_subgroup_closure(module, gens):

@@ -1,4 +1,5 @@
 import io
+import operator
 import random
 import time
 from collections import Counter
@@ -615,6 +616,23 @@ def test_dot_matches_the_per_vertex_writer(oracle_modules):
             buf = io.StringIO()
             brute_dot(g, buf.write)
             assert _dot(g) == buf.getvalue(), (m, g.kind)
+
+
+def test_edge_rows_reference_one_list_of_tails_per_class(oracle_modules):
+    # a row given the positions as tails lists its neighbours' positions;
+    # given other tails, it holds the very objects at those positions: the
+    # per-class lists reference the tails and copy none.  Z_4^2+Z_2^2 has
+    # three AG classes
+    modules = list(oracle_modules) + [Module(Ring([4]), [(4, 0), (4, 0), (2, 0), (2, 0)])]
+    for m in modules:
+        for g in (build_AG(m), build_AG_star(m)):
+            order = range(g.n)[::-1]
+            tails = [object() for _ in order]
+            rows = zip(aggraph.later_neighbors(g, order, tails),
+                       aggraph.later_neighbors(g, order, range(g.n)))
+            for row, positions in rows:
+                assert len(row) == len(positions), (m, g.kind)
+                assert all(map(operator.is_, row, map(tails.__getitem__, positions))), (m, g.kind)
 
 
 def test_to_dot_empty_and_deterministic():

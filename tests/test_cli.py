@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -743,13 +745,8 @@ def test_output_to_a_fifo_gets_the_whole_report(capsys, spec_file, tmp_path):
     assert got == [fresh.read_bytes()]
 
 
-def test_a_failed_write_leaves_a_prefix_of_the_new_report(capsys, spec_file, tmp_path,
-                                                          monkeypatch):
-    spec, fresh, target = spec_file(Z12), tmp_path / "fresh.json", tmp_path / "r.json"
-    assert run_cli(capsys, "analyze", spec, "--out", str(fresh)) == (0, "", "")
-    report = fresh.read_bytes()
-    target.write_bytes(b"#" * (2 * len(report)))
-    write_members = cli._write_members
+def _full_disk_after_one_row(write_members):
+    """``cli._write_members`` that writes one row and then raises ENOSPC."""
 
     def one_row_then_a_full_disk(members, write, depth):
         rows = []
@@ -762,12 +759,52 @@ def test_a_failed_write_leaves_a_prefix_of_the_new_report(capsys, spec_file, tmp
 
         write_members(members, write_one, depth)
 
-    monkeypatch.setattr(cli, "_write_members", one_row_then_a_full_disk)
+    return one_row_then_a_full_disk
+
+
+def test_a_failed_write_leaves_a_prefix_of_the_new_report(capsys, spec_file, tmp_path,
+                                                          monkeypatch):
+    spec, fresh, target = spec_file(Z12), tmp_path / "fresh.json", tmp_path / "r.json"
+    assert run_cli(capsys, "analyze", spec, "--out", str(fresh)) == (0, "", "")
+    report = fresh.read_bytes()
+    target.write_bytes(b"#" * (2 * len(report)))
+    monkeypatch.setattr(cli, "_write_members", _full_disk_after_one_row(cli._write_members))
     code, out, err = run_cli(capsys, "analyze", spec, "--out", str(target))
     assert (code, out) == (64, "")
     assert err == f"agmod: cannot write {target}: No space left on device\n"
     left = target.read_bytes()
     assert left and report.startswith(left) and b"#" not in left
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "SPEC", "--out"], 0),
+    (["graph", "SPEC", "--dot"], 0),
+    (["localize", "SPEC", "--at-min-primes", "--out"], 0),
+    (["analyze", "SPEC", "--out"], 64),
+], ids=["analyze", "graph", "localize", "analyze-failed-write"])
+def test_each_command_frees_its_module(capsys, spec_file, tmp_path, monkeypatch, argv, code):
+    # a command drops its module's memoized facts on return, and on a
+    # failed write: the lattice and its members there hold the module, so
+    # reference counting frees it then, with the collector off
+    refs = []
+    load_spec = cli.load_spec
+
+    def spy(path, cap=None):
+        module, options = load_spec(path, cap)
+        refs.append(weakref.ref(module))
+        module.lattice()  # members that hold the module, whatever the command reads
+        return module, options
+
+    monkeypatch.setattr(cli, "load_spec", spy)
+    if code:
+        monkeypatch.setattr(cli, "_write_members", _full_disk_after_one_row(cli._write_members))
+    argv = [spec_file(GOLDEN_SPECS["z4_z2"]) if a == "SPEC" else a for a in argv]
+    gc.disable()
+    try:
+        assert run_cli(capsys, *argv, str(tmp_path / "out"))[0] == code
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 # JSON values of the shapes reports hold: str keys and strings with non-ASCII,
@@ -955,6 +992,32 @@ def test_report_is_written_in_bounded_memory(spec_file, tmp_path, monkeypatch):
     size = out.stat().st_size
     assert size > 1_000_000
     assert peaks[0] < size / 4, (peaks, size)
+
+
+def test_report_with_several_classes_is_written_in_bounded_memory(spec_file, tmp_path,
+                                                                  monkeypatch):
+    # Z_8^3: AG has 801 vertices in 4 colon classes and the report is
+    # 16.6 MB; writing it holds one edge row of text and one list of tails
+    # per class at once, never every row
+    peaks, classes = [], []
+    dump = cli._dump
+
+    def traced(obj, out):
+        classes.append(len(obj["graphs"]["AG"]["edges"].sizes))
+        tracemalloc.start()
+        try:
+            dump(obj, out)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_dump", traced)
+    out = tmp_path / "report.json"
+    spec = spec_file({"ring": [8], "module": [{"d": 8, "c": 0}] * 3})
+    assert main(["analyze", spec, "--out", str(out)]) == 0
+    size = out.stat().st_size
+    assert classes == [4] and size > 16_000_000
+    assert peaks[0] < size / 10, (peaks, size)
 
 
 def test_dot_is_written_in_bounded_memory(spec_file, tmp_path, monkeypatch):

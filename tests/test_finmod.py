@@ -741,22 +741,39 @@ def test_class_table_runs_no_hermite_search(monkeypatch):
         assert [count for _, count in table] == [sizes[a] for a in range(len(table))], factors
 
 
-def test_subgroup_count_matches_the_hermite_forms():
-    # every type of order at most 256 over p = 2, 3, 5, 7 whose count the
-    # lattice cap admits: the closed form counts the forms the search lists.
-    # Of the 66 + 18 + 6 + 3 types, six of order 2^6 to 2^8 have more than
-    # 4096 subgroups.  The sweep takes about 0.5 s.
-    checked = 0
+def _capped_types():
+    """Every type (p, lam) of order at most 256 over p = 2, 3, 5, 7 whose
+    subgroup count the lattice cap admits: of the 66 + 18 + 6 + 3 types, six
+    of order 2^6 to 2^8 have more than 4096 subgroups."""
     for p, most in [(2, 8), (3, 5), (5, 3), (7, 2)]:  # p^most <= 256
         for r in range(1, most + 1):
             for lam in itertools.combinations_with_replacement(range(most, 0, -1), r):
-                if sum(lam) > most or subgroup_count(p, lam) > LATTICE_CAP:
-                    continue
-                m = _p_group(p, lam)
-                forms = m._subgroups(m._primary_parts()[0])
-                assert len(forms) == subgroup_count(p, lam), (p, lam)
-                checked += 1
+                if sum(lam) <= most and subgroup_count(p, lam) <= LATTICE_CAP:
+                    yield p, lam
+
+
+def test_subgroup_count_matches_the_hermite_forms():
+    # the closed form counts the forms the search lists, on every capped
+    # type.  The sweep takes about 0.5 s.
+    checked = 0
+    for p, lam in _capped_types():
+        m = _p_group(p, lam)
+        forms = m._subgroups(m._primary_parts()[0])
+        assert len(forms) == subgroup_count(p, lam), (p, lam)
+        checked += 1
     assert checked == 66 + 18 + 6 + 3 - 6
+
+
+def test_subgroups_match_the_unpruned_search(oracle_modules):
+    # the row of head p^{a_i} is kept at x = 0 alone, untested: the same
+    # (mask, generators, exponent) triples, in the same order, as testing it
+    # at every x, on the 87 capped types and every primary part of the
+    # oracle modules
+    modules = list(oracle_modules) + [_p_group(p, lam) for p, lam in _capped_types()]
+    assert len(modules) == len(oracle_modules) + 87
+    for m in modules:
+        for part in m._primary_parts():
+            assert m._subgroups(part) == oracles.unpruned_subgroups(m, part), (key(m), part)
 
 
 def test_module_facts_match_scan_oracles(oracle_modules):

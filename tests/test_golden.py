@@ -29,6 +29,7 @@ SPECS = {
                  "module": [{"d": 2, "c": 0}, {"d": 6, "c": 0}, {"d": 4, "c": 0}]},
     "z4_z4_z2_z2": {"ring": [4], "module": [{"d": 4, "c": 0}, {"d": 4, "c": 0},
                                            {"d": 2, "c": 0}, {"d": 2, "c": 0}]},
+    "f3_4": {"ring": [3], "module": [{"d": 3, "c": 0}] * 4},
     "mixed": {"ring": [2, 3],
               "module": [{"d": 2, "c": 0}, {"d": 2, "c": 0}, {"d": 3, "c": 1}]},
     "z12_gens_list": {"ring": [12], "module": [{"d": 12, "c": 0}],
@@ -100,6 +101,17 @@ DIGESTS = [
      "b2a9bc45676fae222eef745a8ba29011b4c142834108a62f6e75c20347a1e2ed"),
     ("z4_z4_z2_z2", ["analyze"],
      "c9497885558842010a00b1ef62f7abf1cce571ccc24c3534292ae52a276ee0ac"),
+    # dense edge lists, each row a slice of its class's list of tails: AG of
+    # f3_4 is one self-killing class of 210 members and M (K_211), and AG of
+    # z4_z4_z2_z2 has two self-killing classes, of 181 and 66 members, and M
+    ("f3_4", ["analyze"],
+     "2ed8097e2d4ce46b7117555e91bab7e7bd89fac46a61a6c55fcda2306c4a15b4"),
+    ("f3_4", ["graph"],
+     "4cd48fc4864da8edadcfbfcd23fdae87a32e97f94bbcbe790989406535af9cf1"),
+    ("z4_z4_z2_z2", ["graph"],
+     "5d4c461eebc580b7535e35d2e7966098b63020a61b71f7cdb691117483032be9"),
+    ("z4_z4_z2_z2", ["graph", "--star"],
+     "28004b11246cd41bc75a6885f7fc810cd0ddb5726c41d60d8a51e6b7d0dbc06c"),
 ]
 
 # The default-corpus suite report with every predicate, as canonical JSON.

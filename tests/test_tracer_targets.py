@@ -53,6 +53,6 @@ def test_tracer_hooks_read_real_objects():
         g = build(m)
         before = t.counts["aggraph.edges"]
         tracer._graph_after(t, (m,), g)
-        edges = sum(len(row) for row in later_neighbors(g, range(g.n)))
+        edges = sum(len(row) for row in later_neighbors(g, range(g.n), range(g.n)))
         assert t.counts["aggraph.edges"] - before == edges > 0
     assert t.counts["aggraph.vertices"] == build_AG(m).n + build_AG_star(m).n
