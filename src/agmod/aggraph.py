@@ -95,7 +95,7 @@ class AnnGraph:
     def __contains__(self, sub: Submodule) -> bool:
         """Whether sub is a vertex: a nonzero member of this graph's module
         whose colon class is a vertex class.  No lattice is enumerated."""
-        return sub.module is self.module and not sub.is_zero and self._classes >> sub.cls & 1 == 1
+        return sub.radix is self.module._radix() and not sub.is_zero and self._classes >> sub.cls & 1 == 1
 
     @cached_property
     def _classes(self) -> int:

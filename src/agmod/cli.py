@@ -384,84 +384,81 @@ def _localization_dict(module: Module, s, include_components: bool) -> dict:
 
 def cmd_analyze(args, cap: int | None) -> int:
     module, options = load_spec(args.spec, cap)
-    with module:  # freed on return (Module.__exit__)
-        if args.localize_at_min_primes:
-            options = dict(options, localize_at_min_primes=True)
-        lat = module.lattice()
-        star = aggraph.build_AG_star(module)
-        ag = aggraph.build_AG(module)
-        gen = module.cyclic_generator()
-        report = {
-            "schema": 1,
-            "version": __version__,
-            "instance": instance_echo(module),
-            "cardinalities": {"ring": module.ring.cardinality, "module": module.size},
-            "submodules": _Submodules(lat.all),
-            "lattice": {
-                "count": len(lat),
-                "minimal": [s.id for s in module.minimal_submodules()],
-                "primes": [s.id for s in module.primes()],
-                "min_primes": [s.id for s in module.min_primes()],
-                "radical_zero": module.prime_radical().id,
-                "annihilator": list(module.annihilator().divisors),
-                "annihilator_nil": module.annihilator().is_nil(),
-                "semiprime": module.is_semiprime(),
-                "cyclic": gen is not None,
-                "cyclic_generator": None if gen is None else list(gen),
-                "classification": list(module.classify()),
-            },
-            "graphs": {
-                "AG": _graph_dict(ag, aggraph.invariants(ag)),
-                "AG_star": _graph_dict(star, aggraph.invariants(star)),
-            },
+    if args.localize_at_min_primes:
+        options = dict(options, localize_at_min_primes=True)
+    lat = module.lattice()
+    star = aggraph.build_AG_star(module)
+    ag = aggraph.build_AG(module)
+    gen = module.cyclic_generator()
+    report = {
+        "schema": 1,
+        "version": __version__,
+        "instance": instance_echo(module),
+        "cardinalities": {"ring": module.ring.cardinality, "module": module.size},
+        "submodules": _Submodules(lat.all),
+        "lattice": {
+            "count": len(lat),
+            "minimal": [s.id for s in module.minimal_submodules()],
+            "primes": [s.id for s in module.primes()],
+            "min_primes": [s.id for s in module.min_primes()],
+            "radical_zero": module.prime_radical().id,
+            "annihilator": list(module.annihilator().divisors),
+            "annihilator_nil": module.annihilator().is_nil(),
+            "semiprime": module.is_semiprime(),
+            "cyclic": gen is not None,
+            "cyclic_generator": None if gen is None else list(gen),
+            "classification": list(module.classify()),
+        },
+        "graphs": {
+            "AG": _graph_dict(ag, aggraph.invariants(ag)),
+            "AG_star": _graph_dict(star, aggraph.invariants(star)),
+        },
+    }
+    if options.get("localize_at_min_primes"):
+        report["localization"] = _localization_dict(
+            module, min_prime_complement(module), include_components=True
+        )
+    elif args.localize_gens is not None or options.get("localize_gens"):
+        gens = (
+            parse_gens(module.ring, args.localize_gens)
+            if args.localize_gens is not None
+            else options["localize_gens"]
+        )
+        report["localization"] = _localization_dict(
+            module, mult_closure(module.ring, gens), include_components=False
+        )
+    if gen is not None:
+        witnesses, wreport = module.min_prime_clique_witness()
+        report["clique_witness"] = {
+            "submodules": _Refs(witnesses),
+            **wreport,
         }
-        if options.get("localize_at_min_primes"):
-            report["localization"] = _localization_dict(
-                module, min_prime_complement(module), include_components=True
-            )
-        elif args.localize_gens is not None or options.get("localize_gens"):
-            gens = (
-                parse_gens(module.ring, args.localize_gens)
-                if args.localize_gens is not None
-                else options["localize_gens"]
-            )
-            report["localization"] = _localization_dict(
-                module, mult_closure(module.ring, gens), include_components=False
-            )
-        if gen is not None:
-            witnesses, wreport = module.min_prime_clique_witness()
-            report["clique_witness"] = {
-                "submodules": _Refs(witnesses),
-                **wreport,
-            }
-        _dump(report, args.out)
+    _dump(report, args.out)
     return 0
 
 
 def cmd_graph(args, cap: int | None) -> int:
     module, _ = load_spec(args.spec, cap)
-    with module:  # freed on return (Module.__exit__)
-        graph = aggraph.build_AG_star(module) if args.star else aggraph.build_AG(module)
-        _output(args.dot, lambda write: aggraph.to_dot(graph, write))
+    graph = aggraph.build_AG_star(module) if args.star else aggraph.build_AG(module)
+    _output(args.dot, lambda write: aggraph.to_dot(graph, write))
     return 0
 
 
 def cmd_localize(args, cap: int | None) -> int:
     module, _ = load_spec(args.spec, cap)
-    with module:  # freed on return (Module.__exit__)
-        gens = None if args.at_min_primes else parse_gens(module.ring, args.gens)
-        module.class_table()  # the caps hold before S is walked
-        if gens is None:
-            s = min_prime_complement(module)
-        else:
-            s = mult_closure(module.ring, gens)
-        report = {
-            "schema": 1,
-            "version": __version__,
-            "instance": instance_echo(module),
-            "localization": _localization_dict(module, s, args.at_min_primes),
-        }
-        _dump(report, args.out)
+    gens = None if args.at_min_primes else parse_gens(module.ring, args.gens)
+    module.class_table()  # the caps hold before S is walked
+    if gens is None:
+        s = min_prime_complement(module)
+    else:
+        s = mult_closure(module.ring, gens)
+    report = {
+        "schema": 1,
+        "version": __version__,
+        "instance": instance_echo(module),
+        "localization": _localization_dict(module, s, args.at_min_primes),
+    }
+    _dump(report, args.out)
     return 0
 
 

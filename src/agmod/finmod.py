@@ -51,9 +51,12 @@ digit order, each the least element outside the rows before it, and the
 span of the rows found so far is a prefix of the mask (``_minimal_gens``).
 They are irredundant, not always fewest: Z_2 + Z_3 over Z_6 is labelled
 ⟨(0,1), (1,0)⟩, though (1,1) generates it.  Only when a row is dependent on
-the others does a span become a lattice member, a cyclic member R*x or a
-join, which the lattice memoizes, R*x by the index of x and a join by the
-pair of member ids.
+the others are spans built, as masks: the cyclic group Z*x of each other row
+and their join, which the radix memoizes, Z*x by the index of x and a join
+by the pair of masks.  A member holds its module's radix, not the module,
+and the radix holds no object of its own, so nothing the module memoizes
+refers back to it: reference counting frees a module, its lattice and its
+members as soon as the module's last reference goes.
 
 Facts about M itself come from the table of primary parts and need no
 lattice: ann(M) is the lcm of the factor orders per component, the
@@ -136,16 +139,6 @@ class Module:
         self.size = math.prod(self._orders)
 
         self._facts: dict = {}
-
-    def __enter__(self) -> "Module":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # drop the memoized facts, on return or on a raise: the lattice and
-        # its members hold the module, so with them kept a dropped module
-        # waits for the cycle collector, and without them reference counting
-        # frees it, its lattice and its members at once
-        self._facts.clear()
 
     @functools.cached_property
     def elements(self) -> tuple:
@@ -719,15 +712,20 @@ class _Radix:
     that short.  ``prefixes[i]`` holds the indices whose digits before i are
     0.  Each element's tuple is decoded once per module, on first use, and
     with it its text in a label (``texts``): a digit alone, or the digits in
-    parentheses.
+    parentheses.  The radix is the one owner of the spans that labels build
+    (``cyclic`` and ``join``), memoized by index and by mask pair.  It keeps
+    only ints, tuples of them and element texts, so it keeps no module alive.
     """
 
-    __slots__ = ("weights", "orders", "prefixes", "texts", "_full", "_rotations", "_decoded")
+    __slots__ = (
+        "weights", "orders", "prefixes", "texts", "full",
+        "_rotations", "_decoded", "_cyclics", "_joins",
+    )
 
     def __init__(self, orders):
         self.orders = tuple(orders)
         size = math.prod(self.orders)
-        self._full = (1 << size) - 1
+        self.full = (1 << size) - 1  # the mask of M
         weights = []
         for d in self.orders:
             size //= d
@@ -736,6 +734,8 @@ class _Radix:
         self.prefixes = tuple((1 << d * w) - 1 for d, w in zip(self.orders, self.weights))
         self._rotations: dict = {}
         self._decoded: dict = {}
+        self._cyclics: dict = {}
+        self._joins: dict = {}
         self.texts: dict = {}  # index -> text of each element decoded so far
 
     def mask(self, elems) -> int:
@@ -779,9 +779,9 @@ class _Radix:
     def _rotation(self, i: int, t: int) -> tuple:
         w = self.weights[i]
         block, s = self.orders[i] * w, t * w
-        starts = self._full // ((1 << block) - 1)  # the first bit of each block
+        starts = self.full // ((1 << block) - 1)  # the first bit of each block
         lo = ((1 << block - s) - 1) * starts
-        rotation = self._rotations[i, t] = (s, block - s, lo, self._full ^ lo)
+        rotation = self._rotations[i, t] = (s, block - s, lo, self.full ^ lo)
         return rotation
 
     def span(self, mask: int, gens) -> int:
@@ -798,22 +798,53 @@ class _Radix:
                 c += step
         return mask
 
+    def cyclic(self, y: int) -> int:
+        """The mask of Z*y for the element at index y, memoized by y; y's order
+        is the lcm of its digits' orders.  For a component-pure y, such as a
+        Hermite row of ``_minimal_gens``, Z*y is R*y."""
+        mask = self._cyclics.get(y)
+        if mask is None:
+            n, i = 1, y
+            for w, d in zip(self.weights, self.orders):
+                t, i = divmod(i, w)
+                n = math.lcm(n, d // math.gcd(t, d))
+            mask = self._cyclics[y] = self.span(1, [(y, n)])
+        return mask
+
+    def join(self, a: int, b: int) -> int:
+        """The mask of A + B for subgroup masks a and b, memoized by the pair.
+        Starting from the larger of the two, the union so far is translated by
+        the least element of the other one that it does not cover, until it
+        covers B.  Each translate is by an element of A + B, and the union is
+        a union of cosets of A, so once it covers B it is A + B."""
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
+        joined = self._joins.get((a, b))
+        if joined is None:
+            joined, rest = a, b & ~a
+            while rest:
+                joined |= self.translate(joined, (rest & -rest).bit_length() - 1)
+                rest &= ~joined
+            self._joins[a, b] = joined
+        return joined
+
 
 class Submodule:
     """A member of its module's lattice: a closed set of elements, held as a
-    mask over their indices (see ``_Radix``), with its id, its colon class
-    and ideal, and an irredundant generator list.  The lattice makes each
-    submodule once, so two members of one module are equal iff they are the
-    same object.
+    mask over their indices, with its id, its colon class and ideal, and an
+    irredundant generator list.  It holds its module's ``_Radix``, which
+    decodes its elements and builds its label, and not the module.  The
+    lattice makes each submodule once, so two members of one module are
+    equal iff they are the same object.
     """
 
     __slots__ = (
-        "module", "mask", "size", "id", "cls", "colon",
+        "radix", "mask", "size", "id", "cls", "colon",
         "_encoding", "_elements", "_gens", "_label",
     )
 
-    def __init__(self, module: Module, mask: int, id: int, cls: int, colon: Ideal):
-        self.module = module
+    def __init__(self, radix: "_Radix", mask: int, id: int, cls: int, colon: Ideal):
+        self.radix = radix
         self.mask = mask
         self.size = mask.bit_count()
         self.id = id
@@ -839,7 +870,7 @@ class Submodule:
         """The elements as tuples, decoded on first use and kept.  This is a
         view for the tests and oracles; the lattice works on ``mask``."""
         if self._elements is None:
-            self._elements = frozenset(map(self.module.elements.__getitem__, self.encoding))
+            self._elements = frozenset(map(self.radix.element, self.encoding))
         return self._elements
 
     @property
@@ -847,7 +878,7 @@ class Submodule:
         """Irredundant generators, none in the span of the others, though
         not always the fewest; found with the label (``_minimal_gens``)."""
         if self._gens is None:
-            self._gens, self._label = _minimal_gens(self.module.lattice(), self)
+            self._gens, self._label = _minimal_gens(self.radix, self.mask)
         return self._gens
 
     def __repr__(self):
@@ -859,13 +890,13 @@ class Submodule:
 
     @property
     def is_whole(self) -> bool:
-        return self.size == self.module.size
+        return self.mask == self.radix.full
 
     @property
     def label(self) -> str:
         """The generators as text, found with them (``_minimal_gens``)."""
         if self._label is None:
-            self._gens, self._label = _minimal_gens(self.module.lattice(), self)
+            self._gens, self._label = _minimal_gens(self.radix, self.mask)
         return self._label
 
     def ref(self) -> dict:
@@ -873,18 +904,18 @@ class Submodule:
         return {"id": self.id, "label": self.label, "size": self.size}
 
 
-def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple[tuple, str]:
+def _minimal_gens(radix: _Radix, mask: int) -> tuple[tuple, str]:
     """Greedy lexicographically-least generators, then drop redundant ones:
     an irredundant list, no generator in the span of the others, though not
     always one of least size.
 
-    The next generator is the least element of S = ``sub`` outside the span
-    so far.  Write S_j for the members of S whose digits before j are 0:
-    the bits below d_j * w_j of S's mask.  The span starts as S_k = (0), k
-    the number of digits, and stays some S_{j+1}.  An element of S outside
-    it has a nonzero digit before j + 1, and the later its first nonzero
-    digit, the lower its index, so the next generator x leads at the last
-    digit j at which S_j outgrows S_{j+1}.  S_j / S_{j+1} is the cyclic
+    S is the member at ``mask``, and its next generator is its least element
+    outside the span so far.  Write S_j for the members of S whose digits
+    before j are 0: the bits below d_j * w_j of S's mask.  The span starts
+    as S_k = (0), k the number of digits, and stays some S_{j+1}.  An
+    element of S outside it has a nonzero digit before j + 1, and the later
+    its first nonzero digit, the lower its index, so the next generator x
+    leads at the last digit j at which S_j outgrows S_{j+1}.  S_j / S_{j+1} is the cyclic
     group of the digits j of S_j, so x's leading digit h is the least of
     them and S_j = S_{j+1} + Z*x.  And x is component-pure: for c the
     component of digit j, e_c x lies in S and outside S_{j+1}, and keeps
@@ -895,15 +926,16 @@ def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple[tuple, str]:
 
     Row x has order o = d_j / h over the rows before it; when every row has
     o*x = 0, S is the direct sum of the Z*x and no row is redundant.
-    Otherwise one forward pass drops the redundant rows, with the spans of
-    ``Lattice.cyclic`` and ``Lattice.join``; a generator not redundant in a
-    set is not redundant in any subset of it, so one pass leaves none.  The
-    last row is never redundant: no other row has a nonzero digit where it
-    leads.  Generators are found as indices, and the radix decodes each and
-    writes it as text once.  Returns the generators and the label.
+    Otherwise one forward pass drops the redundant rows: row g is redundant
+    iff the join of the Z*h of the other rows h is S (``_Radix.cyclic``,
+    ``_Radix.join``), as each row is component-pure and Z*h is R*h.  A
+    generator not redundant in a set is not redundant in any subset of it,
+    so one pass leaves none.  The last row is never redundant: no other row
+    has a nonzero digit where it leads.  Generators are found as indices,
+    and the radix decodes each and writes it as text once.  Returns the
+    generators and the label.
     """
-    radix = lattice.radix
-    orders, mask = radix.orders, sub.mask
+    orders = radix.orders
     gens = []
     independent = True
     span = 1
@@ -922,8 +954,8 @@ def _minimal_gens(lattice: "Lattice", sub: Submodule) -> tuple[tuple, str]:
             span = prefix
     if not independent:
         for g in gens[:-1]:
-            rest = [lattice.cyclic(h) for h in gens if h != g]
-            if functools.reduce(lattice.join, rest, lattice.zero) is sub:
+            rest = [radix.cyclic(h) for h in gens if h != g]
+            if functools.reduce(radix.join, rest, 1) == mask:
                 gens.remove(g)
     elems = tuple(map(radix.element, gens))  # fills radix.texts at gens
     return elems, "⟨" + (", ".join(map(radix.texts.__getitem__, gens)) or "0") + "⟩"
@@ -934,15 +966,12 @@ class Lattice:
     made here once, and found by mask.  Members with one colon ideal form a
     colon class, numbered as in ``Module.class_table``, so class 0 is that
     of (0), whose colon is ann(M), and ``colons`` holds one Ideal per class.
-    The lattice also memoizes the members derived from others: each cyclic
-    member R*x by the index of x, and each join by the pair of member ids.
-    They serve two readers: labels, only to drop a dependent row
-    (``_minimal_gens``), and the join F + N in the four-vertex-path check
-    of Theorems 2.7 and 2.8 (``theorems._p4_fxs_structure``)."""
+    The lattice keeps neither its module nor any memo: the spans built from
+    members are masks, memoized by the module's radix (``_Radix.cyclic`` and
+    ``_Radix.join``)."""
 
     def __init__(self, module: Module, sums):
-        self.module = module
-        self.radix = module._radix()
+        self.radix = radix = module._radix()
         sums = sorted(sums, key=lambda t: _order_key(t[0]))
         table = module.class_table()
         classes = {divs: a for a, (divs, _) in enumerate(table)}
@@ -950,18 +979,12 @@ class Lattice:
         subs = []
         for i, (mask, divs) in enumerate(sums):
             cls = classes[divs]
-            subs.append(Submodule(module, mask, i, cls, colons[cls]))
+            subs.append(Submodule(radix, mask, i, cls, colons[cls]))
         self.all = tuple(subs)
         self._by_mask = {s.mask: s for s in subs}
-        self._cyclics: dict = {}
-        self._joins: dict = {}
 
     def __len__(self):
         return len(self.all)
-
-    @property
-    def zero(self) -> Submodule:
-        return self.all[0]
 
     def member(self, mask: int) -> Submodule:
         """The member with exactly this mask."""
@@ -973,39 +996,3 @@ class Lattice:
     def find(self, elems) -> Submodule:
         """The member with exactly these element tuples."""
         return self.member(self.radix.mask(elems))
-
-    def cyclic(self, i: int) -> Submodule:
-        """The cyclic member R*x for the element x at index i, memoized by i:
-        the sum of the cyclic groups of the projections of x onto the ring
-        components.  A projection's order is the lcm of its digits' orders,
-        and the components hold disjoint digits."""
-        sub = self._cyclics.get(i)
-        if sub is None:
-            comps = len(self.module.ring.moduli)
-            projections, orders = [0] * comps, [1] * comps
-            y = i
-            for w, (d, c) in zip(self.radix.weights, self.module.factors):
-                a, y = divmod(y, w)
-                projections[c] += a * w
-                orders[c] = math.lcm(orders[c], d // math.gcd(a, d))
-            mask = self.radix.span(1, zip(projections, orders))
-            sub = self._cyclics[i] = self.member(mask)
-        return sub
-
-    def join(self, a: Submodule, b: Submodule) -> Submodule:
-        """A + B, memoized by the id pair.  Starting from the member with the
-        higher id, the union so far is translated by the least element of
-        the other one that it does not cover, until it covers B; that union
-        is A plus some sums of elements of B, and holds A + B."""
-        if a.id < b.id:
-            a, b = b, a
-        key = (a.id, b.id)
-        joined = self._joins.get(key)
-        if joined is None:
-            mask = a.mask
-            rest = b.mask & ~mask
-            while rest:
-                mask |= self.radix.translate(mask, (rest & -rest).bit_length() - 1)
-                rest &= ~mask
-            joined = self._joins[key] = self.member(mask)
-        return joined

@@ -213,14 +213,15 @@ def _p4_fxs_structure(a: InstanceAnalysis):
     e = a.fxs
     f = m.times(e)
     s = m.times(m.ring.sub(m.ring.one, e))
+    lattice = m.lattice()
     inside = [
-        k for k in m.lattice().all
+        k for k in lattice.all
         if not k.is_zero and k is not s and k.mask | s.mask == s.mask
     ]
     if len(inside) != 1:
         return False, {"reason": "second part lacks a unique nontrivial submodule"}
     n = inside[0]
-    fn = m.lattice().join(f, n)
+    fn = lattice.member(lattice.radix.join(f.mask, n.mask))
     expected = [s, f, n, fn]
     if len(set(expected)) != 4:
         return False, {"reason": "expected vertices are not distinct"}
@@ -774,9 +775,8 @@ def _evaluate_instance(args) -> list[PredicateResult]:
             PredicateResult(tid, iid, SKIPPED, {"reason": str(exc), "cap": exc.limit})
             for tid in theorem_ids
         ]
-    with module:  # freed on return (Module.__exit__)
-        analysis = InstanceAnalysis(module)
-        return [run_predicate(tid, analysis) for tid in theorem_ids]
+    analysis = InstanceAnalysis(module)
+    return [run_predicate(tid, analysis) for tid in theorem_ids]
 
 
 def run_suite(

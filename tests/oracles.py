@@ -7,7 +7,6 @@ be checked against an unrelated code path.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -414,22 +413,21 @@ def brute_minimal_gens(module, elems):
     return tuple(gens)
 
 
-def join_greedy_gens(lattice, sub):
-    """The greedy lexicographically-least generators of a member, then one
-    forward pass dropping redundant ones, every span a lattice member: the
-    cyclic member R*x of each generator x, joined to the span so far."""
+def join_greedy_gens(module, sub):
+    """The greedy generators of a member, each the lowest bit of its mask
+    outside the span so far, then one forward pass dropping redundant ones;
+    every span is an element set built by ``span``."""
+    bits = {x: 1 << i for i, x in enumerate(module.elements)}
     gens = []
-    spanned = lattice.zero
-    while spanned is not sub:
-        rest = sub.mask & ~spanned.mask
-        x = (rest & -rest).bit_length() - 1
-        gens.append(x)
-        spanned = lattice.join(spanned, lattice.cyclic(x))
+    spanned = {module.zero}
+    while len(spanned) < sub.size:
+        rest = sub.mask & ~sum(map(bits.__getitem__, spanned))
+        gens.append(module.elements[(rest & -rest).bit_length() - 1])
+        spanned = span(module, gens)
     for g in list(gens):
-        others = [lattice.cyclic(h) for h in gens if h != g]
-        if functools.reduce(lattice.join, others, lattice.zero) is sub:
+        if span(module, [h for h in gens if h != g]) == sub.elements:
             gens.remove(g)
-    return tuple(map(lattice.radix.element, gens))
+    return tuple(gens)
 
 
 def unpruned_subgroups(module, part):
@@ -547,7 +545,7 @@ def brute_AG(module, star=False):
     """AG(M), or AG(M)* when star, built pair by pair: the vertex list and the
     adjacency bitmasks, every zero test a full ``Module.product`` compared
     with (0)."""
-    zero = module.lattice().zero
+    zero = module.lattice().all[0]
     subs = module.lattice().all
     if star:
         ann = module.annihilator()

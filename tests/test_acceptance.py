@@ -101,7 +101,7 @@ def test_criterion_2_clique_bound_and_witnesses(corpus_analyses):
             encset(m60, range(0, 60, 20)),
             encset(m60, range(0, 60, 12)),
         }
-        zero = m60.lattice().zero
+        zero = m60.lattice().all[0]
         for i in range(len(w60)):
             for j in range(i + 1, len(w60)):
                 assert m60.product(w60[i], w60[j]) == zero

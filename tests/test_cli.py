@@ -783,16 +783,16 @@ def test_a_failed_write_leaves_a_prefix_of_the_new_report(capsys, spec_file, tmp
     (["analyze", "SPEC", "--out"], 64),
 ], ids=["analyze", "graph", "localize", "analyze-failed-write"])
 def test_each_command_frees_its_module(capsys, spec_file, tmp_path, monkeypatch, argv, code):
-    # a command drops its module's memoized facts on return, and on a
-    # failed write: the lattice and its members there hold the module, so
-    # reference counting frees it then, with the collector off
+    # a command's module is freed on return, and on a failed write, by
+    # reference counting alone: its lattice members hold its radix, not the
+    # module, so no cycle leaves it to the collector, which is off here
     refs = []
     load_spec = cli.load_spec
 
     def spy(path, cap=None):
         module, options = load_spec(path, cap)
         refs.append(weakref.ref(module))
-        module.lattice()  # members that hold the module, whatever the command reads
+        module.lattice()  # members, whatever the command reads
         return module, options
 
     monkeypatch.setattr(cli, "load_spec", spy)

@@ -176,7 +176,7 @@ def test_adjacency_preserved_under_localization():
         s = min_prime_complement(m)
         assert zero_divisor_free(m, s)
         loc = localize(m, s)
-        zero, img_zero = m.lattice().zero, loc.image.lattice().zero
+        zero, img_zero = m.lattice().all[0], loc.image.lattice().all[0]
         nonzero = [x for x in m.lattice().all if not x.is_zero]
         for n, k in itertools.combinations_with_replacement(nonzero, 2):
             before = m.product(n, k) == zero

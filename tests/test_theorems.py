@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from agmod import localization, theorems
+from agmod import aggraph, localization, theorems
 from agmod.errors import ResourceLimitError
 from agmod.finmod import Lattice, Module
 from agmod.finring import Ring, divisors, ring_table
@@ -31,7 +31,9 @@ from agmod.theorems import (
 )
 
 from helpers import product_module, zmod
-from oracles import brute_lemma_2_4, brute_prop_2_5, brute_saturate, brute_thm_2_10, smul
+from oracles import (
+    brute_lemma_2_4, brute_prop_2_5, brute_saturate, brute_thm_2_10, cyclic_span, smul, span,
+)
 
 
 def run(theorem_id, module):
@@ -256,7 +258,10 @@ def test_saturated_sets_are_named_by_one_member():
                 if brute is None:
                     continue
                 sat = lattice.radix.mask(brute)
-                masks = [lattice.cyclic(i).mask for i in range(m.size) if sat >> i & 1]
+                masks = [
+                    lattice.find(cyclic_span(m, y)).mask
+                    for i, y in enumerate(m.elements) if sat >> i & 1
+                ]
                 n = lattice.member(functools.reduce(int.__and__, masks))
                 outside = 0
                 for k in lattice.all:
@@ -659,11 +664,54 @@ def test_run_suite_records_lattice_cap_skips():
     assert all(r.status == SKIPPED and r.witness["cap"] == 512 for r in report.results)
 
 
+def test_a_module_is_freed_with_its_last_reference():
+    # members hold the module's radix, not the module, so nothing the module
+    # memoizes refers back to it: with the collector off, dropping the last
+    # reference frees it and all that was read off it
+    m = product_module([2, 4])  # Z_2 x Z_4, an F x S instance
+    refs = [weakref.ref(m)]
+    gc.disable()
+    try:
+        a = InstanceAnalysis(m)
+        lattice = m.lattice()
+        assert a.fxs is not None and all(s.label for s in lattice.all)
+        assert m.primes() and m.min_primes() and m.prime_radical()
+        assert aggraph.build_AG(m).vertices and aggraph.build_AG_star(m).vertices
+        assert m.min_prime_clique_witness()[0]
+        loc = localization.localize(m, localization.mult_closure(m.ring, [(1, 0)]))
+        assert loc.image is not m
+        refs.append(weakref.ref(loc.image))
+        assert localization.image_submodule(loc, lattice.all[-1]).is_whole
+        assert run_predicate("thm_2_7", a).status == PASS
+        del m, a, lattice, loc
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_p4_fourth_vertex_is_the_span_of_f_and_n(corpus_analyses):
+    # the join F + N of the four-vertex path check, on each F x S instance,
+    # is the span of the elements of F and of N
+    checked = 0
+    for a in corpus_analyses:
+        if a.fxs is None:
+            continue
+        m = a.module
+        lattice = m.lattice()
+        f = m.times(a.fxs)
+        s = m.times(m.ring.sub(m.ring.one, a.fxs))
+        (n,) = [k for k in lattice.all if 1 < k.size < s.size and k.elements <= s.elements]
+        ok, detail = theorems._p4_fxs_structure(a)
+        assert ok, (a.iid, detail)
+        assert detail["path"][3] == lattice.find(span(m, f.elements | n.elements)).label, a.iid
+        checked += 1
+    assert checked
+
+
 def test_run_suite_keeps_no_analysis_alive(monkeypatch):
     # one analysis per instance, dropped when the instance is done: nothing
     # computed for an instance (graphs, invariants, localizations) outlives
-    # the run, and no reference cycle defers that to the garbage collector,
-    # not even the one between the suite's own module and its lattice members
+    # the run, and no reference cycle defers that to the garbage collector
     refs = {}
 
     def spy(theorem_id, analysis):
