@@ -211,13 +211,12 @@ def type_invariants(sizes: tuple, kills: tuple) -> InvariantReport:
     if n == 0:
         return InvariantReport(None, None, True, True, 0, 0, (), frozenset({"empty"}))
     q, first, dropped, degrees = _quotient(sizes, kills)
-    full = (1 << len(q)) - 1
-    searches = [_search(q, v, full) for v in first]
+    searches = [_search(q, v) for v in first]
     girth = _girth(searches)
     diameter = _diameter(searches) if n >= 2 else None
     connected = n == 1 or diameter is not None
-    clique, _ = max_clique(q, len(q))
-    chromatic = chromatic_number(q, len(q), lower=clique) + dropped
+    clique, _ = max_clique(q)
+    chromatic = chromatic_number(q, clique) + dropped
 
     edge_count = sum(degrees) // 2
     shape = set()
@@ -271,15 +270,16 @@ def _quotient(sizes, kills) -> tuple[list[int], list[int], int, list[int]]:
     return q, first, sum(sizes[a] - block[a].bit_count() for a in loops), degrees
 
 
-def _search(adj, src: int, full: int) -> tuple[int | None, int | None]:
+def _search(adj, src: int) -> tuple[int | None, int | None]:
     """Breadth-first search from src, one level at a time on bitmasks.
 
     Returns the eccentricity of src (the depth of the last level, or None if
-    some vertex of full is unreached) and the first cycle the search closes:
+    some vertex of ``adj`` is unreached) and the first cycle the search closes:
     an edge inside level d closes one of length at most 2d + 1, and a vertex
     at level d + 1 with two neighbours at level d one of length at most
     2d + 2.  From a vertex on a shortest cycle the first cycle is its length.
     """
+    full = (1 << len(adj)) - 1
     seen = frontier = 1 << src
     depth = 0
     cycle = None
@@ -319,8 +319,9 @@ def _girth(searches) -> int | None:
 # -- exact solvers ----------------------------------------------------------------
 
 
-def max_clique(adj, n: int) -> tuple[int, int]:
-    """Maximum clique size and one witness bitmask, by pivoted expansion.
+def max_clique(adj) -> tuple[int, int]:
+    """Maximum clique size and one witness bitmask of the graph of
+    adjacency masks ``adj``, by pivoted expansion.
 
     A node branches on the candidates that are not neighbours of its pivot,
     a vertex of cand | excl with the most neighbours in cand; any pivot
@@ -332,11 +333,9 @@ def max_clique(adj, n: int) -> tuple[int, int]:
     frames, branch being None until the frame's node has been expanded, so
     its depth is not bounded by the interpreter's recursion limit.
     """
-    if n == 0:
-        return 0, 0
     best = 0
     best_mask = 0
-    stack = [[0, 0, (1 << n) - 1, 0, None]]
+    stack = [[0, 0, (1 << len(adj)) - 1, 0, None]]
     while stack:
         frame = stack[-1]
         size, mask, cand, excl, branch = frame
@@ -407,13 +406,15 @@ def _colorable(adj, order, k: int) -> bool:
     return True
 
 
-def chromatic_number(adj, n: int, lower: int | None = None) -> int:
-    """Exact chromatic number: deepen k from the clique bound until a
-    k-colouring exists, branching over vertices in descending-degree order."""
-    if n == 0:
+def chromatic_number(adj, lower: int) -> int:
+    """Exact chromatic number of the graph of adjacency masks ``adj``:
+    deepen k from ``lower``, any lower bound on it such as the clique
+    number, until a k-colouring exists, branching over vertices in
+    descending-degree order."""
+    if not adj:
         return 0
-    k = max(1, lower if lower is not None else max_clique(adj, n)[0])
-    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    k = max(1, lower)
+    order = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())
     while not _colorable(adj, order, k):
         k += 1
     return k

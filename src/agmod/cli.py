@@ -339,17 +339,23 @@ def _write_members(members: _Refs, write, depth: int) -> None:
     write("[]" if sep[0] == "[" else "\n" + "  " * depth + "]")
 
 
-def _graph_dict(graph: aggraph.AnnGraph, inv: aggraph.InvariantReport) -> dict:
+def _graph_dict(graph: aggraph.AnnGraph) -> dict:
     return {
         "vertices": _Refs(graph.vertices),
         "edges": graph,
-        "invariants": inv.to_dict(),
+        "invariants": aggraph.invariants(graph).to_dict(),
     }
 
 
-def _localization_dict(module: Module, s, include_components: bool) -> dict:
-    """Localize at S and compare the invariants of AG before and after; a
-    graph type already seen is a lookup (``aggraph.invariants``)."""
+def _localization_dict(module: Module, gens) -> dict:
+    """The localization section for the request ``gens``: S is the
+    minimal-prime complement when ``gens`` is None, else the closure of the
+    ring elements ``gens``.  It compares the invariants of AG before and
+    after localizing at S (a graph type already seen is a lookup,
+    ``aggraph.invariants``), and at the minimal-prime complement of a cyclic
+    M adds the ``components``, one per minimal prime (Theorem 2.17)."""
+    module.class_table()  # the caps hold before S is walked
+    s = min_prime_complement(module) if gens is None else mult_closure(module.ring, gens)
     loc = localize(module, s)
     inv_before = aggraph.invariants(aggraph.build_AG(module))
     inv_after = aggraph.invariants(aggraph.build_AG(loc.image))
@@ -373,7 +379,7 @@ def _localization_dict(module: Module, s, include_components: bool) -> dict:
             "semiprime": module.is_semiprime(),
         },
     }
-    if include_components and module.is_cyclic():
+    if gens is None and module.is_cyclic():
         parts = check_product_decomposition(module, loc)
         out["components"] = {
             "idempotents": [list(e) for _, e, _ in parts],
@@ -384,8 +390,6 @@ def _localization_dict(module: Module, s, include_components: bool) -> dict:
 
 def cmd_analyze(args, cap: int | None) -> int:
     module, options = load_spec(args.spec, cap)
-    if args.localize_at_min_primes:
-        options = dict(options, localize_at_min_primes=True)
     lat = module.lattice()
     star = aggraph.build_AG_star(module)
     ag = aggraph.build_AG(module)
@@ -410,23 +414,18 @@ def cmd_analyze(args, cap: int | None) -> int:
             "classification": list(module.classify()),
         },
         "graphs": {
-            "AG": _graph_dict(ag, aggraph.invariants(ag)),
-            "AG_star": _graph_dict(star, aggraph.invariants(star)),
+            "AG": _graph_dict(ag),
+            "AG_star": _graph_dict(star),
         },
     }
-    if options.get("localize_at_min_primes"):
+    if args.localize_at_min_primes or options.get("localize_at_min_primes"):
+        report["localization"] = _localization_dict(module, None)
+    elif args.localize_gens is not None:
         report["localization"] = _localization_dict(
-            module, min_prime_complement(module), include_components=True
+            module, parse_gens(module.ring, args.localize_gens)
         )
-    elif args.localize_gens is not None or options.get("localize_gens"):
-        gens = (
-            parse_gens(module.ring, args.localize_gens)
-            if args.localize_gens is not None
-            else options["localize_gens"]
-        )
-        report["localization"] = _localization_dict(
-            module, mult_closure(module.ring, gens), include_components=False
-        )
+    elif "localize_gens" in options:
+        report["localization"] = _localization_dict(module, options["localize_gens"])
     if gen is not None:
         witnesses, wreport = module.min_prime_clique_witness()
         report["clique_witness"] = {
@@ -447,16 +446,11 @@ def cmd_graph(args, cap: int | None) -> int:
 def cmd_localize(args, cap: int | None) -> int:
     module, _ = load_spec(args.spec, cap)
     gens = None if args.at_min_primes else parse_gens(module.ring, args.gens)
-    module.class_table()  # the caps hold before S is walked
-    if gens is None:
-        s = min_prime_complement(module)
-    else:
-        s = mult_closure(module.ring, gens)
     report = {
         "schema": 1,
         "version": __version__,
         "instance": instance_echo(module),
-        "localization": _localization_dict(module, s, args.at_min_primes),
+        "localization": _localization_dict(module, gens),
     }
     _dump(report, args.out)
     return 0

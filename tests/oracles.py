@@ -625,13 +625,13 @@ def brute_invariants(g):
     """
     n, adj = g.n, list(g.adj)
     degrees = sorted(a.bit_count() for a in adj)
-    searches = [aggraph._search(adj, v, (1 << n) - 1) for v in range(n)]
+    searches = [aggraph._search(adj, v) for v in range(n)]
     cycles = [cycle for _, cycle in searches if cycle is not None]
     eccs = [ecc for ecc, _ in searches]
     diameter = None if n < 2 or None in eccs else max(eccs)
     connected = n <= 1 or diameter is not None
-    clique = aggraph.max_clique(adj, n)[0]
-    chromatic = aggraph.chromatic_number(adj, n)
+    clique = aggraph.max_clique(adj)[0]
+    chromatic = aggraph.chromatic_number(adj, clique)
     edges = sum(degrees) // 2
     shape = set()
     if n == 0:

@@ -174,11 +174,9 @@ def test_criterion_7_structural_oracles(corpus_analyses):
         assert len(pool) >= 200
         rng = random.Random(20260810)
         for g in rng.sample(pool, 200):
-            cl, _ = aggraph.max_clique(g.adj, g.n)
+            cl, _ = aggraph.max_clique(g.adj)
             assert cl == brute_clique_number(g.adj, g.n)
-            assert aggraph.chromatic_number(g.adj, g.n) == brute_chromatic_number(
-                g.adj, g.n
-            )
+            assert aggraph.chromatic_number(g.adj, cl) == brute_chromatic_number(g.adj, g.n)
 
         rings = [Ring([n]) for n in range(2, 201)]
         rings += [Ring([4, 9]), Ring([2, 3, 5]), Ring([8, 5, 3])]

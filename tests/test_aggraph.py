@@ -167,9 +167,11 @@ def test_solvers_match_brute_force_on_random_graphs():
         adj = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
         cl = brute_clique_number(adj, n)
         _assert_clique(adj, n, cl)
-        ch = aggraph.chromatic_number(adj, n)
+        ch = aggraph.chromatic_number(adj, cl)
         assert ch == brute_chromatic_number(adj, n)
         assert ch >= cl
+        # any valid lower bound gives the same number
+        assert aggraph.chromatic_number(adj, 1) == ch
 
 
 def test_girth_matches_edge_removal_oracle():
@@ -257,7 +259,7 @@ def _traversals(g):
     """(girth, diameter) as ``invariants`` reads them off the searches of
     the quotient graph, without running the solvers."""
     q, first, _, _ = aggraph._quotient(g.sizes, g.kills)
-    searches = [aggraph._search(q, v, (1 << len(q)) - 1) for v in first]
+    searches = [aggraph._search(q, v) for v in first]
     return aggraph._girth(searches), aggraph._diameter(searches)
 
 
@@ -473,9 +475,9 @@ def test_dense_module_in_closed_form(monkeypatch):
     sizes = []
     solver = aggraph.chromatic_number
 
-    def chromatic_number(adj, n, lower=None):
-        sizes.append(n)
-        return solver(adj, n, lower)
+    def chromatic_number(adj, lower):
+        sizes.append(len(adj))
+        return solver(adj, lower)
 
     monkeypatch.setattr(aggraph, "chromatic_number", chromatic_number)
     inv = invariants(g)
@@ -517,7 +519,7 @@ def _excl_pivot_nodes(adj, n):
 
 
 def _assert_clique(adj, n, expected):
-    size, witness = aggraph.max_clique(adj, n)
+    size, witness = aggraph.max_clique(adj)
     assert size == expected, adj
     assert witness.bit_count() == size
     members = [v for v in range(n) if witness >> v & 1]
@@ -541,7 +543,7 @@ def test_clique_matches_weighted_quotient_on_twin_blow_ups():
     for n in range(1, 41):
         full = (1 << n) - 1
         complete = [full & ~(1 << v) for v in range(n)]
-        assert aggraph.max_clique(complete, n) == (n, full)
+        assert aggraph.max_clique(complete) == (n, full)
 
 
 def test_traversals_on_degenerate_graphs():
@@ -561,14 +563,14 @@ def test_solvers_have_no_recursion_limit():
     n = 1200
     full = (1 << n) - 1
     complete = [full & ~(1 << v) for v in range(n)]
-    assert aggraph.max_clique(complete, n) == (n, full)
+    assert aggraph.max_clique(complete) == (n, full)
     # crown graph listed a1, b1, a2, b2, ...: a_i ~ b_j iff i != j; greedy
     # needs n/2 colours, the search finds 2 at depth n
     evens = sum(1 << v for v in range(0, n, 2))
     crown = [
         (full ^ evens if v % 2 == 0 else evens) & ~(1 << (v ^ 1)) for v in range(n)
     ]
-    assert aggraph.chromatic_number(crown, n) == 2
+    assert aggraph.chromatic_number(crown, 2) == 2
 
 
 def test_chromatic_at_least_clique_on_corpus(corpus_analyses):

@@ -48,6 +48,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _localization(capsys, *argv):
+    """The localization section of a command's report, which must exit 0."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, (argv, err)
+    return json.loads(out)["localization"]
+
+
 def test_parse_instance_round_trip():
     module, _ = parse_instance(Z12)
     echo = cli.instance_echo(module)
@@ -133,6 +140,36 @@ def test_analyze_localization_sections(capsys, spec_file):
     for spec in (path, with_gens):
         code, out, err = run_cli(capsys, "analyze", spec, "--localize-gens", "")
         assert code == 64 and out == "" and "no generators given" in err, spec
+    # both commands build the section with one function: on the golden and
+    # NON_CYCLIC specs the section of analyze is the localize report's, asked
+    # for by flag or by spec option, and the components follow the request:
+    # at the minimal-prime complement iff M is cyclic, never at a closure of gens
+    specs = list(GOLDEN_SPECS.values())
+    specs += [{"ring": r, "module": [{"d": d, "c": c} for d, c in f]} for r, f in NON_CYCLIC]
+    for spec in specs:
+        base = {"ring": spec["ring"], "module": spec["module"]}
+        path, plain = spec_file(spec), spec_file(base, name="plain.json")
+        at_min = _localization(capsys, "localize", path, "--at-min-primes")
+        assert _localization(capsys, "analyze", path, "--localize-at-min-primes") == at_min
+        option = spec_file({**base, "options": {"localize_at_min_primes": True}}, name="min.json")
+        assert _localization(capsys, "analyze", option) == at_min, spec
+        assert ("components" in at_min) == parse_instance(spec)[0].is_cyclic(), spec
+        residues = [3] * len(spec["ring"])
+        gens = ":".join(map(str, residues))
+        by_gens = _localization(capsys, "localize", plain, "--gens", gens)
+        assert _localization(capsys, "analyze", plain, "--localize-gens", gens) == by_gens
+        for given in (gens, [residues]):
+            option = spec_file({**base, "options": {"localize_gens": given}}, name="gens.json")
+            assert _localization(capsys, "analyze", option) == by_gens, (spec, given)
+        assert "components" not in by_gens, spec
+    # the units of Z_12 have the idempotent of its minimal-prime complement,
+    # but S is not asked for as that complement, so it gets no components
+    path = spec_file(Z12)
+    assert "components" in _localization(capsys, "localize", path, "--at-min-primes")
+    for argv in (("localize", path, "--gens", "5,7,11"),
+                 ("analyze", path, "--localize-gens", "5,7,11")):
+        loc = _localization(capsys, *argv)
+        assert loc["idempotent"] == [1] and "components" not in loc, argv
 
 
 def test_graph_command(capsys, spec_file):
