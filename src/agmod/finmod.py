@@ -357,7 +357,7 @@ class Module:
     # -- colon ideals and products ----------------------------------------------
 
     def colon(self, sub: "Submodule") -> Ideal:
-        """(N : M) = {r : r*M <= N} in divisor form, recorded by the lattice."""
+        """``sub.colon``, kept only because perfbench/tracer.py traces it by name."""
         return sub.colon
 
     @_once
@@ -407,7 +407,7 @@ class Module:
         with ``annihilates`` and never builds a product; this stays for the
         tests and the per-layer trace.
         """
-        return self.times(self.colon(n).product(self.colon(k)).divisors)
+        return self.times(n.colon.product(k.colon).divisors)
 
     # -- prime submodules ---------------------------------------------------------
 
@@ -418,7 +418,7 @@ class Module:
         M/P is a vector space over the field R/(P:M), where every r outside
         (P:M) acts injectively.
         """
-        return not p.is_whole and self.colon(p).is_maximal()
+        return not p.is_whole and p.colon.is_maximal()
 
     @_once
     def primes(self) -> list["Submodule"]:
@@ -831,11 +831,12 @@ class _Radix:
 
 class Submodule:
     """A member of its module's lattice: a closed set of elements, held as a
-    mask over their indices, with its id, its colon class and ideal, and an
-    irredundant generator list.  It holds its module's ``_Radix``, which
-    decodes its elements and builds its label, and not the module.  The
-    lattice makes each submodule once, so two members of one module are
-    equal iff they are the same object.
+    mask over their indices, with its id, its colon class, its colon ideal
+    (N : M) = {r : r*M <= N} in divisor form, and an irredundant generator
+    list.  It holds its module's ``_Radix``, which decodes its elements and
+    builds its label, and not the module.  The lattice makes each submodule
+    once, so two members of one module are equal iff they are the same
+    object.
     """
 
     __slots__ = (

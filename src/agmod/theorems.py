@@ -5,8 +5,8 @@ the claimed conclusion; a hypothesis-satisfying instance that fails its
 conclusion is reported as a violation, which in this code base always means
 an implementation bug (the statements themselves are proven facts about
 these graphs).  Instances whose hypotheses do not hold report
-``hypotheses_not_met``; instances past a resource cap report ``skipped``
-with the cap, never silently.
+``hypotheses_not_met``; an instance past a resource cap is ``skipped`` by
+every predicate with the cap, never silently, in ``run_predicate`` alone.
 
 Hypotheses that are automatic for finite instances (finitely generated
 module, Artinian quotient ring) are recorded as satisfied by construction
@@ -641,11 +641,16 @@ class PredicateResult:
 
 
 def run_predicate(theorem_id: str, a: InstanceAnalysis) -> PredicateResult:
-    """One predicate on one instance; caps and failed internal checks become results."""
+    """One predicate on one instance; caps and failed internal checks become results.
+
+    The ``class_table()`` line is the skip policy and the only code that
+    makes a ``skipped`` row: it raises the caps the lattice would, so past a
+    cap every predicate is ``skipped`` with that cap, through either entry."""
     if theorem_id not in PREDICATES:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     iid = a.iid
     try:
+        a.module.class_table()
         status, witness = PREDICATES[theorem_id](a)
     except ResourceLimitError as exc:
         return PredicateResult(theorem_id, iid, SKIPPED,
@@ -764,18 +769,10 @@ POOL_CHUNK = 16
 
 
 def _evaluate_instance(args) -> list[PredicateResult]:
-    """One instance's rows, on a module built and freed here: all skipped past the cap."""
+    """One instance's rows, on a module built and freed here: past a cap,
+    ``run_predicate`` skips every predicate, as a direct call would."""
     ring, factors, theorem_ids, cap = args
-    module = Module(ring, factors, cap)
-    try:
-        module.class_table()  # raises the caps that enumerating the lattice would
-    except ResourceLimitError as exc:
-        iid = instance_id(module)
-        return [
-            PredicateResult(tid, iid, SKIPPED, {"reason": str(exc), "cap": exc.limit})
-            for tid in theorem_ids
-        ]
-    analysis = InstanceAnalysis(module)
+    analysis = InstanceAnalysis(Module(ring, factors, cap))
     return [run_predicate(tid, analysis) for tid in theorem_ids]
 
 
@@ -793,7 +790,8 @@ def run_suite(
     of min(jobs, instances, CPUs) workers, ``POOL_CHUNK`` instances a task,
     or, when that is one, in this process.  Each instance's module is built
     with ``cap`` as its lattice cap (``finmod.LATTICE_CAP`` when None), which
-    travels with the instance.
+    travels with the instance.  Rows are ``run_predicate``'s: past a cap,
+    every predicate is ``skipped``, as a direct call answers.
     """
     if theorem_ids is None:
         ids = THEOREM_IDS

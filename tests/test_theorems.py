@@ -549,6 +549,12 @@ def test_run_suite_names_each_instance_once(monkeypatch):
     assert len(calls) == 1
     assert len(report.results) == 21
     assert {r.instance_id for r in report.results} == {"Z12|Z12.0"}
+    # past the element cap too: the one analysis names all 21 skipped rows
+    calls.clear()
+    report = run_suite([zmod(1024)])
+    assert len(calls) == 1
+    assert [r.status for r in report.results] == [SKIPPED] * 21
+    assert {r.instance_id for r in report.results} == {"Z1024|Z1024.0"}
 
 
 def test_unknown_theorem_id():
@@ -662,6 +668,20 @@ def test_run_suite_records_lattice_cap_skips():
     report = run_suite([big], theorem_ids=["thm_2_21", "prop_2_5"])
     assert len(report.skips) == 2
     assert all(r.status == SKIPPED and r.witness["cap"] == 512 for r in report.results)
+    # past either cap, a direct run_predicate answers each predicate as the
+    # suite does: skipped, with the cap that fired
+    capped = [
+        ([1024], [(1024, 0)], None, 512),  # the element cap
+        ([4], [(4, 0), (2, 0)], 2, 2),  # the lattice cap, from here down
+        ([12], [(12, 0)], 2, 2),
+        ([2, 3], [(2, 0), (2, 0), (3, 1)], 3, 3),
+    ]
+    for moduli, factors, cap, fired in capped:
+        ring = Ring(moduli)
+        for tid in THEOREM_IDS:
+            (row,) = run_suite([Module(ring, factors)], [tid], cap=cap).results
+            assert run_predicate(tid, InstanceAnalysis(Module(ring, factors, cap))) == row, row
+            assert row.status == SKIPPED and row.witness["cap"] == fired, row
 
 
 def test_a_module_is_freed_with_its_last_reference():
