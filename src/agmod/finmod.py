@@ -102,7 +102,10 @@ LATTICE_CAP = 4096
 
 def _once(method):
     """Compute a module fact on the first call and return it on every later
-    one.  Facts are memoized by name alone, so a fact takes no argument."""
+    one.  Facts are memoized by name alone, so a fact takes no argument.  A
+    module's cap is fixed when it is made, so a cap that a fact hits is kept
+    as its message and limit and raised afresh on every later call; the error
+    itself would hold the module in a cycle, through its traceback's frames."""
     name = method.__name__
 
     @functools.wraps(method)
@@ -110,8 +113,15 @@ def _once(method):
         try:
             return self._facts[name]
         except KeyError:
+            capped = self._facts.get(method)  # the cap it hit, keyed apart from values
+        if capped:
+            raise ResourceLimitError(*capped)
+        try:
             value = self._facts[name] = method(self)
-            return value
+        except ResourceLimitError as exc:
+            self._facts[method] = str(exc), exc.limit
+            raise
+        return value
 
     return memoized
 
@@ -202,9 +212,9 @@ class Module:
         to 1, so class 0 is that of (0), with colon ann(M), and the last is
         that of M, alone in it.
 
-        The caps are those of enumerating the lattice, checked before any
-        member's mask is made: more than ``ELEMENT_CAP`` elements, then more
-        than ``cap`` submodules, the exact sum of the counts.
+        The caps, those of the lattice, are checked before any mask is made:
+        more than ``ELEMENT_CAP`` elements, then more than ``cap`` submodules,
+        the exact sum of the counts.  ``_once`` keeps the cap that fires.
         """
         if self.size > ELEMENT_CAP:
             raise ResourceLimitError(
@@ -738,13 +748,6 @@ class _Radix:
         self._joins: dict = {}
         self.texts: dict = {}  # index -> text of each element decoded so far
 
-    def mask(self, elems) -> int:
-        """The mask of a set of element tuples."""
-        out = 0
-        for x in elems:
-            out |= 1 << sum(map(operator.mul, x, self.weights))
-        return out
-
     def element(self, i: int) -> tuple:
         """The element tuple at index i, decoded once, with its text."""
         x = self._decoded.get(i)
@@ -964,12 +967,12 @@ def _minimal_gens(radix: _Radix, mask: int) -> tuple[tuple, str]:
 
 class Lattice:
     """All submodules, sorted by ``_order_key`` (size, then encoding), each
-    made here once, and found by mask.  Members with one colon ideal form a
-    colon class, numbered as in ``Module.class_table``, so class 0 is that
-    of (0), whose colon is ann(M), and ``colons`` holds one Ideal per class.
-    The lattice keeps neither its module nor any memo: the spans built from
-    members are masks, memoized by the module's radix (``_Radix.cyclic`` and
-    ``_Radix.join``)."""
+    made here once, and found by mask alone (``member``).  Members with one
+    colon ideal form a colon class, numbered as in ``Module.class_table``, so
+    class 0 is that of (0), whose colon is ann(M), and ``colons`` holds one
+    Ideal per class.  The lattice keeps neither its module nor any memo: the
+    spans built from members are masks, memoized by the module's radix
+    (``_Radix.cyclic`` and ``_Radix.join``)."""
 
     def __init__(self, module: Module, sums):
         self.radix = radix = module._radix()
@@ -993,7 +996,3 @@ class Lattice:
         if sub is None:
             raise DomainError("element set is not a submodule of this lattice")
         return sub
-
-    def find(self, elems) -> Submodule:
-        """The member with exactly these element tuples."""
-        return self.member(self.radix.mask(elems))

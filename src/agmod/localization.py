@@ -151,10 +151,10 @@ def check_product_decomposition(module: Module, loc: LocalizedModule) -> list[tu
 
 def image_submodule(loc: LocalizedModule, sub: Submodule) -> Submodule:
     """The image N_S = e*N of a submodule of the original module, as a member
-    of the image's lattice, with e*x read as x reduced modulo each factor of
-    the image (``Module.scaled``).  The pipeline never maps a submodule into
-    a localization; this stays for the tests and the per-layer trace."""
-    image = loc.image
-    return image.lattice().find(
-        {tuple(a % d for a, (d, _) in zip(x, image.factors)) for x in sub.elements}
-    )
+    of the image's lattice: e*x is x with digit i reduced modulo factor i of
+    the image (``Module.scaled``).  Nothing in the pipeline calls it; it stays
+    only for its tests and because perfbench/tracer.py traces it by name."""
+    radix = loc.image._radix()
+    indices = {sum(a % d * w for a, d, w in zip(x, radix.orders, radix.weights))
+               for x in sub.elements}
+    return loc.image.lattice().member(sum(1 << i for i in indices))

@@ -191,6 +191,23 @@ def cyclic_span(module, x):
     return frozenset(out)
 
 
+def element_index(module, x) -> int:
+    """The mixed-radix index of x, its first coordinate most significant."""
+    i = 0
+    for a, (d, _) in zip(x, module.factors):
+        i = i * d + a
+    return i
+
+
+def member_of(module, elems):
+    """The lattice member with exactly these element tuples, looked up by the
+    mask with a bit at each one's ``element_index``."""
+    mask = 0
+    for x in elems:
+        mask |= 1 << element_index(module, x)
+    return module.lattice().member(mask)
+
+
 def brute_cyclic_generator(module):
     """The first element in element order whose orbit R*m is all of M, or None."""
     return next(
@@ -209,7 +226,7 @@ def brute_clique_multipliers(module, e_parts):
     """
     ring = module.ring
     gen = module.cyclic_generator()
-    colons = [module.colon(p) for p in module.min_primes()]
+    colons = [p.colon for p in module.min_primes()]
     t = ring.one
     pair_multipliers = []
     for i, j in itertools.combinations(range(len(e_parts)), 2):
@@ -549,7 +566,7 @@ def brute_AG(module, star=False):
     subs = module.lattice().all
     if star:
         ann = module.annihilator()
-        cands = [s for s in subs if not s.is_whole and module.colon(s) != ann]
+        cands = [s for s in subs if not s.is_whole and s.colon != ann]
         partners = cands
     else:
         cands = [s for s in subs if not s.is_zero]

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from test_golden import SPECS as GOLDEN_SPECS
 def spec_file(tmp_path):
     def write(obj, name="spec.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps(obj), encoding="utf-8")
         return str(path)
 
     return write
@@ -236,7 +237,7 @@ def test_corpus_command(capsys, tmp_path):
         "--theorems", "thm_2_21,cor_2_19", "--out", str(out_file)
     )
     assert code == 0
-    report = json.loads(out_file.read_text())
+    report = json.loads(out_file.read_text(encoding="utf-8"))
     assert report["schema"] == 1
     assert not report["violations"]
     assert report["theorems"]["thm_2_21"]["applicable_FAIL"] == 0
@@ -280,7 +281,7 @@ def test_corpus_options_that_run_nothing_exit_64(capsys, argv, message):
 
 def test_bad_specs_exit_64(capsys, spec_file, tmp_path):
     bad_json = tmp_path / "bad.json"
-    bad_json.write_text("{not json")
+    bad_json.write_text("{not json", encoding="utf-8")
     code, _, err = run_cli(capsys, "analyze", str(bad_json))
     assert code == 64 and "line 1" in err
     code, _, err = run_cli(
@@ -293,15 +294,15 @@ def test_bad_specs_exit_64(capsys, spec_file, tmp_path):
     # limit, an integer past the int-string conversion limit
     undecodable = [tmp_path / name for name in ("latin.json", "deep.json", "long.json")]
     undecodable[0].write_bytes(b'{"ring": [12], "module": "\xe9"}')
-    undecodable[1].write_text("[" * 100000)
-    undecodable[2].write_text('{"ring": [' + "1" * 5000 + "]}")
+    undecodable[1].write_text("[" * 100000, encoding="utf-8")
+    undecodable[2].write_text('{"ring": [' + "1" * 5000 + "]}", encoding="utf-8")
     for path in undecodable:
         for argv in (["analyze"], ["graph"], ["localize", "--at-min-primes"]):
             code, _, err = run_cli(capsys, *argv, str(path))
             assert code == 64 and f"cannot decode spec file {path}" in err, (argv, path)
         proc = subprocess.run(
             [sys.executable, "-m", "agmod.cli", "analyze", str(path)],
-            capture_output=True, text=True, timeout=30, env=_subprocess_env(),
+            capture_output=True, encoding="utf-8", timeout=30, env=_subprocess_env(),
         )
         assert proc.returncode == 64 and proc.stderr.startswith("agmod: "), proc.stderr
         assert "Traceback" not in proc.stderr
@@ -320,6 +321,19 @@ def test_bad_specs_exit_64(capsys, spec_file, tmp_path):
             capsys, "analyze", spec_file({"ring": [12], "module": [factor]})
         )
         assert code == 64 and "factor" in err, factor
+
+
+def test_the_encoding_gate_reaches_the_package_and_every_test_module(pytestconfig):
+    # pyproject.toml makes an EncodingWarning an error in every module of the
+    # package and under tests/, and in none under perfbench/: a test module
+    # added later must join the last entry's list
+    gates = [
+        entry.split(":")[3] for entry in pytestconfig.getini("filterwarnings")
+        if entry.split(":")[:3] == ["error", "", "EncodingWarning"]
+    ]
+    names = ["agmod.cli", "agmod.finmod"] + [p.stem for p in Path(__file__).parent.glob("*.py")]
+    assert all(any(re.match(g, name) for g in gates) for name in names), (gates, names)
+    assert not any(re.match(g, "test_smoke") for g in gates), gates
 
 
 def test_usage_error_exit_64(capsys):
@@ -364,7 +378,7 @@ def test_import_builds_no_parser():
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        capture_output=True, text=True, timeout=30, env=_subprocess_env(),
+        capture_output=True, encoding="utf-8", timeout=30, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -584,7 +598,7 @@ def test_import_agmod_leaves_the_process_pool_unloaded():
     code = "import sys, agmod; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=30, env=_subprocess_env(),
+        capture_output=True, encoding="utf-8", timeout=30, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -594,10 +608,12 @@ def test_unfactorable_modulus_exits_3_at_once(tmp_path):
     # Z_1 over Z_{2^61 - 1}: the module is trivial, but the ring modulus has
     # no prime factor below the trial-division bound
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"ring": [2**61 - 1], "module": [{"d": 1, "c": 0}]}))
+    spec.write_text(
+        json.dumps({"ring": [2**61 - 1], "module": [{"d": 1, "c": 0}]}), encoding="utf-8"
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
-        capture_output=True, text=True, timeout=10, env=_subprocess_env(),
+        capture_output=True, encoding="utf-8", timeout=10, env=_subprocess_env(),
     )
     assert proc.returncode == 3, proc.stderr
     assert "resource cap exceeded" in proc.stderr
@@ -614,7 +630,7 @@ def test_ring_order_past_the_digit_cap_exits_3_before_any_output(capsys, spec_fi
         assert not out.exists()
         proc = subprocess.run(
             [sys.executable, "-m", "agmod.cli", *argv, spec],
-            capture_output=True, text=True, timeout=60, env=_subprocess_env(),
+            capture_output=True, encoding="utf-8", timeout=60, env=_subprocess_env(),
         )
         assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
         assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
@@ -629,10 +645,10 @@ def test_analyze_cost_does_not_grow_with_the_ring(tmp_path):
     # Z_6 over Z_9699690 (the product of the primes up to 19): the module is
     # tiny, so no step of analyze may scale with the 9.7 million ring elements
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"ring": [9699690], "module": [{"d": 6, "c": 0}]}))
+    spec.write_text(json.dumps({"ring": [9699690], "module": [{"d": 6, "c": 0}]}), encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
-        capture_output=True, text=True, timeout=30, env=_subprocess_env(),
+        capture_output=True, encoding="utf-8", timeout=30, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     witness = json.loads(proc.stdout)["clique_witness"]
@@ -643,10 +659,10 @@ def test_analyze_dense_module_is_fast(tmp_path):
     # F_2^5 over F_2: 374 submodules and a 373-vertex AG with two colon
     # classes; the graph and its girth and diameter are built per class
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"ring": [2], "module": [{"d": 2, "c": 0}] * 5}))
+    spec.write_text(json.dumps({"ring": [2], "module": [{"d": 2, "c": 0}] * 5}), encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
-        capture_output=True, text=True, timeout=20, env=_subprocess_env(),
+        capture_output=True, encoding="utf-8", timeout=20, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     ag = json.loads(proc.stdout)["graphs"]["AG"]
@@ -657,7 +673,7 @@ def test_closed_stdout_exits_64_without_a_traceback(tmp_path):
     # F_3^4's report is over 1 MB, far more than a pipe holds, so the writer
     # meets the closed pipe in the middle of the report
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"ring": [3], "module": [{"d": 3, "c": 0}] * 4}))
+    spec.write_text(json.dumps({"ring": [3], "module": [{"d": 3, "c": 0}] * 4}), encoding="utf-8")
     proc = subprocess.Popen(
         [sys.executable, "-m", "agmod.cli", "analyze", str(spec)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
@@ -691,7 +707,7 @@ def test_stdout_gets_the_output_file_bytes_under_an_ascii_locale(tmp_path, argv,
     # every report names members by labels such as ⟨2⟩, which ASCII cannot
     # encode; stdout still gets the UTF-8 bytes that the output file gets
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(Z12))
+    spec.write_text(json.dumps(Z12), encoding="utf-8")
     target = tmp_path / "output"
     cmd = [sys.executable, "-m", "agmod.cli", *[str(spec) if a == "SPEC" else a for a in argv]]
     env = {**_subprocess_env(), "PYTHONIOENCODING": "ascii"}

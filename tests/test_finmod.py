@@ -42,12 +42,14 @@ from oracles import (
     brute_times,
     brute_zero_divisors,
     cyclic_span,
+    element_index,
     ideal_act,
     ideal_elements,
     ideal_radical,
     ideals,
     is_prime_ideal,
     join_greedy_gens,
+    member_of,
     omega,
     smul,
     span,
@@ -290,8 +292,8 @@ def test_lattice_closed_under_meet_and_join():
     for m in [zmod(12), zmod(30), product_module([2, 4]), product_module([4, 9])]:
         lat = m.lattice()
         for a, b in itertools.combinations(lat.all, 2):
-            assert lat.find(a.elements & b.elements) in lat.all
-            assert lat.find(span(m, a.gens + b.gens)) in lat.all
+            assert member_of(m, a.elements & b.elements) in lat.all
+            assert member_of(m, span(m, a.gens + b.gens)) in lat.all
 
 
 def test_lattice_matches_brute_closure():
@@ -362,7 +364,7 @@ def test_independent_rows_make_no_span(default_corpus, monkeypatch):
         finmod._Radix, "join", lambda radix, a, b: joins.append(1) or join(radix, a, b)
     )
     m = Module(Ring([4]), [(2, 0), (4, 0)])
-    s = m.lattice().find(cyclic_span(m, (1, 1)))
+    s = member_of(m, cyclic_span(m, (1, 1)))
     assert s.label == "⟨(1,1)⟩"
     assert joins
 
@@ -390,14 +392,6 @@ def test_times_matches_scan_oracle(oracle_modules):
             assert m.times(r).elements == brute_times(m, r), (m, r)
 
 
-def _index(m, x) -> int:
-    """The mixed-radix index of x, its first coordinate most significant."""
-    i = 0
-    for a, (d, _) in zip(x, m.factors):
-        i = i * d + a
-    return i
-
-
 def test_mask_layer_matches_set_oracles(oracle_modules):
     # members are masks over element indices; decoded, they must be the
     # element sets the set oracles build, in (size, sorted elements) order
@@ -420,9 +414,9 @@ def test_mask_layer_matches_set_oracles(oracle_modules):
             assert all(span(m, s.gens) == s.elements for s in lat.all)
         else:
             assert {s.elements for s in lat.all} == submodule_closure(m), m
-        assert [_index(m, x) for x in m.elements] == list(range(m.size)), m
+        assert [element_index(m, x) for x in m.elements] == list(range(m.size)), m
         for s in lat.all:
-            assert s.encoding == tuple(sorted(_index(m, x) for x in s.elements)), (m, s.id)
+            assert s.encoding == tuple(sorted(element_index(m, x) for x in s.elements)), (m, s.id)
         keys = [(s.size, sorted(s.elements)) for s in lat.all]
         assert keys == sorted(keys), m
         radix = lat.radix
@@ -431,7 +425,7 @@ def test_mask_layer_matches_set_oracles(oracle_modules):
             while y != m.zero:
                 multiples.add(y)
                 y = add(m, y, x)
-            assert radix.cyclic(i) == sum(1 << _index(m, y) for y in multiples), (m, x)
+            assert radix.cyclic(i) == sum(1 << element_index(m, y) for y in multiples), (m, x)
         pairs = list(itertools.combinations_with_replacement(lat.all, 2))
         for a, b in rng.sample(pairs, min(len(pairs), 300)):
             joined = lat.member(radix.join(a.mask, b.mask))
@@ -454,17 +448,17 @@ def test_cyclic_members_are_the_spans(oracle_modules):
         for i, x in enumerate(m.elements):
             if len({c for a, c in zip(x, components) if a}) <= 1:
                 pure += 1
-                assert lat.member(lat.radix.cyclic(i)) is lat.find(cyclic_span(m, x)), (m, x)
+                assert lat.member(lat.radix.cyclic(i)) is member_of(m, cyclic_span(m, x)), (m, x)
     assert pure
 
 
 def test_colon_examples():
     m = zmod(12)
-    assert m.colon(sub_by_label(m, "⟨6⟩")).divisors == (6,)
-    assert m.colon(m.lattice().all[-1]).divisors == (1,)
+    assert sub_by_label(m, "⟨6⟩").colon.divisors == (6,)
+    assert m.lattice().all[-1].colon.divisors == (1,)
     p = product_module([2, 4])
-    z2x0 = p.lattice().find({(0, 0), (1, 0)})
-    assert p.colon(z2x0).divisors == (1, 4)
+    z2x0 = member_of(p, {(0, 0), (1, 0)})
+    assert z2x0.colon.divisors == (1, 4)
 
 
 def test_colon_matches_brute_force(oracle_modules):
@@ -476,7 +470,7 @@ def test_colon_matches_brute_force(oracle_modules):
     ]
     for m in list(oracle_modules) + extra:
         for s in m.lattice().all:
-            assert ideal_elements(m.colon(s)) == brute_colon(m, s), (m, s)
+            assert ideal_elements(s.colon) == brute_colon(m, s), (m, s)
 
 
 def test_lattice_facts_need_no_element_scan(monkeypatch):
@@ -499,7 +493,7 @@ def test_lattice_facts_need_no_element_scan(monkeypatch):
     for m, (ag, ag_star), ann in zip(anchors, graphs, [(3,), (4, 6)]):
         assert build_AG(m).adj == ag and build_AG_star(m).adj == ag_star
         for s in m.lattice().all:
-            m.colon(s)
+            assert s.colon is m.lattice().colons[s.cls]
         assert m.primes() and m.min_primes()
         assert not m.is_cyclic()
         assert m.annihilator().divisors == ann
@@ -534,10 +528,10 @@ def test_colon_monotone_and_contains_annihilator():
         lat = m.lattice()
         ann = m.annihilator()
         for a in lat.all:
-            assert ideal_elements(ann) <= ideal_elements(m.colon(a))
+            assert ideal_elements(ann) <= ideal_elements(a.colon)
             for b in lat.all:
                 if a.elements <= b.elements:
-                    assert ideal_elements(m.colon(a)) <= ideal_elements(m.colon(b))
+                    assert ideal_elements(a.colon) <= ideal_elements(b.colon)
 
 
 def test_annihilator_examples():
@@ -554,7 +548,7 @@ def test_product_examples():
     assert m.product(two, three) == six
     for n in m.lattice().all:
         prod = m.product(n, m.lattice().all[-1])
-        assert prod.elements == ideal_act(m, m.colon(n))
+        assert prod.elements == ideal_act(m, n.colon)
         assert prod.elements <= n.elements
 
 
@@ -612,7 +606,7 @@ def test_primes_test_maximality_once_per_class(oracle_modules, monkeypatch):
 def test_prime_colon_is_prime_ideal():
     for m in [zmod(12), zmod(30), product_module([2, 4]), zmod(18, 6)]:
         for p in m.primes():
-            assert is_prime_ideal(m.ring, m.colon(p))
+            assert is_prime_ideal(m.ring, p.colon)
 
 
 def test_radical_examples():
@@ -629,7 +623,7 @@ def test_radical_idempotent_and_inflationary():
     for m in [zmod(12), zmod(16), product_module([2, 4])]:
         lat = m.lattice()
         for s in lat.all:
-            r = lat.find(brute_radical(m, s))
+            r = member_of(m, brute_radical(m, s))
             assert s.elements <= r.elements
             assert brute_radical(m, r) == r.elements
 
@@ -640,8 +634,8 @@ def test_radical_colon_identity():
         for q in m.lattice().all:
             if q.is_whole:
                 continue
-            rad = m.lattice().find(brute_radical(m, q))
-            assert ideal_radical(m.colon(q)) == m.colon(rad)
+            rad = member_of(m, brute_radical(m, q))
+            assert ideal_radical(q.colon) == rad.colon
 
 
 def _is_semiprime_submodule(m, sub):
@@ -660,7 +654,7 @@ def test_intersections_of_primes_are_semiprime():
         for size in range(1, len(primes) + 1):
             for subset in itertools.combinations(primes, size):
                 inter = frozenset.intersection(*(p.elements for p in subset))
-                assert _is_semiprime_submodule(m, m.lattice().find(inter))
+                assert _is_semiprime_submodule(m, member_of(m, inter))
 
 
 def test_semiprime_module_examples():
@@ -688,7 +682,7 @@ def test_closed_forms_match_scan_oracles(oracle_modules):
             assert m.is_prime_submodule(s) == brute_is_prime_submodule(m, s), (m, s)
         acted = {}
         for a, b in itertools.combinations_with_replacement(subs, 2):
-            ideal = m.colon(a).product(m.colon(b))
+            ideal = a.colon.product(b.colon)
             if ideal not in acted:
                 acted[ideal] = ideal_act(m, ideal)
             assert m.product(a, b).elements == acted[ideal], (m, a, b)
@@ -799,7 +793,7 @@ def test_module_facts_match_scan_oracles(oracle_modules):
     # scaling (the split rows' labels are checked with the decompositions)
     for m in oracle_modules:
         rad = m.prime_radical()
-        assert rad is m.lattice().find(brute_radical(m, m.lattice().all[0])), m
+        assert rad is member_of(m, brute_radical(m, m.lattice().all[0])), m
         assert rad.is_zero == m.is_semiprime(), m
         parts = [m] + [side for _, left, right in brute_decompositions(m)
                        for side in (left, right)]
@@ -1012,7 +1006,7 @@ def test_decomposition_submodules_split_componentwise():
                 part2 = {smul(m, comp, x) for x in s.elements}
                 recombined = {add(m, a, b) for a in part1 for b in part2}
                 assert recombined == s.elements
-                colon = ideal_elements(m.colon(s))
+                colon = ideal_elements(s.colon)
                 assert colon == {
                     r
                     for r in m.ring.elements()
@@ -1057,11 +1051,11 @@ def test_product_ring_lattice_is_componentwise():
                 right = {smul(m, comp, x) for x in prod.elements}
                 sliced_left = {
                     smul(m, e, x)
-                    for x in m.product(lat.find(pa[0]), lat.find(pb[0])).elements
+                    for x in m.product(member_of(m, pa[0]), member_of(m, pb[0])).elements
                 }
                 sliced_right = {
                     smul(m, comp, x)
-                    for x in m.product(lat.find(pa[1]), lat.find(pb[1])).elements
+                    for x in m.product(member_of(m, pa[1]), member_of(m, pb[1])).elements
                 }
                 assert left == sliced_left and right == sliced_right
 
@@ -1179,4 +1173,4 @@ def test_random_composite_modules_label_like_the_set_oracle(m):
 @given(_random_small_module())
 def test_random_instances_colon_matches_brute(m):
     for s in m.lattice().all:
-        assert ideal_elements(m.colon(s)) == brute_colon(m, s)
+        assert ideal_elements(s.colon) == brute_colon(m, s)

@@ -143,7 +143,7 @@ def blank_version(data: bytes) -> bytes:
 )
 def test_cli_output_digest(tmp_path, name, argv, digest):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(SPECS[name]))
+    spec.write_text(json.dumps(SPECS[name]), encoding="utf-8")
     out = tmp_path / "out"
     flag = "--dot" if argv[0] == "graph" else "--out"
     assert main([argv[0], str(spec), *argv[1:], flag, str(out)]) == 0
@@ -166,7 +166,7 @@ def test_localize_at_min_primes_builds_no_lattice(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(Lattice, "__init__", refused)
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(SPECS[name]))
+    spec.write_text(json.dumps(SPECS[name]), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["localize", str(spec), "--at-min-primes", "--out", str(out)]) == 0
     assert sha256(blank_version(out.read_bytes())) == digest

@@ -344,7 +344,7 @@ def test_localization_never_lists_the_ring(tmp_path, monkeypatch):
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps(
             {"ring": moduli, "module": [{"d": d, "c": c} for d, c in factors]}
-        ))
+        ), encoding="utf-8")
         paths.append((str(path), ":".join("3" for _ in moduli)))
     corpus = theorems.generate_corpus(theorems.CorpusSpec())
 

@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from agmod import aggraph, localization, theorems
+from agmod import aggraph, finmod, localization, theorems
 from agmod.errors import ResourceLimitError
 from agmod.finmod import Lattice, Module
 from agmod.finring import Ring, divisors, ring_table
@@ -32,7 +32,8 @@ from agmod.theorems import (
 
 from helpers import product_module, zmod
 from oracles import (
-    brute_lemma_2_4, brute_prop_2_5, brute_saturate, brute_thm_2_10, cyclic_span, smul, span,
+    brute_lemma_2_4, brute_prop_2_5, brute_saturate, brute_thm_2_10, cyclic_span, element_index,
+    member_of, smul, span,
 )
 
 
@@ -257,9 +258,9 @@ def test_saturated_sets_are_named_by_one_member():
                 brute = brute_saturate(m, s_clo, orbit, fact)
                 if brute is None:
                     continue
-                sat = lattice.radix.mask(brute)
+                sat = sum(1 << element_index(m, y) for y in brute)
                 masks = [
-                    lattice.find(cyclic_span(m, y)).mask
+                    member_of(m, cyclic_span(m, y)).mask
                     for i, y in enumerate(m.elements) if sat >> i & 1
                 ]
                 n = lattice.member(functools.reduce(int.__and__, masks))
@@ -684,14 +685,58 @@ def test_run_suite_records_lattice_cap_skips():
             assert row.status == SKIPPED and row.witness["cap"] == fired, row
 
 
-def test_a_module_is_freed_with_its_last_reference():
+def _count_class_tables(monkeypatch):
+    """Count the runs of ``Module.class_table``'s body, memo hits left out, in
+    a list of ones, so the count holds no module."""
+    body = Module.class_table.__wrapped__
+
+    @functools.wraps(body)
+    def counted(self):
+        runs.append(1)
+        return body(self)
+
+    runs = []
+    monkeypatch.setattr(Module, "class_table", finmod._once(counted))
+    return runs
+
+
+def test_a_capped_module_counts_its_class_table_once(default_corpus, monkeypatch):
+    # a cap that fired is a fact of the module: at a lattice cap of 5, each of
+    # the 319 default instances counts its class table once, the 61 capped
+    # ones too, not once for each of their 21 predicates
+    _, modules = default_corpus
+    runs = _count_class_tables(monkeypatch)
+    report = run_suite(modules, cap=5)
+    assert len(report.skips) == 61 * 21
+    assert len(runs) == len(modules) == 319
+    # every later call raises an equal error: the same message and limit
+    m = Module(Ring([12]), [(12, 0)], cap=2)
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ResourceLimitError) as err:
+            m.lattice()
+        errors.append((str(err.value), err.value.limit))
+    assert errors == [("more than 2 submodules (lattice cap)", 2)] * 3
+    assert len(runs) == 320
+
+
+def test_a_module_is_freed_with_its_last_reference(monkeypatch):
     # members hold the module's radix, not the module, so nothing the module
     # memoizes refers back to it: with the collector off, dropping the last
-    # reference frees it and all that was read off it
+    # reference frees it and all that was read off it.  A capped module keeps
+    # the message and limit of the cap that fired, not the error, whose
+    # traceback would hold the module
     m = product_module([2, 4])  # Z_2 x Z_4, an F x S instance
-    refs = [weakref.ref(m)]
+    capped = Module(Ring([12]), [(12, 0)], cap=2)
+    refs = [weakref.ref(m), weakref.ref(capped)]
+    runs = _count_class_tables(monkeypatch)
     gc.disable()
     try:
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                capped.class_table()
+        assert run_predicate("thm_2_7", InstanceAnalysis(capped)).status == SKIPPED
+        assert len(runs) == 1  # the cap fired three times and was counted once
         a = InstanceAnalysis(m)
         lattice = m.lattice()
         assert a.fxs is not None and all(s.label for s in lattice.all)
@@ -703,8 +748,8 @@ def test_a_module_is_freed_with_its_last_reference():
         refs.append(weakref.ref(loc.image))
         assert localization.image_submodule(loc, lattice.all[-1]).is_whole
         assert run_predicate("thm_2_7", a).status == PASS
-        del m, a, lattice, loc
-        assert [r() for r in refs] == [None, None]
+        del m, capped, a, lattice, loc
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
 
@@ -723,7 +768,7 @@ def test_p4_fourth_vertex_is_the_span_of_f_and_n(corpus_analyses):
         (n,) = [k for k in lattice.all if 1 < k.size < s.size and k.elements <= s.elements]
         ok, detail = theorems._p4_fxs_structure(a)
         assert ok, (a.iid, detail)
-        assert detail["path"][3] == lattice.find(span(m, f.elements | n.elements)).label, a.iid
+        assert detail["path"][3] == member_of(m, span(m, f.elements | n.elements)).label, a.iid
         checked += 1
     assert checked
 

@@ -49,6 +49,8 @@ def test_tracer_hooks_read_real_objects():
     tracer._colon_before(t, (m, sub))
     tracer._colon_before(t, (m, sub))
     assert t.counts["finmod.colon.hits"] == 1
+    # Module.colon stays only as a tracer target; its one line runs here
+    assert all(m.colon(s) is s.colon for s in lattice.all)
     for build in (build_AG, build_AG_star):
         g = build(m)
         before = t.counts["aggraph.edges"]
